@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 _INF = math.inf
 _nextafter = math.nextafter
 
 __all__ = [
     "DomainError",
     "Interval",
+    "Lanes",
     "PI",
     "TWO_PI",
     "HALF_PI",
@@ -36,6 +39,8 @@ __all__ = [
     "s3_kernel",
     "pow_int",
     "hull",
+    "lane_fold",
+    "lane_sum",
 ]
 
 
@@ -64,17 +69,25 @@ def _two_sum(a: float, b: float):
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 _NO_SPLIT = 6.69692879491417e299  # overflow guard for Veltkamp splitting
+_PROD_MAX = 1e300  # |a*b| above this: the split products may overflow
+_PROD_MIN = 1e-290  # |a*b| below this: the error term may underflow
 
 
 def _two_prod(a: float, b: float):
     """Dekker product: returns (p, e) with a*b == p + e exactly, or (p, None)
-    when the splitting could overflow/underflow and e is unknown."""
+    when the splitting could overflow/underflow and e is unknown.
+
+    When nonzero factors underflow to p == 0 the error is a*b itself, too
+    small to hold; e is then +-1.0 with its sign, the only part callers use.
+    """
     p = a * b
     if not math.isfinite(p):
         return p, None
     ap = abs(p)
-    if ap > 1e300 or (ap != 0.0 and ap < 1e-290) or abs(a) > _NO_SPLIT or abs(b) > _NO_SPLIT:
+    if ap > _PROD_MAX or (ap != 0.0 and ap < _PROD_MIN) or abs(a) > _NO_SPLIT or abs(b) > _NO_SPLIT:
         return p, None
+    if ap == 0.0 and a != 0.0 and b != 0.0:
+        return p, math.copysign(1.0, a) * math.copysign(1.0, b)
     ca = _SPLITTER * a
     ah = ca - (ca - a)
     al = a - ah
@@ -249,7 +262,7 @@ class Interval:
         """min |x| over the interval."""
         if self.lo <= 0.0 <= self.hi:
             return 0.0
-        return min(-self.lo, self.hi) if self.hi < 0.0 else self.lo
+        return -self.hi if self.hi < 0.0 else self.lo
 
     def contains(self, x) -> bool:
         if isinstance(x, Fraction):
@@ -408,14 +421,17 @@ def _pow_dir(x: float, k: int, up: bool) -> float:
     return acc
 
 
-def pow_int(a: Interval, k: int) -> Interval:
-    """a**k for a nonnegative integer exponent k."""
+def pow_int(a, k: int):
+    """a**k for a nonnegative integer exponent k; `a` is an Interval or Lanes."""
     if k < 0:
         raise DomainError("pow_int requires a nonnegative exponent")
     if k == 0:
-        return ONE
+        return Lanes(np.ones_like(a.lo)) if isinstance(a, Lanes) else ONE
     if k == 1:
         return a
+    if isinstance(a, Lanes):
+        with np.errstate(all="ignore"):
+            return Lanes(*_vpow(a.lo, a.hi, k))
     if k % 2 == 0:
         m = a.mag
         lo_abs = a.mig
@@ -425,6 +441,291 @@ def pow_int(a: Interval, k: int) -> Interval:
     if a.hi <= 0.0:
         return Interval._raw(-_pow_dir(-a.lo, k, True), -_pow_dir(-a.hi, k, False))
     return Interval._raw(-_pow_dir(-a.lo, k, True), _pow_dir(a.hi, k, True))
+
+
+# ---------------------------------------------------------------------------
+# Interval lanes: the rational core on numpy endpoint arrays.
+#
+# Each _v* kernel repeats its scalar twin above operation for operation, so a
+# lane's endpoints equal the scalar result bit for bit.  Branches become
+# masks; every branch is computed on every lane and np.where picks, which
+# never changes a lane's value.  Python's min(a, b)/max(a, b) keep `a` on
+# ties, which np.where(b < a, b, a) reproduces for signed zeros (np.minimum
+# does not).  The kernels may overflow or divide by zero on lanes whose
+# result is discarded, so callers run them inside np.errstate(all="ignore").
+# ---------------------------------------------------------------------------
+
+def _vround(x, move, toward: float):
+    """x stepped one ulp toward `toward` where `move`, else x unchanged."""
+    return np.nextafter(x, np.where(move, toward, x))
+
+
+def _vtwo_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _vtwo_prod(a, b):
+    """Lanes of _two_prod: (p, e, known), with e meaningful where known."""
+    p = a * b
+    ap = np.abs(p)
+    known = np.isfinite(p) & (ap <= _PROD_MAX) & ((ap == 0.0) | (ap >= _PROD_MIN)) \
+        & (np.abs(a) <= _NO_SPLIT) & (np.abs(b) <= _NO_SPLIT)
+    ca = _SPLITTER * a
+    ah = ca - (ca - a)
+    al = a - ah
+    cb = _SPLITTER * b
+    bh = cb - (cb - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    zero = ap == 0.0
+    if np.any(zero):
+        e = np.where(zero & (a != 0.0) & (b != 0.0), np.sign(a) * np.sign(b), e)
+    return p, e, known
+
+
+def _vadd_down(a, b):
+    s, e = _vtwo_sum(a, b)
+    return _vround(s, e < 0.0, -_INF)
+
+
+def _vadd_up(a, b):
+    s, e = _vtwo_sum(a, b)
+    return _vround(s, e > 0.0, _INF)
+
+
+def _vmul_down(a, b):
+    p, e, known = _vtwo_prod(a, b)
+    return _vround(p, ~known | (e < 0.0), -_INF)
+
+
+def _vmul_up(a, b):
+    p, e, known = _vtwo_prod(a, b)
+    return _vround(p, ~known | (e > 0.0), _INF)
+
+
+def _vdiv_err_sign(a, b, q):
+    """Lanes of _div_err_sign: (residual > 0, residual < 0, sign known)."""
+    p, e, known = _vtwo_prod(q, b)
+    same = a == p
+    aa, pp = np.abs(a), np.abs(p)
+    known = known & (same | (((a > 0.0) == (p > 0.0)) & (0.5 * pp <= aa) & (aa <= 2.0 * pp)))
+    s, t = _vtwo_sum(np.where(same, 0.0, a - p), -e)
+    r = np.where(s != 0.0, s, t)
+    return r > 0.0, r < 0.0, known
+
+
+def _vdiv_down(a, b):
+    q = a / b
+    pos, neg, known = _vdiv_err_sign(a, b, q)
+    b_pos = b > 0.0
+    return _vround(q, ~known | (pos & ~b_pos) | (neg & b_pos), -_INF)
+
+
+def _vdiv_up(a, b):
+    q = a / b
+    pos, neg, known = _vdiv_err_sign(a, b, q)
+    b_pos = b > 0.0
+    return _vround(q, ~known | (pos & b_pos) | (neg & ~b_pos), _INF)
+
+
+def _vadd(a, b, c, d):
+    return _vadd_down(a, c), _vadd_up(b, d)
+
+
+def _vsub(a, b, c, d):
+    return _vadd_down(a, -d), _vadd_up(b, -c)
+
+
+def _vmul(a, b, c, d):
+    """[a, b] * [c, d] by the sign cases of Interval.__mul__, per lane."""
+    a_pos = a >= 0.0
+    b_neg = ~a_pos & (b <= 0.0)
+    c_pos = c >= 0.0
+    d_neg = ~c_pos & (d <= 0.0)
+    lo = _vmul_down(np.where(a_pos, np.where(c_pos, a, b), np.where(d_neg, b, a)),
+                    np.where(a_pos, c, np.where(~b_neg & d_neg, c, d)))
+    hi = _vmul_up(np.where(a_pos, np.where(d_neg, a, b), np.where(c_pos, b, a)),
+                  np.where(a_pos, d, np.where(~b_neg & c_pos, d, c)))
+    both = ~a_pos & ~b_neg & ~c_pos & ~d_neg  # both factors straddle 0
+    if np.any(both):
+        lo2 = _vmul_down(b, c)
+        hi2 = _vmul_up(b, d)
+        lo = np.where(both & (lo2 < lo), lo2, lo)
+        hi = np.where(both & (hi2 > hi), hi2, hi)
+    return lo, hi
+
+
+def _vdiv(a, b, c, d):
+    """[a, b] / [c, d] by the sign cases of Interval.__truediv__, per lane."""
+    if np.any((c <= 0.0) & (0.0 <= d)):
+        raise DomainError("division by an interval containing 0")
+    c_pos = c > 0.0
+    a_pos = a >= 0.0
+    b_neg = ~a_pos & (b <= 0.0)
+    lo = _vdiv_down(np.where(c_pos, a, b),
+                    np.where(c_pos, np.where(a_pos, d, c), np.where(b_neg, c, d)))
+    hi = _vdiv_up(np.where(c_pos, b, a),
+                  np.where(c_pos, np.where(b_neg, d, c), np.where(a_pos, c, d)))
+    return lo, hi
+
+
+def _vpow_dir(x, k: int, up: bool):
+    """Lanes of _pow_dir."""
+    mul = _vmul_up if up else _vmul_down
+    acc = 1.0
+    base = x
+    while k:
+        if k & 1:
+            acc = mul(acc, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return acc
+
+
+def _vpow(lo, hi, k: int):
+    """[lo, hi]**k for k >= 2 by the parity cases of pow_int, per lane."""
+    if k % 2 == 0:
+        mag = np.where(hi > -lo, hi, -lo)
+        mig = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
+        return _vpow_dir(mig, k, False), _vpow_dir(mag, k, True)
+    nonneg = lo >= 0.0
+    neg = ~nonneg & (hi <= 0.0)
+    return (np.where(nonneg, _vpow_dir(lo, k, False), -_vpow_dir(-lo, k, True)),
+            np.where(neg, -_vpow_dir(-hi, k, False), _vpow_dir(hi, k, True)))
+
+
+def _lane_endpoints(x):
+    """(lo, hi) of a lane operand: Lanes, Interval, number or point array."""
+    if isinstance(x, Lanes):
+        return x.lo, x.hi
+    if isinstance(x, Interval):
+        return np.float64(x.lo), np.float64(x.hi)
+    if isinstance(x, (int, float)):
+        x = np.float64(x)
+        return x, x
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        return x, x
+    return None
+
+
+class Lanes:
+    """Intervals held in lanes: numpy arrays of lower and upper endpoints.
+
+    `+ - * /`, unary minus and `pow_int` act lane by lane, and every lane
+    equals the Interval operation on the same endpoints bit for bit.
+    Operands may be Lanes, Interval, int/float or a float array (point
+    lanes); shapes broadcast as in numpy.  Operands keep the scalar code's
+    order: `Interval * Lanes` multiplies with the Interval on the left, while
+    `float * Lanes`, like `float * Interval`, puts the lanes on the left.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, lo, hi=None):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = self.lo if hi is None else np.asarray(hi, dtype=float)
+
+    @classmethod
+    def of(cls, intervals) -> "Lanes":
+        """One lane per Interval of the sequence."""
+        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
+
+    @staticmethod
+    def where(cond, a, b) -> "Lanes":
+        """Lane-wise choice: a where cond, else b."""
+        alo, ahi = _lane_endpoints(a)
+        blo, bhi = _lane_endpoints(b)
+        return Lanes(np.where(cond, alo, blo), np.where(cond, ahi, bhi))
+
+    def __getitem__(self, key) -> "Lanes":
+        return Lanes(self.lo[key], self.hi[key])
+
+    def intersect(self, other) -> "Lanes":
+        olo, ohi = _lane_endpoints(other)
+        lo = np.where(olo > self.lo, olo, self.lo)
+        hi = np.where(ohi < self.hi, ohi, self.hi)
+        if np.any(lo > hi):
+            raise DomainError("empty intersection")
+        return Lanes(lo, hi)
+
+    def hull(self, other) -> "Lanes":
+        olo, ohi = _lane_endpoints(other)
+        return Lanes(np.where(olo < self.lo, olo, self.lo), np.where(ohi > self.hi, ohi, self.hi))
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _apply(self, kernel, other, reflected: bool = False):
+        o = _lane_endpoints(other)
+        if o is None:
+            return NotImplemented
+        operands = (*o, self.lo, self.hi) if reflected else (self.lo, self.hi, *o)
+        with np.errstate(all="ignore"):
+            return Lanes(*kernel(*operands))
+
+    def __add__(self, other):
+        return self._apply(_vadd, other)
+
+    def __radd__(self, other):
+        return self._apply(_vadd, other, reflected=isinstance(other, Interval))
+
+    def __sub__(self, other):
+        return self._apply(_vsub, other)
+
+    def __rsub__(self, other):
+        return self._apply(_vsub, other, reflected=True)
+
+    def __mul__(self, other):
+        return self._apply(_vmul, other)
+
+    def __rmul__(self, other):
+        return self._apply(_vmul, other, reflected=isinstance(other, Interval))
+
+    def __truediv__(self, other):
+        return self._apply(_vdiv, other)
+
+    def __rtruediv__(self, other):
+        return self._apply(_vdiv, other, reflected=True)
+
+    def __neg__(self):
+        return Lanes(-self.hi, -self.lo)
+
+
+_ROUND_SIGN = np.array([[-1.0], [1.0]])  # lo row rounds down where e < 0, hi row up where e > 0
+_ROUND_TOWARD = np.array([[-_INF], [_INF]])
+
+
+def lane_fold(acc: Lanes, *terms) -> Lanes:
+    """acc + t[:, 0] + u[:, 0] + ... + t[:, 1] + u[:, 1] + ... for terms t, u, ...
+
+    Lane by lane, these are the outward-rounded Interval additions in exactly
+    this order.  A term given as (lanes, skip) leaves the sum as it is on the
+    lanes where `skip` holds, as if that term were not there.
+    """
+    parts = [(t, None) if isinstance(t, Lanes) else t for t in terms]
+    s = np.array((acc.lo, acc.hi))
+    with np.errstate(all="ignore"):
+        for j in range(parts[0][0].lo.shape[-1]):
+            for t, skip in parts:
+                total, e = _vtwo_sum(s, np.array((t.lo[:, j], t.hi[:, j])))
+                total = _vround(total, e * _ROUND_SIGN > 0.0, _ROUND_TOWARD)
+                s = total if skip is None else np.where(skip[:, j], s, total)
+    return Lanes(s[0], s[1])
+
+
+def lane_sum(acc: Interval, terms: Lanes) -> Interval:
+    """acc + terms[0] + terms[1] + ... for 1-d lanes, added one term at a time
+    in lane order, exactly as the loop of Interval additions would."""
+    lo, hi = acc.lo, acc.hi
+    for v in terms.lo.tolist():
+        lo = _add_down(lo, v)
+    for v in terms.hi.tolist():
+        hi = _add_up(hi, v)
+    return Interval._raw(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .interval import (
     DomainError,
     Interval,
+    Lanes,
     PI,
     cos,
     exp,
+    lane_sum,
     pow_int,
     sin,
     sqrt,
@@ -242,6 +246,9 @@ def closed_form_energy_alpha4(t: Interval) -> Interval:
     return (PI / _SQRT2) * num / den
 
 
+_TERMS_PER_BATCH = 1024  # bounds the lane arrays of a long explicit head
+
+
 def energy_derivative(alpha: int, t: Interval, N: int = 64, ext: int | None = None) -> Interval:
     """Enclosure of d/dt sum_n t f_alpha(t n) = sum_n (f(tn) + tn f'(tn)).
 
@@ -257,9 +264,10 @@ def energy_derivative(alpha: int, t: Interval, N: int = 64, ext: int | None = No
     if ext is None:
         ext = 2 * N
     S = _ZERO
-    for n in range(1, ext + 1):
+    for start in range(1, ext + 1, _TERMS_PER_BATCH):
+        n = Lanes(np.arange(start, min(start + _TERMS_PER_BATCH, ext + 1), dtype=float))
         f = f_alpha(alpha, t * n)
-        S = S + (f * (1.0 - alpha) + alpha * f * f)
+        S = lane_sum(S, f * (1.0 - alpha) + alpha * f * f)
     return 1.0 + 2.0 * (S + _sum_g_beyond(alpha, t, ext))
 
 

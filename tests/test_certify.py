@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from repulse.certify import (
     mean_value_L_term,
     prove_nonneg,
 )
-from repulse.interval import Interval, PI, pow_int, sin
+from repulse.interval import Interval, Lanes, PI, pow_int, sin
 from repulse.potential import F_alpha_second
 
 
@@ -60,6 +61,106 @@ def test_engine_budget_exhaustion_is_inconclusive():
 def test_engine_zero_depth_policy():
     c = prove_nonneg(lambda x: Interval(1.0), Interval(0, 1), BnbPolicy(max_depth=0))
     assert c.status == "inconclusive"
+
+
+class _LaneProbe:
+    """Batched test function: [-1, -1] at a bad point, [-1, 1] on boxes
+    wider than `fine` or holding a bad point, else [1, 1].  Records how
+    many boxes (not midpoints) it was asked to evaluate."""
+
+    def __init__(self, bad=(), fine=0.0):
+        self.bad = np.array(bad, dtype=float)
+        self.fine = fine
+        self.boxes = 0
+
+    def __call__(self, x: Lanes, param) -> Lanes:
+        lo, hi = x.lo, x.hi
+        self.boxes += int(np.count_nonzero(lo < hi))
+        holds = ((lo[:, None] <= self.bad) & (self.bad <= hi[:, None])).any(axis=1)
+        point_bad = holds & (lo == hi)
+        open_ = holds | (hi - lo > self.fine)
+        v_lo = np.where(point_bad | open_, -1.0, 1.0)
+        v_hi = np.where(point_bad, -1.0, 1.0)
+        return Lanes(v_lo, v_hi)
+
+
+def _run_engine(f, roots, policy=None):
+    run = cert._Run()
+    cert._bnb(run, f, roots, policy or BnbPolicy())
+    return run
+
+
+def test_engine_fails_at_first_level_with_a_bad_midpoint():
+    # depth-first order would meet 0.125 (left, depth 2) before 0.75 (right, depth 1)
+    f = _LaneProbe(bad=(0.125, 0.75))
+    run = _run_engine(f, [(0.0, 1.0)])
+    assert run.status == "failed" and run.witness == 0.75
+    assert f(Lanes([run.witness]), None).hi[0] < 0.0
+    assert run.min_lb == -1.0
+    assert (run.boxes, run.max_depth) == (3, 1)
+
+
+def test_engine_witness_is_leftmost_on_its_level():
+    run = _run_engine(_LaneProbe(bad=(0.25, 0.75)), [(0.0, 1.0)])
+    assert run.status == "failed" and run.witness == 0.25
+
+
+def test_engine_max_depth_is_inconclusive():
+    f = _LaneProbe(fine=0.0)  # never discharged, never failing
+    run = _run_engine(f, [(0.0, 1.0)], BnbPolicy(max_depth=3))
+    assert run.status == "inconclusive"
+    assert (run.boxes, run.max_depth, f.boxes) == (15, 3, 15)
+
+
+def test_engine_unsplittable_box_is_inconclusive():
+    run = _run_engine(_LaneProbe(fine=0.0), [(1.0, math.nextafter(1.0, 2.0))])
+    assert run.status == "inconclusive" and run.boxes == 1
+
+
+@pytest.mark.parametrize("budget", [1, 6, 7, 10])
+def test_engine_never_evaluates_more_than_budget(budget):
+    f = _LaneProbe(fine=0.0)
+    run = _run_engine(f, [(0.0, 1.0)], BnbPolicy(budget=budget))
+    assert run.status == "inconclusive"
+    assert f.boxes == run.boxes == budget
+
+
+def test_engine_budget_counts_earlier_pieces():
+    f = _LaneProbe(fine=0.0)
+    run = cert._Run(boxes=5)
+    cert._bnb(run, f, [(0.0, 1.0)], BnbPolicy(budget=5))
+    assert run.status == "inconclusive" and f.boxes == 0 and run.boxes == 5
+
+
+def test_engine_zero_depth_evaluates_nothing():
+    f = _LaneProbe(fine=1.0)
+    run = _run_engine(f, [(0.0, 1.0)], BnbPolicy(max_depth=0))
+    assert run.status == "inconclusive" and f.boxes == 0 and run.boxes == 0
+
+
+def test_engine_multi_root_params_and_order():
+    def f(x: Lanes, param) -> Lanes:
+        # root 7 splits down to width 1/4; root 9 is discharged at once
+        wide = (param == 7) & (x.hi - x.lo > 0.25)
+        return Lanes(np.where(wide, -1.0, 1.0 + param), np.full(param.shape, 20.0))
+
+    run = _run_engine(f, [(0.0, 1.0, 7), (2.0, 3.0, 9)])
+    assert run.status == "verified"
+    assert (run.boxes, run.max_depth, run.min_lb) == (8, 2, 8.0)
+    run = _run_engine(_LaneProbe(bad=(0.125, 2.5)), [(0.0, 1.0), (2.0, 3.0)])
+    assert run.status == "failed" and run.witness == 2.5
+
+
+def test_engine_scalar_adapter_matches_lanes():
+    def g(x):
+        return pow_int(x - 0.3, 2) * 4.0 - 0.01 + x * 0.05
+
+    a = prove_nonneg(g, Interval(0.0, 1.0))
+    run = _run_engine(lambda x, _p: g(x), [(0.0, 1.0)])
+    assert a.status == run.status == "verified"
+    assert (a.boxes_processed, a.max_depth, a.min_lower_bound.hex()) == \
+        (run.boxes, run.max_depth, run.min_lb.hex())
+    assert a.boxes_processed > 1
 
 
 # -- T and L -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repulse.interval import (
@@ -61,6 +61,30 @@ def test_pow_exact():
 def test_pow_contains_rational():
     a = Interval.from_fraction(Fraction(11, 10), Fraction(12, 10))
     assert pow_int(a, 6).contains(Fraction(11, 10) ** 6)
+
+
+def test_mig_is_the_least_magnitude():
+    assert Interval(-3, -2).mig == 2.0
+    assert Interval(2, 3).mig == 2.0
+    assert Interval(-1, 4).mig == 0.0
+    assert Interval(-3, -2).mag == 3.0
+    assert pow_int(Interval(-3, -2), 2) == Interval(4.0, 9.0)
+
+
+def test_product_underflowing_to_zero_rounds_outward():
+    # Dekker's error term is lost when a*b underflows to 0 from nonzero
+    # factors, but its sign is known, so the result is still the tightest one
+    tiny = 5e-324
+    assert Interval(1e-200) * Interval(1e-200) == Interval(0.0, tiny)
+    assert Interval(-1e-200) * Interval(1e-200) == Interval(-tiny, -0.0)
+    for x, y in ((1e-200, 1e-200), (-1e-200, 1e-200), (1e-170, -3e-170)):
+        exact = Fraction(x) * Fraction(y)
+        assert (Interval(x) * Interval(y)).contains(exact)
+        assert (Interval(*sorted((x, 2 * x))) * Interval(y)).contains(exact)
+        outer = Interval(*sorted((0.0, 2 * x))) * Interval(*sorted((0.0, 2 * y)))
+        assert outer.contains_interval(Interval(x) * Interval(y))
+    assert pow_int(Interval(1e-100), 4).contains(Fraction(1e-100) ** 4)
+    assert Interval(0.0) * Interval(1e-200) == Interval(0.0)
 
 
 def test_sin_zero():
@@ -187,6 +211,7 @@ def _nested(center, w_in, w_out):
 
 @settings(max_examples=300, deadline=None)
 @given(_vals, _vals, _widths, _widths, _widths, _widths)
+@example(2.2250738585e-313, 1.0229864588617348e-37, 0.0, 2.2250738585e-313, 0.0, 0.0)  # product underflows to 0
 def test_inclusion_monotonicity_binary(c1, c2, wi1, wo1, wi2, wo2):
     a_in, a_out = _nested(c1, wi1, wo1)
     b_in, b_out = _nested(c2, wi2, wo2)

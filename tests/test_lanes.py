@@ -1,0 +1,242 @@
+"""Lane kernel against the scalar Interval kernel, bit for bit.
+
+Every lane of a Lanes operation must equal the Interval operation on the
+same endpoints, down to the sign of zero, so the batched certificates keep
+the scalar ones' bits.
+"""
+
+import math
+import operator
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from repulse.interval import (
+    _NO_SPLIT,
+    _PROD_MAX,
+    _PROD_MIN,
+    DomainError,
+    Interval,
+    Lanes,
+    lane_fold,
+    lane_sum,
+    pow_int,
+)
+
+OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+TINY = 5e-324
+
+
+def _bits(values) -> np.ndarray:
+    """int64 bit patterns, with every NaN mapped to one pattern."""
+    a = np.array(values, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.view(np.int64)
+
+
+def _scalar(op, xs, ys):
+    out = [op(x, y) for x, y in zip(xs, ys)]
+    return [v.lo for v in out], [v.hi for v in out]
+
+
+def _assert_same(lanes: Lanes, lo, hi, context):
+    got_lo = np.broadcast_to(lanes.lo, (len(lo),))
+    got_hi = np.broadcast_to(lanes.hi, (len(hi),))
+    bad = np.flatnonzero((_bits(got_lo) != _bits(lo)) | (_bits(got_hi) != _bits(hi)))
+    assert bad.size == 0, [(context, i, got_lo[i].hex(), lo[i].hex(), got_hi[i].hex(), hi[i].hex())
+                           for i in bad[:5]]
+
+
+def _acceptance9_intervals(rng, count):
+    """Points and hulls of the acceptance-9 soundness-fuzz values."""
+    def scaled():
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-6, 6)
+
+    out = []
+    for i in range(count):
+        x = scaled()
+        if i % 3 == 0:
+            out.append(Interval(x))
+        else:
+            y = scaled()
+            out.append(Interval(min(x, y), max(x, y)))
+    return out
+
+
+def _edge_values():
+    """Endpoints at and around every _two_prod guard, plus inf, zeros and subnormals."""
+    base = [
+        0.0, TINY, 2 * TINY, 2.2250738585072014e-308, 1e-300, _PROD_MIN,
+        math.sqrt(_PROD_MIN), math.sqrt(_PROD_MAX), _PROD_MAX, _NO_SPLIT,
+        1e-160, 1e-145, 1e150, 1.0, 3.0, 0.1, 1e308, math.inf,
+    ]
+    vals = set()
+    for v in base:
+        for w in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)):
+            vals.update((w, -w))
+    return sorted(vals)
+
+
+def _edge_intervals(rng, count):
+    vals = _edge_values()
+    out = []
+    while len(out) < count:
+        a, b = rng.choice(vals), rng.choice(vals)
+        lo, hi = min(a, b), max(a, b)
+        if lo == math.inf or hi == -math.inf:
+            continue
+        if rng.random() < 0.05:  # signed zeros as endpoints
+            lo = -0.0 if lo == 0.0 else lo
+            hi = -0.0 if hi == 0.0 else hi
+        out.append(Interval._raw(lo, hi))
+    return out
+
+
+def _pairs(rng, count):
+    xs = _acceptance9_intervals(rng, count) + _edge_intervals(rng, count)
+    ys = _acceptance9_intervals(rng, count) + _edge_intervals(rng, count)
+    rng.shuffle(ys)
+    return xs, ys
+
+
+def _excludes_zero(iv):
+    return not iv.lo <= 0.0 <= iv.hi
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_binary_ops_match_scalar_bits(name):
+    rng = random.Random(20240817 + len(name))
+    xs, ys = _pairs(rng, 6000)
+    if name == "div":
+        keep = [i for i, y in enumerate(ys) if _excludes_zero(y)]
+        xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    op = OPS[name]
+    lo, hi = _scalar(op, xs, ys)
+    _assert_same(op(Lanes.of(xs), Lanes.of(ys)), lo, hi, name)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_mixed_operands_keep_scalar_order(name):
+    # Interval and float operands on either side of the lanes
+    rng = random.Random(7)
+    xs = _acceptance9_intervals(rng, 400)
+    op = OPS[name]
+    for other in (Interval(-0.75, 2.5), Interval(3.0), 0.1, -2, -0.0):
+        if name == "div" and not _excludes_zero(Interval._coerce(other)):
+            continue
+        lo, hi = _scalar(op, xs, [other] * len(xs))
+        _assert_same(op(Lanes.of(xs), other), lo, hi, (name, other))
+        pos = [x for x in xs if _excludes_zero(x)] if name == "div" else xs
+        lo, hi = _scalar(op, [other] * len(pos), pos)
+        _assert_same(op(other, Lanes.of(pos)), lo, hi, (name, "reflected", other))
+
+
+def test_pow_int_matches_scalar_bits():
+    rng = random.Random(11)
+    xs = _acceptance9_intervals(rng, 4000) + _edge_intervals(rng, 4000)
+    lanes = Lanes.of(xs)
+    for k in range(0, 13):
+        out = [pow_int(x, k) for x in xs]
+        _assert_same(pow_int(lanes, k), [v.lo for v in out], [v.hi for v in out], k)
+    for k in (40, 41, 704):
+        out = [pow_int(x, k) for x in xs[:500]]
+        _assert_same(pow_int(lanes[:500], k), [v.lo for v in out], [v.hi for v in out], k)
+
+
+def test_neg_intersect_hull_match_scalar():
+    rng = random.Random(5)
+    xs = _acceptance9_intervals(rng, 500)
+    lanes = Lanes.of(xs)
+    neg = [-x for x in xs]
+    _assert_same(-lanes, [v.lo for v in neg], [v.hi for v in neg], "neg")
+    box = Interval(-0.5, 0.5)
+    inside = [x for x in xs if x.overlaps(box)]
+    want = [x.intersect(box) for x in inside]
+    _assert_same(Lanes.of(inside).intersect(box), [v.lo for v in want], [v.hi for v in want],
+                 "intersect")
+    with pytest.raises(DomainError):
+        Lanes.of([Interval(1.0, 2.0)]).intersect(box)
+
+
+def test_division_by_any_zero_lane_raises():
+    good = Interval(1.0, 2.0)
+    for bad in (Interval(-1.0, 1.0), Interval(0.0, 1.0), Interval(-1.0, -0.0), Interval(0.0)):
+        with pytest.raises(DomainError):
+            Lanes.of([good, good]) / Lanes.of([good, bad])
+        with pytest.raises(DomainError):
+            1.0 / Lanes.of([bad, good])
+
+
+def test_lane_sum_is_the_sequential_sum():
+    rng = random.Random(3)
+    terms = _acceptance9_intervals(rng, 700) + [Interval(-0.0), Interval(0.0, 1e-300)]
+    acc = Interval(-0.0, 0.0)
+    want = acc
+    for t in terms:
+        want = want + t
+    got = lane_sum(acc, Lanes.of(terms))
+    assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
+
+def test_lane_fold_is_the_sequential_sum():
+    rng = random.Random(13)
+    boxes, cols = 40, 9
+    t = [[rng.choice(_acceptance9_intervals(rng, 1) + [Interval(-0.0), Interval(0.0)])
+          for _ in range(cols)] for _ in range(boxes)]
+    u = [_acceptance9_intervals(rng, cols) for _ in range(boxes)]
+    skip = [[rng.random() < 0.3 for _ in range(cols)] for _ in range(boxes)]
+    acc = [Interval(-0.0, 0.0) if i % 2 else Interval(-1.0, 2.0) for i in range(boxes)]
+    want = []
+    for i in range(boxes):
+        s = acc[i]
+        for j in range(cols):
+            if not skip[i][j]:
+                s = s + t[i][j]
+            s = s - u[i][j]
+        want.append(s)
+
+    def grid(rows):
+        return Lanes([[v.lo for v in r] for r in rows], [[v.hi for v in r] for r in rows])
+
+    got = lane_fold(Lanes.of(acc), (grid(t), np.array(skip)), -grid(u))
+    _assert_same(got, [v.lo for v in want], [v.hi for v in want], "fold")
+
+
+def test_lanes_contain_exact_results():
+    rng = random.Random(17)
+    xs = _acceptance9_intervals(rng, 600)
+    ys = [y for y in _acceptance9_intervals(rng, 700) if _excludes_zero(y)][:600]
+    xs = xs[:len(ys)]
+    lx, ly = Lanes.of(xs), Lanes.of(ys)
+    exact = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+    }
+    for name, op in OPS.items():
+        v = op(lx, ly)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            # the corners of the operand boxes bound every rational op here
+            for a in (Fraction(x.lo), Fraction(x.hi)):
+                for b in (Fraction(y.lo), Fraction(y.hi)):
+                    r = exact[name](a, b)
+                    assert Fraction(float(v.lo[i])) <= r <= Fraction(float(v.hi[i])), (name, i)
+    v = pow_int(lx, 5)
+    for i, x in enumerate(xs):
+        for a in (Fraction(x.lo), Fraction(x.hi)):
+            assert Fraction(float(v.lo[i])) <= a ** 5 <= Fraction(float(v.hi[i]))
+
+
+def test_kernel_sets_no_global_error_state():
+    before = np.geterr()
+    Lanes.of([Interval(1e308)]) * Lanes.of([Interval(1e308)])
+    Lanes.of([Interval(1.0)]) / Lanes.of([Interval(1.0, math.inf)])
+    assert np.geterr() == before
