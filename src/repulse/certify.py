@@ -23,7 +23,6 @@ from .interval import (
     Lanes,
     PI,
     PI_SQ,
-    hull,
     lane_fold,
     pow_int,
     remainder_R,
@@ -32,7 +31,6 @@ from .interval import (
 )
 from .potential import (
     F_alpha,
-    F_alpha_second,
     F_deficit_over_x_sq,
     PotentialContext,
     power_sum_tail,
@@ -69,7 +67,6 @@ _TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
 
 _SMALL_ALPHA_T = (4, 6, 8, 10)
 _SMALL_ALPHA_L = (6, 8, 10)
-_ETA_BNB_ALPHA = (6, 8, 10, 12, 14)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,11 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
     enclosures; `_per_lane` adapts a scalar callable.  A level is the whole
     frontier in left-to-right order: root order, then position.  A box is
     discharged when its enclosure's lower bound is >= 0; otherwise f is
-    evaluated at its midpoint and the box is bisected there.
+    evaluated at its midpoint and the box is bisected there.  A level of at
+    most _CHUNK / 2 boxes is evaluated in one batch with all its midpoints,
+    so f may also be evaluated at midpoints of boxes that are discharged;
+    those values are ignored.  Every lane is computed on its own, so this
+    changes no box and no value the run keeps.
 
     The box tree depends only on f, so a verified run has the same boxes,
     max_depth and min_lower_bound in any evaluation order.  A run that is not
@@ -214,12 +215,18 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
         if lo.size:
             run.max_depth = max(run.max_depth, depth)
         run.boxes += lo.size
-        v = _evaluate(f, lo, hi, param)
+        mid = 0.5 * (lo + hi)
+        small = 2 * lo.size <= _CHUNK
+        if small:  # one batch of boxes and midpoints instead of two
+            both = _evaluate(f, np.concatenate((lo, mid)), np.concatenate((hi, mid)),
+                             np.tile(param, 2))
+            v, vm = both[:lo.size], both[lo.size:]
+        else:
+            v = _evaluate(f, lo, hi, param)
         done = v.lo >= 0.0
         run.min_lb = min([run.min_lb, *v.lo[done].tolist()])
-        lo, hi, param = lo[~done], hi[~done], param[~done]
-        mid = 0.5 * (lo + hi)
-        vm = _evaluate(f, mid, mid, param)
+        lo, hi, mid, param = lo[~done], hi[~done], mid[~done], param[~done]
+        vm = vm[~done] if small else _evaluate(f, mid, mid, param)
         bad = np.flatnonzero(vm.hi < 0.0)
         if bad.size:
             run.status = FAILED
@@ -603,7 +610,7 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
     Fn, dFn = coeffs.Fn, coeffs.dFn
     alpha = 4
     tail_lo = ((8.0 + 4.0 * alpha) * power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
-    geo = power_sum_tail(2, N - 8).hi + power_sum_tail(2, N + 1).hi
+    geo = (power_sum_tail(2, N - 8) + power_sum_tail(2, N + 1)).hi
 
     n = np.arange(1.0, N + 1.0)
     Fn_row, dFn_row = Lanes.of(Fn[1:]), Lanes.of(dFn[1:])
@@ -616,7 +623,7 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
         dm = X + n
         plus = (FX - Fn_row + dFn_row * dm) / pow_int(dm, 2)
         acc = lane_fold(acc, minus, plus)  # ((acc + L(x, 1)) + L(x, -1)) + L(x, 2) ...
-        tail_hi = Fx.hi * geo + tail_lo
+        tail_hi = (Fx * geo + tail_lo).hi
         return acc + Lanes(-tail_lo, tail_hi)
 
     run = _Run()
@@ -650,22 +657,20 @@ def certify_eta0(ctx: PotentialContext, N: int = 64,
     with the side condition F(1/2) >= 2/alpha that the reduction uses.
     """
     alpha = ctx.alpha
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
     if alpha >= 12:
         rhs = Interval(4.0 * alpha) / (3.0 * alpha - 6.0) \
             + Interval(float(alpha + 1)) / (pow_int(Interval(2.0), alpha) * (alpha - 1))
         lhs = Interval.from_fraction(Fraction(-4, 100)) \
             + Interval.from_fraction(Fraction(94, 100)) * PI_SQ / 3.0
-        val = lhs - rhs
-        run = _Run()
-        run.merge_value(val, at=0.0)
-        return _finish(run, inequality_id="eta0", alpha=alpha,
-                       domain="closed-bound evaluation (large alpha)",
-                       paper_anchor="-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
-                       policy=policy, t0=t0)
+        return _constant_certificate(
+            lhs - rhs, inequality_id="eta0", alpha=alpha,
+            domain="closed-bound evaluation (large alpha)",
+            paper_anchor="-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
+            policy=policy)
     if alpha not in _SMALL_ALPHA_L:
         raise ValueError("eta0 interval route covers alpha in {6, 8, 10}")
+    policy = policy or BnbPolicy()
+    t0 = time.perf_counter()
     coeffs = build_coefficients(ctx, N)
     F_half = F_alpha(ctx, Interval(0.5))
     lhs = 4.0 * (F_half - 1.0) + F_half * PI_SQ / 3.0
@@ -695,62 +700,76 @@ def certify_eta0(ctx: PotentialContext, N: int = 64,
                     policy=policy, t0=t0)
 
 
-def _sum_inv_sq_offset(t: Interval, N: int) -> Interval:
-    """Enclosure of sum_{n != 0} 1/(n - t)^2 for t within (-1, 1).
+def _inv_sq_offset_sum(t: Lanes, N: int) -> Lanes:
+    """Lanes of sum_{n != 0} 1/(n - t)^2 for boxes t within (-1, 1).
 
-    Head |n| <= N plus integral sandwich tails on both sides.
+    Head |n| <= N, added as ((0 + 1/(1-t)^2) + 1/(1+t)^2) + 1/(2-t)^2 ...,
+    plus the integral sandwich tails 1/(N+1-t) + 1/(N+1+t) <= tail <=
+    1/(N-t) + 1/(N+t).
     """
-    acc = _ZERO
-    for n in range(1, N + 1):
-        acc = acc + _ONE / pow_int(n - t, 2) + _ONE / pow_int(n + t, 2)
-    lo_tail = (_ONE / (N + 1 - t)).lo + (_ONE / (N + 1 + t)).lo
-    hi_tail = (_ONE / (N - t)).hi + (_ONE / (N + t)).hi
-    return acc + Interval(lo_tail, hi_tail)
+    n = np.arange(1.0, N + 1.0)
+    T = t[:, None]
+    acc = lane_fold(Lanes(np.zeros_like(t.lo)), _ONE / pow_int(n - T, 2), _ONE / pow_int(T + n, 2))
+    lo_tail = (_ONE / (N + 1 - t) + _ONE / (N + 1 + t)).lo
+    hi_tail = (_ONE / (N - t) + _ONE / (N + t)).hi
+    return acc + Lanes(lo_tail, hi_tail)
+
+
+def _eta1_integrand(ctx: PotentialContext, N: int):
+    """Lane form of the eta1 integrand, lhs - rhs as a function of t = x - 1.
+
+    The removable-singularity quotient (F(1+t)-F(1)-tF'(1))/t^2 is enclosed
+    by the mean-value form (1/2) F''(hull(1, x)), intersected with the
+    direct quotient on boxes that exclude t = 0 (the hull alone cannot
+    shrink with the box).  Every sum adds its terms in the order of the
+    loop over n, so each lane equals the scalar evaluation on the same box
+    bit for bit.
+    """
+    alpha = ctx.alpha
+    coeffs = build_coefficients(ctx, N)
+    F1, dF1 = ctx.F1, ctx.dF1
+    tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
+    n = np.arange(2.0, N + 1.0)  # the B sum over n >= 2 on both sides
+    Fn_row, dFn_row = Lanes.of(coeffs.Fn[2:]), Lanes.of(coeffs.dFn[2:])
+
+    def integrand(t: Lanes, _param) -> Lanes:
+        x = 1.0 + t
+        Fx = F_alpha(ctx, x)
+        apart = (t.lo > 0.0) | (t.hi < 0.0)
+        d = Lanes.where(apart, t, 1.0)  # 1.0 stands in where t = 0 is in the box
+        q = 0.5 * _second_derivative_any(ctx, x.hull(1.0))
+        q = q.intersect(Lanes.where(apart, (Fx - F1 - d * dF1) / pow_int(d, 2), q))
+        lhs = q + Fx * _inv_sq_offset_sum(t, N)
+        rhs = _ONE / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
+        X = x[:, None]
+        dl, dm = X - n, X + n
+        B = lane_fold(Lanes(np.zeros_like(t.lo)), Fn_row / pow_int(dl, 2), dFn_row / dl,
+                      Fn_row / pow_int(dm, 2), -(dFn_row / dm))
+        rhs = rhs + B + Interval(-tail_B, tail_B)
+        return lhs - rhs
+
+    return integrand
 
 
 def certify_eta1(ctx: PotentialContext, N: int = 64,
                  policy: BnbPolicy | None = None) -> Certificate:
-    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2.
-
-    The removable-singularity quotient (F(1+t)-F(1)-tF'(1))/t^2 is enclosed
-    by the mean-value form intersected with the direct quotient whenever the
-    box excludes 0 (the mean-value hull alone cannot shrink with the box).
-    """
+    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2."""
     alpha = ctx.alpha
-    if alpha not in _ETA_BNB_ALPHA and not 6 <= alpha <= 1000:
+    if not 6 <= alpha <= 1000:
         raise ValueError("eta1 route requires even alpha in [6, 1000]")
-    if alpha < 6:
-        raise ValueError("eta1 route requires alpha >= 6")
     policy = policy or BnbPolicy()
     t0 = time.perf_counter()
-    coeffs = build_coefficients(ctx, N)
-    Fn, dFn = coeffs.Fn, coeffs.dFn
-    F1, dF1 = ctx.F1, ctx.dF1
-    tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
-
-    def expr(t: Interval) -> Interval:
-        x = 1.0 + t
-        Fx = F_alpha(ctx, x)
-        q = 0.5 * F_alpha_second(ctx, hull(Interval(1.0), x))
-        if t.lo > 0.0 or t.hi < 0.0:
-            q = q.intersect((Fx - F1 - t * dF1) / pow_int(t, 2))
-        lhs = q + Fx * _sum_inv_sq_offset(t, N)
-        rhs = _ONE / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
-        B = _ZERO
-        for n in range(2, N + 1):
-            d = x - n
-            B = B + Fn[n] / pow_int(d, 2) + dFn[n] / d
-            dm = x + n
-            B = B + Fn[n] / pow_int(dm, 2) - dFn[n] / dm
-        rhs = rhs + B + Interval(-tail_B, tail_B)
-        return lhs - rhs
-
-    return prove_nonneg(
-        expr, Interval(-0.5, 0.5), policy,
-        inequality_id="eta1", alpha=alpha,
-        domain_desc="t in [-1/2, 1/2] (x = 1 + t)",
+    run = _Run()
+    _bnb(run, _eta1_integrand(ctx, N), [(-0.5, 0.5)], policy)
+    return _finish(
+        run,
+        inequality_id="eta1",
+        alpha=alpha,
+        domain="t in [-1/2, 1/2] (x = 1 + t)",
         paper_anchor="(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
                      "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
+        policy=policy,
+        t0=t0,
     )
 
 

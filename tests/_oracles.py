@@ -1,8 +1,18 @@
-"""Frozen high-precision oracle values (160-bit evaluation, 1-ulp brackets).
+"""Reference values and reference evaluations for the tests.
 
-Each entry is a (lo, hi) float pair bracketing the exact value; an interval
-enclosure passes when it contains the whole bracket.
+The constants are frozen high-precision oracle values (160-bit evaluation,
+1-ulp brackets).  Each is a (lo, hi) float pair bracketing the exact value;
+an interval enclosure passes when it contains the whole bracket.
+
+`eta1_scalar` is the eta1 integrand written with the scalar Interval kernel,
+one box at a time, as the library computed it before it was batched on
+lanes, except that the tail endpoints of the inverse-square sum are now
+added with outward rounding.  The lane form must equal it bit for bit.
 """
+
+from repulse.auxfn import build_coefficients
+from repulse.interval import Interval, hull, pow_int
+from repulse.potential import F_alpha, F_alpha_second, power_sum_tail
 
 # (pi/sqrt2)(sinh x + sin x)/(cosh x - cos x) at x = pi, 2pi, 3pi,
 # i.e. the alpha = 4 lattice energy at spacings sqrt2, sqrt2/2, sqrt2/3.
@@ -26,3 +36,44 @@ DERIV6_AT_1_BRUTE = (-1.168143814682701, -1.1681438146827008)
 def contains_bracket(iv, bracket) -> bool:
     lo, hi = bracket
     return iv.lo <= lo and hi <= iv.hi
+
+
+def sum_inv_sq_offset(t, N):
+    """sum_{n != 0} 1/(n - t)^2 for t within (-1, 1): head |n| <= N plus
+    integral sandwich tails, added with outward rounding."""
+    one = Interval(1.0)
+    acc = Interval(0.0)
+    for n in range(1, N + 1):
+        acc = acc + one / pow_int(n - t, 2) + one / pow_int(n + t, 2)
+    lo_tail = (one / (N + 1 - t) + one / (N + 1 + t)).lo
+    hi_tail = (one / (N - t) + one / (N + t)).hi
+    return acc + Interval(lo_tail, hi_tail)
+
+
+def eta1_scalar(ctx, N=64):
+    """Scalar eta1 integrand: Interval t -> enclosure of lhs - rhs."""
+    one = Interval(1.0)
+    coeffs = build_coefficients(ctx, N)
+    Fn, dFn = coeffs.Fn, coeffs.dFn
+    F1, dF1 = ctx.F1, ctx.dF1
+    alpha = ctx.alpha
+    tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
+
+    def expr(t):
+        x = 1.0 + t
+        Fx = F_alpha(ctx, x)
+        q = 0.5 * F_alpha_second(ctx, hull(Interval(1.0), x))
+        if t.lo > 0.0 or t.hi < 0.0:
+            q = q.intersect((Fx - F1 - t * dF1) / pow_int(t, 2))
+        lhs = q + Fx * sum_inv_sq_offset(t, N)
+        rhs = one / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
+        B = Interval(0.0)
+        for n in range(2, N + 1):
+            d = x - n
+            B = B + Fn[n] / pow_int(d, 2) + dFn[n] / d
+            dm = x + n
+            B = B + Fn[n] / pow_int(dm, 2) - dFn[n] / dm
+        rhs = rhs + B + Interval(-tail_B, tail_B)
+        return lhs - rhs
+
+    return expr

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ from repulse.certify import (
 )
 from repulse.interval import Interval, Lanes, PI, pow_int, sin
 from repulse.potential import F_alpha_second
+
+from _oracles import eta1_scalar, sum_inv_sq_offset
 
 
 # -- engine ------------------------------------------------------------------
@@ -66,15 +69,18 @@ def test_engine_zero_depth_policy():
 class _LaneProbe:
     """Batched test function: [-1, -1] at a bad point, [-1, 1] on boxes
     wider than `fine` or holding a bad point, else [1, 1].  Records how
-    many boxes (not midpoints) it was asked to evaluate."""
+    many boxes (not midpoints) it was asked to evaluate, and in how many
+    calls."""
 
     def __init__(self, bad=(), fine=0.0):
         self.bad = np.array(bad, dtype=float)
         self.fine = fine
         self.boxes = 0
+        self.calls = 0
 
     def __call__(self, x: Lanes, param) -> Lanes:
         lo, hi = x.lo, x.hi
+        self.calls += 1
         self.boxes += int(np.count_nonzero(lo < hi))
         holds = ((lo[:, None] <= self.bad) & (self.bad <= hi[:, None])).any(axis=1)
         point_bad = holds & (lo == hi)
@@ -149,6 +155,38 @@ def test_engine_multi_root_params_and_order():
     assert (run.boxes, run.max_depth, run.min_lb) == (8, 2, 8.0)
     run = _run_engine(_LaneProbe(bad=(0.125, 2.5)), [(0.0, 1.0), (2.0, 3.0)])
     assert run.status == "failed" and run.witness == 2.5
+
+
+def test_engine_small_level_costs_one_call():
+    # levels of 1, 2, 4 and 8 boxes; the last is discharged whole
+    f = _LaneProbe(fine=0.125)
+    run = _run_engine(f, [(0.0, 1.0)])
+    assert run.status == "verified"
+    assert (run.boxes, run.max_depth, f.boxes, f.calls) == (15, 3, 15, 4)
+
+
+def test_engine_large_level_keeps_midpoints_apart():
+    # 40 roots: 2 * 40 > _CHUNK, so boxes and midpoints are separate batches
+    f = _LaneProbe(fine=0.5)
+    run = _run_engine(f, [(float(k), k + 1.0) for k in range(40)])
+    assert run.status == "verified"
+    assert (run.boxes, run.max_depth, f.boxes, f.calls) == (120, 1, 120, 4)
+
+
+def test_engine_ignores_midpoints_of_discharged_boxes():
+    # [2, 3] is discharged at depth 0 although f is negative at its midpoint;
+    # [0, 1] is split once and its halves are discharged
+    def f(x: Lanes, param) -> Lanes:
+        point = x.lo == x.hi
+        open_ = ~point & (x.hi <= 1.0) & (x.hi - x.lo > 0.5)
+        trap = point & (x.lo == 2.5)
+        return Lanes(np.where(open_ | trap, -1.0, 2.0 - x.lo / 8.0),
+                     np.where(trap, -1.0, 3.0))
+
+    run = _run_engine(f, [(0.0, 1.0), (2.0, 3.0)])
+    assert f(Lanes([2.5]), None).hi[0] < 0.0
+    assert run.status == "verified" and run.witness is None
+    assert (run.boxes, run.max_depth, run.min_lb) == (4, 1, 1.75)
 
 
 def test_engine_scalar_adapter_matches_lanes():
@@ -301,11 +339,75 @@ def test_eta0_large_route():
     assert "large" in c.domain
 
 
+def test_eta0_large_route_respects_zero_depth(ctx12):
+    c = certify_eta0(ctx12, policy=BnbPolicy(max_depth=0))
+    assert c.status == "inconclusive"
+    assert (c.boxes_processed, c.max_depth, c.witness) == (0, 0, None)
+    assert math.isnan(c.min_lower_bound)
+    c = certify_eta0(ctx12)
+    assert c.status == "verified"
+    assert (c.boxes_processed, c.max_depth, c.witness) == (1, 0, None)
+    assert c.min_lower_bound > 0.0
+
+
 def test_eta1(ctx6, ctx8):
     for ctx in (ctx6, ctx8):
         c = certify_eta1(ctx)
         assert c.status == "verified"
         assert c.min_lower_bound > 0.0
+
+
+def _eta1_boxes(rng, count):
+    """Boxes of t in [-1/2, 1/2]: seeded random boxes, boxes straddling 0,
+    point boxes at 0 and +-1/2, and thin boxes near 0 on both sides."""
+    boxes = [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (-0.5, 0.5),
+             (-0.5, 0.0), (0.0, 0.5), (-1e-3, 1e-3), (-1e-12, 0.0), (0.0, 1e-12)]
+    for _ in range(count):
+        a, b = sorted(rng.uniform(-0.5, 0.5) for _ in range(2))
+        boxes.append((a, b))
+        w = rng.uniform(0.0, 0.25)
+        boxes.append((-rng.uniform(0.0, w), rng.uniform(0.0, w)))  # straddles 0
+        p = rng.uniform(-0.5, 0.5)
+        boxes.append((p, p))
+        near = 10.0 ** rng.uniform(-140.0, -1.0)
+        width = near * 10.0 ** rng.uniform(-15.0, 0.0)
+        side = rng.choice((-1.0, 1.0))
+        boxes.append(tuple(sorted((side * near, side * (near + width)))))
+    return boxes
+
+
+@pytest.mark.parametrize("alpha", [6, 12])
+def test_eta1_lanes_match_scalar_reference(alpha, ctx_by_alpha):
+    ctx = ctx_by_alpha[alpha]
+    boxes = _eta1_boxes(random.Random(20260 + alpha), 40)
+    lo = np.array([b[0] for b in boxes])
+    hi = np.array([b[1] for b in boxes])
+    got = cert._eta1_integrand(ctx, 64)(Lanes(lo, hi), None)
+    ref = eta1_scalar(ctx, 64)
+    for i, (a, b) in enumerate(boxes):
+        want = ref(Interval(a, b))
+        assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
+
+
+@pytest.mark.parametrize("N", [1, 2, 64])
+def test_inv_sq_offset_sum_matches_scalar_reference(N):
+    # at small N the tails weigh as much as the head, so their rounding shows
+    boxes = _eta1_boxes(random.Random(7 + N), 100)
+    lo = np.array([b[0] for b in boxes])
+    hi = np.array([b[1] for b in boxes])
+    got = cert._inv_sq_offset_sum(Lanes(lo, hi), N)
+    for i, (a, b) in enumerate(boxes):
+        want = sum_inv_sq_offset(Interval(a, b), N)
+        assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
+
+
+def test_eta1_scalar_reference_gives_the_certificate(ctx6):
+    # the reference, run through the per-box adapter, reproduces certify_eta1
+    c = certify_eta1(ctx6)
+    run = _run_engine(cert._per_lane(eta1_scalar(ctx6, 64)), [(-0.5, 0.5)])
+    assert c.status == run.status == "verified"
+    assert (c.boxes_processed, c.max_depth, c.min_lower_bound.hex()) == \
+        (run.boxes, run.max_depth, run.min_lb.hex())
 
 
 def test_eta1_rejects_alpha4(ctx4):

@@ -104,6 +104,14 @@ def test_certify_zero_depth_inconclusive(capsys):
     assert code == 4
 
 
+def test_certify_zero_depth_inconclusive_on_closed_eta0(capsys):
+    code = main(["certify", "--alpha", "12", "--inequality", "eta0",
+                 "--max-depth", "0"])
+    certs = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert [c["status"] for c in certs] == ["inconclusive"]
+
+
 def test_certify_usage_error_for_L_at_alpha4(capsys):
     code = main(["certify", "--alpha", "4", "--inequality", "L"])
     capsys.readouterr()
