@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -192,6 +193,15 @@ def _cmd_simulate(args) -> int:
     env_seed = os.environ.get("REPULSE_SEED")
     if env_seed is not None:
         seed = int(env_seed)
+    if not (math.isfinite(args.length) and args.length > 0.0):
+        print("error: --length must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    if not math.isfinite(args.rho):
+        print("error: --rho must be finite", file=sys.stderr)
+        return EXIT_USAGE
+    if args.gap_threshold is not None and not args.gap_threshold > 0.0:
+        print("error: --gap-threshold must be positive", file=sys.stderr)
+        return EXIT_USAGE
     target = args.rho * args.length
     count = int(round(target))
     if abs(target - count) > 1e-9:
@@ -200,8 +210,12 @@ def _cmd_simulate(args) -> int:
     if abs(target - count) > 0.5:
         print("error: rho*length is not within 0.5 of an integer", file=sys.stderr)
         return EXIT_USAGE
-    cfg = sim.relax(args.alpha, count / args.length, args.length,
-                    seed=seed, iters=args.iters, gtol=args.gtol)
+    try:
+        cfg = sim.relax(args.alpha, count / args.length, args.length,
+                        seed=seed, iters=args.iters, gtol=args.gtol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     gap = args.gap_threshold
     if gap is None:
         gap = 0.5 * solve_s_alpha(args.alpha, 1e-9).s_alpha.mid

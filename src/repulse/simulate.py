@@ -63,27 +63,84 @@ def default_image_cutoff(L: float) -> int:
     return math.ceil(12.0 / L) + 2
 
 
-def _pair_terms(x: np.ndarray, L: float, alpha: int, K: int, want_grad: bool):
-    n = len(x)
-    d = x[:, None] - x[None, :]
-    half = (alpha - 2) // 2
-    energy = 0.0
-    grad = np.zeros(n) if want_grad else None
-    for k in range(-K, K + 1):
-        a = d + k * L
-        r2 = a * a
-        ra = r2 ** (alpha // 2)
-        denom = 1.0 + ra
-        f = 1.0 / denom
-        if k == 0:
-            np.fill_diagonal(f, 0.0)
-        energy += float(f.sum())
+def _image_cutoff(image_cutoff: int | None, L: float) -> int:
+    if image_cutoff is None:
+        return default_image_cutoff(L)
+    if image_cutoff < 1:
+        raise ValueError("image_cutoff must be >= 1")
+    return image_cutoff
+
+
+def _power(base: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """base ** m into out, through the ufunc that `ndarray ** m` dispatches to."""
+    if m == 2:
+        return np.square(base, out=out)
+    return np.power(base, m, out=out)
+
+
+class _PairKernel:
+    """Pair energy per particle and its gradient for n particles on a cell
+    of length L, over the images |k| <= K, on six n x n buffers that are
+    reused from call to call.
+
+    Only images k = 0..K are evaluated: with d = x_i - x_j, image -k is
+    exactly the negated transpose of image k (negation commutes with
+    round-to-nearest), so f_{-k} = f_k^T and w_{-k} = -w_k^T.  Each -k image
+    is read through a contiguous transposed copy, so every `sum()` and
+    `sum(axis=1)` adds in the order of a direct per-image loop, and the image
+    totals are accumulated over k = -K..K as that loop does: the results are
+    equal to it bit for bit.
+    """
+
+    def __init__(self, n: int, L: float, alpha: int, K: int):
+        self.L, self.alpha, self.K = L, alpha, K
+        self._d, self._a, self._r2, self._den, self._out, self._tmp = (
+            np.empty((n, n)) for _ in range(6))
+
+    def __call__(self, x: np.ndarray, want_energy: bool, want_grad: bool):
+        """(energy or None, gradient or None) at positions x."""
+        L, alpha, K = self.L, self.alpha, self.K
+        d, a, r2, den, out, tmp = (
+            self._d, self._a, self._r2, self._den, self._out, self._tmp)
+        n = len(x)
+        m = alpha // 2
+        half = (alpha - 2) // 2
+        np.subtract(x[:, None], x[None, :], out=d)
+        f_sums = [0.0] * (2 * K + 1)      # indexed by k + K
+        w_rows = [None] * (2 * K + 1)
+        for k in range(K + 1):
+            np.add(d, k * L, out=a)
+            np.multiply(a, a, out=r2)
+            _power(r2, m, den)
+            np.add(den, 1.0, out=den)                   # 1 + r^alpha
+            if want_energy:
+                f = np.divide(1.0, den, out=out)
+                if k == 0:
+                    np.fill_diagonal(f, 0.0)
+                f_sums[K + k] = float(f.sum())
+                if k:
+                    np.copyto(tmp, f.T)
+                    f_sums[K - k] = float(tmp.sum())
+            if want_grad:
+                w = np.multiply(a, -alpha, out=out)         # f is summed by now
+                np.multiply(w, _power(r2, half, tmp), out=w)
+                np.divide(w, np.multiply(den, den, out=tmp), out=w)
+                w_rows[K + k] = w.sum(axis=1)
+                if k:
+                    np.negative(w.T, out=tmp)
+                    w_rows[K - k] = tmp.sum(axis=1)
+        energy = grad = None
+        if want_energy:
+            energy = 0.0
+            for e in f_sums:    # not sum(): from Python 3.12 it compensates
+                energy += e
+            energy /= n
         if want_grad:
-            w = (-alpha) * a * r2 ** half / (denom * denom)
-            grad += w.sum(axis=1)
-    if want_grad:
-        grad *= 2.0 / n
-    return energy / n, grad
+            grad = np.zeros(n)
+            for row in w_rows:
+                grad += row
+            grad *= 2.0 / n
+        return energy, grad
 
 
 def periodic_energy(cfg: Configuration, image_cutoff: int | None = None) -> float:
@@ -94,26 +151,24 @@ def periodic_energy(cfg: Configuration, image_cutoff: int | None = None) -> floa
     its own periodic images so that the clustered lattice reproduces the
     infinite-line per-particle energy exactly as the cutoff grows.
     """
-    if image_cutoff is None:
-        image_cutoff = default_image_cutoff(cfg.L)
-    if image_cutoff < 1:
-        raise ValueError("image_cutoff must be >= 1")
-    e, _ = _pair_terms(cfg.positions, cfg.L, cfg.alpha, image_cutoff, False)
+    K = _image_cutoff(image_cutoff, cfg.L)
+    e, _ = _PairKernel(cfg.count, cfg.L, cfg.alpha, K)(cfg.positions, True, False)
     return e
 
 
 def periodic_gradient(cfg: Configuration, image_cutoff: int | None = None) -> np.ndarray:
-    if image_cutoff is None:
-        image_cutoff = default_image_cutoff(cfg.L)
-    _, g = _pair_terms(cfg.positions, cfg.L, cfg.alpha, image_cutoff, True)
+    K = _image_cutoff(image_cutoff, cfg.L)
+    _, g = _PairKernel(cfg.count, cfg.L, cfg.alpha, K)(cfg.positions, False, True)
     return g
 
 
-def _as_configuration(x, L, alpha, seed, K, converged, grad_norm) -> Configuration:
+def _as_configuration(x, pair_terms: _PairKernel, seed, converged,
+                      grad_norm) -> Configuration:
+    L, alpha = pair_terms.L, pair_terms.alpha
     order = np.argsort(x, kind="stable")
     xs = np.mod(x[order], L)
     xs.sort(kind="stable")
-    e, _ = _pair_terms(xs, L, alpha, K, False)
+    e, _ = pair_terms(xs, True, False)
     return Configuration(
         positions=xs,
         L=float(L),
@@ -141,10 +196,11 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
     count = int(round(rho * L))
     if count < 1:
         raise ValueError("density and cell length give no particles")
-    K = image_cutoff if image_cutoff is not None else default_image_cutoff(L)
+    K = _image_cutoff(image_cutoff, L)
+    pair_terms = _PairKernel(count, L, alpha, K)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, L, count)
-    E, g = _pair_terms(x, L, alpha, K, True)
+    E, g = pair_terms(x, True, True)
     step = 0.05 * L / count
     gnorm = float(np.max(np.abs(g))) if count > 1 else 0.0
     converged = gnorm <= gtol
@@ -157,14 +213,14 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
         accepted = False
         for _ in range(60):
             xn = np.mod(x - t * g, L)
-            En, _ = _pair_terms(xn, L, alpha, K, False)
+            En, _ = pair_terms(xn, True, False)
             if En <= E - 1e-4 * t * gg:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break  # at the resolution floor; energy can no longer decrease
-        _, gn = _pair_terms(xn, L, alpha, K, True)
+        _, gn = pair_terms(xn, False, True)
         s = -t * g
         y = gn - g
         sy = float(s @ y)
@@ -177,7 +233,7 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
         if gnorm <= gtol:
             converged = True
             break
-    return _as_configuration(x, L, alpha, seed, K, converged, gnorm)
+    return _as_configuration(x, pair_terms, seed, converged, gnorm)
 
 
 def detect_clusters(cfg: Configuration, gap_threshold: float) -> ClusterReport:
@@ -241,8 +297,8 @@ def theorem_configuration(alpha: int, n_per_cluster: int, m_clusters: int,
         s_alpha = solve_s_alpha(alpha).s_alpha.mid
     L = m_clusters * s_alpha
     pos = np.repeat(np.arange(m_clusters) * s_alpha, n_per_cluster)
-    K = image_cutoff if image_cutoff is not None else default_image_cutoff(L)
-    e, _ = _pair_terms(pos, L, alpha, K, False)
+    K = _image_cutoff(image_cutoff, L)
+    e, _ = _PairKernel(len(pos), L, alpha, K)(pos, True, False)
     return Configuration(
         positions=pos,
         L=L,

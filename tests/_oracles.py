@@ -8,7 +8,14 @@ an interval enclosure passes when it contains the whole bracket.
 one box at a time, as the library computed it before it was batched on
 lanes, except that the tail endpoints of the inverse-square sum are now
 added with outward rounding.  The lane form must equal it bit for bit.
+
+`pair_terms_loop` is the periodic pair energy and gradient of
+`repulse.simulate` written as the direct loop over every image
+k = -K..K, as the library computed it before the kernel evaluated only
+k = 0..K on reused buffers.  The kernel must equal it bit for bit.
 """
+
+import numpy as np
 
 from repulse.auxfn import build_coefficients
 from repulse.interval import Interval, hull, pow_int
@@ -77,3 +84,25 @@ def eta1_scalar(ctx, N=64):
         return lhs - rhs
 
     return expr
+
+
+def pair_terms_loop(x, L, alpha, K):
+    """(energy per particle, gradient) over images |k| <= K, one image at a time."""
+    n = len(x)
+    d = x[:, None] - x[None, :]
+    half = (alpha - 2) // 2
+    energy = 0.0
+    grad = np.zeros(n)
+    for k in range(-K, K + 1):
+        a = d + k * L
+        r2 = a * a
+        ra = r2 ** (alpha // 2)
+        denom = 1.0 + ra
+        f = 1.0 / denom
+        if k == 0:
+            np.fill_diagonal(f, 0.0)
+        energy += float(f.sum())
+        w = (-alpha) * a * r2 ** half / (denom * denom)
+        grad += w.sum(axis=1)
+    grad *= 2.0 / n
+    return energy / n, grad

@@ -167,3 +167,17 @@ def test_threads_flag_validated(capsys):
     code = main(["--threads", "0", "salpha", "--alpha", "4"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--length", "0"), ("--iters", "0"), ("--rho", "-1"),
+    ("--length", "inf"), ("--rho", "nan"), ("--gap-threshold", "0"),
+])
+def test_simulate_bad_input_is_usage_error(capsys, flag, value):
+    argv = {"--alpha": "4", "--rho": "1.0", "--length": "8", "--iters": "10"}
+    argv[flag] = value
+    code = main(["simulate", *(s for kv in argv.items() for s in kv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

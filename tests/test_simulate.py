@@ -1,5 +1,6 @@
 """Periodic-cell relaxation, cluster detection and exports."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from repulse import simulate as sim
 from repulse.interval import Interval
 from repulse.potential import lattice_energy
+
+from _oracles import pair_terms_loop
 
 
 def _config(positions, L, alpha):
@@ -170,3 +173,68 @@ def test_relax_rejects_bad_arguments():
         sim.relax(4, 1.0, 10.0, iters=0)
     with pytest.raises(ValueError):
         sim.periodic_energy(_config([1.0], 10.0, 4), 0)
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
+            sim.relax(4, 1.0, 10.0, image_cutoff=cutoff)
+        with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
+            sim.theorem_configuration(4, 1, 8, s_alpha=1.5, image_cutoff=cutoff)
+        with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
+            sim.periodic_gradient(_config([1.0, 4.0], 10.0, 4), cutoff)
+        with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
+            sim.periodic_energy(_config([1.0, 4.0], 10.0, 4), cutoff)
+
+
+def _bits(energy, grad):
+    return energy.hex(), grad.tobytes()
+
+
+def test_pair_kernel_matches_image_loop():
+    # images k = 0..K with -k by exact transposition, on reused buffers,
+    # against the direct loop over k = -K..K, bit for bit: alpha 4..12 runs
+    # np.square and np.power for both alpha/2 and (alpha-2)/2
+    rng = np.random.default_rng(20261018)
+    sizes = (1, 2, 3, 5, 8, 13, 24, 36, 48, 61, 97, 128, 160, 199, 240, 300, 320)
+    for i, n in enumerate(sizes):
+        for alpha in (4, 6, 8, 10, 12):
+            K = 1 + (i + alpha) % 5
+            L = float(rng.choice([0.3, 1.0, 4.2, 16.97, 30.0, 100.0]) * rng.uniform(0.8, 1.25))
+            x = rng.uniform(0.0, L, n)
+            if alpha == 8:  # coincident particles, as in the theorem lattice
+                x = np.repeat(np.arange((n + 1) // 2) * (L / ((n + 1) // 2)), 2)[:n]
+            kernel = sim._PairKernel(n, L, alpha, K)
+            kernel(rng.uniform(0.0, L, n), True, True)  # buffers hold stale values
+            want = _bits(*pair_terms_loop(x, L, alpha, K))
+            assert _bits(*kernel(x, True, True)) == want, (n, alpha, K, L)
+            energy, no_grad = kernel(x, True, False)
+            no_energy, grad = kernel(x, False, True)
+            assert no_grad is None and no_energy is None
+            assert _bits(energy, grad) == want, (n, alpha, K, L)
+
+
+# relax outputs recorded from the per-image loop before the kernel was
+# rewritten: alpha, rho, L, seed, iters, gtol, count, SHA-256 of the final
+# positions' bytes, energy per particle, converged, gradient max-norm.
+# Acceptance-7 inputs (n per site on 12 sites), both acceptance-8 figure
+# inputs, an alpha-8 case and the two-particle antipodal case.  Recorded on
+# x86-64 with numpy 2.4; for alpha >= 6 the bits rest on numpy's `power`.
+_RELAX_RECORD = [
+    (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "80dcbbd0b46c02471689cff7769fbb45af09e00dbe92cb6c13540911678a014c", "0x1.185d999c84f7bp+1", True, "0x1.8fe687ad10f2ap-28"),
+    (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "65abc3b5f85de539b9972950a8eb542921e6c43efcc17677f8b4e61f5269d33d", "0x1.38738d0f71e69p+2", True, "0x1.2d1e4d9b80f3dp-27"),
+    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "3ae635797fdd7137faddc4b2845c3bb15095ad653232fd75be48691259abf334", "0x1.90f3692424447p+1", True, "0x1.4c09cfb97c46ep-27"),
+    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "cdf92034111a0a46e26936461b3771c14697548cd501ab5e4d8ec6e039a90b1a", "0x1.2d6271ca76cf1p+2", True, "0x1.18da176f21cb4p-27"),
+    (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "b661c05f89503b0b578aabbadc9b08c8b0ba86de9a2019d418c44ab3b07dfbe3", "0x1.f6d76d74ce7eap+3", True, "0x1.4ea70d0cb14c2p-27"),
+    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "815de4cb3c6fc4ce51e9f3ac539a79bead18933767fadc3c9f6a85c4a5991197", "0x1.0ecfb94ab6077p+4", True, "0x1.13d0e6e87d6dfp-27"),
+    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "1da54c19c2dafa80831d586ccffa506d6b864035e91450492e0e8d420b3ae400", "0x1.2c9954349d4edp+1", True, "0x1.02553915a5e52p-27"),
+    (4, 0.02, 100.0, 1, 10000, 1e-12, 2, "4c062145aee1866ed231f7d7527971635406ac0a551b751b18ba750e0c39b26f", "0x1.738aef64b6fbep-22", True, "0x1.ba2dbe65a0000p-55"),
+]
+
+
+@pytest.mark.parametrize("case", _RELAX_RECORD, ids=lambda c: f"a{c[0]}-n{c[6]}-seed{c[3]}")
+def test_relax_parity_with_recorded_trajectories(case):
+    alpha, rho, L, seed, iters, gtol, count, digest, energy, converged, gnorm = case
+    cfg = sim.relax(alpha, rho, L, seed=seed, iters=iters, gtol=gtol)
+    assert cfg.count == count
+    assert hashlib.sha256(cfg.positions.tobytes()).hexdigest() == digest
+    assert cfg.energy_per_particle.hex() == energy
+    assert cfg.converged is converged
+    assert cfg.grad_norm.hex() == gnorm
