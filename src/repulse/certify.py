@@ -5,15 +5,22 @@ is discharged only when the enclosure's lower bound is >= 0 exactly (no
 epsilon), infinite sums carry rigorous tails pushed in the unfavorable
 direction, and failures attach a point witness with a rigorously negative
 enclosure.
+
+Which route proves which piece for which alpha is written once, in the
+route table ROUTES at the end of this module; certify_all, the pieces of
+certify_psihat_nonneg, the alpha check of every certify_* function and the
+`repulse certify --inequality` choices are all read from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -50,11 +57,14 @@ __all__ = [
     "mean_value_L_term",
     "certify_psi4_le_F4",
     "certify_eta0",
+    "certify_eta0_large",
     "certify_eta1",
     "certify_eta_ge2",
     "certify_allthestars_large",
     "certify_all",
     "certificates_to_json",
+    "Route",
+    "ROUTES",
 ]
 
 VERIFIED = "verified"
@@ -64,9 +74,7 @@ INCONCLUSIVE = "inconclusive"
 _ONE = Interval(1.0)
 _ZERO = Interval(0.0)
 _TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
-
-_SMALL_ALPHA_T = (4, 6, 8, 10)
-_SMALL_ALPHA_L = (6, 8, 10)
+_CLOSED = "closed-bound evaluation (large alpha)"
 
 
 @dataclass(frozen=True)
@@ -126,27 +134,35 @@ def certificates_to_json(certs) -> str:
 
 @dataclass
 class _Run:
-    """Mutable accumulator shared by the pieces of one certificate."""
+    """Mutable accumulator shared by the pieces of one certificate.
+
+    Pieces are run in order; once one is not verified, `_bnb` evaluates
+    nothing more, so a certificate stops at its first open piece.
+    """
 
     boxes: int = 0
     max_depth: int = 0
     min_lb: float = math.inf
     status: str = VERIFIED
     witness: float | None = None
+    t0: float = field(default_factory=time.perf_counter)
 
-    def merge_value(self, v: Interval, at: float) -> bool:
-        """Account a direct (non-subdivided) evaluation; True if discharged."""
-        self.boxes += 1
-        if v.lo >= 0.0:
-            self.min_lb = min(self.min_lb, v.lo)
-            return True
-        if v.hi < 0.0:
-            self.status = FAILED
-            self.witness = at
-            self.min_lb = min(self.min_lb, v.lo)
-        elif self.status == VERIFIED:
+    def check(self, value: Interval, policy: BnbPolicy | None, at: float = 0.0) -> None:
+        """The constant piece value >= 0, as one box: the point `at`, the witness if it fails."""
+        def f(x: Lanes, _param) -> Lanes:
+            return Lanes(np.full(x.lo.shape, value.lo), np.full(x.lo.shape, value.hi))
+        _bnb(self, f, [(at, at)], policy)
+
+    def absorb(self, c: Certificate) -> None:
+        """Merge a finished certificate as a piece evaluated on its own."""
+        self.boxes += c.boxes_processed
+        self.max_depth = max(self.max_depth, c.max_depth)
+        if not math.isnan(c.min_lower_bound):
+            self.min_lb = min(self.min_lb, c.min_lower_bound)
+        if c.status == FAILED and self.status != FAILED:
+            self.status, self.witness = FAILED, c.witness
+        elif c.status == INCONCLUSIVE and self.status == VERIFIED:
             self.status = INCONCLUSIVE
-        return False
 
 
 # Boxes per lane batch.  A batched f holds a few dozen (boxes x terms)
@@ -172,7 +188,7 @@ def _per_lane(f):
     return lanes
 
 
-def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
+def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
     """Discharge f >= 0 on every root box into `run`, one frontier level at a time.
 
     `roots` lists boxes (lo, hi) or (lo, hi, param).  f maps Lanes of boxes
@@ -198,8 +214,13 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
     - an undischarged box is at max_depth, or its midpoint does not split
       it: `inconclusive`.
 
-    max_depth < 1 reports `inconclusive` without evaluating anything.
+    max_depth < 1 reports `inconclusive` without evaluating anything; this
+    is the one place that rule is kept.  A run that is already not verified
+    evaluates nothing more.  policy None means the default BnbPolicy().
     """
+    policy = policy or BnbPolicy()
+    if run.status != VERIFIED:
+        return
     if policy.max_depth < 1:
         run.status = INCONCLUSIVE
         return
@@ -207,7 +228,7 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
     hi = np.array([r[1] for r in roots], dtype=float)
     param = np.array([r[2] if len(r) > 2 else 0 for r in roots], dtype=np.int64)
     depth = 0
-    while lo.size and run.status != FAILED:
+    while lo.size:
         room = max(policy.budget - run.boxes, 0)
         cut = lo.size > room
         if cut:
@@ -241,8 +262,9 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy) -> None:
         depth += 1
 
 
-def _finish(run: _Run, *, inequality_id: str, alpha: int, domain: str,
-            paper_anchor: str, policy: BnbPolicy, t0: float) -> Certificate:
+def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
+                 inequality_id: str, paper_anchor: str) -> Certificate:
+    """The certificate of a finished run; its wall time counts from run.t0."""
     return Certificate(
         inequality_id=inequality_id,
         alpha=alpha,
@@ -251,10 +273,10 @@ def _finish(run: _Run, *, inequality_id: str, alpha: int, domain: str,
         boxes_processed=run.boxes,
         max_depth=run.max_depth,
         min_lower_bound=run.min_lb if math.isfinite(run.min_lb) else math.nan,
-        wall_time_ms=int((time.perf_counter() - t0) * 1000),
+        wall_time_ms=int((time.perf_counter() - run.t0) * 1000),
         witness=run.witness,
         paper_anchor=paper_anchor,
-        policy=policy,
+        policy=policy or BnbPolicy(),
     )
 
 
@@ -262,33 +284,10 @@ def prove_nonneg(f, domain: Interval, policy: BnbPolicy | None = None, *,
                  inequality_id: str = "custom", alpha: int = 0,
                  domain_desc: str | None = None, paper_anchor: str = "") -> Certificate:
     """Certify f(x) >= 0 on the domain by branch-and-bound subdivision."""
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
     run = _Run()
     _bnb(run, _per_lane(f), [(domain.lo, domain.hi)], policy)
-    return _finish(
-        run,
-        inequality_id=inequality_id,
-        alpha=alpha,
-        domain=domain_desc or f"[{domain.lo!r}, {domain.hi!r}]",
-        paper_anchor=paper_anchor,
-        policy=policy,
-        t0=t0,
-    )
-
-
-def _constant_certificate(value: Interval, *, inequality_id: str, alpha: int,
-                          domain: str, paper_anchor: str,
-                          policy: BnbPolicy | None = None) -> Certificate:
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
-    run = _Run()
-    if policy.max_depth < 1:
-        run.status = INCONCLUSIVE
-    else:
-        run.merge_value(value, at=0.0)
-    return _finish(run, inequality_id=inequality_id, alpha=alpha, domain=domain,
-                   paper_anchor=paper_anchor, policy=policy, t0=t0)
+    return _certificate(run, alpha, domain_desc or f"[{domain.lo!r}, {domain.hi!r}]",
+                        policy, inequality_id, paper_anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +310,22 @@ def _T_value(coeffs: AuxCoefficients) -> Interval:
 def certify_T(ctx: PotentialContext, N: int = 64,
               policy: BnbPolicy | None = None) -> Certificate:
     """Single-constant proof of the transform's positivity on [0, 1/2]."""
-    if ctx.alpha not in _SMALL_ALPHA_T:
-        raise ValueError("interval route for T covers alpha in {4, 6, 8, 10}")
-    coeffs = build_coefficients(ctx, N)
-    return _constant_certificate(
-        _T_value(coeffs),
-        inequality_id="T_alpha",
-        alpha=ctx.alpha,
-        domain=f"constant check, head N={N}",
-        paper_anchor="T(alpha) = (1/2)(1 - 2*sum F(n)) - (1/pi)*sum_{n>=2}|F'(n)| >= 0",
-        policy=policy,
-    )
+    route = _route("T_alpha", True, ctx.alpha)
+    run = _Run()
+    run.check(_T_value(build_coefficients(ctx, N)), policy)
+    return route.certificate(run, ctx.alpha, f"constant check, head N={N}", policy)
 
 
 def certify_T_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
-    """Closed lower bound for T(alpha), valid for alpha >= 12."""
-    if alpha < 12 or alpha % 2:
-        raise ValueError("closed T bound requires even alpha >= 12")
+    """Closed lower bound for T(alpha), valid for large alpha."""
+    route = _route("T_alpha", False, alpha)
+    run = _Run()
     p2 = pow_int(Interval(2.0), alpha)
     val = 0.5 * (_ONE - _ONE / (alpha - 2)
                  - Interval(2.0) / alpha * (alpha + 1) / (p2 * (alpha - 1))) \
         - (_ONE / PI) * (alpha + 2) / (alpha * 2.0 * p2)
-    return _constant_certificate(
-        val,
-        inequality_id="T_alpha",
-        alpha=alpha,
-        domain="closed-bound evaluation (large alpha)",
-        paper_anchor="(1/2)(1 - 1/(a-2) - (2/a)(a+1)/(2^a(a-1))) - (1/pi)(a+2)/(a 2^(a+1)) >= 0",
-        policy=policy,
-    )
+    run.check(val, policy)
+    return route.certificate(run, alpha, _CLOSED, policy)
 
 
 def _L_value(coeffs: AuxCoefficients) -> Interval:
@@ -357,41 +343,27 @@ def certify_L(ctx: PotentialContext, N: int = 64,
               policy: BnbPolicy | None = None) -> Certificate:
     """Single-constant proof of the transform's positivity on [1/2, 1].
 
-    alpha in {6, 8, 10} evaluates the kernel-weighted sum directly;
-    alpha >= 12 takes the closed lower-bound route.
+    The kernel-weighted sum is evaluated directly on its row's alpha; where
+    the closed L route applies, it is taken instead.
     """
-    if ctx.alpha >= 12:
+    if ctx.alpha in _route("L_alpha", False).alphas:
         return certify_L_large(ctx.alpha, policy)
-    if ctx.alpha not in _SMALL_ALPHA_L:
-        raise ValueError("the L route needs alpha >= 6 (alpha = 4 goes through the w inequality)")
-    coeffs = build_coefficients(ctx, N)
-    return _constant_certificate(
-        _L_value(coeffs),
-        inequality_id="L_alpha",
-        alpha=ctx.alpha,
-        domain=f"constant check, head N={N}",
-        paper_anchor="L(alpha) = sum n^3 F'(n)(-2/3+4R(pi n)) - sum 2 n^2 F(n) >= 0",
-        policy=policy,
-    )
+    route = _route("L_alpha", True, ctx.alpha)
+    run = _Run()
+    run.check(_L_value(build_coefficients(ctx, N)), policy)
+    return route.certificate(run, ctx.alpha, f"constant check, head N={N}", policy)
 
 
 def certify_L_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
-    """Closed lower bound for L(alpha), valid for alpha >= 12."""
-    if alpha < 12 or alpha % 2:
-        raise ValueError("closed L bound requires even alpha >= 12")
+    """Closed lower bound for L(alpha), valid for large alpha."""
+    route = _route("L_alpha", False, alpha)
+    run = _Run()
     r_pi = remainder_R(PI)
     lead = (_ONE - _ONE / (2 * alpha - 4)) * (_TWO_THIRDS - 4.0 * r_pi)
     mid = Interval(4.0) * (alpha - 1) / (pow_int(Interval(2.0), alpha - 2)
                                          * (2 * alpha - 5) * (alpha - 3))
-    val = lead - mid - Interval(2.0) / (alpha - 2)
-    return _constant_certificate(
-        val,
-        inequality_id="L_alpha",
-        alpha=alpha,
-        domain="closed-bound evaluation (large alpha)",
-        paper_anchor="(1-1/(2a-4))(2/3-4R(pi)) - 4(a-1)/(2^(a-2)(2a-5)(a-3)) - 2/(a-2) >= 0",
-        policy=policy,
-    )
+    run.check(lead - mid - Interval(2.0) / (alpha - 2), policy)
+    return route.certificate(run, alpha, _CLOSED, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -408,69 +380,30 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
     Covers [0, pi/2] by branch-and-bound; for w >= pi/2 the scaled form is
     bounded below by (c1 - 2) w - c1/2, checked at w = pi/2 and increasing.
     """
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
+    run = _Run()
     if ctx is None:
+        route = _route("w_inequality", False)
         c1 = Interval.from_fraction(Fraction(16, 5))
-        tag = "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0"
     else:
-        if ctx.alpha != 4:
-            raise ValueError("the w inequality is the alpha = 4 route")
+        route = _route("w_inequality", True, ctx.alpha)
         c1 = Interval(4.0 * (_ONE - ctx.F1).lo)
-        tag = "4(1-F4(1)) S3-form of the half-angle inequality"
     four_c1 = 4.0 * c1
 
     def f(w: Interval) -> Interval:
         return four_c1 * s3_kernel(2.0 * w) - 2.0 * pow_int(sinc(w), 2)
 
-    run = _Run()
-    if policy.max_depth < 1:
-        run.status = INCONCLUSIVE
-    else:
-        # w >= pi/2 piece: the w^3-scaled form is >= (c1-2) w - c1/2, which
-        # increases in w only when c1 > 2, so that slope is certified first
-        slope_ok = run.merge_value(c1 - 2.0, at=0.0)
-        tail_val = (c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1
-        if slope_ok and run.merge_value(tail_val, at=math.pi / 2.0):
-            _bnb(run, _per_lane(f), [(0.0, (PI / 2.0).hi)], policy)
-    return _finish(
-        run,
-        inequality_id="w_inequality",
-        alpha=4,
-        domain="[0, pi/2] branch-and-bound + analytic piece for w >= pi/2",
-        paper_anchor=tag,
-        policy=policy,
-        t0=t0,
-    )
+    # w >= pi/2 piece: the w^3-scaled form is >= (c1-2) w - c1/2, which
+    # increases in w only when c1 > 2, so that slope is certified first
+    run.check(c1 - 2.0, policy)
+    run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, policy, at=math.pi / 2.0)
+    _bnb(run, _per_lane(f), [(0.0, (PI / 2.0).hi)], policy)
+    return route.certificate(run, 4, "[0, pi/2] branch-and-bound + analytic piece for w >= pi/2",
+                             policy)
 
 
 # ---------------------------------------------------------------------------
 # Composite transform positivity.
 # ---------------------------------------------------------------------------
-
-def _combine(parts, *, inequality_id: str, alpha: int, domain: str,
-             paper_anchor: str, policy: BnbPolicy, t0: float) -> Certificate:
-    status = VERIFIED
-    if any(p.status == FAILED for p in parts):
-        status = FAILED
-    elif any(p.status == INCONCLUSIVE for p in parts):
-        status = INCONCLUSIVE
-    witness = next((p.witness for p in parts if p.status == FAILED), None)
-    lbs = [p.min_lower_bound for p in parts if not math.isnan(p.min_lower_bound)]
-    return Certificate(
-        inequality_id=inequality_id,
-        alpha=alpha,
-        domain=domain,
-        status=status,
-        boxes_processed=sum(p.boxes_processed for p in parts),
-        max_depth=max((p.max_depth for p in parts), default=0),
-        min_lower_bound=min(lbs) if lbs else math.nan,
-        wall_time_ms=int((time.perf_counter() - t0) * 1000),
-        witness=witness,
-        paper_anchor=paper_anchor,
-        policy=policy,
-    )
-
 
 def _monotone_coefficient_check(coeffs: AuxCoefficients) -> Interval:
     """min over n >= 2 of F(1) - F(n), which must be certifiably >= 0."""
@@ -483,45 +416,31 @@ def _monotone_coefficient_check(coeffs: AuxCoefficients) -> Interval:
     return worst
 
 
-def certify_psihat_nonneg(coeffs: AuxCoefficients,
-                          policy: BnbPolicy | None = None) -> Certificate:
+def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = None,
+                          computed: dict[str, Certificate] | None = None) -> Certificate:
     """Composite proof that the transform is nonnegative everywhere.
 
     [0, 1/2] is discharged by the T constant; [1/2, 1] by the L constant
-    (alpha >= 6) or the w-inequality route (alpha = 4, with the constant
-    taken from the F(1) enclosure and the coefficient monotonicity checked
-    rather than assumed); |xi| >= 1 is the support condition.
+    or by the w-inequality route (with the constant taken from the F(1)
+    enclosure and the coefficient monotonicity F(n) <= F(1), n >= 2, that
+    the reduction relies on checked first rather than assumed); |xi| >= 1
+    is the support condition.  The other pieces are the `part` rows of
+    ROUTES at this alpha, each a certificate of its own.  `computed` maps
+    an inequality_id to its certificate already made with the same context
+    and policy, which is merged instead of recomputed.
     """
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
     ctx = coeffs.ctx
-    alpha = ctx.alpha
-    parts = []
-    if alpha in _SMALL_ALPHA_T:
-        parts.append(certify_T(ctx, coeffs.N, policy))
-    else:
-        parts.append(certify_T_large(alpha, policy))
-    if alpha == 4:
-        parts.append(certify_w_inequality(ctx, policy))
-        parts.append(_constant_certificate(
-            _monotone_coefficient_check(coeffs),
-            inequality_id="w_inequality", alpha=4,
-            domain="reduction side condition: F(n) <= F(1) for n >= 2",
-            paper_anchor="1 - F4(n) >= 1 - F4(1) for n >= 1",
-            policy=policy))
-    elif alpha in _SMALL_ALPHA_L:
-        parts.append(certify_L(ctx, coeffs.N, policy))
-    else:
-        parts.append(certify_L_large(alpha, policy))
-    return _combine(
-        parts,
-        inequality_id="psihat_nonneg",
-        alpha=alpha,
-        domain="[0,1/2] via T, [1/2,1] via L or the w route, 0 beyond support",
-        paper_anchor="transform of psi nonnegative on the whole line",
-        policy=policy,
-        t0=t0,
-    )
+    computed = computed or {}
+    run = _Run()
+    parts = [r for r in ROUTES if r.part and ctx.alpha in r.alphas]
+    if any(r.inequality_id == "w_inequality" for r in parts):
+        run.check(_monotone_coefficient_check(coeffs), policy)
+    for route in parts:
+        run.absorb(computed.get(route.inequality_id)
+                   or route.call(ctx.alpha, ctx, coeffs.N, policy))
+    return _certificate(run, ctx.alpha,
+                        "[0,1/2] via T, [1/2,1] via L or the w route, 0 beyond support",
+                        policy, "psihat_nonneg", "transform of psi nonnegative on the whole line")
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +517,10 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
     -sum(3n^2 F + n^3 F') >= 10/81 + 1/81 + (5/2) F(9), evaluated in
     interval arithmetic (the surrounding hand derivation is trusted).
     """
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
+    run = _Run()
     if ctx is None:
         ctx = solve_s_alpha(4)
-    if ctx.alpha != 4:
-        raise ValueError("this route is specific to alpha = 4")
+    route = _route("psi4_le_F4", True, ctx.alpha)
     if N < 16:
         raise ValueError("need N >= 16 for the tail bounds")
     coeffs = build_coefficients(ctx, N)
@@ -626,27 +543,16 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
         tail_hi = (Fx * geo + tail_lo).hi
         return acc + Lanes(-tail_lo, tail_hi)
 
-    run = _Run()
-    if policy.max_depth < 1:
-        run.status = INCONCLUSIVE
-    else:
-        far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) \
-            - 2.5 * Fn[9]
-        if run.merge_value(far, at=9.0):
-            _bnb(run, lsum, [(0.0, 9.0)], policy)
-    return _finish(
-        run,
-        inequality_id="psi4_le_F4",
-        alpha=4,
-        domain="[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
-        paper_anchor="sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
-        policy=policy,
-        t0=t0,
-    )
+    far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * Fn[9]
+    run.check(far, policy, at=9.0)
+    _bnb(run, lsum, [(0.0, 9.0)], policy)
+    return route.certificate(
+        run, 4, "[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
+        policy)
 
 
 # ---------------------------------------------------------------------------
-# The three nearest-integer cases of psi <= F for alpha >= 6.
+# The three nearest-integer cases of psi <= F away from alpha = 4.
 # ---------------------------------------------------------------------------
 
 def certify_eta0(ctx: PotentialContext, N: int = 64,
@@ -655,22 +561,13 @@ def certify_eta0(ctx: PotentialContext, N: int = 64,
 
     4(F(1/2) - 1) + sum_{n!=0}(F(1/2) - F(n))/n^2 >= sum_{n!=0} n F'(n)/(1/4 - n^2),
     with the side condition F(1/2) >= 2/alpha that the reduction uses.
+    Where the closed eta0 route applies, it is taken instead.
     """
     alpha = ctx.alpha
-    if alpha >= 12:
-        rhs = Interval(4.0 * alpha) / (3.0 * alpha - 6.0) \
-            + Interval(float(alpha + 1)) / (pow_int(Interval(2.0), alpha) * (alpha - 1))
-        lhs = Interval.from_fraction(Fraction(-4, 100)) \
-            + Interval.from_fraction(Fraction(94, 100)) * PI_SQ / 3.0
-        return _constant_certificate(
-            lhs - rhs, inequality_id="eta0", alpha=alpha,
-            domain="closed-bound evaluation (large alpha)",
-            paper_anchor="-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
-            policy=policy)
-    if alpha not in _SMALL_ALPHA_L:
-        raise ValueError("eta0 interval route covers alpha in {6, 8, 10}")
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
+    if alpha in _route("eta0", False).alphas:
+        return certify_eta0_large(alpha, policy)
+    route = _route("eta0", True, alpha)
+    run = _Run()
     coeffs = build_coefficients(ctx, N)
     F_half = F_alpha(ctx, Interval(0.5))
     lhs = 4.0 * (F_half - 1.0) + F_half * PI_SQ / 3.0
@@ -682,22 +579,21 @@ def certify_eta0(ctx: PotentialContext, N: int = 64,
     tail_q = (power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
     lhs = lhs - 2.0 * (s + Interval(0.0, tail_q))
     rhs = 2.0 * (r + Interval(0.0, (16.0 * alpha / 15.0) * tail_q))
-    side = F_half - Interval(2.0) / alpha
-    parts = [
-        _constant_certificate(lhs - rhs, inequality_id="eta0", alpha=alpha,
-                              domain=f"constant check, head N={N}",
-                              paper_anchor="4(F(1/2)-1) + sum (F(1/2)-F(n))/n^2 "
-                                           ">= sum n F'(n)/(1/4-n^2)",
-                              policy=policy),
-        _constant_certificate(side, inequality_id="eta0", alpha=alpha,
-                              domain="reduction side condition F(1/2) >= 2/alpha",
-                              paper_anchor="F(1/2) >= 2/alpha",
-                              policy=policy),
-    ]
-    return _combine(parts, inequality_id="eta0", alpha=alpha,
-                    domain=f"constant check + side condition, head N={N}",
-                    paper_anchor="4(F(1/2)-1) + sum (F(1/2)-F(n))/n^2 >= sum n F'(n)/(1/4-n^2)",
-                    policy=policy, t0=t0)
+    run.check(lhs - rhs, policy)
+    run.check(F_half - Interval(2.0) / alpha, policy)  # the side condition
+    return route.certificate(run, alpha, f"constant check + side condition, head N={N}", policy)
+
+
+def certify_eta0_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
+    """Closed bound for the eta0 constant check, valid for large alpha."""
+    route = _route("eta0", False, alpha)
+    run = _Run()
+    rhs = Interval(4.0 * alpha) / (3.0 * alpha - 6.0) \
+        + Interval(float(alpha + 1)) / (pow_int(Interval(2.0), alpha) * (alpha - 1))
+    lhs = Interval.from_fraction(Fraction(-4, 100)) \
+        + Interval.from_fraction(Fraction(94, 100)) * PI_SQ / 3.0
+    run.check(lhs - rhs, policy)
+    return route.certificate(run, alpha, _CLOSED, policy)
 
 
 def _inv_sq_offset_sum(t: Lanes, N: int) -> Lanes:
@@ -754,23 +650,10 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
 def certify_eta1(ctx: PotentialContext, N: int = 64,
                  policy: BnbPolicy | None = None) -> Certificate:
     """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2."""
-    alpha = ctx.alpha
-    if not 6 <= alpha <= 1000:
-        raise ValueError("eta1 route requires even alpha in [6, 1000]")
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
+    route = _route("eta1", True, ctx.alpha)
     run = _Run()
     _bnb(run, _eta1_integrand(ctx, N), [(-0.5, 0.5)], policy)
-    return _finish(
-        run,
-        inequality_id="eta1",
-        alpha=alpha,
-        domain="t in [-1/2, 1/2] (x = 1 + t)",
-        paper_anchor="(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
-                     "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
-        policy=policy,
-        t0=t0,
-    )
+    return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
 
 
 def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
@@ -782,10 +665,8 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
     F(3/2) < 1/2 (which makes the pulled-out diagonal nonnegative).
     """
     alpha = ctx.alpha
-    if alpha not in (6, 8, 10, 12, 14):
-        raise ValueError("eta>=2 interval route covers alpha in {6, ..., 14}")
-    policy = policy or BnbPolicy()
-    t0 = time.perf_counter()
+    route = _route("eta_ge2", True, alpha)
+    run = _Run()
     coeffs = build_coefficients(ctx, N)
     Fn, dFn = coeffs.Fn, coeffs.dFn
     tail = (2.0 * (1.4 + 1.19 * alpha) * power_sum_tail(alpha + 2, N + 1)
@@ -808,30 +689,17 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
         acc = lane_fold(acc, (left, own), (left_d, own), right, -right_d)
         return -(acc + Interval(-tail, tail))
 
-    run = _Run()
-    if policy.max_depth < 1:
-        run.status = INCONCLUSIVE
-    else:
-        side = 0.5 - F_alpha(ctx, Interval(1.5))
-        if run.merge_value(side, at=1.5):
-            const_ok = run.merge_value(_allthestars_small_value(coeffs), at=10.0)
-            if const_ok:
-                segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta)
-                            for eta in range(2, 11)]
-                _bnb(run, segment_sum, [sg for sg in segments if sg[0] < sg[1]], policy)
-    return _finish(
-        run,
-        inequality_id="eta_ge2",
-        alpha=alpha,
-        domain="x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10",
-        paper_anchor="sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0",
-        policy=policy,
-        t0=t0,
-    )
+    run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
+    run.check(_allthestars_small_value(coeffs), policy, at=10.0)
+    segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
+    _bnb(run, segment_sum, [sg for sg in segments if sg[0] < sg[1]], policy)
+    return route.certificate(
+        run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10",
+        policy)
 
 
 def _allthestars_small_value(coeffs: AuxCoefficients) -> Interval:
-    """-(displayed x >= 10 constant), which must be >= 0 for 6 <= alpha <= 14."""
+    """-(displayed x >= 10 constant), which must be >= 0 on the eta_ge2 row's alpha."""
     ctx = coeffs.ctx
     alpha = ctx.alpha
     N = coeffs.N
@@ -849,24 +717,17 @@ def _allthestars_small_value(coeffs: AuxCoefficients) -> Interval:
 
 
 def certify_allthestars_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
-    """Closed chain for the x >= 1.5 far constant, valid for alpha >= 16."""
-    if alpha < 16 or alpha % 2:
-        raise ValueError("closed far-constant bound requires even alpha >= 16")
+    """Closed chain for the x >= 1.5 far constant, valid for large alpha."""
+    route = _route("allthestars_const", False, alpha)
+    run = _Run()
     p = pow_int(Interval(2.0), alpha - 4)  # 2^(a-4); 2^(a-2) = 4p
     val = Interval(-1.0) + Interval(7.0) / (2 * alpha - 4) + _ONE / p \
         + (Interval(11.0) / (2 * alpha - 4) - 1.0) / 1.25 \
         + Interval(16.0) / (2.25 * Interval(float(2 * alpha - 5))) \
         + Interval(4.0) / (1.5 * p) \
         + Interval(8.0 * alpha + 2.0) / (4.0 * p)
-    return _constant_certificate(
-        -val,
-        inequality_id="allthestars_const",
-        alpha=alpha,
-        domain="closed-bound evaluation (large alpha)",
-        paper_anchor="-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
-                     "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
-        policy=policy,
-    )
+    run.check(-val, policy)
+    return route.certificate(run, alpha, _CLOSED, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -878,29 +739,135 @@ def certify_all(alpha: int, tol: float = 1e-12, N: int = 64,
                 ctx: PotentialContext | None = None) -> list[Certificate]:
     """Run the full certificate suite for one alpha.
 
-    The interpolation, support and decay conditions hold by construction and
-    are exercised by the property tests rather than certified here.
+    psihat_nonneg comes first, then every `listed` row of ROUTES at alpha in
+    table order; a listed row that is also a piece of psihat_nonneg (the w
+    route with a context) is computed once.  alpha outside the `all` row is a
+    ValueError, so every alpha accepted gets a route for every piece of
+    psi <= F.  The interpolation, support and decay conditions hold by
+    construction and are exercised by the property tests rather than
+    certified here.
     """
-    if alpha % 2 or alpha < 4:
-        raise ValueError("certificates require an even alpha >= 4")
-    if alpha > 14:
-        if ctx is not None:
-            raise ValueError("large-alpha routes do not consume a context")
-        return [
-            certify_T_large(alpha, policy),
-            certify_L_large(alpha, policy),
-            certify_allthestars_large(alpha, policy),
-        ]
-    policy = policy or BnbPolicy()
+    _route("all", True, alpha)
     if ctx is None:
         ctx = solve_s_alpha(alpha, tol)
-    coeffs = build_coefficients(ctx, N)
-    certs = [certify_psihat_nonneg(coeffs, policy)]
-    if alpha == 4:
-        certs.append(certify_w_inequality(ctx, policy))
-        certs.append(certify_psi4_le_F4(ctx, N, policy))
-    else:
-        certs.append(certify_eta0(ctx, N, policy))
-        certs.append(certify_eta1(ctx, N, policy))
-        certs.append(certify_eta_ge2(ctx, N, policy))
-    return certs
+    listed = {r.inequality_id: r.call(alpha, ctx, N, policy)
+              for r in ROUTES if r.listed and alpha in r.alphas}
+    psihat = certify_psihat_nonneg(build_coefficients(ctx, N), policy, listed)
+    return [psihat, *listed.values()]
+
+
+# ---------------------------------------------------------------------------
+# The route table.
+# ---------------------------------------------------------------------------
+
+def _evens(lo: int, hi: int = sys.maxsize) -> range:
+    """The even alpha from lo to hi; no hi means no upper limit."""
+    return range(lo, hi + 1, 2)
+
+
+def _describe(alphas: range) -> str:
+    if len(alphas) == 1:
+        return f"alpha = {alphas.start}"
+    if alphas.stop > sys.maxsize:
+        return f"even alpha >= {alphas.start}"
+    return f"even alpha in [{alphas.start}, {alphas[-1]}]"
+
+
+@dataclass(frozen=True)
+class Route:
+    """One row of the route table: one way to prove one inequality.
+
+    `cli` is the `repulse certify --inequality` name (None: reached only
+    through `all`).  `call(alpha, ctx, N, policy)` runs the route; ctx is
+    None unless `needs_ctx`, i.e. unless the route reads the solved
+    s_alpha.  The call names its certify_* function inside a plain def, so
+    that function is looked up in this module when the route runs and a
+    rebinding of the module attribute (a tracer's span) is seen.  `part`
+    marks the pieces of psihat_nonneg; `listed` the certificates that
+    certify_all returns on their own.
+    """
+
+    cli: str | None
+    inequality_id: str
+    alphas: range
+    needs_ctx: bool
+    paper_anchor: str
+    call: Callable[..., Certificate | list[Certificate]]
+    part: bool = False
+    listed: bool = False
+
+    def certificate(self, run: _Run, alpha: int, domain: str,
+                    policy: BnbPolicy | None) -> Certificate:
+        return _certificate(run, alpha, domain, policy, self.inequality_id, self.paper_anchor)
+
+
+# Static data: building the table evaluates nothing.  Rows of one name
+# have disjoint alpha ranges.
+ROUTES = (
+    Route("T", "T_alpha", _evens(4, 10), True,
+          "T(alpha) = (1/2)(1 - 2*sum F(n)) - (1/pi)*sum_{n>=2}|F'(n)| >= 0",
+          lambda a, ctx, N, p: certify_T(ctx, N, p), part=True),
+    Route("T", "T_alpha", _evens(12), False,
+          "(1/2)(1 - 1/(a-2) - (2/a)(a+1)/(2^a(a-1))) - (1/pi)(a+2)/(a 2^(a+1)) >= 0",
+          lambda a, ctx, N, p: certify_T_large(a, p), part=True),
+    Route("L", "L_alpha", _evens(6, 10), True,
+          "L(alpha) = sum n^3 F'(n)(-2/3+4R(pi n)) - sum 2 n^2 F(n) >= 0",
+          lambda a, ctx, N, p: certify_L(ctx, N, p), part=True),
+    Route("L", "L_alpha", _evens(12), False,
+          "(1-1/(2a-4))(2/3-4R(pi)) - 4(a-1)/(2^(a-2)(2a-5)(a-3)) - 2/(a-2) >= 0",
+          lambda a, ctx, N, p: certify_L_large(a, p), part=True),
+    Route("w", "w_inequality", _evens(4, 4), True,
+          "4(1-F4(1)) S3-form of the half-angle inequality",
+          lambda a, ctx, N, p: certify_w_inequality(ctx, p), part=True, listed=True),
+    # the displayed inequality, with the constant 5 in place of 4(1 - F4(1))
+    Route("w", "w_inequality", _evens(6), False,
+          "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0",
+          lambda a, ctx, N, p: certify_w_inequality(None, p)),
+    Route("psi4", "psi4_le_F4", _evens(4, 4), True,
+          "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
+          lambda a, ctx, N, p: certify_psi4_le_F4(ctx, N, p), listed=True),
+    Route("eta0", "eta0", _evens(6, 10), True,
+          "4(F(1/2)-1) + sum (F(1/2)-F(n))/n^2 >= sum n F'(n)/(1/4-n^2)",
+          lambda a, ctx, N, p: certify_eta0(ctx, N, p), listed=True),
+    Route("eta0", "eta0", _evens(12), False,
+          "-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
+          lambda a, ctx, N, p: certify_eta0_large(a, p), listed=True),
+    Route("eta1", "eta1", _evens(6, 1000), True,
+          "(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
+          "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
+          lambda a, ctx, N, p: certify_eta1(ctx, N, p), listed=True),
+    Route("eta2", "eta_ge2", _evens(6, 14), True,
+          "sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0",
+          lambda a, ctx, N, p: certify_eta_ge2(ctx, N, p), listed=True),
+    Route(None, "allthestars_const", _evens(16), False,
+          "-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
+          "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
+          lambda a, ctx, N, p: certify_allthestars_large(a, p), listed=True),
+    # every piece of the proof; eta1 is the piece with the lowest upper limit
+    Route("all", "all", _evens(4, 1000), True,
+          "psihat_nonneg and every listed route at alpha",
+          lambda a, ctx, N, p: certify_all(a, N=N, policy=p, ctx=ctx)),
+)
+
+
+def _route(inequality_id: str, needs_ctx: bool, alpha: int | None = None) -> Route:
+    """The row of inequality_id with or without a context; ValueError if it
+    does not cover alpha (no alpha: no check)."""
+    route = next(r for r in ROUTES if r.inequality_id == inequality_id
+                 and r.needs_ctx == needs_ctx)
+    if alpha is not None and alpha not in route.alphas:
+        solve = "with" if needs_ctx else "without"
+        raise ValueError(f"the {inequality_id} route {solve} a spacing solve covers "
+                         f"{_describe(route.alphas)}, not alpha = {alpha}")
+    return route
+
+
+def route_for(cli: str, alpha: int) -> Route:
+    """The row that `repulse certify --inequality cli` runs at alpha;
+    ValueError when no row of that name covers alpha."""
+    rows = [r for r in ROUTES if r.cli == cli]
+    for r in rows:
+        if alpha in r.alphas:
+            return r
+    covers = " and ".join(_describe(r.alphas) for r in rows) or "nothing"
+    raise ValueError(f"--inequality {cli} covers {covers}, not alpha = {alpha}")

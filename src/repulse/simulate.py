@@ -151,15 +151,20 @@ def periodic_energy(cfg: Configuration, image_cutoff: int | None = None) -> floa
     its own periodic images so that the clustered lattice reproduces the
     infinite-line per-particle energy exactly as the cutoff grows.
     """
-    K = _image_cutoff(image_cutoff, cfg.L)
-    e, _ = _PairKernel(cfg.count, cfg.L, cfg.alpha, K)(cfg.positions, True, False)
+    e, _ = _cell_kernel(cfg, image_cutoff)(cfg.positions, True, False)
     return e
 
 
 def periodic_gradient(cfg: Configuration, image_cutoff: int | None = None) -> np.ndarray:
-    K = _image_cutoff(image_cutoff, cfg.L)
-    _, g = _PairKernel(cfg.count, cfg.L, cfg.alpha, K)(cfg.positions, False, True)
+    _, g = _cell_kernel(cfg, image_cutoff)(cfg.positions, False, True)
     return g
+
+
+def _cell_kernel(cfg: Configuration, image_cutoff: int | None) -> _PairKernel:
+    """The pair kernel of cfg's cell, after the checks both periodic sums share."""
+    if cfg.count < 1:
+        raise ValueError("the configuration has no particles")
+    return _PairKernel(cfg.count, cfg.L, cfg.alpha, _image_cutoff(image_cutoff, cfg.L))
 
 
 def _as_configuration(x, pair_terms: _PairKernel, seed, converged,

@@ -471,3 +471,50 @@ def test_certify_all_alpha4(ctx4):
     assert all(c.status == "verified" for c in certs)
     ids = {c.inequality_id for c in certs}
     assert {"psihat_nonneg", "w_inequality", "psi4_le_F4"} <= ids
+
+
+# -- the route table -------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [16, 1000])
+def test_certify_all_large_alpha_covers_every_piece(alpha):
+    certs = certify_all(alpha)
+    assert [c.inequality_id for c in certs] == [
+        "psihat_nonneg", "eta0", "eta1", "allthestars_const"]
+    assert all(c.status == "verified" for c in certs)
+
+
+def test_certify_all_rejects_alpha_past_eta1():
+    with pytest.raises(ValueError):
+        certify_all(1002)
+
+
+def test_closed_routes_reject_alpha_below_their_row():
+    for fn in (cert.certify_T_large, cert.certify_L_large, cert.certify_eta0_large):
+        with pytest.raises(ValueError):
+            fn(10)
+
+
+def test_route_rows_of_one_name_are_disjoint():
+    for i, r in enumerate(cert.ROUTES):
+        for s in cert.ROUTES[i + 1:]:
+            if r.cli is not None and r.cli == s.cli:
+                assert not set(r.alphas[:600]) & set(s.alphas[:600]), (r, s)
+
+
+def test_dispatch_looks_functions_up_at_call_time(monkeypatch, ctx4):
+    # a spy bound over the module attribute, as a tracer installs it, sees
+    # every route call; certify_all(4) makes the w certificate only once
+    seen = []
+    for name in cert.__all__:
+        fn = getattr(cert, name)
+        if name.startswith("certify_") and callable(fn):
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                seen.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cert, name, spy)
+    cert.route_for("T", 16).call(16, None, 64, None)
+    assert seen == ["certify_T_large"]
+    seen.clear()
+    cert.certify_all(4, ctx=ctx4)
+    assert sorted(seen) == ["certify_T", "certify_all", "certify_psi4_le_F4",
+                            "certify_psihat_nonneg", "certify_w_inequality"]

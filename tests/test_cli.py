@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repulse import certify, cli
+from repulse.certify import ROUTES
 from repulse.cli import main
 
 
@@ -118,6 +122,87 @@ def test_certify_usage_error_for_L_at_alpha4(capsys):
     assert code == 2
 
 
+def _count_solves(monkeypatch):
+    """Make every spacing solve of the CLI and of certify append its alpha."""
+    solves = []
+    real = cli.solve_s_alpha
+
+    def counting(alpha, *args, **kwargs):
+        solves.append(alpha)
+        return real(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_s_alpha", counting)
+    monkeypatch.setattr(certify, "solve_s_alpha", counting)
+    return solves
+
+
+def _just_outside():
+    """(--inequality name, alpha) for each even alpha >= 4 next to a row's
+    range that no row of that name covers."""
+    cases = []
+    for name in dict.fromkeys(r.cli for r in ROUTES if r.cli):
+        rows = [r for r in ROUTES if r.cli == name]
+        edges = {a for r in rows for a in (r.alphas.start - 2, r.alphas[-1] + 2)}
+        cases += [(name, a) for a in sorted(edges)
+                  if 4 <= a <= 10_000 and not any(a in r.alphas for r in rows)]
+    return cases
+
+
+def test_just_outside_cases_follow_the_route_table():
+    assert set(_just_outside()) == {
+        ("L", 4), ("psi4", 6), ("eta0", 4), ("eta1", 4), ("eta1", 1002),
+        ("eta2", 4), ("eta2", 16), ("all", 1002)}
+
+
+@pytest.mark.parametrize("name, alpha", _just_outside())
+def test_certify_out_of_range_exits_2_before_solving(capsys, monkeypatch, name, alpha):
+    solves = _count_solves(monkeypatch)
+    code = main(["certify", "--alpha", str(alpha), "--inequality", name])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert solves == []
+
+
+@pytest.mark.parametrize("name, alpha, inequality_id", [
+    (r.cli, r.alphas.start, r.inequality_id) for r in ROUTES if r.cli and not r.needs_ctx])
+def test_context_free_routes_make_no_solve(capsys, monkeypatch, name, alpha, inequality_id):
+    solves = _count_solves(monkeypatch)
+    code = main(["certify", "--alpha", str(alpha), "--inequality", name])
+    certs = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [c["inequality_id"] for c in certs] == [inequality_id]
+    assert solves == []
+
+
+def test_certify_all_alpha16_covers_x_below_1_5(capsys, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    code = main(["certify", "--alpha", "16", "--inequality", "all"])
+    certs = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [c["inequality_id"] for c in certs] == [
+        "psihat_nonneg", "eta0", "eta1", "allthestars_const"]
+    assert solves == [16]
+
+
+def test_other_commands_do_not_load_certify():
+    # the --inequality choices are read from certify.ROUTES only when needed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; from repulse.cli import main; "
+            "main(['energy', '--alpha', '4', '--t', '1.5']); "
+            "print('repulse.certify' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
+def test_certify_bad_budget_is_usage_error(capsys):
+    code = main(["certify", "--alpha", "6", "--inequality", "T", "--budget", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_summary_and_outputs(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     svg = tmp_path / "run.svg"
@@ -161,12 +246,6 @@ def test_simulate_rho_not_near_integer(capsys):
     err = capsys.readouterr().err
     assert code == 0  # 5.26 rounds to 5 with a warning
     assert "rounded" in err
-
-
-def test_threads_flag_validated(capsys):
-    code = main(["--threads", "0", "salpha", "--alpha", "4"])
-    capsys.readouterr()
-    assert code == 2
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -166,6 +166,13 @@ def test_export_empty_configuration(tmp_path):
     assert "<svg" in body and "<circle" not in body
 
 
+def test_periodic_sums_reject_empty_configuration():
+    cfg = _config([], 10.0, 4)
+    for fn in (sim.periodic_energy, sim.periodic_gradient):
+        with pytest.raises(ValueError, match="no particles"):
+            fn(cfg)
+
+
 def test_relax_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sim.relax(5, 1.0, 10.0)
