@@ -309,7 +309,12 @@ def _T_value(coeffs: AuxCoefficients) -> Interval:
 
 def certify_T(ctx: PotentialContext, N: int = 64,
               policy: BnbPolicy | None = None) -> Certificate:
-    """Single-constant proof of the transform's positivity on [0, 1/2]."""
+    """Single-constant proof of the transform's positivity on [0, 1/2].
+
+    Where the closed T route applies, it is taken instead.
+    """
+    if ctx.alpha in _route("T_alpha", False).alphas:
+        return certify_T_large(ctx.alpha, policy)
     route = _route("T_alpha", True, ctx.alpha)
     run = _Run()
     run.check(_T_value(build_coefficients(ctx, N)), policy)
@@ -371,12 +376,14 @@ def certify_L_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def certify_w_inequality(ctx: PotentialContext | None = None,
-                         policy: BnbPolicy | None = None) -> Certificate:
+                         policy: BnbPolicy | None = None, *, alpha: int = 4) -> Certificate:
     """8w - 4 sin 2w - 5 w sin^2 w >= 0, certified as c*S3(2w) - 2 sinc(w)^2 >= 0.
 
-    With no context the displayed constant 5 is used (c = 64/5); with an
-    alpha = 4 context the constant becomes 4*(1 - F(1)) from its enclosure,
-    which is what the transform-positivity reduction actually consumes.
+    With no context the displayed constant 5 is used (c = 64/5) and the
+    certificate is labelled with `alpha`, since the inequality does not
+    depend on it; with an alpha = 4 context the constant becomes
+    4*(1 - F(1)) from its enclosure, which is what the transform-positivity
+    reduction actually consumes.
     Covers [0, pi/2] by branch-and-bound; for w >= pi/2 the scaled form is
     bounded below by (c1 - 2) w - c1/2, checked at w = pi/2 and increasing.
     """
@@ -386,6 +393,7 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
         c1 = Interval.from_fraction(Fraction(16, 5))
     else:
         route = _route("w_inequality", True, ctx.alpha)
+        alpha = ctx.alpha
         c1 = Interval(4.0 * (_ONE - ctx.F1).lo)
     four_c1 = 4.0 * c1
 
@@ -397,7 +405,7 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
     run.check(c1 - 2.0, policy)
     run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, policy, at=math.pi / 2.0)
     _bnb(run, _per_lane(f), [(0.0, (PI / 2.0).hi)], policy)
-    return route.certificate(run, 4, "[0, pi/2] branch-and-bound + analytic piece for w >= pi/2",
+    return route.certificate(run, alpha, "[0, pi/2] branch-and-bound + analytic piece for w >= pi/2",
                              policy)
 
 
@@ -822,7 +830,7 @@ ROUTES = (
     # the displayed inequality, with the constant 5 in place of 4(1 - F4(1))
     Route("w", "w_inequality", _evens(6), False,
           "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0",
-          lambda a, ctx, N, p: certify_w_inequality(None, p)),
+          lambda a, ctx, N, p: certify_w_inequality(None, p, alpha=a)),
     Route("psi4", "psi4_le_F4", _evens(4, 4), True,
           "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
           lambda a, ctx, N, p: certify_psi4_le_F4(ctx, N, p), listed=True),

@@ -719,12 +719,20 @@ def lane_fold(acc: Lanes, *terms) -> Lanes:
 
 def lane_sum(acc: Interval, terms: Lanes) -> Interval:
     """acc + terms[0] + terms[1] + ... for 1-d lanes, added one term at a time
-    in lane order, exactly as the loop of Interval additions would."""
+    in lane order, exactly as the loop of Interval additions would.
+
+    The loops are _add_down and _add_up written out: _two_sum, then one ulp
+    outward where the rounding error points outward.
+    """
     lo, hi = acc.lo, acc.hi
     for v in terms.lo.tolist():
-        lo = _add_down(lo, v)
+        s = lo + v
+        bb = s - lo
+        lo = _nextafter(s, -_INF) if (lo - (s - bb)) + (v - bb) < 0.0 else s
     for v in terms.hi.tolist():
-        hi = _add_up(hi, v)
+        s = hi + v
+        bb = s - hi
+        hi = _nextafter(s, _INF) if (hi - (s - bb)) + (v - bb) > 0.0 else s
     return Interval._raw(lo, hi)
 
 

@@ -7,7 +7,7 @@ on sign-certified derivative evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .interval import (
 __all__ = [
     "AmbiguousSignChangeError",
     "PotentialContext",
+    "SolveDiagnostics",
     "LatticeEnergyTerms",
     "power_sum_tail",
     "f_alpha",
@@ -76,6 +77,18 @@ def f_alpha(alpha: int, x: Interval) -> Interval:
 # Rescaled potential around a certified spacing enclosure.
 # ---------------------------------------------------------------------------
 
+@dataclass
+class SolveDiagnostics:
+    """What one solve_s_alpha run evaluated; not part of the context's value."""
+
+    scan_cells: int = 0  # cells of the scan tree on [1, 2]
+    bisection_steps: int = 0  # centre midpoints read
+    off_centre_retries: int = 0
+    lane_batches: int = 0  # lane evaluations of many spacing points at once
+    rows_evaluated: int = 0  # spacing points put on lanes
+    rows_used: int = 0  # rows whose sign was read
+
+
 @dataclass(frozen=True)
 class PotentialContext:
     """alpha with certified enclosures of s_alpha and derived quantities."""
@@ -85,14 +98,16 @@ class PotentialContext:
     s_pow_alpha: Interval
     F1: Interval
     dF1: Interval
+    diagnostics: SolveDiagnostics | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_spacing(cls, alpha: int, s_alpha: Interval) -> "PotentialContext":
+    def from_spacing(cls, alpha: int, s_alpha: Interval,
+                     diagnostics: SolveDiagnostics | None = None) -> "PotentialContext":
         _check_alpha(alpha)
         s_pow = pow_int(s_alpha, alpha)
         F1 = (_ONE / (_ONE + s_pow)).intersect(_UNIT_BOX)
         dF1 = -alpha * F1 * (_ONE - F1)
-        return cls(alpha, s_alpha, s_pow, F1, dF1)
+        return cls(alpha, s_alpha, s_pow, F1, dF1, diagnostics)
 
 
 def F_alpha(ctx: PotentialContext, x: Interval) -> Interval:
@@ -246,7 +261,40 @@ def closed_form_energy_alpha4(t: Interval) -> Interval:
     return (PI / _SQRT2) * num / den
 
 
-_TERMS_PER_BATCH = 1024  # bounds the lane arrays of a long explicit head
+# rows x terms of one lane batch.  Larger batches run faster, but from 2048
+# up they raised the peak RSS of a process that solves and then relaxes by
+# about 0.2 MB (a heap left larger by the bigger temporaries); 1024 does not.
+_LANE_ELEMENTS = 1024
+
+
+class _DerivativeRows:
+    """energy_derivative at the spacings ts[i]: lanes of rows x terms.
+
+    The terms of every row are computed at once; row i is summed, in the
+    term order of the one-row case, only when row(i) is read.
+    """
+
+    def __init__(self, alpha: int, ts: list[Interval], ext: int,
+                 diag: SolveDiagnostics | None = None):
+        self.alpha, self.ts, self.ext, self.diag = alpha, ts, ext, diag
+        t = Lanes([[x.lo] for x in ts], [[x.hi] for x in ts])
+        step = max(1, _LANE_ELEMENTS // len(ts))
+        self.batches = []
+        for start in range(1, ext + 1, step):
+            n = Lanes(np.arange(start, min(start + step, ext + 1), dtype=float))
+            f = f_alpha(alpha, t * n)
+            self.batches.append(f * (1.0 - alpha) + alpha * f * f)
+        if diag is not None:
+            diag.lane_batches += 1
+            diag.rows_evaluated += len(ts)
+
+    def row(self, i: int) -> Interval:
+        if self.diag is not None:
+            self.diag.rows_used += 1
+        S = _ZERO
+        for terms in self.batches:
+            S = lane_sum(S, terms[i])
+        return 1.0 + 2.0 * (S + _sum_g_beyond(self.alpha, self.ts[i], self.ext))
 
 
 def energy_derivative(alpha: int, t: Interval, N: int = 64, ext: int | None = None) -> Interval:
@@ -261,14 +309,7 @@ def energy_derivative(alpha: int, t: Interval, N: int = 64, ext: int | None = No
         raise ValueError("energy_derivative requires t > 1/2")
     if N < 2:
         raise ValueError("energy_derivative requires N >= 2")
-    if ext is None:
-        ext = 2 * N
-    S = _ZERO
-    for start in range(1, ext + 1, _TERMS_PER_BATCH):
-        n = Lanes(np.arange(start, min(start + _TERMS_PER_BATCH, ext + 1), dtype=float))
-        f = f_alpha(alpha, t * n)
-        S = lane_sum(S, f * (1.0 - alpha) + alpha * f * f)
-    return 1.0 + 2.0 * (S + _sum_g_beyond(alpha, t, ext))
+    return _DerivativeRows(alpha, [t], 2 * N if ext is None else ext).row(0)
 
 
 def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
@@ -288,95 +329,116 @@ def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
 # Certified solve for the optimal spacing.
 # ---------------------------------------------------------------------------
 
-_SCAN_RESOLUTION = 1.0 / 1024.0
+_SPECULATION = 8  # predicted bisection midpoints per lane batch
 
 
-def _derivative_sign(alpha: int, lo: float, hi: float, N: int, ext: int) -> int:
-    d = energy_derivative(alpha, Interval(lo, hi), N=N, ext=ext)
-    if d.hi < 0.0:
-        return -1
-    if d.lo > 0.0:
-        return 1
-    return 0
+def _sign(d: Interval) -> int:
+    return -1 if d.hi < 0.0 else 1 if d.lo > 0.0 else 0
 
 
-def _scan_bracket(alpha: int, max_cells: int):
+def _scan_resolution(alpha: int) -> float:
+    """Width of the finest scan cell: 2^-ceil(log2 alpha), at most 1/1024.
+
+    Near t = 1 the derivative varies on a scale of 1/alpha, so a coarser
+    cell next to 1 stays undecided while the cells after it are negative.
+    """
+    return 2.0 ** -max(10, (alpha - 1).bit_length())
+
+
+def _scan_bracket(alpha: int, max_cells: int, diag: SolveDiagnostics):
     """Classify derivative signs on [1, 2]; return the unique sign-change cell.
 
-    Adaptive subdivision down to width 1/1024; a valid outcome is a sorted
-    sign pattern -1 ... (0s) ... +1 with a single undecided run, whose hull
-    brackets the minimiser.
+    Subdivides one level of cells per lane batch down to the resolution; a
+    valid outcome is a sorted sign pattern -1 ... (0s) ... +1 with a single
+    undecided run, whose hull brackets the minimiser.  Also returns
+    (centre, derivative midpoint) of the leaves next to the bracket.
     """
-    stack = [(1.0, 2.0)]
+    resolution = _scan_resolution(alpha)
+    level = [(1.0, 2.0)]
     out = []
-    used = 0
-    while stack:
-        lo, hi = stack.pop()
-        used += 1
-        if used > max_cells:
+    while level:
+        diag.scan_cells += len(level)
+        if diag.scan_cells > max_cells:
             raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        s = _derivative_sign(alpha, lo, hi, 64, 128)
-        if s != 0 or hi - lo <= _SCAN_RESOLUTION:
-            out.append((lo, hi, s))
-        else:
-            m = 0.5 * (lo + hi)
-            stack.append((m, hi))
-            stack.append((lo, m))
+        rows = _DerivativeRows(alpha, [Interval(lo, hi) for lo, hi in level], 128, diag)
+        split = []
+        for i, (lo, hi) in enumerate(level):
+            d = rows.row(i)
+            s = _sign(d)
+            if s != 0 or hi - lo <= resolution:
+                out.append((lo, hi, s, d.mid))
+            else:
+                m = 0.5 * (lo + hi)
+                split += [(lo, m), (m, hi)]
+        level = split
     out.sort()
-    signs = [s for (_, _, s) in out]
+    signs = [s for (_, _, s, _) in out]
     if -1 not in signs or 1 not in signs:
         raise AmbiguousSignChangeError("no certified sign change of the derivative in [1, 2]")
     if signs != sorted(signs):
         raise AmbiguousSignChangeError("ambiguous sign-change count in [1, 2]")
-    bracket_lo = max(hi for (lo, hi, s) in out if s == -1)
-    bracket_hi = min(lo for (lo, hi, s) in out if s == 1)
-    if bracket_hi <= bracket_lo:
+    below = [leaf for leaf in out if leaf[2] < 0][-1]
+    above = next(leaf for leaf in out if leaf[2] > 0)
+    if above[0] <= below[1]:
         raise AmbiguousSignChangeError("empty sign-change bracket")
-    return bracket_lo, bracket_hi
+    return below[1], above[0], [(0.5 * (lo + hi), dm) for lo, hi, _, dm in (below, above)]
+
+
+def _bisection_ext(width: float) -> int:
+    return 128 if width > 1e-6 else 704
 
 
 def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> PotentialContext:
     """Certified enclosure of the optimal spacing s_alpha on [1, 2].
 
-    Verifies a unique derivative sign change by adaptive subdivision, then
-    bisects on certified signs until the enclosure width is <= tol.
+    Verifies a unique derivative sign change by subdivision, then bisects
+    on certified signs until the enclosure width is <= tol.  Each lane
+    batch evaluates the next midpoints along the path that the secant
+    through the nearest evaluated points either side predicts; the walk
+    reads them while it stays on that path, so every step is the
+    sequential bisection's.  A centre whose sign is undecided is retried
+    off centre, one point at a time.
     """
     _check_alpha(alpha)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = _scan_bracket(alpha, max_cells)
+    diag = SolveDiagnostics()
+    lo, hi, (below, above) = _scan_bracket(alpha, max_cells, diag)
     while hi - lo > tol:
-        width = hi - lo
-        if width > 1e-6:
-            N, ext = 64, 128
-        else:
-            N, ext = 256, 704
-        mid = 0.5 * (lo + hi)
-        s = _derivative_sign(alpha, mid, mid, N, ext)
-        if s == 0:
-            # derivative enclosure straddles 0: try an off-center split
-            moved = False
-            for frac in (0.375, 0.625, 0.25, 0.75):
-                mid2 = lo + frac * width
-                s2 = _derivative_sign(alpha, mid2, mid2, N, ext)
-                if s2 < 0:
-                    lo = mid2
-                    moved = True
-                    break
-                if s2 > 0:
-                    hi = mid2
-                    moved = True
-                    break
-            if not moved:
-                raise AmbiguousSignChangeError(
-                    f"cannot certify derivative sign below width {width:.3e}"
-                )
-            continue
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return PotentialContext.from_spacing(alpha, Interval(lo, hi))
+        ext = _bisection_ext(hi - lo)
+        (t0, d0), (t1, d1) = below, above  # d0 < 0 < d1: their signs are certified
+        guess = t0 - d0 * (t1 - t0) / (d1 - d0)
+        path = []
+        a, b = lo, hi
+        while len(path) < _SPECULATION and b - a > tol and _bisection_ext(b - a) == ext:
+            m = 0.5 * (a + b)
+            path.append((a, b, m))
+            a, b = (m, b) if m < guess else (a, m)
+        rows = _DerivativeRows(alpha, [Interval(m) for _, _, m in path], ext, diag)
+        for i, (a, b, m) in enumerate(path):
+            if (a, b) != (lo, hi):
+                break  # the walk left the predicted path
+            diag.bisection_steps += 1
+            d = rows.row(i)
+            if _sign(d) == 0:  # an off-centre point also leaves the path
+                m, d = _off_centre(alpha, lo, hi, ext, diag)
+            if _sign(d) < 0:
+                lo, below = m, (m, d.mid)
+            else:
+                hi, above = m, (m, d.mid)
+    return PotentialContext.from_spacing(alpha, Interval(lo, hi), diag)
+
+
+def _off_centre(alpha: int, lo: float, hi: float, ext: int, diag: SolveDiagnostics):
+    """(point, derivative) of the first retry at 3/8, 5/8, 1/4, 3/4 of
+    [lo, hi] whose sign is certified, one point at a time."""
+    for frac in (0.375, 0.625, 0.25, 0.75):
+        m = lo + frac * (hi - lo)
+        diag.off_centre_retries += 1
+        d = _DerivativeRows(alpha, [Interval(m)], ext, diag).row(0)
+        if _sign(d):
+            return m, d
+    raise AmbiguousSignChangeError(f"cannot certify derivative sign below width {hi - lo:.3e}")
 
 
 def asymptotic_s_pow_alpha(alpha: int) -> tuple[Interval, Interval]:

@@ -9,6 +9,14 @@ one box at a time, as the library computed it before it was batched on
 lanes, except that the tail endpoints of the inverse-square sum are now
 added with outward rounding.  The lane form must equal it bit for bit.
 
+`solve_s_alpha_sequential` is the spacing solve as the library computed it
+before it was batched: one `energy_derivative` sign at a time, a
+depth-first scan of [1, 2] down to cells of width 1/1024 and a bisection
+that evaluates one midpoint per step.  It returns the enclosure and the
+counts of scan cells, bisection steps and off-centre retries at each
+tolerance asked for.  The batched solve must equal it bit for bit, count
+for count, and raise what it raises.
+
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as the direct loop over every image
 k = -K..K, as the library computed it before the kernel evaluated only
@@ -19,7 +27,13 @@ import numpy as np
 
 from repulse.auxfn import build_coefficients
 from repulse.interval import Interval, hull, pow_int
-from repulse.potential import F_alpha, F_alpha_second, power_sum_tail
+from repulse.potential import (
+    AmbiguousSignChangeError,
+    F_alpha,
+    F_alpha_second,
+    energy_derivative,
+    power_sum_tail,
+)
 
 # (pi/sqrt2)(sinh x + sin x)/(cosh x - cos x) at x = pi, 2pi, 3pi,
 # i.e. the alpha = 4 lattice energy at spacings sqrt2, sqrt2/2, sqrt2/3.
@@ -106,3 +120,90 @@ def pair_terms_loop(x, L, alpha, K):
         grad += w.sum(axis=1)
     grad *= 2.0 / n
     return energy / n, grad
+
+
+def _derivative_sign(alpha, lo, hi, N, ext):
+    d = energy_derivative(alpha, Interval(lo, hi), N=N, ext=ext)
+    if d.hi < 0.0:
+        return -1
+    if d.lo > 0.0:
+        return 1
+    return 0
+
+
+def _scan_bracket_sequential(alpha, max_cells, counts):
+    stack = [(1.0, 2.0)]
+    out = []
+    used = 0
+    while stack:
+        lo, hi = stack.pop()
+        used += 1
+        if used > max_cells:
+            raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
+        s = _derivative_sign(alpha, lo, hi, 64, 128)
+        if s != 0 or hi - lo <= 1.0 / 1024.0:
+            out.append((lo, hi, s))
+        else:
+            m = 0.5 * (lo + hi)
+            stack.append((m, hi))
+            stack.append((lo, m))
+    counts["scan_cells"] = used
+    out.sort()
+    signs = [s for (_, _, s) in out]
+    if -1 not in signs or 1 not in signs:
+        raise AmbiguousSignChangeError("no certified sign change of the derivative in [1, 2]")
+    if signs != sorted(signs):
+        raise AmbiguousSignChangeError("ambiguous sign-change count in [1, 2]")
+    bracket_lo = max(hi for (lo, hi, s) in out if s == -1)
+    bracket_hi = min(lo for (lo, hi, s) in out if s == 1)
+    if bracket_hi <= bracket_lo:
+        raise AmbiguousSignChangeError("empty sign-change bracket")
+    return bracket_lo, bracket_hi
+
+
+def solve_s_alpha_sequential(alpha, tols=(1e-12,), max_cells=1024):
+    """[(s_alpha enclosure, counts)] by the sequential solve, one per tolerance
+    of the decreasing sequence `tols`; alpha <= 1000.
+
+    The bisection's steps do not depend on the tolerance, which only says
+    when to stop, so one walk serves every tolerance: its result at tol is
+    the first bracket of width <= tol, with the counts made up to there.
+    """
+    counts = {"scan_cells": 0, "bisection_steps": 0, "off_centre_retries": 0}
+    lo, hi = _scan_bracket_sequential(alpha, max_cells, counts)
+    out = []
+    for tol in tols:
+        while hi - lo > tol:
+            width = hi - lo
+            if width > 1e-6:
+                N, ext = 64, 128
+            else:
+                N, ext = 256, 704
+            mid = 0.5 * (lo + hi)
+            counts["bisection_steps"] += 1
+            s = _derivative_sign(alpha, mid, mid, N, ext)
+            if s == 0:
+                moved = False
+                for frac in (0.375, 0.625, 0.25, 0.75):
+                    mid2 = lo + frac * width
+                    counts["off_centre_retries"] += 1
+                    s2 = _derivative_sign(alpha, mid2, mid2, N, ext)
+                    if s2 < 0:
+                        lo = mid2
+                        moved = True
+                        break
+                    if s2 > 0:
+                        hi = mid2
+                        moved = True
+                        break
+                if not moved:
+                    raise AmbiguousSignChangeError(
+                        f"cannot certify derivative sign below width {width:.3e}"
+                    )
+                continue
+            if s < 0:
+                lo = mid
+            else:
+                hi = mid
+        out.append((Interval(lo, hi), dict(counts)))
+    return out

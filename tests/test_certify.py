@@ -229,6 +229,13 @@ def test_T_large_examples():
         certify_T_large(4)
 
 
+def test_T_hands_over_to_its_closed_row(ctx12):
+    c = certify_T(ctx12)
+    assert (c.status, c.alpha) == ("verified", 12)
+    assert c.to_json_dict() | {"wall_time_ms": 0} == \
+        certify_T_large(12).to_json_dict() | {"wall_time_ms": 0}
+
+
 def test_L_small_alphas(ctx_by_alpha):
     for a in (6, 8, 10):
         c = certify_L(ctx_by_alpha[a])

@@ -10,6 +10,7 @@ import pytest
 from repulse import certify, cli
 from repulse.certify import ROUTES
 from repulse.cli import main
+from repulse.potential import asymptotic_s_pow_alpha
 
 
 def _run(capsys, *argv):
@@ -32,6 +33,24 @@ def test_salpha_alpha12_bracket(capsys):
     assert code == 0
     d = json.loads(out)
     assert 19.0 <= d["s_pow_alpha_lo"] and d["s_pow_alpha_hi"] <= 21.0
+
+
+@pytest.mark.parametrize("alpha", [1122, 4000])
+def test_salpha_large_alpha(capsys, alpha):
+    # a scan with cells of 1/1024 failed for every alpha >= 1122
+    code, out = _run(capsys, "salpha", "--alpha", str(alpha), "--tol", "1e-12")
+    assert code == 0
+    d = json.loads(out)
+    assert 1.0 < d["s_lo"] and d["s_hi"] - d["s_lo"] <= 1e-12
+    main, g = asymptotic_s_pow_alpha(alpha)
+    assert d["s_pow_alpha_lo"] <= main.hi + g.hi and main.lo - g.hi <= d["s_pow_alpha_hi"]
+
+
+def test_certify_w_is_labelled_with_the_alpha_asked_for(capsys):
+    code, out = _run(capsys, "certify", "--alpha", "6", "--inequality", "w")
+    assert code == 0
+    (c,) = json.loads(out)
+    assert (c["inequality_id"], c["alpha"], c["status"]) == ("w_inequality", 6, "verified")
 
 
 def test_salpha_rejects_odd(capsys):

@@ -18,6 +18,8 @@ from repulse.interval import (
     _PROD_MAX,
     _PROD_MIN,
     DomainError,
+    _add_down,
+    _add_up,
     Interval,
     Lanes,
     lane_fold,
@@ -183,6 +185,27 @@ def test_lane_sum_is_the_sequential_sum():
         want = want + t
     got = lane_sum(acc, Lanes.of(terms))
     assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
+
+def test_lane_sum_matches_the_directed_add_loop():
+    # lane_sum writes _add_down/_add_up out inline; the loop of the two
+    # must give the same bits on every edge value: infinities (and the NaN
+    # of inf - inf), signed zeros, subnormals and sums that overflow
+    rng = random.Random(29)
+    vals = _edge_values() + [1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307]
+    for case in range(2000):
+        count = rng.randint(0, 12)
+        lo = [rng.choice(vals) for _ in range(count)]
+        hi = [rng.choice(vals) for _ in range(count)]
+        acc_lo, acc_hi = rng.choice(vals), rng.choice(vals)
+        want_lo, want_hi = acc_lo, acc_hi
+        for a, b in zip(lo, hi):
+            want_lo = _add_down(want_lo, a)
+            want_hi = _add_up(want_hi, b)
+        got = lane_sum(Interval._raw(acc_lo, acc_hi), Lanes(np.array(lo, dtype=float),
+                                                            np.array(hi, dtype=float)))
+        assert list(_bits([got.lo, got.hi])) == list(_bits([want_lo, want_hi])), \
+            (case, acc_lo, acc_hi, lo, hi)
 
 
 def test_lane_fold_is_the_sequential_sum():
