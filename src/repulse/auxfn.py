@@ -8,20 +8,17 @@ real cosine/sine form, both truncated with explicit tail enclosures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .interval import Interval, PI, _sub_down, cos, pow_int, remainder_R, sin, sinc
-from .potential import PotentialContext, power_sum_tail
+from .interval import Interval, PI, _sub_down, cos, pow_int, sin, sinc
+from .potential import F_alpha, PotentialContext, power_sum_tail
 
 __all__ = [
     "AuxCoefficients",
     "build_coefficients",
     "psi",
     "psi_hat",
-    "psi_hat_near_one",
-    "poisson_check",
     "decay_constant",
     "psi_float",
     "psi_hat_float",
@@ -29,7 +26,6 @@ __all__ = [
 
 _ONE = Interval(1.0)
 _ZERO = Interval(0.0)
-_TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
 
 
 @dataclass(frozen=True)
@@ -58,8 +54,7 @@ def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     Fn = [_ONE]
     dFn = [_ZERO]
     for n in range(1, N + 1):
-        u = s_pow * pow_int(Interval(float(n)), alpha)
-        F = (_ONE / (_ONE + u)).intersect(Interval(0.0, 1.0))
+        F = F_alpha(ctx, Interval(float(n)))
         Fn.append(F)
         dFn.append(-alpha * F * (_ONE - F) / n)
     tail_F = Interval(0.0, (power_sum_tail(alpha, N + 1) / s_pow).hi)
@@ -122,29 +117,6 @@ def psi_hat(coeffs: AuxCoefficients, xi: Interval) -> Interval:
     return val
 
 
-def psi_hat_near_one(coeffs: AuxCoefficients, t: Interval) -> Interval:
-    """Enclosure of psi_hat(1-t)/(pi^2 t^3) for t in [0, 1/2].
-
-    Uses the cubic-remainder kernel form, which stays finite at t = 0:
-    sum_n n^3 F'(n)(-2/3 + 4 R(2 pi n t)) - sum_n 2 n^2 F(n) sinc(pi n t)^2.
-    """
-    if t.lo < 0.0 or t.hi > 0.5:
-        raise ValueError("psi_hat_near_one requires t within [0, 1/2]")
-    Fn, dFn = coeffs.Fn, coeffs.dFn
-    pit = PI * t
-    acc = _ZERO
-    for n in range(1, coeffs.N + 1):
-        kernel = 4.0 * remainder_R((2.0 * n) * pit) - _TWO_THIRDS
-        acc = acc + float(n) ** 3 * dFn[n] * kernel \
-            - (2.0 * n * n) * Fn[n] * pow_int(sinc(n * pit), 2)
-    total = 2.0 * acc
-    # tails: the F' part lies in [0, (2 alpha/3) n^2 F(n)], the F part in [-2 n^2 F(n), 0]
-    t_hi = coeffs.tail_n2F.hi
-    lo_b = 4.0 * t_hi
-    hi_b = (4.0 * coeffs.ctx.alpha / 3.0) * t_hi
-    return total + Interval(-lo_b, hi_b)
-
-
 def decay_constant(coeffs: AuxCoefficients) -> Interval:
     """Rigorous constant C with |psi(x)| (1 + x^2) <= C for all x.
 
@@ -170,7 +142,7 @@ def decay_constant(coeffs: AuxCoefficients) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Non-rigorous float paths (corroboration scans and the Poisson check).
+# Non-rigorous float paths (corroboration scans).
 # ---------------------------------------------------------------------------
 
 def _tables_float(coeffs: AuxCoefficients):
@@ -207,27 +179,3 @@ def psi_hat_float(coeffs: AuxCoefficients, xis) -> np.ndarray:
     arg = 2.0 * np.pi * a[:, None] * ns[None, :]
     val = (1.0 - a) * (F[0] + 2.0 * (np.cos(arg) @ F[1:])) - (np.sin(arg) @ dF[1:]) / np.pi
     return np.where(a >= 1.0, 0.0, val)
-
-
-def poisson_check(coeffs: AuxCoefficients, points: int = 100001) -> float:
-    """Composite-Simpson quadrature of psi over [-(N+1), N+1] minus sum_n F(n).
-
-    A floating sanity check of the summation identity behind the transform;
-    the quadrature error is NOT enclosed, so this is documentation-grade
-    evidence against implementation bugs, not a certificate.
-    """
-    if points < 5:
-        raise ValueError("need at least 5 quadrature points")
-    if points % 2 == 0:
-        points += 1
-    N = coeffs.N
-    xs = np.linspace(-(N + 1.0), N + 1.0, points)
-    ys = psi_float(coeffs, xs)
-    h = xs[1] - xs[0]
-    w = np.ones(points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = h / 3.0 * float(w @ ys)
-    F, _ = _tables_float(coeffs)
-    coefficient_sum = F[0] + 2.0 * float(F[1:].sum())
-    return integral - coefficient_sum

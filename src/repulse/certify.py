@@ -47,14 +47,12 @@ from .potential import (
 __all__ = [
     "BnbPolicy",
     "Certificate",
-    "prove_nonneg",
     "certify_T",
     "certify_T_large",
     "certify_L",
     "certify_L_large",
     "certify_w_inequality",
     "certify_psihat_nonneg",
-    "mean_value_L_term",
     "certify_psi4_le_F4",
     "certify_eta0",
     "certify_eta0_large",
@@ -280,16 +278,6 @@ def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
     )
 
 
-def prove_nonneg(f, domain: Interval, policy: BnbPolicy | None = None, *,
-                 inequality_id: str = "custom", alpha: int = 0,
-                 domain_desc: str | None = None, paper_anchor: str = "") -> Certificate:
-    """Certify f(x) >= 0 on the domain by branch-and-bound subdivision."""
-    run = _Run()
-    _bnb(run, _per_lane(f), [(domain.lo, domain.hi)], policy)
-    return _certificate(run, alpha, domain_desc or f"[{domain.lo!r}, {domain.hi!r}]",
-                        policy, inequality_id, paper_anchor)
-
-
 # ---------------------------------------------------------------------------
 # The transform-positivity constants T(alpha) and L(alpha).
 # ---------------------------------------------------------------------------
@@ -454,22 +442,6 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
 # ---------------------------------------------------------------------------
 # psi_4 <= F_4 on [0, 9] (plus the displayed constant for x >= 9).
 # ---------------------------------------------------------------------------
-
-def mean_value_L_term(ctx: PotentialContext, x: Interval, n: int) -> Interval:
-    """Enclosure of L(x, n) = (F(x) - F(n) - F'(n)(x - n))/(x - n)^2.
-
-    n = 0 uses the exact closed form (F(x) - 1)/x^2 = -s^a x^(a-2) F(x);
-    n >= 1 is one lane of `_L_terms`.
-    """
-    if n == 0:
-        return F_deficit_over_x_sq(ctx, x)
-    nf = float(n)
-    Fn = F_alpha(ctx, Interval(nf))
-    dFn = -ctx.alpha * Fn * (_ONE - Fn) / nf
-    xl = Lanes([[x.lo]], [[x.hi]])
-    t = _L_terms(ctx, xl, F_alpha(ctx, xl), np.array([nf]), Fn, dFn)
-    return Interval._raw(t.lo.item(), t.hi.item())
-
 
 def _L_terms(ctx: PotentialContext, x: Lanes, Fx: Lanes, n: np.ndarray, Fn, dFn) -> Lanes:
     """Lanes of L(x, n) for boxes x (a column) and integers n >= 1 (a row).

@@ -99,11 +99,7 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_salpha(args) -> int:
-    try:
-        ctx = solve_s_alpha(args.alpha, args.tol)
-    except AmbiguousSignChangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+    ctx = solve_s_alpha(args.alpha, args.tol)
     total = lattice_energy(args.alpha, ctx.s_alpha, args.trunc).total
     _emit({
         "alpha": args.alpha,
@@ -155,17 +151,10 @@ def _cmd_psihat(args) -> int:
 def _cmd_certify(args) -> int:
     from . import certify as cert
 
-    try:
-        policy = cert.BnbPolicy(max_depth=args.max_depth, budget=args.budget)
-        route = cert.route_for(args.inequality, args.alpha)
-        ctx = solve_s_alpha(args.alpha, args.tol) if route.needs_ctx else None
-        certs = route.call(args.alpha, ctx, 64, policy)  # the certify_* default N
-    except AmbiguousSignChangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    policy = cert.BnbPolicy(max_depth=args.max_depth, budget=args.budget)
+    route = cert.route_for(args.inequality, args.alpha)
+    ctx = solve_s_alpha(args.alpha, args.tol) if route.needs_ctx else None
+    certs = route.call(args.alpha, ctx, 64, policy)  # the certify_* default N
     if not isinstance(certs, list):
         certs = [certs]
     payload = cert.certificates_to_json(certs)
@@ -194,28 +183,20 @@ def _cmd_simulate(args) -> int:
     if env_seed is not None:
         seed = int(env_seed)
     if not (math.isfinite(args.length) and args.length > 0.0):
-        print("error: --length must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--length must be positive and finite")
     if not math.isfinite(args.rho):
-        print("error: --rho must be finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--rho must be finite")
     if args.gap_threshold is not None and not args.gap_threshold > 0.0:
-        print("error: --gap-threshold must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--gap-threshold must be positive")
     target = args.rho * args.length
     count = int(round(target))
     if abs(target - count) > 1e-9:
         print(f"warning: rho*length = {target!r} rounded to {count} particles",
               file=sys.stderr)
     if abs(target - count) > 0.5:
-        print("error: rho*length is not within 0.5 of an integer", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = sim.relax(args.alpha, count / args.length, args.length,
-                        seed=seed, iters=args.iters, gtol=args.gtol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("rho*length is not within 0.5 of an integer")
+    cfg = sim.relax(args.alpha, count / args.length, args.length,
+                    seed=seed, iters=args.iters, gtol=args.gtol)
     gap = args.gap_threshold
     if gap is None:
         gap = 0.5 * solve_s_alpha(args.alpha, 1e-9).s_alpha.mid
@@ -307,12 +288,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; invalid input (ValueError, OSError) exits 2 and an
+    uncertifiable sign change 3, each with one `error:` line on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AmbiguousSignChangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -792,50 +792,36 @@ _INV_LN2 = 1.0 / math.log(2.0)
 # Series machinery.
 # ---------------------------------------------------------------------------
 
-def _inv_factorial(n: int) -> Interval:
-    return Interval.from_fraction(Fraction(1, math.factorial(n)))
+# 1/j! as raw (lo, hi) endpoints, j = 0..20; every series reads a slice of it.
+_INV_FACT = [(c.lo, c.hi) for c in
+             (Interval.from_fraction(Fraction(1, math.factorial(j))) for j in range(21))]
+_INV_ODD_FACT = _INV_FACT[1::2]  # 1/(2j+1)!, j = 0..9
 
-# sin r = r * sum_j (-1)^j r^(2j) / (2j+1)!   (j = 0..8, remainder at r^18/19!)
-_SIN_COEFFS = [_inv_factorial(2 * j + 1) for j in range(9)]
-# cos r = sum_j (-1)^j r^(2j) / (2j)!         (j = 0..9, remainder at r^20/20!)
-_COS_COEFFS = [_inv_factorial(2 * j) for j in range(10)]
-# exp r = sum_j r^j / j!                      (j = 0..13, remainder at r^14/14!)
-_EXP_COEFFS = [_inv_factorial(j) for j in range(14)]
-# sinc x = sum_j (-1)^j x^(2j) / (2j+1)!      (j = 0..7, remainder at x^16/17!)
-_SINC_COEFFS = [_inv_factorial(2 * j + 1) for j in range(8)]
-# R(x) = sum_{j>=0} (-1)^j x^(2j+2) / (2j+5)! (j = 0..6, remainder at x^14/19! * x^2)
-_R_COEFFS = [_inv_factorial(2 * j + 5) for j in range(7)]
-
-_REM_14 = _inv_factorial(14)
-_REM_17 = _inv_factorial(17)
-_REM_19 = _inv_factorial(19)
-_REM_20 = _inv_factorial(20)
+# The alternating series sum_j (-1)^j c_j s^j with s = x^2, as coefficient
+# lists whose last entry is the first omitted coefficient (see _poly_alt_raw).
+_SIN_C = _INV_ODD_FACT          # sin r = r * sum 1/(2j+1)! terms, j < 9
+_COS_C = _INV_FACT[0::2]        # cos r = sum 1/(2j)! terms, j < 10
+_SINC_C = _INV_ODD_FACT[:9]     # sinc x = sum 1/(2j+1)! terms, j < 8
+_R_C = _INV_ODD_FACT[2:]        # R(x) = x^2 * sum 1/(2j+5)! terms, j < 7
+# exp r = sum_j r^j / j!, j = 0..13, remainder at 1.5 * r^14/14!
+_EXP_COEFFS = [Interval._raw(*c) for c in _INV_FACT[:14]]
 
 # pi/4 plus reduction slop (k * ulp(pi/2) stays below 3e-7 for |x| <= 1e9)
 _TRIG_REDUCED_MAX = 0.78545
 _TRIG_POINT_MAX = 1e9
 
 
-_SIN_C = [(c.lo, c.hi) for c in _SIN_COEFFS]
-_COS_C = [(c.lo, c.hi) for c in _COS_COEFFS]
-_SINC_C = [(c.lo, c.hi) for c in _SINC_COEFFS]
-_R_C = [(c.lo, c.hi) for c in _R_COEFFS]
+def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
+    """Raw endpoints of sum_{j<n} (-1)^j c_j s^j + [-rem, rem], n = len(coeffs) - 1.
 
-
-def _alternating_eval(r2: Interval, coeffs, rem_coeff: Interval, rem_pow: int, mag: float) -> Interval:
-    """sum_j (-1)^j c_j r2^j with |remainder| <= rem_coeff * mag^rem_pow."""
-    rem = _mul_up(rem_coeff.hi, _pow_dir(mag, rem_pow, True))
-    lo, hi = _poly_alt_raw(r2.lo, r2.hi, coeffs, rem)
-    return Interval._raw(lo, hi)
-
-
-def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, rem: float):
-    """Raw-endpoint Horner for sum_j (-1)^j c_j s^j plus remainder [-rem, rem].
-
-    Requires s_lo >= 0 (s is a square).
+    s = [s_lo, s_hi] is the square of a number of magnitude <= mag (so
+    s_lo >= 0), and rem = c_n mag^(2n) is the first omitted term, which
+    bounds the remainder of an alternating series with decreasing terms.
     """
-    c_lo, c_hi = coeffs[-1]
-    for j in range(len(coeffs) - 2, -1, -1):
+    n = len(coeffs) - 1
+    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, True))
+    c_lo, c_hi = coeffs[n - 1]
+    for j in range(n - 2, -1, -1):
         # t = s * acc, with s >= 0
         if c_lo >= 0.0:
             t_lo = _mul_down(s_lo, c_lo)
@@ -861,74 +847,31 @@ def _reduced(x: float, k: int):
     return _sub_down(x, _mul_up(float(k), HALF_PI.lo)), _sub_up(x, _mul_down(float(k), HALF_PI.hi))
 
 
-def _sin_taylor_raw(r_lo: float, r_hi: float):
+def _trig_series_raw(r_lo: float, r_hi: float, odd: bool):
+    """sin r (odd) or cos r on the reduced range |r| <= pi/4, clamped to [-1, 1]."""
     m = max(-r_lo, r_hi)
     if m > _TRIG_REDUCED_MAX + 1e-9:
-        raise AssertionError("sin series argument out of reduced range")
+        raise AssertionError("sin/cos series argument out of reduced range")
     s_lo = 0.0 if r_lo <= 0.0 <= r_hi else min(_mul_down(r_lo, r_lo), _mul_down(r_hi, r_hi))
     s_hi = _mul_up(m, m)
-    rem = _mul_up(_REM_19.hi, _pow_dir(m, 18, True))
-    p_lo, p_hi = _poly_alt_raw(s_lo, s_hi, _SIN_C, rem)
-    # r * poly with poly > 0 on the reduced range
-    if p_lo >= 0.0:
-        if r_lo >= 0.0:
-            lo, hi = _mul_down(r_lo, p_lo), _mul_up(r_hi, p_hi)
-        elif r_hi <= 0.0:
-            lo, hi = _mul_down(r_lo, p_hi), _mul_up(r_hi, p_lo)
-        else:
-            lo, hi = _mul_down(r_lo, p_hi), _mul_up(r_hi, p_hi)
-        return max(lo, -1.0), min(hi, 1.0)
-    v = Interval._raw(r_lo, r_hi) * Interval._raw(p_lo, p_hi)
-    return max(v.lo, -1.0), min(v.hi, 1.0)
+    lo, hi = _poly_alt_raw(s_lo, s_hi, _SIN_C if odd else _COS_C, m)
+    if odd:
+        v = Interval._raw(r_lo, r_hi) * Interval._raw(lo, hi)
+        lo, hi = v.lo, v.hi
+    return max(lo, -1.0), min(hi, 1.0)
 
 
-def _cos_taylor_raw(r_lo: float, r_hi: float):
-    m = max(-r_lo, r_hi)
-    if m > _TRIG_REDUCED_MAX + 1e-9:
-        raise AssertionError("cos series argument out of reduced range")
-    s_lo = 0.0 if r_lo <= 0.0 <= r_hi else min(_mul_down(r_lo, r_lo), _mul_down(r_hi, r_hi))
-    s_hi = _mul_up(m, m)
-    rem = _mul_up(_REM_20.hi, _pow_dir(m, 20, True))
-    p_lo, p_hi = _poly_alt_raw(s_lo, s_hi, _COS_C, rem)
-    return max(p_lo, -1.0), min(p_hi, 1.0)
-
-
-def _sin_point_raw(x: float):
+def _trig_point_raw(x: float, quadrant: int):
+    """sin(x + quadrant * pi/2) as raw endpoints: sin x for 0, cos x for 1."""
     if x == 0.0:
-        return 0.0, 0.0
+        return float(quadrant), float(quadrant)
     if abs(x) > _TRIG_POINT_MAX:
         return -1.0, 1.0
     k = round(x * _INV_HALF_PI)
     r_lo, r_hi = _reduced(x, k)
-    m = k % 4
-    if m == 0:
-        return _sin_taylor_raw(r_lo, r_hi)
-    if m == 1:
-        return _cos_taylor_raw(r_lo, r_hi)
-    if m == 2:
-        lo, hi = _sin_taylor_raw(r_lo, r_hi)
-        return -hi, -lo
-    lo, hi = _cos_taylor_raw(r_lo, r_hi)
-    return -hi, -lo
-
-
-def _cos_point_raw(x: float):
-    if x == 0.0:
-        return 1.0, 1.0
-    if abs(x) > _TRIG_POINT_MAX:
-        return -1.0, 1.0
-    k = round(x * _INV_HALF_PI)
-    r_lo, r_hi = _reduced(x, k)
-    m = k % 4
-    if m == 0:
-        return _cos_taylor_raw(r_lo, r_hi)
-    if m == 1:
-        lo, hi = _sin_taylor_raw(r_lo, r_hi)
-        return -hi, -lo
-    if m == 2:
-        lo, hi = _cos_taylor_raw(r_lo, r_hi)
-        return -hi, -lo
-    return _sin_taylor_raw(r_lo, r_hi)
+    m = (k + quadrant) % 4
+    lo, hi = _trig_series_raw(r_lo, r_hi, m % 2 == 0)
+    return (lo, hi) if m < 2 else (-hi, -lo)
 
 
 _TWO_PI_F = 2.0 * math.pi
@@ -949,40 +892,36 @@ def _crosses(a_lo: float, a_hi: float, frac: float) -> bool:
     return False
 
 
-def sin(a: Interval) -> Interval:
-    """Enclosure of sin over a, clamped to [-1, 1]."""
+def _trig(a: Interval, quadrant: int) -> Interval:
+    """Enclosure of sin(x + quadrant * pi/2) over a, clamped to [-1, 1].
+
+    The maxima lie at x = (k + 1/4 - quadrant/4) * 2pi, the minima half a
+    period on.
+    """
     if a.lo == a.hi:
-        lo, hi = _sin_point_raw(a.lo)
-        return Interval._raw(lo, hi)
+        return Interval._raw(*_trig_point_raw(a.lo, quadrant))
     if a.hi - a.lo >= 6.3:
         return UNIT
-    l1, h1 = _sin_point_raw(a.lo)
-    l2, h2 = _sin_point_raw(a.hi)
+    l1, h1 = _trig_point_raw(a.lo, quadrant)
+    l2, h2 = _trig_point_raw(a.hi, quadrant)
     lo = l1 if l1 < l2 else l2
     hi = h1 if h1 > h2 else h2
-    if hi < 1.0 and _crosses(a.lo, a.hi, 0.25):
+    shift = 0.25 * quadrant
+    if hi < 1.0 and _crosses(a.lo, a.hi, 0.25 - shift):
         hi = 1.0
-    if lo > -1.0 and _crosses(a.lo, a.hi, 0.75):
+    if lo > -1.0 and _crosses(a.lo, a.hi, 0.75 - shift):
         lo = -1.0
     return Interval._raw(lo, hi)
+
+
+def sin(a: Interval) -> Interval:
+    """Enclosure of sin over a, clamped to [-1, 1]."""
+    return _trig(a, 0)
 
 
 def cos(a: Interval) -> Interval:
-    """Enclosure of cos over a, clamped to [-1, 1]."""
-    if a.lo == a.hi:
-        lo, hi = _cos_point_raw(a.lo)
-        return Interval._raw(lo, hi)
-    if a.hi - a.lo >= 6.3:
-        return UNIT
-    l1, h1 = _cos_point_raw(a.lo)
-    l2, h2 = _cos_point_raw(a.hi)
-    lo = l1 if l1 < l2 else l2
-    hi = h1 if h1 > h2 else h2
-    if hi < 1.0 and _crosses(a.lo, a.hi, 0.0):
-        hi = 1.0
-    if lo > -1.0 and _crosses(a.lo, a.hi, 0.5):
-        lo = -1.0
-    return Interval._raw(lo, hi)
+    """Enclosure of cos over a, clamped to [-1, 1]: sin one quadrant on."""
+    return _trig(a, 1)
 
 
 def _exp_point_interval(x: float) -> Interval:
@@ -998,7 +937,7 @@ def _exp_point_interval(x: float) -> Interval:
     acc = _EXP_COEFFS[-1]
     for c in reversed(_EXP_COEFFS[:-1]):
         acc = c + r * acc
-    rem = _mul_up(1.5 * _REM_14.hi, _pow_dir(m, 14, True))
+    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, True))
     acc = acc + Interval._raw(-rem, rem)
     lo = math.ldexp(acc.lo, k)
     hi = math.ldexp(acc.hi, k)
@@ -1059,7 +998,8 @@ _SINC_RANGE = Interval._raw(-0.22, 1.0)
 
 
 def _sinc_series(a: Interval) -> Interval:
-    return _alternating_eval(pow_int(a, 2), _SINC_C, _REM_17, 16, a.mag)
+    s = pow_int(a, 2)
+    return Interval._raw(*_poly_alt_raw(s.lo, s.hi, _SINC_C, a.mag))
 
 
 def _sinc_direct(a: Interval) -> Interval:
@@ -1095,7 +1035,7 @@ def _R_point(x: float) -> Interval:
     xi = Interval._raw(x, x)
     if x <= 0.5:
         x2 = pow_int(xi, 2)
-        poly = _alternating_eval(x2, _R_C, _REM_19, 14, x)
+        poly = Interval._raw(*_poly_alt_raw(x2.lo, x2.hi, _R_C, x))
         return (x2 * poly).intersect(_R_RANGE)
     x3 = pow_int(xi, 3)
     num = sin(xi) - xi + x3 * SIXTH

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interval import (
-    DomainError,
     Interval,
     Lanes,
     PI,
@@ -32,8 +31,6 @@ __all__ = [
     "power_sum_tail",
     "f_alpha",
     "F_alpha",
-    "F_alpha_prime",
-    "F_alpha_second",
     "lattice_energy",
     "closed_form_energy_alpha4",
     "energy_derivative",
@@ -113,22 +110,6 @@ class PotentialContext:
 def F_alpha(ctx: PotentialContext, x: Interval) -> Interval:
     """Enclosure of F(x) = 1/(1 + s^alpha x^alpha)."""
     return (_ONE / (_ONE + ctx.s_pow_alpha * pow_int(x, ctx.alpha))).intersect(_UNIT_BOX)
-
-
-def F_alpha_prime(ctx: PotentialContext, x: Interval) -> Interval:
-    """Enclosure of F'(x) = -alpha F(x)(1 - F(x))/x; requires 0 not in x."""
-    if x.lo <= 0.0 <= x.hi:
-        raise DomainError("F' quotient form needs 0 outside x")
-    F = F_alpha(ctx, x)
-    return -ctx.alpha * F * (_ONE - F) / x
-
-
-def F_alpha_second(ctx: PotentialContext, x: Interval) -> Interval:
-    """Enclosure of F''(x) = alpha F (1-F)(alpha(1-2F)+1)/x^2; 0 not in x."""
-    if x.lo <= 0.0 <= x.hi:
-        raise DomainError("F'' quotient form needs 0 outside x")
-    F = F_alpha(ctx, x)
-    return ctx.alpha * F * (_ONE - F) * (ctx.alpha * (_ONE - 2.0 * F) + 1.0) / pow_int(x, 2)
 
 
 def F_deficit_over_x_sq(ctx: PotentialContext, x: Interval) -> Interval:
@@ -297,19 +278,19 @@ class _DerivativeRows:
         return 1.0 + 2.0 * (S + _sum_g_beyond(self.alpha, self.ts[i], self.ext))
 
 
-def energy_derivative(alpha: int, t: Interval, N: int = 64, ext: int | None = None) -> Interval:
+def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
     """Enclosure of d/dt sum_n t f_alpha(t n) = sum_n (f(tn) + tn f'(tn)).
 
-    `ext` extends the explicit summation beyond N before the midpoint tail
-    takes over; tighter tails let the spacing solver certify signs close to
-    the minimiser.
+    The terms n <= ext are summed explicitly before the midpoint tail takes
+    over; tighter tails let the spacing solver certify signs close to the
+    minimiser.
     """
     _check_alpha(alpha)
     if not t.lo > 0.5:
         raise ValueError("energy_derivative requires t > 1/2")
-    if N < 2:
-        raise ValueError("energy_derivative requires N >= 2")
-    return _DerivativeRows(alpha, [t], 2 * N if ext is None else ext).row(0)
+    if ext < 2:
+        raise ValueError("energy_derivative requires ext >= 2")
+    return _DerivativeRows(alpha, [t], ext).row(0)
 
 
 def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
@@ -400,7 +381,7 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> Pote
     off centre, one point at a time.
     """
     _check_alpha(alpha)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     diag = SolveDiagnostics()
     lo, hi, (below, above) = _scan_bracket(alpha, max_cells, diag)

@@ -4,6 +4,9 @@ The constants are frozen high-precision oracle values (160-bit evaluation,
 1-ulp brackets).  Each is a (lo, hi) float pair bracketing the exact value;
 an interval enclosure passes when it contains the whole bracket.
 
+`F_alpha_second` is the quotient form of F'', the oracle of the F''
+enclosure that certify evaluates on lanes (free form where a box holds 0).
+
 `eta1_scalar` is the eta1 integrand written with the scalar Interval kernel,
 one box at a time, as the library computed it before it was batched on
 lanes, except that the tail endpoints of the inverse-square sum are now
@@ -26,11 +29,10 @@ k = 0..K on reused buffers.  The kernel must equal it bit for bit.
 import numpy as np
 
 from repulse.auxfn import build_coefficients
-from repulse.interval import Interval, hull, pow_int
+from repulse.interval import DomainError, Interval, hull, pow_int
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
-    F_alpha_second,
     energy_derivative,
     power_sum_tail,
 )
@@ -57,6 +59,16 @@ DERIV6_AT_1_BRUTE = (-1.168143814682701, -1.1681438146827008)
 def contains_bracket(iv, bracket) -> bool:
     lo, hi = bracket
     return iv.lo <= lo and hi <= iv.hi
+
+
+def F_alpha_second(ctx, x):
+    """F''(x) = alpha F (1-F)(alpha(1-2F)+1)/x^2 for 0 not in x: the quotient
+    form of the F'' enclosure that the library also evaluates on boxes holding 0."""
+    if x.lo <= 0.0 <= x.hi:
+        raise DomainError("F'' quotient form needs 0 outside x")
+    one = Interval(1.0)
+    F = F_alpha(ctx, x)
+    return ctx.alpha * F * (one - F) * (ctx.alpha * (one - 2.0 * F) + 1.0) / pow_int(x, 2)
 
 
 def sum_inv_sq_offset(t, N):
@@ -122,8 +134,8 @@ def pair_terms_loop(x, L, alpha, K):
     return energy / n, grad
 
 
-def _derivative_sign(alpha, lo, hi, N, ext):
-    d = energy_derivative(alpha, Interval(lo, hi), N=N, ext=ext)
+def _derivative_sign(alpha, lo, hi, ext):
+    d = energy_derivative(alpha, Interval(lo, hi), ext=ext)
     if d.hi < 0.0:
         return -1
     if d.lo > 0.0:
@@ -140,7 +152,7 @@ def _scan_bracket_sequential(alpha, max_cells, counts):
         used += 1
         if used > max_cells:
             raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        s = _derivative_sign(alpha, lo, hi, 64, 128)
+        s = _derivative_sign(alpha, lo, hi, 128)
         if s != 0 or hi - lo <= 1.0 / 1024.0:
             out.append((lo, hi, s))
         else:
@@ -175,19 +187,16 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,), max_cells=1024):
     for tol in tols:
         while hi - lo > tol:
             width = hi - lo
-            if width > 1e-6:
-                N, ext = 64, 128
-            else:
-                N, ext = 256, 704
+            ext = 128 if width > 1e-6 else 704
             mid = 0.5 * (lo + hi)
             counts["bisection_steps"] += 1
-            s = _derivative_sign(alpha, mid, mid, N, ext)
+            s = _derivative_sign(alpha, mid, mid, ext)
             if s == 0:
                 moved = False
                 for frac in (0.375, 0.625, 0.25, 0.75):
                     mid2 = lo + frac * width
                     counts["off_centre_retries"] += 1
-                    s2 = _derivative_sign(alpha, mid2, mid2, N, ext)
+                    s2 = _derivative_sign(alpha, mid2, mid2, ext)
                     if s2 < 0:
                         lo = mid2
                         moved = True

@@ -1,21 +1,15 @@
 """Auxiliary function: interpolation, transform, decay, and the float paths."""
 
-import math
-
 import numpy as np
-import pytest
 
 from repulse.auxfn import (
-    build_coefficients,
     decay_constant,
-    poisson_check,
     psi,
     psi_float,
     psi_hat,
     psi_hat_float,
-    psi_hat_near_one,
 )
-from repulse.interval import Interval, PI, pow_int
+from repulse.interval import Interval
 
 
 def test_tables(coeffs4):
@@ -71,33 +65,10 @@ def test_psi_hat_even(coeffs6):
         assert psi_hat(coeffs6, Interval(xi)).overlaps(psi_hat(coeffs6, Interval(-xi)))
 
 
-def test_near_one_two_paths_agree(coeffs4):
-    for tv in (0.1, 0.3, 0.5):
-        t = Interval(tv)
-        scaled = PI * PI * pow_int(t, 3) * psi_hat_near_one(coeffs4, t)
-        direct = psi_hat(coeffs4, Interval(1.0 - tv))
-        assert scaled.overlaps(direct)
-
-
 def test_near_one_nonnegative_alpha4(coeffs4):
-    for tv in (0.0, 0.1, 0.25, 0.4, 0.5):
-        assert psi_hat_near_one(coeffs4, Interval(tv)).lo >= 0.0
-
-
-def test_near_one_limit_at_zero(coeffs4):
-    # at t = 0 the kernel terms collapse: R(0) = 0 and sinc(0) = 1
-    v = psi_hat_near_one(coeffs4, Interval(0.0))
-    ref = Interval(0.0)
-    for n in range(1, coeffs4.N + 1):
-        ref = ref + float(n) ** 3 * coeffs4.dFn[n] * Interval(-2.0 / 3.0) \
-            - (2.0 * n * n) * coeffs4.Fn[n]
-    ref = 2.0 * ref
-    assert v.overlaps(ref + Interval(-1e-6, 1e-6))
-
-
-def test_near_one_rejects_bad_t(coeffs4):
-    with pytest.raises(ValueError):
-        psi_hat_near_one(coeffs4, Interval(0.4, 0.6))
+    # psi_hat vanishes like (1 - xi)^3 at the edge of its support
+    for tv in (0.0, 0.02, 0.1, 0.25, 0.4, 0.5):
+        assert psi_hat(coeffs4, Interval(1.0 - tv)).lo >= 0.0
 
 
 def test_decay_bound(coeffs4, coeffs6):
@@ -106,20 +77,6 @@ def test_decay_bound(coeffs4, coeffs6):
         for x in (10.0, 50.0, 100.0):
             p = psi(coeffs, Interval(x))
             assert (1.0 + x * x) * max(abs(p.lo), abs(p.hi)) <= C
-
-
-def test_poisson_check(coeffs4, coeffs6):
-    assert abs(poisson_check(coeffs4, 100001)) <= 1e-6
-    assert abs(poisson_check(coeffs6, 100001)) <= 1e-6
-
-
-def test_poisson_check_converges(coeffs4):
-    # the sampled integrand is band-limited, so once the grid passes its
-    # Nyquist rate the quadrature is exact up to the fixed window truncation;
-    # convergence under point-doubling is visible below that rate
-    errs = [abs(poisson_check(coeffs4, pts)) for pts in (151, 301, 601, 1201)]
-    assert all(b <= a for a, b in zip(errs, errs[1:]))
-    assert errs[-1] <= 1e-6
 
 
 def test_float_paths_inside_enclosures(coeffs4):

@@ -26,44 +26,48 @@ from repulse.certify import (
     certify_psihat_nonneg,
     certify_w_inequality,
     certificates_to_json,
-    mean_value_L_term,
-    prove_nonneg,
 )
 from repulse.interval import Interval, Lanes, PI, pow_int, sin
-from repulse.potential import F_alpha_second
+from repulse.potential import F_alpha, F_deficit_over_x_sq
 
-from _oracles import eta1_scalar, sum_inv_sq_offset
+from _oracles import F_alpha_second, eta1_scalar, sum_inv_sq_offset
 
 
 # -- engine ------------------------------------------------------------------
 
+def _run_engine(f, roots, policy=None):
+    run = cert._Run()
+    cert._bnb(run, f, roots, policy or BnbPolicy())
+    return run
+
+
 def test_engine_square_is_nonnegative():
-    c = prove_nonneg(lambda x: pow_int(x, 2), Interval(-1, 1))
-    assert c.status == "verified"
-    assert c.min_lower_bound >= 0.0
+    run = _run_engine(cert._per_lane(lambda x: pow_int(x, 2)), [(-1.0, 1.0)])
+    assert run.status == "verified"
+    assert run.min_lb >= 0.0
 
 
 def test_engine_failure_attaches_valid_witness():
     f = lambda x: x - 10.0
-    c = prove_nonneg(f, Interval(0, 1))
-    assert c.status == "failed"
-    assert c.witness is not None
-    assert f(Interval(c.witness)).hi < 0.0
+    run = _run_engine(cert._per_lane(f), [(0.0, 1.0)])
+    assert run.status == "failed"
+    assert run.witness is not None
+    assert f(Interval(run.witness)).hi < 0.0
 
 
 def test_engine_sine_positive_piece():
-    c = prove_nonneg(sin, Interval(0.1, 3.0))
-    assert c.status == "verified"
+    run = _run_engine(cert._per_lane(sin), [(0.1, 3.0)])
+    assert run.status == "verified"
 
 
 def test_engine_budget_exhaustion_is_inconclusive():
-    c = prove_nonneg(lambda x: x, Interval(-1e-9, 1.0), BnbPolicy(max_depth=4))
-    assert c.status == "inconclusive"
+    run = _run_engine(cert._per_lane(lambda x: x), [(-1e-9, 1.0)], BnbPolicy(max_depth=4))
+    assert run.status == "inconclusive"
 
 
 def test_engine_zero_depth_policy():
-    c = prove_nonneg(lambda x: Interval(1.0), Interval(0, 1), BnbPolicy(max_depth=0))
-    assert c.status == "inconclusive"
+    run = _run_engine(cert._per_lane(lambda x: Interval(1.0)), [(0.0, 1.0)], BnbPolicy(max_depth=0))
+    assert run.status == "inconclusive"
 
 
 class _LaneProbe:
@@ -88,12 +92,6 @@ class _LaneProbe:
         v_lo = np.where(point_bad | open_, -1.0, 1.0)
         v_hi = np.where(point_bad, -1.0, 1.0)
         return Lanes(v_lo, v_hi)
-
-
-def _run_engine(f, roots, policy=None):
-    run = cert._Run()
-    cert._bnb(run, f, roots, policy or BnbPolicy())
-    return run
 
 
 def test_engine_fails_at_first_level_with_a_bad_midpoint():
@@ -193,12 +191,11 @@ def test_engine_scalar_adapter_matches_lanes():
     def g(x):
         return pow_int(x - 0.3, 2) * 4.0 - 0.01 + x * 0.05
 
-    a = prove_nonneg(g, Interval(0.0, 1.0))
+    a = _run_engine(cert._per_lane(g), [(0.0, 1.0)])
     run = _run_engine(lambda x, _p: g(x), [(0.0, 1.0)])
     assert a.status == run.status == "verified"
-    assert (a.boxes_processed, a.max_depth, a.min_lower_bound.hex()) == \
-        (run.boxes, run.max_depth, run.min_lb.hex())
-    assert a.boxes_processed > 1
+    assert (a.boxes, a.max_depth, a.min_lb.hex()) == (run.boxes, run.max_depth, run.min_lb.hex())
+    assert a.boxes > 1
 
 
 # -- T and L -----------------------------------------------------------------
@@ -297,13 +294,25 @@ def test_psihat_nonneg_alpha8(ctx8):
 
 # -- psi4 <= F4 ----------------------------------------------------------------
 
+def _L_term(ctx, x, n):
+    """L(x, n) = (F(x) - F(n) - F'(n)(x - n))/(x - n)^2 for one box x: the
+    closed form (F(x) - 1)/x^2 at n = 0, else one lane of certify._L_terms."""
+    if n == 0:
+        return F_deficit_over_x_sq(ctx, x)
+    Fn = F_alpha(ctx, Interval(float(n)))
+    dFn = -ctx.alpha * Fn * (1.0 - Fn) / float(n)
+    xl = Lanes([[x.lo]], [[x.hi]])
+    t = cert._L_terms(ctx, xl, F_alpha(ctx, xl), np.array([float(n)]), Fn, dFn)
+    return Interval(t.lo.item(), t.hi.item())
+
+
 def test_mean_value_term_examples(ctx4):
-    at9 = mean_value_L_term(ctx4, Interval(9.0), 9)
+    at9 = _L_term(ctx4, Interval(9.0), 9)
     ref = 0.5 * F_alpha_second(ctx4, Interval(9.0))
     assert at9.overlaps(ref) and at9.lo > 0.0
-    at0 = mean_value_L_term(ctx4, Interval(0.5), 0)
+    at0 = _L_term(ctx4, Interval(0.5), 0)
     assert at0.contains(Fraction(-4, 5))  # (F(1/2) - 1)/(1/4) at the exact spacing
-    far = mean_value_L_term(ctx4, Interval(0.25), 40)
+    far = _L_term(ctx4, Interval(0.25), 40)
     d = 40.0 - 0.25
     bound = (2.0 + abs(ctx4.dF1.lo) * d) / (d * d)
     assert abs(far.lo) <= bound and abs(far.hi) <= bound
@@ -318,9 +327,9 @@ def test_psi4_certificate(ctx4):
 def test_psi4_thin_point_at_zero(ctx4):
     # at x = 0 the n and -n terms coincide, so the full sum is
     # L(0, 0) + 2 sum_{n >= 1} L(0, n), every piece evaluable directly
-    total = mean_value_L_term(ctx4, Interval(0.0), 0)
+    total = _L_term(ctx4, Interval(0.0), 0)
     for n in range(1, 65):
-        total = total + 2.0 * mean_value_L_term(ctx4, Interval(0.0), n)
+        total = total + 2.0 * _L_term(ctx4, Interval(0.0), n)
     assert total.lo > 0.0
 
 

@@ -279,3 +279,23 @@ def test_simulate_bad_input_is_usage_error(capsys, flag, value):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "energy --alpha 4 --t 0",
+    "energy --alpha 4 --t nan",
+    "salpha --alpha 4 --trunc 1",
+    "salpha --alpha 4 --tol 0",
+    "salpha --alpha 4 --tol nan",
+    "psi --alpha 4 --x 1000",
+    "psi --alpha 4 --x 1 --coeffs 4",
+    "psihat --alpha 4 --xi nan",
+    "certify --alpha 12 --inequality T --out {missing}/x.json",
+    "simulate --alpha 4 --rho 1 --length 8 --iters 10 --csv {missing}/x.csv",
+])
+def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    code = main(argv.format(missing=tmp_path / "no-such-dir").split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -197,6 +197,165 @@ def test_kernel_paths_agree_on_band():
         assert r_series.overlaps(r_direct)
 
 
+# -- bit pins -----------------------------------------------------------------
+# Hex endpoints "lo hi" of sin, cos, sinc, remainder_R and s3_kernel, in that
+# order, on points in every quadrant k mod 4, on +-0.0, past the reduction
+# limit |x| > 1e9, next to |x| = 1/2 (the series/direct switch of sinc and R)
+# and next to the reduced-range limit pi/4 (and 3pi/4, where round() ties to
+# the even quadrant), and on thin and wide boxes.  Containment would not see a
+# changed rounding; these pins see every bit.
+
+_ELEMENTARY_PINS = [
+    ((0.0, 0.0),
+     ("0x0.0p+0 0x0.0p+0", "0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "0x1.0000000000000p+0 0x1.0000000000000p+0", "0x0.0p+0 0x0.0p+0",
+      "0x1.5555555555555p-3 0x1.5555555555556p-3")),
+    ((-0.0, -0.0),
+     ("0x0.0p+0 0x0.0p+0", "0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "0x1.0000000000000p+0 0x1.0000000000000p+0", "0x0.0p+0 0x0.0p+0",
+      "0x1.5555555555555p-3 0x1.5555555555556p-3")),
+    ((0.3, 0.3),
+     ("0x1.2e9cd95baba32p-2 0x1.2e9cd95baba35p-2", "0x1.e921dd42f09b9p-1 0x1.e921dd42f09bcp-1",
+      "0x1.f85abf98c8baap-1 0x1.f85abf98c8badp-1", "0x1.885fdbbcdb8f3p-11 0x1.885fdbbcdb8fap-11",
+      "0x1.53ccf5799879cp-3 0x1.53ccf5799879ep-3")),
+    ((1.7, 1.7),
+     ("0x1.fbbb7d72f98b5p-1 0x1.fbbb7d72f98b8p-1", "-0x1.07df9f4a26c8ap-3 -0x1.07df9f4a26c7fp-3",
+      "0x1.2aaa8607659d4p-1 0x1.2aaa8607659d6p-1", "0x1.707df8f02b433p-6 0x1.707df8f02b46ap-6",
+      "0x1.274596374fec7p-3 0x1.274596374fed0p-3")),
+    ((3.0, 3.0),
+     ("0x1.210386db6d555p-3 0x1.210386db6d568p-3", "-0x1.fae04be85e5d4p-1 -0x1.fae04be85e5d0p-1",
+      "0x1.815a092491c71p-5 0x1.815a092491c8bp-5", "0x1.f1ed8f3cf3c07p-5 0x1.f1ed8f3cf3c16p-5",
+      "0x1.b1b3e30c30c9fp-4 0x1.b1b3e30c30ca9p-4")),
+    ((4.6, 4.6),
+     ("-0x1.fcc51135decbbp-1 -0x1.fcc51135decb7p-1", "-0x1.cb6072b598dffp-4 -0x1.cb6072b598dbbp-4",
+      "-0x1.ba689487e3208p-3 -0x1.ba689487e3203p-3", "0x1.bf47412a29c3cp-4 0x1.bf47412a29c48p-4",
+      "0x1.d6c6d30101cc4p-5 0x1.d6c6d30101ce0p-5")),
+    ((6.0, 6.0),
+     ("-0x1.1e1f18ab0a2cdp-2 -0x1.1e1f18ab0a2bap-2", "0x1.eb9b7097822f2p-1 0x1.eb9b7097822f8p-1",
+      "-0x1.7d7ecb8eb83bcp-5 -0x1.7d7ecb8eb83a2p-5", "0x1.19cb905d3b2a2p-3 0x1.19cb905d3b2a6p-3",
+      "0x1.dc4e27c0d1578p-6 0x1.dc4e27c0d15a0p-6")),
+    ((-1.7, -1.7),
+     ("-0x1.fbbb7d72f98b8p-1 -0x1.fbbb7d72f98b5p-1", "-0x1.07df9f4a26c8ap-3 -0x1.07df9f4a26c7fp-3",
+      "0x1.2aaa8607659d4p-1 0x1.2aaa8607659d6p-1", "0x1.707df8f02b433p-6 0x1.707df8f02b46ap-6",
+      "0x1.274596374fec7p-3 0x1.274596374fed0p-3")),
+    ((-3.0, -3.0),
+     ("-0x1.210386db6d568p-3 -0x1.210386db6d555p-3", "-0x1.fae04be85e5d4p-1 -0x1.fae04be85e5d0p-1",
+      "0x1.815a092491c71p-5 0x1.815a092491c8bp-5", "0x1.f1ed8f3cf3c07p-5 0x1.f1ed8f3cf3c16p-5",
+      "0x1.b1b3e30c30c9fp-4 0x1.b1b3e30c30ca9p-4")),
+    ((-4.6, -4.6),
+     ("0x1.fcc51135decb7p-1 0x1.fcc51135decbbp-1", "-0x1.cb6072b598dffp-4 -0x1.cb6072b598dbbp-4",
+      "-0x1.ba689487e3208p-3 -0x1.ba689487e3203p-3", "0x1.bf47412a29c3cp-4 0x1.bf47412a29c48p-4",
+      "0x1.d6c6d30101cc4p-5 0x1.d6c6d30101ce0p-5")),
+    ((7.9, 7.9),
+     ("0x1.ff753d53a5fa7p-1 0x1.ff753d53a5fabp-1", "-0x1.78d9732562ad9p-5 -0x1.78d97325629d5p-5",
+      "0x1.02f74fa8bbbc5p-3 0x1.02f74fa8bbbc8p-3", "0x1.38aae20895410p-3 0x1.38aae20895416p-3",
+      "0x1.caa734cc013f0p-7 0x1.caa734cc01460p-7")),
+    ((-12.3, -12.3),
+     ("0x1.0d8ca27cbc03bp-2 0x1.0d8ca27cbc05ep-2", "0x1.edf16f066a371p-1 0x1.edf16f066a379p-1",
+      "-0x1.5ea2205fa7932p-6 -0x1.5ea2205fa7903p-6", "0x1.4781b80a9d791p-3 0x1.4781b80a9d797p-3",
+      "0x1.ba73a956fb7c0p-8 0x1.ba73a956fb8a0p-8")),
+    ((0.5, 0.5),
+     ("0x1.eaee8744b05eep-2 0x1.eaee8744b05f1p-2", "0x1.c1528065b7d4ep-1 0x1.c1528065b7d51p-1",
+      "0x1.eaee8744b05eep-1 0x1.eaee8744b05f1p-1", "0x1.0f726816d14f6p-9 0x1.0f726816d14fap-9",
+      "0x1.51178bb4fa101p-3 0x1.51178bb4fa103p-3")),
+    ((0.49999999999999994, 0.49999999999999994),
+     ("0x1.eaee8744b05edp-2 0x1.eaee8744b05f2p-2", "0x1.c1528065b7d4ep-1 0x1.c1528065b7d51p-1",
+      "0x1.eaee8744b05eep-1 0x1.eaee8744b05f2p-1", "0x1.0f726816d14f4p-9 0x1.0f726816d14fap-9",
+      "0x1.51178bb4fa101p-3 0x1.51178bb4fa103p-3")),
+    ((0.5000000000000001, 0.5000000000000001),
+     ("0x1.eaee8744b05efp-2 0x1.eaee8744b05f3p-2", "0x1.c1528065b7d4dp-1 0x1.c1528065b7d51p-1",
+      "0x1.eaee8744b05edp-1 0x1.eaee8744b05f2p-1", "0x1.0f726816d09fap-9 0x1.0f726816d1b3dp-9",
+      "0x1.51178bb4fa0e8p-3 0x1.51178bb4fa12fp-3")),
+    ((-0.5, -0.5),
+     ("-0x1.eaee8744b05f1p-2 -0x1.eaee8744b05eep-2", "0x1.c1528065b7d4ep-1 0x1.c1528065b7d51p-1",
+      "0x1.eaee8744b05eep-1 0x1.eaee8744b05f1p-1", "0x1.0f726816d14f6p-9 0x1.0f726816d14fap-9",
+      "0x1.51178bb4fa101p-3 0x1.51178bb4fa103p-3")),
+    ((0.7853981633974483, 0.7853981633974483),
+     ("0x1.6a09e667f3bcap-1 0x1.6a09e667f3bcep-1", "0x1.6a09e667f3bcbp-1 0x1.6a09e667f3bcfp-1",
+      "0x1.ccf6429be661ep-1 0x1.ccf6429be6624p-1", "0x1.4bfa153470043p-8 0x1.4bfa1534704ebp-8",
+      "0x1.4af584abb1d2dp-3 0x1.4af584abb1d54p-3")),
+    ((2.356194490192345, 2.356194490192345),
+     ("0x1.6a09e667f3bc9p-1 0x1.6a09e667f3bd2p-1", "-0x1.6a09e667f3bcfp-1 -0x1.6a09e667f3bc8p-1",
+      "0x1.334ed71299968p-2 0x1.334ed71299971p-2", "0x1.4c923c9f0a85bp-5 0x1.4c923c9f0a879p-5",
+      "0x1.0230c62d92b36p-3 0x1.0230c62d92b40p-3")),
+    ((-3.9269908169872414, -3.9269908169872414),
+     ("0x1.6a09e667f3bc7p-1 0x1.6a09e667f3bcfp-1", "-0x1.6a09e667f3bd2p-1 -0x1.6a09e667f3bcbp-1",
+      "-0x1.70c5021651e84p-3 -0x1.70c5021651e7bp-3", "0x1.713bae390e72fp-4 0x1.713bae390e73ap-4",
+      "0x1.396efc719c370p-4 0x1.396efc719c37dp-4")),
+    ((1e-300, 1e-300),
+     ("0x1.56e1fc2f8f357p-997 0x1.56e1fc2f8f35bp-997", "0x1.ffffffffffffep-1 0x1.0000000000000p+0",
+      "0x1.ffffffffffffep-1 0x1.0000000000000p+0", "0x0.0p+0 0x0.0000000000001p-1022",
+      "0x1.5555555555554p-3 0x1.5555555555556p-3")),
+    ((1000000000.0, 1000000000.0),
+     ("0x1.1778c71eff28dp-1 0x1.1778cf92b44e3p-1", "0x1.acff89da97b77p-1 0x1.acff8e7976ae6p-1",
+      "0x1.2c149ec76ec87p-31 0x1.2c14a7dab2333p-31", "0x1.5555555555552p-3 0x1.5555555555556p-3",
+      "0x0.0p+0 0x1.0000000000000p-53")),
+    ((2000000000.0, 2000000000.0),
+     ("-0x1.0000000000000p+0 0x1.0000000000000p+0", "-0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "-0x1.12e0be826d695p-31 0x1.12e0be826d695p-31", "0x1.5555555555552p-3 0x1.5555555555556p-3",
+      "0x0.0p+0 0x1.0000000000000p-53")),
+    ((-5000000000.0, -5000000000.0),
+     ("-0x1.0000000000000p+0 0x1.0000000000000p+0", "-0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "-0x1.b7cdfd9d7bdbbp-33 0x1.b7cdfd9d7bdbbp-33", "0x1.5555555555552p-3 0x1.5555555555556p-3",
+      "0x0.0p+0 0x1.0000000000000p-53")),
+    ((1e+300, 1e+300),
+     ("-0x1.0000000000000p+0 0x1.0000000000000p+0", "-0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "-0x1.56e1fc2f8f35ap-997 0x1.56e1fc2f8f35ap-997", "0x0.0p+0 0x1.5555555555556p-3",
+      "0x0.0p+0 0x1.5555555555556p-3")),
+    ((1.0, 1.0000000000000002),
+     ("0x1.aed548f090cecp-1 0x1.aed548f090cf1p-1", "0x1.14a280fb50688p-1 0x1.14a280fb5068fp-1",
+      "0x1.aed548f090ceap-1 0x1.aed548f090cf1p-1", "0x1.0aa7917989050p-7 0x1.0aa791798918dp-7",
+      "0x1.44aadc3dbcc3cp-3 0x1.44aadc3dbcc51p-3")),
+    ((0.4, 0.6),
+     ("0x1.8ec3ae92b6769p-2 0x1.2118d17a5415ap-1", "0x1.a69263c485b13p-1 0x1.d7954e7dba2f9p-1",
+      "0x1.991c1b63e84f1p-1 0x1.0000000000000p+0", "0x1.5c325f0da89ddp-10 0x1.85dcc48ec3000p-9",
+      "0x1.4f3de2431a495p-3 0x1.529cf0973a043p-3")),
+    ((-0.25, 0.25),
+     ("-0x1.faaeed4f31578p-3 0x1.faaeed4f31578p-3", "0x1.f01549f7deea0p-1 0x1.0000000000000p+0",
+      "0x1.faaaaaaaaaaa9p-1 0x1.0000000000000p+0", "0x0.0p+0 0x1.10a921ab303fap-11",
+      "0x1.5444ac33aa251p-3 0x1.5555555555556p-3")),
+    ((1.5, 1.6),
+     ("0x1.feb7a9b2c6d89p-1 0x1.0000000000000p+0", "-0x1.de67ac55f1646p-6 0x1.21bd54fc5f9b4p-4",
+      "0x1.3f32ca0fbc475p-1 0x1.5555555555556p-1", "0x1.233f2c8c1afb4p-6 0x1.48f609432b475p-6",
+      "0x1.2c36942cefec6p-3 0x1.30ed6fc3d1f60p-3")),
+    ((2.0, 4.5),
+     ("-0x1.f47ed3dc74082p-1 0x1.d18f6ead1b448p-1", "-0x1.0000000000000p+0 -0x1.afb5b54583d62p-3",
+      "-0x1.c28f5c28f5c29p-3 0x1.d18f6ead1b448p-2", "0x1.f0e8655f17bb8p-6 0x1.b474b0a60fccfp-4",
+      "0x1.ec6bf40935bb6p-5 0x1.173848a9725dfp-3")),
+    ((-3.0, 5.0),
+     ("-0x1.0000000000000p+0 0x1.0000000000000p+0", "-0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "-0x1.c28f5c28f5c29p-3 0x1.0000000000000p+0", "0x0.0p+0 0x1.e767963a26fb8p-4",
+      "0x1.868628e1075e4p-5 0x1.5555555555556p-3")),
+    ((0.0, 7.0),
+     ("-0x1.0000000000000p+0 0x1.0000000000000p+0", "-0x1.0000000000000p+0 0x1.0000000000000p+0",
+      "-0x1.c28f5c28f5c29p-3 0x1.0000000000000p+0", "0x0.0p+0 0x1.2f75ce62795a5p-3",
+      "0x1.2efc3796dfd80p-6 0x1.5555555555556p-3")),
+    ((100.0, 100.5),
+     ("-0x1.03425b78c4e15p-1 -0x1.fb3f833470b84p-6", "0x1.b981dbf665fadp-1 0x1.ffc12adaecec4p-1",
+      "-0x1.4bda0eaf107c9p-8 -0x1.43060ec6f78afp-12", "0x1.5520a398e7d46p-3 0x1.552168af4426fp-3",
+      "0x1.9f65308973000p-14 0x1.a58de36c08000p-14")),
+    ((-100000001.0, -100000000.0),
+     ("-0x1.dcffcaa979d8cp-1 -0x1.94a961fe829fep-3", "-0x1.f5e7eacf1504dp-1 -0x1.741b370b5f4d5p-2",
+      "0x1.0f905777f58bbp-29 0x1.401bd6103e4c5p-27", "0x1.555555555554fp-3 0x1.5555555555556p-3",
+      "0x0.0p+0 0x1.c000000000000p-53")),
+]
+
+
+_PINNED = (("sin", sin), ("cos", cos), ("sinc", sinc), ("remainder_R", remainder_R),
+           ("s3_kernel", s3_kernel))
+
+
+def test_elementary_functions_bit_pins():
+    moved = []
+    for box, pins in _ELEMENTARY_PINS:
+        for (name, fn), pin in zip(_PINNED, pins):
+            v = fn(Interval(*box))
+            got = f"{v.lo.hex()} {v.hi.hex()}"
+            if got != pin:
+                moved.append((name, box, got, pin))
+    assert not moved
+
+
 # -- inclusion monotonicity ---------------------------------------------------
 
 _vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

@@ -11,8 +11,6 @@ from repulse.interval import Interval, sqrt
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
-    F_alpha_prime,
-    F_alpha_second,
     PotentialContext,
     asymptotic_s_pow_alpha,
     closed_form_energy_alpha4,
@@ -32,6 +30,7 @@ from _oracles import (
     G_BOUND_12,
     H_PLUS_12,
     H_PLUS_20,
+    F_alpha_second,
     contains_bracket,
 )
 
@@ -69,13 +68,6 @@ def test_rescaled_values(ctx4):
     assert F_alpha(ctx4, Interval(1)).contains(Fraction(1, 5))
     # convex beyond the shoulder: F''(9) >= 0
     assert F_alpha_second(ctx4, Interval(9)).lo >= 0.0
-
-
-def test_derivative_form_needs_zero_free_argument(ctx4):
-    from repulse.interval import DomainError
-
-    with pytest.raises(DomainError):
-        F_alpha_prime(ctx4, Interval(-1, 1))
 
 
 def test_context_invariants_small(ctx4, ctx6):
@@ -170,12 +162,21 @@ def test_remainder_sums_bound_brute_force():
 def test_energy_derivative_zero_at_minimum(ctx_by_alpha):
     for a in (4, 6, 8):
         ctx = ctx_by_alpha[a]
-        d = energy_derivative(a, ctx.s_alpha, 64)
+        d = energy_derivative(a, ctx.s_alpha)
         assert d.contains(0.0)
 
 
+def test_energy_derivative_takes_ext_by_keyword_only():
+    t = Interval(1.2)
+    assert energy_derivative(4, t) == energy_derivative(4, t, ext=128)
+    with pytest.raises(TypeError):
+        energy_derivative(4, t, 64)  # the old truncation N, which ext overrode
+    with pytest.raises(ValueError):
+        energy_derivative(4, t, ext=1)
+
+
 def test_energy_derivative_alpha6_at_one():
-    d = energy_derivative(6, Interval(1.0), 64)
+    d = energy_derivative(6, Interval(1.0))
     assert d.hi < 0.0
     assert contains_bracket(d, DERIV6_AT_1_BRUTE)
 
@@ -247,6 +248,13 @@ def test_solver_rejects_bad_alpha():
         solve_s_alpha(5)
     with pytest.raises(ValueError):
         solve_s_alpha(2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_solver_rejects_bad_tol(tol):
+    # hi - lo > nan is False: a NaN tol would return the unrefined scan bracket
+    with pytest.raises(ValueError):
+        solve_s_alpha(4, tol)
 
 
 def test_scan_flags_missing_sign_change():

@@ -88,7 +88,7 @@ def test_rows_equal_the_one_row_derivative():
     assert len(rows.batches) > 1
     assert all(b.lo.size <= _LANE_ELEMENTS for b in rows.batches)
     for i, t in enumerate(ts):
-        assert _bits(rows.row(i)) == _bits(energy_derivative(6, t, 256, 704))
+        assert _bits(rows.row(i)) == _bits(energy_derivative(6, t, ext=704))
 
 
 def test_scan_resolution_moves_only_above_alpha_1024():
