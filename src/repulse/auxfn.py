@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import Interval, PI, _sub_down, cos, pow_int, sin, sinc
-from .potential import F_alpha, PotentialContext, power_sum_tail
+from .interval import Interval, Lanes, PI, _sub_down, cos, lane_sum, pow_int, sin, sinc
+from .potential import F_alpha, PotentialContext, power_sum_tail, x_dF_alpha
 
 __all__ = [
     "AuxCoefficients",
@@ -45,22 +45,26 @@ class AuxCoefficients:
     tail_dF: Interval
     tail_n2F: Interval
 
+    def rows(self, start: int = 1):
+        """(n, F(n), F'(n)) for n = start..N: a float array and two lane rows."""
+        return (np.arange(float(start), self.N + 1.0),
+                Lanes.of(self.Fn[start:]), Lanes.of(self.dFn[start:]))
+
 
 def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     if N < 8:
         raise ValueError("need N >= 8 coefficient rows")
     alpha = ctx.alpha
     s_pow = ctx.s_pow_alpha
-    Fn = [_ONE]
-    dFn = [_ZERO]
-    for n in range(1, N + 1):
-        F = F_alpha(ctx, Interval(float(n)))
-        Fn.append(F)
-        dFn.append(-alpha * F * (_ONE - F) / n)
+    n = np.arange(1.0, N + 1.0)
+    F = F_alpha(ctx, Lanes(n))
+    dF = x_dF_alpha(alpha, F) / n
+    Fn = (_ONE, *map(Interval, F.lo.tolist(), F.hi.tolist()))
+    dFn = (_ZERO, *map(Interval, dF.lo.tolist(), dF.hi.tolist()))
     tail_F = Interval(0.0, (power_sum_tail(alpha, N + 1) / s_pow).hi)
     tail_dF = Interval(0.0, (alpha * power_sum_tail(alpha + 1, N + 1) / s_pow).hi)
     tail_n2F = Interval(0.0, (power_sum_tail(alpha - 2, N + 1) / s_pow).hi)
-    return AuxCoefficients(ctx, N, tuple(Fn), tuple(dFn), tail_F, tail_dF, tail_n2F)
+    return AuxCoefficients(ctx, N, Fn, dFn, tail_F, tail_dF, tail_n2F)
 
 
 def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:
@@ -124,16 +128,12 @@ def decay_constant(coeffs: AuxCoefficients) -> Interval:
       + [sum_n (1/pi + |n|)^2 F(n) + sum_n (1/pi^2 + n^2) |n F'(n)|]
                                                             (bounds |x^2 psi|).
     """
-    Fn, dFn = coeffs.Fn, coeffs.dFn
+    n, F, dF = coeffs.rows()
     inv_pi = _ONE / PI
     inv_pi2 = inv_pi * inv_pi
-    b0 = Fn[0] + inv_pi2  # n = 0 rows of both bounds
-    b2 = _ZERO
-    for n in range(1, coeffs.N + 1):
-        nf = float(n)
-        ndF = abs(nf * dFn[n])
-        b0 = b0 + 2.0 * (Fn[n] + ndF)
-        b2 = b2 + 2.0 * (pow_int(inv_pi + nf, 2) * Fn[n] + (inv_pi2 + nf * nf) * ndF)
+    ndF = abs(n * dF)
+    b0 = lane_sum(coeffs.Fn[0] + inv_pi2, 2.0 * (F + ndF))  # from the n = 0 rows of both bounds
+    b2 = lane_sum(_ZERO, 2.0 * (pow_int(inv_pi + Lanes(n), 2) * F + (inv_pi2 + Lanes(n * n)) * ndF))
     alpha = coeffs.ctx.alpha
     # n > N: (1/pi+n)^2 <= 4n^2, (1/pi^2+n^2)|nF'| <= 1.2 alpha n^2 F
     tail = (2.0 + 2.0 * alpha) * coeffs.tail_F + (8.0 + 2.4 * alpha) * coeffs.tail_n2F

@@ -14,7 +14,6 @@ certify_psihat_nonneg, the alpha check of every certify_* function and the
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
@@ -24,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import json_text
 from .auxfn import AuxCoefficients, build_coefficients
 from .interval import (
     Interval,
@@ -31,6 +31,7 @@ from .interval import (
     PI,
     PI_SQ,
     lane_fold,
+    lane_sum,
     pow_int,
     remainder_R,
     s3_kernel,
@@ -123,7 +124,7 @@ class Certificate:
 
 
 def certificates_to_json(certs) -> str:
-    return json.dumps([c.to_json_dict() for c in certs], indent=2)
+    return json_text([c.to_json_dict() for c in certs], indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +285,9 @@ def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
 
 def _T_value(coeffs: AuxCoefficients) -> Interval:
     """T = (1/2)(1 - 2 sum_{n>=1} F(n)) - (1/pi) sum_{n>=2} |F'(n)|."""
-    SF = _ZERO
-    SdF = _ZERO
-    for n in range(1, coeffs.N + 1):
-        SF = SF + coeffs.Fn[n]
-        if n >= 2:
-            SdF = SdF + abs(coeffs.dFn[n])
-    SF = SF + coeffs.tail_F
-    SdF = SdF + coeffs.tail_dF
+    _, F, dF = coeffs.rows()
+    SF = lane_sum(_ZERO, F) + coeffs.tail_F
+    SdF = lane_sum(_ZERO, abs(dF[1:])) + coeffs.tail_dF
     return 0.5 * (_ONE - 2.0 * SF) - SdF / PI
 
 
@@ -323,11 +319,9 @@ def certify_T_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
 
 def _L_value(coeffs: AuxCoefficients) -> Interval:
     """L = sum_n n^3 F'(n)(-2/3 + 4R(pi n)) - sum_n 2 n^2 F(n), over Z."""
-    acc = _ZERO
-    for n in range(1, coeffs.N + 1):
-        kern = 4.0 * remainder_R(PI * n) - _TWO_THIRDS
-        acc = acc + float(n) ** 3 * coeffs.dFn[n] * kern - (2.0 * n * n) * coeffs.Fn[n]
-    total = 2.0 * acc
+    n, F, dF = coeffs.rows()
+    kern = Lanes.of([4.0 * remainder_R(PI * k) - _TWO_THIRDS for k in range(1, coeffs.N + 1)])
+    total = 2.0 * lane_sum(_ZERO, n ** 3 * dF * kern, -((2.0 * n * n) * F))
     t2 = coeffs.tail_n2F.hi
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
@@ -402,14 +396,11 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
 # ---------------------------------------------------------------------------
 
 def _monotone_coefficient_check(coeffs: AuxCoefficients) -> Interval:
-    """min over n >= 2 of F(1) - F(n), which must be certifiably >= 0."""
-    worst = Interval(1.0)
-    F1 = coeffs.Fn[1]
-    for n in range(2, coeffs.N + 1):
-        d = F1 - coeffs.Fn[n]
-        if d.lo < worst.lo:
-            worst = d
-    return worst
+    """F(1) - F(n) with the least lower bound over n >= 2 (the first such n),
+    which must be certifiably >= 0."""
+    d = coeffs.Fn[1] - coeffs.rows(2)[1]
+    i = int(np.argmin(d.lo))
+    return Interval(d.lo[i], d.hi[i])
 
 
 def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = None,
@@ -482,14 +473,13 @@ def _second_derivative_any(ctx: PotentialContext, x: Lanes) -> Lanes:
 
 def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
     """Enclosure of sum_{n in Z} (3 n^2 F(n) + n^3 F'(n))."""
-    acc = _ZERO
-    for n in range(1, coeffs.N + 1):
-        acc = acc + (3.0 * n * n) * coeffs.Fn[n] + float(n) ** 3 * coeffs.dFn[n]
+    n, F, dF = coeffs.rows()
+    acc = lane_sum(_ZERO, (3.0 * n * n) * F, n ** 3 * dF)
     b = ((3.0 + coeffs.ctx.alpha) * coeffs.tail_n2F).hi
     return 2.0 * acc + Interval(-2.0 * b, 2.0 * b)
 
 
-def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
+def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
                        policy: BnbPolicy | None = None) -> Certificate:
     """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound.
 
@@ -497,20 +487,15 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
     -sum(3n^2 F + n^3 F') >= 10/81 + 1/81 + (5/2) F(9), evaluated in
     interval arithmetic (the surrounding hand derivation is trusted).
     """
+    alpha = ctx.alpha
+    route = _route("psi4_le_F4", True, alpha)
     run = _Run()
-    if ctx is None:
-        ctx = solve_s_alpha(4)
-    route = _route("psi4_le_F4", True, ctx.alpha)
     if N < 16:
         raise ValueError("need N >= 16 for the tail bounds")
     coeffs = build_coefficients(ctx, N)
-    Fn, dFn = coeffs.Fn, coeffs.dFn
-    alpha = 4
     tail_lo = ((8.0 + 4.0 * alpha) * power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
     geo = (power_sum_tail(2, N - 8) + power_sum_tail(2, N + 1)).hi
-
-    n = np.arange(1.0, N + 1.0)
-    Fn_row, dFn_row = Lanes.of(Fn[1:]), Lanes.of(dFn[1:])
+    n, Fn_row, dFn_row = coeffs.rows()
 
     def lsum(x: Lanes, _param) -> Lanes:
         Fx = F_alpha(ctx, x)
@@ -523,11 +508,11 @@ def certify_psi4_le_F4(ctx: PotentialContext | None = None, N: int = 64,
         tail_hi = (Fx * geo + tail_lo).hi
         return acc + Lanes(-tail_lo, tail_hi)
 
-    far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * Fn[9]
+    far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
     _bnb(run, lsum, [(0.0, 9.0)], policy)
     return route.certificate(
-        run, 4, "[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
+        run, alpha, "[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
         policy)
 
 
@@ -548,14 +533,11 @@ def certify_eta0(ctx: PotentialContext, N: int = 64,
         return certify_eta0_large(alpha, policy)
     route = _route("eta0", True, alpha)
     run = _Run()
-    coeffs = build_coefficients(ctx, N)
+    n, F, dF = build_coefficients(ctx, N).rows()
     F_half = F_alpha(ctx, Interval(0.5))
     lhs = 4.0 * (F_half - 1.0) + F_half * PI_SQ / 3.0
-    s = _ZERO
-    r = _ZERO
-    for n in range(1, N + 1):
-        s = s + coeffs.Fn[n] / (n * n)
-        r = r + (n * coeffs.dFn[n]) / (0.25 - n * n)
+    s = lane_sum(_ZERO, F / (n * n))
+    r = lane_sum(_ZERO, (n * dF) / (0.25 - n * n))
     tail_q = (power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
     lhs = lhs - 2.0 * (s + Interval(0.0, tail_q))
     rhs = 2.0 * (r + Interval(0.0, (16.0 * alpha / 15.0) * tail_q))
@@ -602,11 +584,9 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
     bit for bit.
     """
     alpha = ctx.alpha
-    coeffs = build_coefficients(ctx, N)
     F1, dF1 = ctx.F1, ctx.dF1
     tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
-    n = np.arange(2.0, N + 1.0)  # the B sum over n >= 2 on both sides
-    Fn_row, dFn_row = Lanes.of(coeffs.Fn[2:]), Lanes.of(coeffs.dFn[2:])
+    n, Fn_row, dFn_row = build_coefficients(ctx, N).rows(2)  # the B sum over n >= 2 on both sides
 
     def integrand(t: Lanes, _param) -> Lanes:
         x = 1.0 + t
@@ -648,12 +628,9 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
     route = _route("eta_ge2", True, alpha)
     run = _Run()
     coeffs = build_coefficients(ctx, N)
-    Fn, dFn = coeffs.Fn, coeffs.dFn
     tail = (2.0 * (1.4 + 1.19 * alpha) * power_sum_tail(alpha + 2, N + 1)
             / ctx.s_pow_alpha).hi
-
-    n = np.arange(1.0, N + 1.0)
-    Fn_row, dFn_row = Lanes.of(Fn[1:]), Lanes.of(dFn[1:])
+    n, Fn_row, dFn_row = coeffs.rows()
 
     def segment_sum(x: Lanes, eta: np.ndarray) -> Lanes:
         """-(sum_{n != eta} ...) on boxes x, each with its segment's eta."""
@@ -682,13 +659,10 @@ def _allthestars_small_value(coeffs: AuxCoefficients) -> Interval:
     """-(displayed x >= 10 constant), which must be >= 0 on the eta_ge2 row's alpha."""
     ctx = coeffs.ctx
     alpha = ctx.alpha
-    N = coeffs.N
     s3n = _sum_3n2F_n3dF(coeffs)
-    big = _ZERO
-    for n in range(2, N + 1):
-        inner = (10.0 * float(n) ** 4) * coeffs.Fn[n] + (2.0 * float(n) ** 5) * coeffs.dFn[n]
-        big = big + abs(inner)
-    tail4 = ((10.0 + 2.0 * alpha) * power_sum_tail(alpha - 4, N + 1) / ctx.s_pow_alpha).hi
+    n, F, dF = coeffs.rows(2)
+    big = lane_sum(_ZERO, abs((10.0 * n ** 4) * F + (2.0 * n ** 5) * dF))
+    tail4 = ((10.0 + 2.0 * alpha) * power_sum_tail(alpha - 4, coeffs.N + 1) / ctx.s_pow_alpha).hi
     big = big + Interval(0.0, tail4)
     F1, dF1 = ctx.F1, ctx.dF1
     val = s3n + 16.0 / (100.0 * ctx.s_pow_alpha) + (10.0 * F1 + 2.0 * dF1) / 99.0 \

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
 
-from . import __version__
+from . import __version__, json_text
 from .interval import Interval
 from .potential import (
     AmbiguousSignChangeError,
@@ -60,8 +59,7 @@ class _Manifest:
         self.data["finished"] = _utc_now()
         path = self.data["outputs"][0] + ".manifest.json"
         with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2)
-            fh.write("\n")
+            fh.write(json_text(self.data, indent=2) + "\n")
 
 
 def _even_alpha(value: str) -> int:
@@ -90,8 +88,7 @@ class _Inequalities:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(obj, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

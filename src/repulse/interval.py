@@ -60,7 +60,8 @@ def _up(x: float) -> float:
 # Directed rounding via error-free transformations (no fma on this platform).
 # ---------------------------------------------------------------------------
 
-def _two_sum(a: float, b: float):
+def _two_sum(a, b):
+    """(a + b, its rounding error), on floats or elementwise on arrays."""
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
@@ -407,9 +408,9 @@ def hull(a: Interval, b: Interval) -> Interval:
 # Integer powers (monotone by parity, never naive repeated self-multiply).
 # ---------------------------------------------------------------------------
 
-def _pow_dir(x: float, k: int, up: bool) -> float:
-    """x**k for x >= 0 with all rounding pushed in one direction."""
-    mul = _mul_up if up else _mul_down
+def _pow_dir(x, k: int, mul):
+    """x**k for x >= 0 with every product rounded by the directed `mul`:
+    _mul_up/_mul_down on floats, _vmul_up/_vmul_down on lanes."""
     acc = 1.0
     base = x
     while k:
@@ -435,12 +436,12 @@ def pow_int(a, k: int):
     if k % 2 == 0:
         m = a.mag
         lo_abs = a.mig
-        return Interval._raw(_pow_dir(lo_abs, k, False), _pow_dir(m, k, True))
+        return Interval._raw(_pow_dir(lo_abs, k, _mul_down), _pow_dir(m, k, _mul_up))
     if a.lo >= 0.0:
-        return Interval._raw(_pow_dir(a.lo, k, False), _pow_dir(a.hi, k, True))
+        return Interval._raw(_pow_dir(a.lo, k, _mul_down), _pow_dir(a.hi, k, _mul_up))
     if a.hi <= 0.0:
-        return Interval._raw(-_pow_dir(-a.lo, k, True), -_pow_dir(-a.hi, k, False))
-    return Interval._raw(-_pow_dir(-a.lo, k, True), _pow_dir(a.hi, k, True))
+        return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), -_pow_dir(-a.hi, k, _mul_down))
+    return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), _pow_dir(a.hi, k, _mul_up))
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +459,6 @@ def pow_int(a, k: int):
 def _vround(x, move, toward: float):
     """x stepped one ulp toward `toward` where `move`, else x unchanged."""
     return np.nextafter(x, np.where(move, toward, x))
-
-
-def _vtwo_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
 
 
 def _vtwo_prod(a, b):
@@ -486,12 +481,12 @@ def _vtwo_prod(a, b):
 
 
 def _vadd_down(a, b):
-    s, e = _vtwo_sum(a, b)
+    s, e = _two_sum(a, b)
     return _vround(s, e < 0.0, -_INF)
 
 
 def _vadd_up(a, b):
-    s, e = _vtwo_sum(a, b)
+    s, e = _two_sum(a, b)
     return _vround(s, e > 0.0, _INF)
 
 
@@ -511,7 +506,7 @@ def _vdiv_err_sign(a, b, q):
     same = a == p
     aa, pp = np.abs(a), np.abs(p)
     known = known & (same | (((a > 0.0) == (p > 0.0)) & (0.5 * pp <= aa) & (aa <= 2.0 * pp)))
-    s, t = _vtwo_sum(np.where(same, 0.0, a - p), -e)
+    s, t = _two_sum(np.where(same, 0.0, a - p), -e)
     r = np.where(s != 0.0, s, t)
     return r > 0.0, r < 0.0, known
 
@@ -571,30 +566,16 @@ def _vdiv(a, b, c, d):
     return lo, hi
 
 
-def _vpow_dir(x, k: int, up: bool):
-    """Lanes of _pow_dir."""
-    mul = _vmul_up if up else _vmul_down
-    acc = 1.0
-    base = x
-    while k:
-        if k & 1:
-            acc = mul(acc, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return acc
-
-
 def _vpow(lo, hi, k: int):
     """[lo, hi]**k for k >= 2 by the parity cases of pow_int, per lane."""
     if k % 2 == 0:
         mag = np.where(hi > -lo, hi, -lo)
         mig = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
-        return _vpow_dir(mig, k, False), _vpow_dir(mag, k, True)
+        return _pow_dir(mig, k, _vmul_down), _pow_dir(mag, k, _vmul_up)
     nonneg = lo >= 0.0
     neg = ~nonneg & (hi <= 0.0)
-    return (np.where(nonneg, _vpow_dir(lo, k, False), -_vpow_dir(-lo, k, True)),
-            np.where(neg, -_vpow_dir(-hi, k, False), _vpow_dir(hi, k, True)))
+    return (np.where(nonneg, _pow_dir(lo, k, _vmul_down), -_pow_dir(-lo, k, _vmul_up)),
+            np.where(neg, -_pow_dir(-hi, k, _vmul_down), _pow_dir(hi, k, _vmul_up)))
 
 
 def _lane_endpoints(x):
@@ -615,7 +596,7 @@ def _lane_endpoints(x):
 class Lanes:
     """Intervals held in lanes: numpy arrays of lower and upper endpoints.
 
-    `+ - * /`, unary minus and `pow_int` act lane by lane, and every lane
+    `+ - * /`, unary minus, `abs` and `pow_int` act lane by lane, and every lane
     equals the Interval operation on the same endpoints bit for bit.
     Operands may be Lanes, Interval, int/float or a float array (point
     lanes); shapes broadcast as in numpy.  Operands keep the scalar code's
@@ -694,6 +675,14 @@ class Lanes:
     def __neg__(self):
         return Lanes(-self.hi, -self.lo)
 
+    def __abs__(self):
+        """Lanes of Interval.__abs__."""
+        lo, hi = self.lo, self.hi
+        nonneg = lo >= 0.0
+        nonpos = ~nonneg & (hi <= 0.0)
+        return Lanes(np.where(nonneg, lo, np.where(nonpos, -hi, 0.0)),
+                     np.where(nonneg | (~nonpos & (hi > -lo)), hi, -lo))
+
 
 _ROUND_SIGN = np.array([[-1.0], [1.0]])  # lo row rounds down where e < 0, hi row up where e > 0
 _ROUND_TOWARD = np.array([[-_INF], [_INF]])
@@ -711,25 +700,25 @@ def lane_fold(acc: Lanes, *terms) -> Lanes:
     with np.errstate(all="ignore"):
         for j in range(parts[0][0].lo.shape[-1]):
             for t, skip in parts:
-                total, e = _vtwo_sum(s, np.array((t.lo[:, j], t.hi[:, j])))
+                total, e = _two_sum(s, np.array((t.lo[:, j], t.hi[:, j])))
                 total = _vround(total, e * _ROUND_SIGN > 0.0, _ROUND_TOWARD)
                 s = total if skip is None else np.where(skip[:, j], s, total)
     return Lanes(s[0], s[1])
 
 
-def lane_sum(acc: Interval, terms: Lanes) -> Interval:
-    """acc + terms[0] + terms[1] + ... for 1-d lanes, added one term at a time
-    in lane order, exactly as the loop of Interval additions would.
+def lane_sum(acc: Interval, *terms: Lanes) -> Interval:
+    """acc + t[0] + u[0] + ... + t[1] + u[1] + ... for 1-d lanes t, u, ...,
+    added one term at a time, exactly as the loop of Interval additions would.
 
     The loops are _add_down and _add_up written out: _two_sum, then one ulp
     outward where the rounding error points outward.
     """
     lo, hi = acc.lo, acc.hi
-    for v in terms.lo.tolist():
+    for v in np.column_stack([t.lo for t in terms]).ravel().tolist():
         s = lo + v
         bb = s - lo
         lo = _nextafter(s, -_INF) if (lo - (s - bb)) + (v - bb) < 0.0 else s
-    for v in terms.hi.tolist():
+    for v in np.column_stack([t.hi for t in terms]).ravel().tolist():
         s = hi + v
         bb = s - hi
         hi = _nextafter(s, _INF) if (hi - (s - bb)) + (v - bb) > 0.0 else s
@@ -819,7 +808,7 @@ def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
     bounds the remainder of an alternating series with decreasing terms.
     """
     n = len(coeffs) - 1
-    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, True))
+    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up))
     c_lo, c_hi = coeffs[n - 1]
     for j in range(n - 2, -1, -1):
         # t = s * acc, with s >= 0
@@ -937,7 +926,7 @@ def _exp_point_interval(x: float) -> Interval:
     acc = _EXP_COEFFS[-1]
     for c in reversed(_EXP_COEFFS[:-1]):
         acc = c + r * acc
-    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, True))
+    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up))
     acc = acc + Interval._raw(-rem, rem)
     lo = math.ldexp(acc.lo, k)
     hi = math.ldexp(acc.hi, k)
@@ -969,7 +958,7 @@ def _log_point_interval(x: float) -> Interval:
     for j in range(9, 0, -1):
         acc = Interval.from_fraction(Fraction(1, 2 * j - 1)) + u2 * acc
     um = u.mag
-    tail = _mul_up(_pow_dir(um, 23, True), 1.0 / (23.0 * (1.0 - 0.03)))
+    tail = _mul_up(_pow_dir(um, 23, _mul_up), 1.0 / (23.0 * (1.0 - 0.03)))
     logm = 2.0 * u * acc + Interval._raw(-2.0 * tail, 2.0 * tail)
     return logm + LN2 * e2
 

@@ -100,16 +100,23 @@ class PotentialContext:
     @classmethod
     def from_spacing(cls, alpha: int, s_alpha: Interval,
                      diagnostics: SolveDiagnostics | None = None) -> "PotentialContext":
-        _check_alpha(alpha)
-        s_pow = pow_int(s_alpha, alpha)
-        F1 = (_ONE / (_ONE + s_pow)).intersect(_UNIT_BOX)
-        dF1 = -alpha * F1 * (_ONE - F1)
-        return cls(alpha, s_alpha, s_pow, F1, dF1, diagnostics)
+        F1 = f_alpha(alpha, s_alpha)
+        return cls(alpha, s_alpha, pow_int(s_alpha, alpha), F1, x_dF_alpha(alpha, F1), diagnostics)
 
 
 def F_alpha(ctx: PotentialContext, x: Interval) -> Interval:
     """Enclosure of F(x) = 1/(1 + s^alpha x^alpha)."""
     return (_ONE / (_ONE + ctx.s_pow_alpha * pow_int(x, ctx.alpha))).intersect(_UNIT_BOX)
+
+
+def x_dF_alpha(alpha: int, F):
+    """x F'(x) = -alpha F(x)(1 - F(x)) from F(x) (an Interval or Lanes)."""
+    return -alpha * F * (_ONE - F)
+
+
+def _g_terms(alpha: int, f):
+    """g = f + x f'(x) = f(1 - alpha) + alpha f^2 from f (an Interval or Lanes)."""
+    return f * (1.0 - alpha) + alpha * f * f
 
 
 def F_deficit_over_x_sq(ctx: PotentialContext, x: Interval) -> Interval:
@@ -150,9 +157,14 @@ def _sum_f_beyond(alpha: int, t: Interval, M: int) -> Interval:
     Mh = M + 0.5
     A = t * Mh
     if A.lo <= 1.5:
-        # fall back to the coarse power-sum bound
-        bound = power_sum_tail(alpha, M + 1) / pow_int(t, alpha)
-        return Interval(0.0, bound.hi)
+        # fall back to the coarse power-sum bound or, where t^alpha underflows
+        # or that bound is larger, to the integral bound of a decreasing f:
+        # sum_{n>0} f(tn) <= (1/t) int_0^inf f <= (1/t)(1 + 1/(alpha - 1))
+        bound = (alpha / ((alpha - 1) * t)).hi
+        t_pow = pow_int(t, alpha)
+        if t_pow.lo > 0.0:
+            bound = min(bound, (power_sum_tail(alpha, M + 1) / t_pow).hi)
+        return Interval(0.0, bound)
     main = _integral_f_tail(alpha, A) / t
     inv_p2 = _ONE / pow_int(A, alpha + 2)
     inv_p1 = _ONE / pow_int(A, alpha + 1)
@@ -184,6 +196,22 @@ def _sum_g_beyond(alpha: int, t: Interval, M: int) -> Interval:
     return main + Interval(-err, err)
 
 
+# Terms of one lane batch (rows x terms in the spacing solve).  Larger
+# batches run faster, but from 2048 up they raised the peak RSS of a process
+# that solves and then relaxes by about 0.2 MB (a heap left larger by the
+# bigger temporaries); 1024 does not.
+_LANE_ELEMENTS = 1024
+
+
+def _series(terms, start: int, stop: int) -> Interval:
+    """sum_{n=start}^{stop} terms(n), added in the order of n; terms maps a
+    float array of n to Lanes, called on _LANE_ELEMENTS of them at a time."""
+    S = _ZERO
+    for lo in range(start, stop + 1, _LANE_ELEMENTS):
+        S = lane_sum(S, terms(np.arange(float(lo), float(min(lo + _LANE_ELEMENTS, stop + 1)))))
+    return S
+
+
 @dataclass(frozen=True)
 class LatticeEnergyTerms:
     """Head of a lattice energy sum plus a rigorous remainder enclosure."""
@@ -209,14 +237,12 @@ def lattice_energy(alpha: int, t: Interval, N: int = 64) -> LatticeEnergyTerms:
         raise ValueError("lattice_energy requires t > 0")
     if N < 2:
         raise ValueError("lattice_energy requires N >= 2")
-    S = _ZERO
-    for n in range(1, N + 1):
-        S = S + f_alpha(alpha, t * n)
-    head = t * (1.0 + 2.0 * S)
-    ext = _ZERO
-    for n in range(N + 1, 2 * N + 1):
-        ext = ext + f_alpha(alpha, t * n)
-    rem = 2.0 * t * (ext + _sum_f_beyond(alpha, t, 2 * N))
+
+    def f(n):
+        return f_alpha(alpha, t * Lanes(n))
+
+    head = t * (1.0 + 2.0 * _series(f, 1, N))
+    rem = 2.0 * t * (_series(f, N + 1, 2 * N) + _sum_f_beyond(alpha, t, 2 * N))
     tail = Interval(max(rem.lo, 0.0), rem.hi)
     return LatticeEnergyTerms(truncation_N=N, head=head, tail=tail)
 
@@ -242,12 +268,6 @@ def closed_form_energy_alpha4(t: Interval) -> Interval:
     return (PI / _SQRT2) * num / den
 
 
-# rows x terms of one lane batch.  Larger batches run faster, but from 2048
-# up they raised the peak RSS of a process that solves and then relaxes by
-# about 0.2 MB (a heap left larger by the bigger temporaries); 1024 does not.
-_LANE_ELEMENTS = 1024
-
-
 class _DerivativeRows:
     """energy_derivative at the spacings ts[i]: lanes of rows x terms.
 
@@ -263,8 +283,7 @@ class _DerivativeRows:
         self.batches = []
         for start in range(1, ext + 1, step):
             n = Lanes(np.arange(start, min(start + step, ext + 1), dtype=float))
-            f = f_alpha(alpha, t * n)
-            self.batches.append(f * (1.0 - alpha) + alpha * f * f)
+            self.batches.append(_g_terms(alpha, f_alpha(alpha, t * n)))
         if diag is not None:
             diag.lane_batches += 1
             diag.rows_evaluated += len(ts)
@@ -298,10 +317,7 @@ def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
     if N < 2:
         raise ValueError("first_order_residual requires N >= 2")
     alpha = ctx.alpha
-    S = _ZERO
-    for n in range(1, N + 1):
-        F = F_alpha(ctx, Interval(float(n)))
-        S = S + (F * (1.0 - alpha) + alpha * F * F)
+    S = _series(lambda n: _g_terms(alpha, F_alpha(ctx, Lanes(n))), 1, N)
     bound = (2.0 * (alpha + 1) * power_sum_tail(alpha, N + 1) / ctx.s_pow_alpha).hi
     return 1.0 + 2.0 * S + Interval(-bound, bound)
 

@@ -219,6 +219,16 @@ def test_T_detects_perturbation(ctx4):
     assert cert._T_value(quadrupled).hi < 0.0
 
 
+def test_monotone_check_reports_the_first_least_margin(ctx4):
+    # a widened F(3) with the upper end of F(2) ties F(1) - F(n) in its
+    # lower end at n = 2 and 3; the check reports the first, n = 2
+    coeffs = build_coefficients(ctx4, 64)
+    F2 = coeffs.Fn[2]
+    tied = dataclasses.replace(
+        coeffs, Fn=(*coeffs.Fn[:3], Interval(F2.hi - 1e-3, F2.hi), *coeffs.Fn[4:]))
+    assert cert._monotone_coefficient_check(tied) == coeffs.Fn[1] - F2
+
+
 def test_T_large_examples():
     assert certify_T_large(12).status == "verified"
     assert certify_T_large(100).status == "verified"
@@ -475,6 +485,18 @@ def test_json_field_order(ctx6):
     text = certificates_to_json([certify_T(ctx6)])
     parsed = json.loads(text)
     assert parsed[0]["inequality_id"] == "T_alpha"
+
+
+def test_json_is_strict_for_unbounded_values():
+    # an enclosure unbounded below would be written as -Infinity
+    c = cert.Certificate("probe", 4, "[0, 1]", "failed", 1, 0, -math.inf, 0, math.inf,
+                         "probe", BnbPolicy())
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (d,) = json.loads(certificates_to_json([c]), parse_constant=reject)
+    assert (d["min_lower_bound"], d["witness"], d["status"]) == (None, None, "failed")
 
 
 def test_certify_all_rejects_odd():

@@ -53,6 +53,28 @@ def test_certify_w_is_labelled_with_the_alpha_asked_for(capsys):
     assert (c["inequality_id"], c["alpha"], c["status"]) == ("w_inequality", 6, "verified")
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_energy_overflow_prints_null_not_infinity(capsys):
+    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1e300")
+    assert code == 0
+    d = _strict_json(out)
+    assert d["energy_lo"] >= 1e299 and d["energy_hi"] is None
+
+
+def test_energy_at_vanishing_spacing(capsys):
+    # t^4 underflows to 0 here; as t -> 0 the energy tends to pi/sqrt(2)
+    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1e-100")
+    assert code == 0
+    d = _strict_json(out)
+    assert d["energy_lo"] <= 2.2214414690791831 <= d["energy_hi"]
+
+
 def test_salpha_rejects_odd(capsys):
     code = main(["salpha", "--alpha", "7"])
     capsys.readouterr()

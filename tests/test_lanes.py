@@ -167,6 +167,18 @@ def test_neg_intersect_hull_match_scalar():
         Lanes.of([Interval(1.0, 2.0)]).intersect(box)
 
 
+def test_abs_matches_scalar_bits():
+    rng = random.Random(23)
+    special = [Interval._raw(lo, hi) for lo, hi in (
+        (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 1.0), (-0.0, 2.0), (-1.0, -0.0),
+        (-1.0, 0.0), (-2.0, 1.0), (-1.0, 2.0), (-1.0, 1.0), (-math.inf, 1.0),
+        (-1.0, math.inf), (-math.inf, math.inf), (-math.inf, -1.0), (1.0, math.inf),
+        (-math.inf, -0.0), (-0.0, math.inf), (-TINY, TINY))]
+    xs = special + _acceptance9_intervals(rng, 2000) + _edge_intervals(rng, 2000)
+    want = [abs(x) for x in xs]
+    _assert_same(abs(Lanes.of(xs)), [v.lo for v in want], [v.hi for v in want], "abs")
+
+
 def test_division_by_any_zero_lane_raises():
     good = Interval(1.0, 2.0)
     for bad in (Interval(-1.0, 1.0), Interval(0.0, 1.0), Interval(-1.0, -0.0), Interval(0.0)):
@@ -184,6 +196,17 @@ def test_lane_sum_is_the_sequential_sum():
     for t in terms:
         want = want + t
     got = lane_sum(acc, Lanes.of(terms))
+    assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+
+
+def test_lane_sum_interleaves_its_terms():
+    rng = random.Random(31)
+    t, u = _acceptance9_intervals(rng, 300), _acceptance9_intervals(rng, 300)
+    acc = Interval(-1.0, 0.5)
+    want = acc
+    for a, b in zip(t, u):
+        want = want + a + b
+    got = lane_sum(acc, Lanes.of(t), Lanes.of(u))
     assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
 
 

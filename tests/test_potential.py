@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repulse.interval import Interval, sqrt
+from repulse.interval import PI, Interval, sqrt
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
@@ -140,8 +140,9 @@ def test_remainder_sums_bound_brute_force():
     from repulse.potential import _sum_f_beyond, _sum_g_beyond
 
     with mpmath.workprec(140):
+        # (4, 0.01, 4): the coarse fallback, at its integral bound 4/(3t)
         for alpha, tv, M in ((4, 1.41421356, 64), (4, 0.9, 16),
-                             (6, 2.5, 64), (12, 1.1, 16)):
+                             (6, 2.5, 64), (12, 1.1, 16), (4, 0.01, 4)):
             T = mpmath.mpf(tv)
             sf = mpmath.mpf(0)
             sg = mpmath.mpf(0)
@@ -157,6 +158,14 @@ def test_remainder_sums_bound_brute_force():
             enc_g = _sum_g_beyond(alpha, Interval(tv), M)
             assert enc_g.lo <= sg - alpha * rest, (alpha, tv, M)
             assert sg + alpha * rest <= enc_g.hi, (alpha, tv, M)
+
+
+def test_lattice_energy_at_vanishing_spacing():
+    # t^4 underflows at t = 1e-100, so the tail takes the integral bound;
+    # as t -> 0 the energy tends to int f = pi/sqrt(2)
+    total = lattice_energy(4, Interval(1e-100)).total
+    limit = PI / sqrt(Interval(2.0))
+    assert total.lo <= limit.lo and limit.hi <= total.hi
 
 
 def test_energy_derivative_zero_at_minimum(ctx_by_alpha):
