@@ -30,6 +30,7 @@ from .interval import (
     Lanes,
     PI,
     PI_SQ,
+    SIXTH,
     lane_fold,
     lane_sum,
     pow_int,
@@ -283,6 +284,12 @@ def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
 # The transform-positivity constants T(alpha) and L(alpha).
 # ---------------------------------------------------------------------------
 
+def _n_pow(n: np.ndarray, k: int, c: float = 1.0) -> Lanes:
+    """Lanes enclosing c n^k on the row n of integers, for any row length;
+    a float c * n**k is rounded once n^k passes 2^53 (n > 1552 for k = 5)."""
+    return c * pow_int(Lanes(n), k)
+
+
 def _T_value(coeffs: AuxCoefficients) -> Interval:
     """T = (1/2)(1 - 2 sum_{n>=1} F(n)) - (1/pi) sum_{n>=2} |F'(n)|."""
     _, F, dF = coeffs.rows()
@@ -321,7 +328,7 @@ def _L_value(coeffs: AuxCoefficients) -> Interval:
     """L = sum_n n^3 F'(n)(-2/3 + 4R(pi n)) - sum_n 2 n^2 F(n), over Z."""
     n, F, dF = coeffs.rows()
     kern = Lanes.of([4.0 * remainder_R(PI * k) - _TWO_THIRDS for k in range(1, coeffs.N + 1)])
-    total = 2.0 * lane_sum(_ZERO, n ** 3 * dF * kern, -((2.0 * n * n) * F))
+    total = 2.0 * lane_sum(_ZERO, dF * _n_pow(n, 3) * kern, -((2.0 * n * n) * F))
     t2 = coeffs.tail_n2F.hi
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
@@ -434,29 +441,55 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
 # psi_4 <= F_4 on [0, 9] (plus the displayed constant for x >= 9).
 # ---------------------------------------------------------------------------
 
-def _L_terms(ctx: PotentialContext, x: Lanes, Fx: Lanes, n: np.ndarray, Fn, dFn) -> Lanes:
-    """Lanes of L(x, n) for boxes x (a column) and integers n >= 1 (a row).
+def _removable(x: Lanes, n: np.ndarray, quotient, near) -> Lanes:
+    """Lanes of a quotient in d = x - n with a removable singularity at x = n,
+    for boxes x (a column) and integers n (a row).
 
-    Boxes at distance >= 0.25 from n use the quotient; nearer boxes use the
-    mean-value enclosure (1/2) F''(hull(x, n)), intersected with the
-    quotient whenever the box still excludes n (the hull alone cannot
-    shrink with subdivision right at the switchover distance).  Fx encloses
-    F(x); Fn and dFn enclose F(n) and F'(n).
+    Boxes at distance >= 0.25 from n use quotient(d); nearer boxes use
+    near(hull(x, n)), intersected with the quotient whenever the box still
+    excludes n (the hull alone cannot shrink with subdivision right at the
+    switchover distance).
     """
     below, above = x.lo - n, n - x.hi
     dist = np.where(above > below, above, below)
     apart = dist > 0.0
-    d = Lanes.where(apart, x - n, 1.0)  # 1.0 stands in where n is in the box
-    out = (Fx - Fn - dFn * d) / pow_int(d, 2)
+    out = quotient(Lanes.where(apart, x - n, 1.0))  # 1.0 stands in where n is in the box
     rows, cols = np.nonzero(dist < 0.25)
     if rows.size:
-        q = out[rows, cols]
-        h = Lanes(x.lo[rows, 0], x.hi[rows, 0]).hull(n[cols])
-        near = 0.5 * _second_derivative_any(ctx, h)
-        near = near.intersect(Lanes.where(apart[rows, cols], q, near))
-        out.lo[rows, cols] = near.lo
-        out.hi[rows, cols] = near.hi
+        v = near(Lanes(x.lo[rows, 0], x.hi[rows, 0]).hull(n[cols]))
+        v = v.intersect(Lanes.where(apart[rows, cols], out[rows, cols], v))
+        out.lo[rows, cols] = v.lo
+        out.hi[rows, cols] = v.hi
     return out
+
+
+def _L_terms(ctx: PotentialContext, x: Lanes, Fx: Lanes, n: np.ndarray, Fn, dFn) -> Lanes:
+    """Lanes of L(x, n) = (F(x) - F(n) - F'(n)(x - n))/(x - n)^2 for boxes x
+    (a column) and integers n != 0 (a row; a row of -n takes F(n) and -F'(n)).
+
+    Near n the mean-value enclosure (1/2) F''(hull(x, n)) takes over, as
+    `_removable` sets out.  Fx encloses F(x); Fn and dFn enclose F(n), F'(n).
+    """
+    return _removable(x, n, lambda d: (Fx - Fn - dFn * d) / pow_int(d, 2),
+                      lambda h: 0.5 * _second_derivative_any(ctx, h))
+
+
+def _dL_terms(ctx: PotentialContext, x: Lanes, dFx: Lanes, L: Lanes, n: np.ndarray,
+              dFn) -> Lanes:
+    """Lanes of d/dx L(x, n) = (F'(x) - F'(n) - 2 L(x, n)(x - n))/(x - n)^2
+    on the lanes of `_L_terms`, whose output is L; dFx encloses F'(x).
+
+    Near n, d/dx L(x, n) = int_0^1 (1-t) t F'''(n + t(x-n)) dt lies in
+    (1/6) F'''(hull(x, n)), which takes over as `_removable` sets out.
+    """
+    return _removable(x, n, lambda d: (dFx - dFn - 2.0 * L * d) / pow_int(d, 2),
+                      lambda h: SIXTH * _third_derivative(ctx, h))
+
+
+def _first_derivative(ctx: PotentialContext, x: Lanes) -> Lanes:
+    """F' = -alpha c x^(alpha-1) F^2 with c = s^alpha: a free form, valid on any x >= 0."""
+    return -ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 1) \
+        * pow_int(F_alpha(ctx, x), 2)
 
 
 def _second_derivative_any(ctx: PotentialContext, x: Lanes) -> Lanes:
@@ -471,17 +504,86 @@ def _second_derivative_any(ctx: PotentialContext, x: Lanes) -> Lanes:
     return Lanes.where(inner, quotient, free)
 
 
+def _third_derivative(ctx: PotentialContext, x: Lanes) -> Lanes:
+    """F''' = c x^(alpha-3) F^2 (-alpha^3 (1 - 6F + 6F^2) - 3 alpha^2 (1 - 2F) - 2 alpha)
+    with c = s^alpha: a free form, valid on any x >= 0."""
+    a = ctx.alpha
+    F = F_alpha(ctx, x)
+    F2 = pow_int(F, 2)
+    bracket = -a ** 3 * (_ONE - 6.0 * F + 6.0 * F2) - 3 * a * a * (_ONE - 2.0 * F) - 2.0 * a
+    return ctx.s_pow_alpha * pow_int(x, a - 3) * F2 * bracket
+
+
+def _mean_value(head, slope, tail):
+    """The f handed to _bnb for an integrand head + tail, in mean-value form.
+
+    On a box X with midpoint m, f(X) = (head(m) + slope(X)(X - m)) + tail(X),
+    where slope(X) encloses head' on X and the tail is enclosed on the box,
+    not differentiated; on a point box, such as a midpoint that _bnb reads,
+    f is the direct head(X) + tail(X).  A direct enclosure of a sum of many
+    terms is O(width) too wide, this one O(width^2) (Moore, Kearfott and
+    Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 6).  head,
+    slope and tail map Lanes of boxes and their params to Lanes; tail may
+    give one Interval for every box.
+    """
+    def f(x: Lanes, param) -> Lanes:
+        wide = np.flatnonzero(x.lo < x.hi)
+        m = x.lo.copy()
+        m[wide] = 0.5 * (x.lo[wide] + x.hi[wide])
+        v = head(Lanes(m), param)
+        if wide.size:
+            box = x[wide]
+            mv = v[wide] + slope(box, param[wide]) * (box - m[wide])
+            v.lo[wide], v.hi[wide] = mv.lo, mv.hi
+        return v + tail(x, param)
+    return f
+
+
 def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
     """Enclosure of sum_{n in Z} (3 n^2 F(n) + n^3 F'(n))."""
     n, F, dF = coeffs.rows()
-    acc = lane_sum(_ZERO, (3.0 * n * n) * F, n ** 3 * dF)
+    acc = lane_sum(_ZERO, (3.0 * n * n) * F, dF * _n_pow(n, 3))
     b = ((3.0 + coeffs.ctx.alpha) * coeffs.tail_n2F).hi
     return 2.0 * acc + Interval(-2.0 * b, 2.0 * b)
 
 
+def _psi4_parts(coeffs: AuxCoefficients):
+    """(head, slope, tail) of the psi4 integrand sum_{n in Z} L(x, n) on x >= 0.
+
+    head sums |n| <= N as ((L(x, 0) + L(x, 1)) + L(x, -1)) + L(x, 2) ...,
+    with L(x, 0) = (F(x) - 1)/x^2 = -c x^(alpha-2) F(x), c = s^alpha;
+    slope sums the derivatives in the same order, starting from
+    d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail encloses
+    |n| > N.
+    """
+    ctx = coeffs.ctx
+    alpha, N = ctx.alpha, coeffs.N
+    tail_lo = ((8.0 + 4.0 * alpha) * power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
+    geo = (power_sum_tail(2, N - 8) + power_sum_tail(2, N + 1)).hi
+    n, Fn, dFn = coeffs.rows()
+    signed = ((n, dFn), (-n, -dFn))  # the rows n and -n, with F'(-n) = -F'(n)
+
+    def head(x: Lanes, _param) -> Lanes:
+        X, FX = x[:, None], F_alpha(ctx, x)[:, None]
+        return lane_fold(F_deficit_over_x_sq(ctx, x),
+                         *(_L_terms(ctx, X, FX, k, Fn, dFk) for k, dFk in signed))
+
+    def slope(x: Lanes, _param) -> Lanes:
+        F = F_alpha(ctx, x)
+        X, FX, dFX = x[:, None], F[:, None], _first_derivative(ctx, x)[:, None]
+        at0 = -ctx.s_pow_alpha * pow_int(x, alpha - 3) * F * (alpha * F - 2.0)
+        return lane_fold(at0, *(_dL_terms(ctx, X, dFX, _L_terms(ctx, X, FX, k, Fn, dFk), k, dFk)
+                                for k, dFk in signed))
+
+    def tail(x: Lanes, _param) -> Lanes:
+        return Lanes(-tail_lo, (F_alpha(ctx, x) * geo + tail_lo).hi)
+
+    return head, slope, tail
+
+
 def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
                        policy: BnbPolicy | None = None) -> Certificate:
-    """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound.
+    """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound, in mean-value form.
 
     The x >= 9 range is discharged by the displayed constant inequality
     -sum(3n^2 F + n^3 F') >= 10/81 + 1/81 + (5/2) F(9), evaluated in
@@ -493,24 +595,9 @@ def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
     if N < 16:
         raise ValueError("need N >= 16 for the tail bounds")
     coeffs = build_coefficients(ctx, N)
-    tail_lo = ((8.0 + 4.0 * alpha) * power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
-    geo = (power_sum_tail(2, N - 8) + power_sum_tail(2, N + 1)).hi
-    n, Fn_row, dFn_row = coeffs.rows()
-
-    def lsum(x: Lanes, _param) -> Lanes:
-        Fx = F_alpha(ctx, x)
-        acc = F_deficit_over_x_sq(ctx, x)
-        X, FX = x[:, None], Fx[:, None]
-        minus = _L_terms(ctx, X, FX, n, Fn_row, dFn_row)
-        dm = X + n
-        plus = (FX - Fn_row + dFn_row * dm) / pow_int(dm, 2)
-        acc = lane_fold(acc, minus, plus)  # ((acc + L(x, 1)) + L(x, -1)) + L(x, 2) ...
-        tail_hi = (Fx * geo + tail_lo).hi
-        return acc + Lanes(-tail_lo, tail_hi)
-
     far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
-    _bnb(run, lsum, [(0.0, 9.0)], policy)
+    _bnb(run, _mean_value(*_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
     return route.certificate(
         run, alpha, "[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
         policy)
@@ -616,9 +703,47 @@ def certify_eta1(ctx: PotentialContext, N: int = 64,
     return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
 
 
+def _eta_ge2_parts(coeffs: AuxCoefficients):
+    """(head, slope, tail) of -(sum_{n != eta} (F(n)/(x-n)^2 + F'(n)/(x-n)))
+    on boxes x >= 1, each with its segment's eta as param.
+
+    head adds n = 0, then for n = 1..N the two terms at n (left out at
+    n = eta) and the two at -n; slope sums d/dx F(n)/(x-n)^2 =
+    -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 the same way (x - n
+    never holds 0, since n != eta); tail is the constant enclosure of
+    |n| > N.
+    """
+    ctx = coeffs.ctx
+    tail = (2.0 * (1.4 + 1.19 * ctx.alpha) * power_sum_tail(ctx.alpha + 2, coeffs.N + 1)
+            / ctx.s_pow_alpha).hi
+    n, Fn, dFn = coeffs.rows()
+
+    def offsets(x: Lanes, eta: np.ndarray):
+        """(n == eta, x - n, x + n); 1.0 stands in for x - n at the left-out n = eta."""
+        X = x[:, None]
+        own = n == eta[:, None]
+        return own, Lanes.where(own, 1.0, X - n), X + n
+
+    def head(x: Lanes, eta: np.ndarray) -> Lanes:
+        own, d, dm = offsets(x, eta)
+        return -lane_fold(_ONE / pow_int(x, 2), (Fn / pow_int(d, 2), own), (dFn / d, own),
+                          Fn / pow_int(dm, 2), -(dFn / dm))
+
+    def slope(x: Lanes, eta: np.ndarray) -> Lanes:
+        own, d, dm = offsets(x, eta)
+
+        def term(d: Lanes, dF: Lanes) -> Lanes:
+            return -2.0 * Fn / pow_int(d, 3) - dF / pow_int(d, 2)
+
+        return -lane_fold(-2.0 / pow_int(x, 3), (term(d, dFn), own), term(dm, -dFn))
+
+    return head, slope, lambda x, eta: Interval(-tail, tail)
+
+
 def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
                     policy: BnbPolicy | None = None) -> Certificate:
-    """x in [1.5, 10] by branch-and-bound plus the displayed x >= 10 constant.
+    """x in [1.5, 10] by branch-and-bound, in mean-value form, plus the
+    displayed x >= 10 constant.
 
     Certifies sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0 on segments
     of constant nearest integer, plus the reduction's side condition
@@ -628,28 +753,11 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
     route = _route("eta_ge2", True, alpha)
     run = _Run()
     coeffs = build_coefficients(ctx, N)
-    tail = (2.0 * (1.4 + 1.19 * alpha) * power_sum_tail(alpha + 2, N + 1)
-            / ctx.s_pow_alpha).hi
-    n, Fn_row, dFn_row = coeffs.rows()
-
-    def segment_sum(x: Lanes, eta: np.ndarray) -> Lanes:
-        """-(sum_{n != eta} ...) on boxes x, each with its segment's eta."""
-        acc = _ONE / pow_int(x, 2)  # n = 0
-        X = x[:, None]
-        own = n == eta[:, None]
-        d = Lanes.where(own, 1.0, X - n)  # 1.0 stands in for the left-out n = eta
-        left = Fn_row / pow_int(d, 2)
-        left_d = dFn_row / d
-        dm = X + n
-        right = Fn_row / pow_int(dm, 2)
-        right_d = dFn_row / dm
-        acc = lane_fold(acc, (left, own), (left_d, own), right, -right_d)
-        return -(acc + Interval(-tail, tail))
-
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
-    _bnb(run, segment_sum, [sg for sg in segments if sg[0] < sg[1]], policy)
+    _bnb(run, _mean_value(*_eta_ge2_parts(coeffs)), [sg for sg in segments if sg[0] < sg[1]],
+         policy)
     return route.certificate(
         run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10",
         policy)
@@ -661,7 +769,7 @@ def _allthestars_small_value(coeffs: AuxCoefficients) -> Interval:
     alpha = ctx.alpha
     s3n = _sum_3n2F_n3dF(coeffs)
     n, F, dF = coeffs.rows(2)
-    big = lane_sum(_ZERO, abs((10.0 * n ** 4) * F + (2.0 * n ** 5) * dF))
+    big = lane_sum(_ZERO, abs(F * _n_pow(n, 4, 10.0) + dF * _n_pow(n, 5, 2.0)))
     tail4 = ((10.0 + 2.0 * alpha) * power_sum_tail(alpha - 4, coeffs.N + 1) / ctx.s_pow_alpha).hi
     big = big + Interval(0.0, tail4)
     F1, dF1 = ctx.F1, ctx.dF1

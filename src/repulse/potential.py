@@ -171,6 +171,14 @@ def _sum_f_beyond(alpha: int, t: Interval, M: int) -> Interval:
     b_point = alpha * (alpha + 1) * pow_int(t, 2) * inv_p2
     b_int = alpha * t * inv_p1
     err = ((b_point + b_int) / 24.0).hi
+    if not np.isfinite(err):
+        # t^2 overflowed before it was scaled: the same bounds as
+        # alpha(alpha+1)/(t^alpha Mh^(alpha+2)) and alpha/(t^alpha Mh^(alpha+1)),
+        # where a t^alpha of inf gives 0
+        t_pow = pow_int(t, alpha)
+        b_point = alpha * (alpha + 1) / (t_pow * pow_int(Interval(Mh), alpha + 2))
+        b_int = alpha / (t_pow * pow_int(Interval(Mh), alpha + 1))
+        err = ((b_point + b_int) / 24.0).hi
     out = main + Interval(-err, err)
     return Interval(max(out.lo, 0.0), out.hi)
 

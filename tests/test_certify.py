@@ -28,7 +28,7 @@ from repulse.certify import (
     certificates_to_json,
 )
 from repulse.interval import Interval, Lanes, PI, pow_int, sin
-from repulse.potential import F_alpha, F_deficit_over_x_sq
+from repulse.potential import F_alpha, F_deficit_over_x_sq, PotentialContext
 
 from _oracles import F_alpha_second, eta1_scalar, sum_inv_sq_offset
 
@@ -271,6 +271,16 @@ def test_L_large_examples():
     assert certify_L_large(40).status == "verified"
 
 
+def test_integer_coefficients_are_enclosures_past_2_to_53():
+    # the n^3 of L and of the x >= 9 sum, the 10 n^4 and 2 n^5 of the x >= 10
+    # constant; a float 2 * n**5 is rounded from n = 1553 on
+    n = range(1, 1601)
+    for k, c in ((3, 1), (4, 10), (5, 2)):
+        lanes = cert._n_pow(np.array(n, dtype=float), k, float(c))
+        for i, m in enumerate(n):
+            assert Fraction(lanes.lo[i]) <= c * m ** k <= Fraction(lanes.hi[i]), (k, m)
+
+
 # -- the w inequality ---------------------------------------------------------
 
 def test_w_inequality_displayed_form():
@@ -444,6 +454,148 @@ def test_eta1_rejects_alpha4(ctx4):
 def test_eta_ge2(ctx6):
     c = certify_eta_ge2(ctx6)
     assert c.status == "verified"
+
+
+# -- the mean-value form of psi4_le_F4 and eta_ge2 --------------------------------
+
+@pytest.mark.parametrize("alpha", range(4, 15, 2))
+def test_derivative_lanes_contain_mpmath(alpha):
+    import mpmath
+
+    s = 1.0 + alpha / 40.0  # any spacing: the forms hold for every c = s^alpha > 0
+    ctx = PotentialContext.from_spacing(alpha, Interval(s))
+    rng = random.Random(9000 + alpha)
+    points = [0.0, 1e-3, 0.5, 1.0, 12.0] + [rng.uniform(0.0, 12.0) for _ in range(35)]
+    boxes = [(0.0, 0.0), (0.0, 0.5), (0.9, 1.1)]
+    for _ in range(20):
+        a = rng.uniform(0.0, 12.0)
+        boxes.append((a, a + rng.uniform(0.0, 1.0) * 10.0 ** rng.uniform(-6.0, 0.0)))
+    x = Lanes(points + [b[0] for b in boxes], points + [b[1] for b in boxes])
+    lanes = {1: cert._first_derivative(ctx, x), 3: cert._third_derivative(ctx, x)}
+    with mpmath.workdps(50):
+        c = mpmath.mpf(s) ** alpha
+
+        def F(t):
+            return 1 / (1 + c * t ** alpha)
+
+        for i, (lo, hi) in enumerate(zip(x.lo.tolist(), x.hi.tolist())):
+            for p in {lo, 0.5 * (lo + hi), hi, rng.uniform(lo, hi)}:
+                for k, d in lanes.items():
+                    # at 0 both derivatives are exactly 0 (alpha - 3 >= 1)
+                    want = mpmath.diff(F, mpmath.mpf(p), k) if p else 0
+                    assert d.lo[i] <= want <= d.hi[i], (alpha, k, lo, hi, p)
+
+
+def _roots(alpha):
+    """(lo, hi, param) root boxes: the psi4 domain [0, 9] (alpha 4) or the
+    eta_ge2 segments of [1.5, 10] (param eta)."""
+    if alpha == 4:
+        return [(0.0, 9.0, 0)]
+    return [(max(1.5, e - 0.5), min(10.0, e + 0.5), e) for e in range(2, 11)]
+
+
+def _seeded_boxes(rng, alpha, count):
+    """The roots, then `count` boxes inside them, of widths from 1e-6 of a root to all of it."""
+    roots = _roots(alpha)
+    boxes = list(roots)
+    for _ in range(count):
+        lo, hi, p = rng.choice(roots)
+        w = (hi - lo) * 10.0 ** rng.uniform(-6.0, 0.0)
+        a = rng.uniform(lo, hi - w)
+        boxes.append((a, a + w, p))
+    return boxes
+
+
+def _parts(alpha, ctx):
+    coeffs = build_coefficients(ctx, 64)
+    return cert._psi4_parts(coeffs) if alpha == 4 else cert._eta_ge2_parts(coeffs)
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 8, 10, 12])
+def test_mean_value_form_contains_direct_point_enclosures(alpha, ctx_by_alpha):
+    head, slope, tail = _parts(alpha, ctx_by_alpha[alpha])
+    f = cert._mean_value(head, slope, tail)
+    rng = random.Random(4242 + alpha)
+    boxes = _seeded_boxes(rng, alpha, 60)
+    lo, hi, param = (np.array(c) for c in zip(*boxes))
+    got = f(Lanes(lo, hi), param)
+    for i, (a, b, p) in enumerate(boxes):
+        pts = np.array([a, 0.5 * (a + b), b] + [rng.uniform(a, b) for _ in range(5)])
+        at = np.full(pts.size, p)
+        direct = head(Lanes(pts), at) + tail(Lanes(pts), at)
+        assert (got.lo[i] <= direct.lo).all() and (direct.hi <= got.hi[i]).all(), (a, b, p)
+        # a point box keeps the direct form, bit for bit
+        point = f(Lanes(pts), at)
+        assert np.array_equal(point.lo, direct.lo) and np.array_equal(point.hi, direct.hi)
+
+
+def _head_oracle(coeffs, eta):
+    """The head of the psi4 (alpha 4) or eta_ge2 integrand as an mpmath
+    function, with c = s^alpha the midpoint of its enclosure and F(n), F'(n)
+    exact for that c: all lie in the enclosures the lanes use, so the head's
+    derivative lies in the slope enclosure."""
+    import mpmath
+
+    alpha = coeffs.ctx.alpha
+    c = mpmath.mpf(coeffs.ctx.s_pow_alpha.mid)
+
+    def F(t):
+        return 1 / (1 + c * t ** alpha)
+
+    rows = [(n, F(n), -alpha * c * n ** (alpha - 1) * F(n) ** 2) for n in range(1, coeffs.N + 1)]
+
+    def psi4(x):
+        Fx = F(x)
+        total = -c * x ** (alpha - 2) * Fx
+        for n, Fn, dFn in rows:
+            total += (Fx - Fn - dFn * (x - n)) / (x - n) ** 2 + (Fx - Fn + dFn * (x + n)) / (x + n) ** 2
+        return total
+
+    def eta_ge2(x):
+        total = 1 / x ** 2
+        for n, Fn, dFn in rows:
+            if n != eta:
+                total += Fn / (x - n) ** 2 + dFn / (x - n)
+            total += Fn / (x + n) ** 2 - dFn / (x + n)
+        return -total
+
+    return psi4 if alpha == 4 else eta_ge2
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 12])
+def test_slope_contains_mpmath_derivative_of_the_head(alpha, ctx_by_alpha):
+    import mpmath
+
+    coeffs = build_coefficients(ctx_by_alpha[alpha], 64)
+    _, slope, _ = _parts(alpha, ctx_by_alpha[alpha])
+    rng = random.Random(77 + alpha)
+    boxes = _seeded_boxes(rng, alpha, 12)
+    lo, hi, param = (np.array(c) for c in zip(*boxes))
+    got = slope(Lanes(lo, hi), param)
+    with mpmath.workdps(40):
+        for i, (a, b, p) in enumerate(boxes):
+            head = _head_oracle(coeffs, p)
+            for x in (a, 0.5 * (a + b), b, rng.uniform(a, b)):
+                if alpha == 4 and x != 0.0 and x == int(x):
+                    continue  # the oracle's quotient at x = n is 0/0
+                want = mpmath.diff(head, mpmath.mpf(x))
+                assert got.lo[i] <= want <= got.hi[i], (a, b, p, x)
+
+
+@pytest.mark.parametrize("alpha", [4, 6])
+def test_mean_value_route_fails_with_a_witness_when_shifted_below_zero(alpha, ctx_by_alpha):
+    # both integrands fall to about 6e-5 at the right end of their domain
+    head, slope, tail = _parts(alpha, ctx_by_alpha[alpha])
+
+    def shifted(x, param):
+        return head(x, param) - 1e-4
+
+    roots = _roots(alpha)
+    run = _run_engine(cert._mean_value(shifted, slope, tail), roots)
+    assert run.status == "failed"
+    w = np.array([run.witness])
+    at = np.array([next(p for lo, hi, p in roots if lo <= run.witness <= hi)])
+    assert (shifted(Lanes(w), at) + tail(Lanes(w), at)).hi[0] < 0.0
 
 
 def test_allthestars_large():

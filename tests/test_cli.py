@@ -61,10 +61,20 @@ def _strict_json(text):
 
 
 def test_energy_overflow_prints_null_not_infinity(capsys):
-    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1e300")
+    # the enclosure's upper end overflows this close to the largest float
+    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1.79e308")
     assert code == 0
     d = _strict_json(out)
-    assert d["energy_lo"] >= 1e299 and d["energy_hi"] is None
+    assert d["energy_lo"] >= 1e308 and d["energy_hi"] is None
+
+
+@pytest.mark.parametrize("t", ["1e200", "1e300"])
+def test_energy_at_huge_spacing_is_finite(capsys, t):
+    # the midpoint tail's error term once formed t^2 before scaling it
+    code, out = _run(capsys, "energy", "--alpha", "4", "--t", t)
+    assert code == 0
+    d = _strict_json(out)
+    assert d["energy_hi"] is not None and d["energy_lo"] <= float(t) <= d["energy_hi"]
 
 
 def test_energy_at_vanishing_spacing(capsys):

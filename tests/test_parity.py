@@ -46,37 +46,37 @@ CERTIFY_ALL = {
     4: {
         'psihat_nonneg': (41, 6, '0x1.ea6e43b099000p-9'),
         'w_inequality': (39, 6, '0x1.ea6e43b099000p-9'),
-        'psi4_le_F4': (5440, 13, '0x1.ee8f4066a182cp-27'),
+        'psi4_le_F4': (258, 8, '0x1.ff0a63c7367d9p-16'),
     },
     6: {
         'psihat_nonneg': (2, 0, '0x1.1307ad8160c70p-8'),
         'eta0': (2, 0, '0x1.1d7a699899e9ap-1'),
         'eta1': (85, 8, '0x1.97bcff9198000p-10'),
-        'eta_ge2': (1363, 7, '0x1.4cd760eafc09cp-27'),
+        'eta_ge2': (73, 4, '0x1.08847a44ee1c5p-18'),
     },
     8: {
         'psihat_nonneg': (2, 0, '0x1.34c9af3f85673p-3'),
         'eta0': (2, 0, '0x1.696a743fccb69p-1'),
         'eta1': (55, 7, '0x1.98bc6b24ee4e0p-5'),
-        'eta_ge2': (1095, 7, '0x1.cf3ecb893e1d4p-22'),
+        'eta_ge2': (65, 3, '0x1.38828a4c8763bp-16'),
     },
     10: {
         'psihat_nonneg': (2, 0, '0x1.b7ebb2f570cd0p-3'),
         'eta0': (2, 0, '0x1.91ce1dcaf13c8p-1'),
         'eta1': (39, 6, '0x1.ab0fd34050300p-8'),
-        'eta_ge2': (981, 7, '0x1.8325ec1ddfa87p-22'),
+        'eta_ge2': (63, 3, '0x1.c6f691de34ca1p-16'),
     },
     12: {
         'psihat_nonneg': (2, 0, '0x1.7a6848b9981c4p-3'),
         'eta0': (1, 0, '0x1.73c28fa036da1p+0'),
         'eta1': (35, 6, '0x1.70e10814913d0p-5'),
-        'eta_ge2': (899, 7, '0x1.131a839757eb6p-22'),
+        'eta_ge2': (63, 3, '0x1.11b88669c51c0p-15'),
     },
     14: {
         'psihat_nonneg': (2, 0, '0x1.c600b37f64314p-3'),
         'eta0': (1, 0, '0x1.7f3190dbed7e4p+0'),
         'eta1': (31, 6, '0x1.8db40aef10250p-5'),
-        'eta_ge2': (845, 7, '0x1.18b029567aa34p-26'),
+        'eta_ge2': (63, 3, '0x1.31b0765537aebp-15'),
     },
 }
 
