@@ -188,6 +188,36 @@ def _per_lane(f):
     return lanes
 
 
+def _halves(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, param: np.ndarray):
+    """(lo, hi, param) of the halves [lo, mid] and [mid, hi] of every box, in order."""
+    return np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), \
+        np.repeat(param, 2)
+
+
+def _window(f, lo: np.ndarray, hi: np.ndarray, param: np.ndarray, room: int,
+            levels: int) -> list[tuple[Lanes, Lanes]]:
+    """(boxes, midpoints) of f on a frontier and on the levels below it, in one batch.
+
+    The frontier of L boxes is level 0; level j + 1 holds the `_halves` of
+    level j.  The window is k levels deep, k the largest depth of at most
+    `levels` such that its 2 L (2^k - 1) box and midpoint lanes fit in one
+    _CHUNK and its L (2^k - 1) boxes in `room`; at least the frontier itself.
+    """
+    n, k = lo.size, 1
+    while n and k < levels and 2 * n * (2 ** (k + 1) - 1) <= _CHUNK \
+            and n * (2 ** (k + 1) - 1) <= room:
+        k += 1
+    tree = [(lo, hi, param)]
+    for _ in range(k - 1):
+        a, b, p = tree[-1]
+        tree.append(_halves(a, b, 0.5 * (a + b), p))
+    a, b, p = (np.concatenate(level) for level in zip(*tree))
+    m = 0.5 * (a + b)
+    v = _evaluate(f, np.concatenate((a, m)), np.concatenate((b, m)), np.tile(p, 2))
+    ends = np.cumsum([0] + [n << j for j in range(k)])
+    return [(v[i:j], v[a.size + i:a.size + j]) for i, j in zip(ends[:-1], ends[1:])]
+
+
 def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
     """Discharge f >= 0 on every root box into `run`, one frontier level at a time.
 
@@ -196,11 +226,18 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
     enclosures; `_per_lane` adapts a scalar callable.  A level is the whole
     frontier in left-to-right order: root order, then position.  A box is
     discharged when its enclosure's lower bound is >= 0; otherwise f is
-    evaluated at its midpoint and the box is bisected there.  A level of at
-    most _CHUNK / 2 boxes is evaluated in one batch with all its midpoints,
-    so f may also be evaluated at midpoints of boxes that are discharged;
-    those values are ignored.  Every lane is computed on its own, so this
-    changes no box and no value the run keeps.
+    evaluated at its midpoint and the box is bisected there.
+
+    A level of more than _CHUNK / 2 boxes is evaluated on its own: its
+    boxes, then the midpoints of those not discharged.  A smaller level
+    opens a window (`_window`): one batch evaluates f on its boxes and
+    midpoints and on those of the levels below it, as deep as the lanes fit
+    in one _CHUNK, the boxes in the budget room left at that level and the
+    levels within max_depth.  The walk then reads the window one level at a
+    time, in the order above.  Only the boxes the walk reaches are counted
+    and read; the boxes and midpoints below a discharged box, or below the
+    level where the run stops, are evaluated and never read.  Every lane is
+    computed on its own, so this changes no box and no value the run keeps.
 
     The box tree depends only on f, so a verified run has the same boxes,
     max_depth and min_lower_bound in any evaluation order.  A run that is not
@@ -209,8 +246,11 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
     - a midpoint's enclosure is < 0: `failed`, with the leftmost such
       midpoint as witness and its enclosure's lower bound in min_lb;
     - the level did not fit in the budget: `inconclusive`.  No more than
-      `budget` boxes are ever evaluated, counting the run's earlier pieces;
-      the level is cut to the boxes that fit;
+      `budget` boxes are ever counted, counting the run's earlier pieces;
+      the level is cut to the boxes that fit.  A window holds no more boxes
+      than the room left at its first level, so the cut falls where a
+      level-by-level walk puts it, and a run that reaches every box it
+      evaluates evaluates no more than `budget`;
     - an undischarged box is at max_depth, or its midpoint does not split
       it: `inconclusive`.
 
@@ -228,6 +268,7 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
     hi = np.array([r[1] for r in roots], dtype=float)
     param = np.array([r[2] if len(r) > 2 else 0 for r in roots], dtype=np.int64)
     depth = 0
+    window = []  # the unread levels of the open window
     while lo.size:
         room = max(policy.budget - run.boxes, 0)
         cut = lo.size > room
@@ -237,17 +278,18 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
             run.max_depth = max(run.max_depth, depth)
         run.boxes += lo.size
         mid = 0.5 * (lo + hi)
-        small = 2 * lo.size <= _CHUNK
-        if small:  # one batch of boxes and midpoints instead of two
-            both = _evaluate(f, np.concatenate((lo, mid)), np.concatenate((hi, mid)),
-                             np.tile(param, 2))
-            v, vm = both[:lo.size], both[lo.size:]
+        if not window and 2 * lo.size <= _CHUNK:
+            window = _window(f, lo, hi, param, room, policy.max_depth - depth + 1)
+            pos = np.arange(lo.size)  # each box's place in its window level
+        cached = bool(window)
+        if cached:
+            v, vm = (w[pos] for w in window.pop(0))
         else:
             v = _evaluate(f, lo, hi, param)
         done = v.lo >= 0.0
         run.min_lb = min([run.min_lb, *v.lo[done].tolist()])
         lo, hi, mid, param = lo[~done], hi[~done], mid[~done], param[~done]
-        vm = vm[~done] if small else _evaluate(f, mid, mid, param)
+        vm = vm[~done] if cached else _evaluate(f, mid, mid, param)
         bad = np.flatnonzero(vm.hi < 0.0)
         if bad.size:
             run.status = FAILED
@@ -257,8 +299,9 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
         if cut or (lo.size and depth >= policy.max_depth) or np.any((mid <= lo) | (mid >= hi)):
             run.status = INCONCLUSIVE
             return
-        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        param = np.repeat(param, 2)
+        lo, hi, param = _halves(lo, hi, mid, param)
+        if cached:
+            pos = np.column_stack((2 * pos[~done], 2 * pos[~done] + 1)).ravel()
         depth += 1
 
 

@@ -250,7 +250,7 @@ def lattice_energy(alpha: int, t: Interval, N: int = 64) -> LatticeEnergyTerms:
         return f_alpha(alpha, t * Lanes(n))
 
     head = t * (1.0 + 2.0 * _series(f, 1, N))
-    rem = 2.0 * t * (_series(f, N + 1, 2 * N) + _sum_f_beyond(alpha, t, 2 * N))
+    rem = t * (2.0 * (_series(f, N + 1, 2 * N) + _sum_f_beyond(alpha, t, 2 * N)))
     tail = Interval(max(rem.lo, 0.0), rem.hi)
     return LatticeEnergyTerms(truncation_N=N, head=head, tail=tail)
 

@@ -24,10 +24,17 @@ for count, and raise what it raises.
 `repulse.simulate` written as the direct loop over every image
 k = -K..K, as the library computed it before the kernel evaluated only
 k = 0..K on reused buffers.  The kernel must equal it bit for bit.
+
+`bnb_level_by_level` is the branch-and-bound engine as the library ran it
+before it evaluated the levels below a small frontier in the same batch:
+one level per batch (boxes and midpoints together when they fit in one
+chunk).  The engine must give the same status, boxes, max_depth,
+min_lower_bound and witness, with no more calls to f.
 """
 
 import numpy as np
 
+from repulse import certify
 from repulse.auxfn import build_coefficients
 from repulse.interval import DomainError, Interval, hull, pow_int
 from repulse.potential import (
@@ -216,3 +223,49 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,), max_cells=1024):
                 hi = mid
         out.append((Interval(lo, hi), dict(counts)))
     return out
+
+
+def bnb_level_by_level(run, f, roots, policy):
+    """certify._bnb with one frontier level per batch."""
+    policy = policy or certify.BnbPolicy()
+    if run.status != certify.VERIFIED:
+        return
+    if policy.max_depth < 1:
+        run.status = certify.INCONCLUSIVE
+        return
+    lo = np.array([r[0] for r in roots], dtype=float)
+    hi = np.array([r[1] for r in roots], dtype=float)
+    param = np.array([r[2] if len(r) > 2 else 0 for r in roots], dtype=np.int64)
+    depth = 0
+    while lo.size:
+        room = max(policy.budget - run.boxes, 0)
+        cut = lo.size > room
+        if cut:
+            lo, hi, param = lo[:room], hi[:room], param[:room]
+        if lo.size:
+            run.max_depth = max(run.max_depth, depth)
+        run.boxes += lo.size
+        mid = 0.5 * (lo + hi)
+        small = 2 * lo.size <= certify._CHUNK
+        if small:  # one batch of boxes and midpoints instead of two
+            both = certify._evaluate(f, np.concatenate((lo, mid)), np.concatenate((hi, mid)),
+                                     np.tile(param, 2))
+            v, vm = both[:lo.size], both[lo.size:]
+        else:
+            v = certify._evaluate(f, lo, hi, param)
+        done = v.lo >= 0.0
+        run.min_lb = min([run.min_lb, *v.lo[done].tolist()])
+        lo, hi, mid, param = lo[~done], hi[~done], mid[~done], param[~done]
+        vm = vm[~done] if small else certify._evaluate(f, mid, mid, param)
+        bad = np.flatnonzero(vm.hi < 0.0)
+        if bad.size:
+            run.status = certify.FAILED
+            run.witness = float(mid[bad[0]])
+            run.min_lb = min(run.min_lb, float(vm.lo[bad[0]]))
+            return
+        if cut or (lo.size and depth >= policy.max_depth) or np.any((mid <= lo) | (mid >= hi)):
+            run.status = certify.INCONCLUSIVE
+            return
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        param = np.repeat(param, 2)
+        depth += 1

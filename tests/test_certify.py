@@ -30,7 +30,7 @@ from repulse.certify import (
 from repulse.interval import Interval, Lanes, PI, pow_int, sin
 from repulse.potential import F_alpha, F_deficit_over_x_sq, PotentialContext
 
-from _oracles import F_alpha_second, eta1_scalar, sum_inv_sq_offset
+from _oracles import bnb_level_by_level, F_alpha_second, eta1_scalar, sum_inv_sq_offset
 
 
 # -- engine ------------------------------------------------------------------
@@ -72,24 +72,27 @@ def test_engine_zero_depth_policy():
 
 class _LaneProbe:
     """Batched test function: [-1, -1] at a bad point, [-1, 1] on boxes
-    wider than `fine` or holding a bad point, else [1, 1].  Records how
-    many boxes (not midpoints) it was asked to evaluate, and in how many
-    calls."""
+    wider than `fine` * (1 + param) or holding a bad point, else
+    [1 - tilt * lo, 1].  Records how many boxes (not midpoints) it was asked
+    to evaluate, in how many calls, and the most lanes in one call."""
 
-    def __init__(self, bad=(), fine=0.0):
+    def __init__(self, bad=(), fine=0.0, tilt=0.0):
         self.bad = np.array(bad, dtype=float)
         self.fine = fine
+        self.tilt = tilt
         self.boxes = 0
         self.calls = 0
+        self.widest = 0
 
     def __call__(self, x: Lanes, param) -> Lanes:
         lo, hi = x.lo, x.hi
         self.calls += 1
         self.boxes += int(np.count_nonzero(lo < hi))
+        self.widest = max(self.widest, lo.size)
         holds = ((lo[:, None] <= self.bad) & (self.bad <= hi[:, None])).any(axis=1)
         point_bad = holds & (lo == hi)
-        open_ = holds | (hi - lo > self.fine)
-        v_lo = np.where(point_bad | open_, -1.0, 1.0)
+        open_ = holds | (hi - lo > self.fine * (1 + (0 if param is None else param)))
+        v_lo = np.where(point_bad | open_, -1.0, 1.0 - self.tilt * lo)
         v_hi = np.where(point_bad, -1.0, 1.0)
         return Lanes(v_lo, v_hi)
 
@@ -156,11 +159,63 @@ def test_engine_multi_root_params_and_order():
 
 
 def test_engine_small_level_costs_one_call():
-    # levels of 1, 2, 4 and 8 boxes; the last is discharged whole
+    # levels of 1, 2, 4 and 8 boxes; the last is discharged whole.  One
+    # window holds the 31 boxes of depths 0..4 and their midpoints: the 16
+    # boxes of depth 4 are evaluated, never reached and never counted
     f = _LaneProbe(fine=0.125)
     run = _run_engine(f, [(0.0, 1.0)])
     assert run.status == "verified"
-    assert (run.boxes, run.max_depth, f.boxes, f.calls) == (15, 3, 15, 4)
+    assert (run.boxes, run.max_depth, f.boxes, f.calls, f.widest) == (15, 3, 31, 1, 62)
+
+
+def test_engine_window_stops_at_max_depth_and_budget():
+    # the window of a one-box frontier is 5 levels deep unless max_depth or
+    # the budget room ends it sooner; the levels past the window are new calls
+    for policy, boxes, calls in ((BnbPolicy(max_depth=2), 7, 1),
+                                 (BnbPolicy(budget=14), 7 + 7, 2),
+                                 (BnbPolicy(max_depth=6), 31 + 32 + 64, 4)):
+        f = _LaneProbe(fine=0.0)
+        run = _run_engine(f, [(0.0, 1.0)], policy)
+        assert run.status == "inconclusive"
+        assert (f.boxes, run.boxes, f.calls) == (boxes, boxes, calls)
+        assert f.widest <= cert._CHUNK
+
+
+def _random_engine_case(rng: random.Random):
+    """A _LaneProbe on 1-40 dyadic roots with params, bad points that fall on
+    midpoints at depths 0..5, a policy and a count of earlier boxes."""
+    roots, bad = [], []
+    for k in range(rng.randint(1, 40)):
+        lo, width = k + rng.randrange(4) / 4.0, 2.0 ** -rng.randrange(4)
+        kind = rng.random()
+        hi = lo if kind < 0.05 else math.nextafter(lo, 2 * lo + 1) if kind < 0.1 else lo + width
+        roots.append((lo, hi, rng.randrange(4)))
+        if rng.random() < 0.03:
+            depth = rng.randrange(6)
+            bad.append(lo + width * (2 * rng.randrange(2 ** depth) + 1) / 2.0 ** (depth + 1))
+    fine = rng.choice([0.0, *(2.0 ** -rng.randrange(7) for _ in range(3))])
+    policy = BnbPolicy(max_depth=rng.randrange(11), budget=rng.randint(1, 300))
+    return roots, bad, fine, policy, rng.choice([0, 0, rng.randrange(20)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_matches_level_by_level_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        roots, bad, fine, policy, earlier = _random_engine_case(rng)
+        runs, probes = [], []
+        for engine in (cert._bnb, bnb_level_by_level):
+            f = _LaneProbe(bad=bad, fine=fine, tilt=1.0 / 64)
+            run = cert._Run(boxes=earlier)
+            engine(run, f, roots, policy)
+            runs.append(run)
+            probes.append(f)
+        new, old = runs
+        case = (roots, bad, fine, policy, earlier)
+        assert (new.status, new.boxes, new.max_depth, new.min_lb.hex(), new.witness) == \
+            (old.status, old.boxes, old.max_depth, old.min_lb.hex(), old.witness), case
+        assert probes[0].calls <= probes[1].calls, case
+        assert probes[0].widest <= cert._CHUNK, case
 
 
 def test_engine_large_level_keeps_midpoints_apart():
@@ -444,6 +499,32 @@ def test_eta1_scalar_reference_gives_the_certificate(ctx6):
     assert c.status == run.status == "verified"
     assert (c.boxes_processed, c.max_depth, c.min_lower_bound.hex()) == \
         (run.boxes, run.max_depth, run.min_lb.hex())
+
+
+def test_eta1_windows_cut_calls_and_keep_the_certificate(ctx6, monkeypatch):
+    # certify_eta1 at alpha 6 through a call-counting integrand, with the
+    # engine and with the level-by-level oracle
+    integrand = cert._eta1_integrand
+    calls = []
+
+    def counted(ctx, N):
+        f = integrand(ctx, N)
+        calls.append(0)
+
+        def g(t, param):
+            calls[-1] += 1
+            return f(t, param)
+        return g
+
+    monkeypatch.setattr(cert, "_eta1_integrand", counted)
+    new = certify_eta1(ctx6).to_json_dict()
+    monkeypatch.setattr(cert, "_bnb", bnb_level_by_level)
+    old = certify_eta1(ctx6).to_json_dict()
+    assert calls == [4, 9]
+    del new["wall_time_ms"], old["wall_time_ms"]
+    assert new["status"] == "verified" and new["boxes_processed"] == 85
+    assert new["min_lower_bound"].hex() == old["min_lower_bound"].hex()
+    assert new == old
 
 
 def test_eta1_rejects_alpha4(ctx4):

@@ -61,16 +61,18 @@ def _strict_json(text):
 
 
 def test_energy_overflow_prints_null_not_infinity(capsys):
-    # the enclosure's upper end overflows this close to the largest float
-    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1.79e308")
+    # at the largest float the exact energy, t (1 + 2 sum f(t n)), exceeds
+    # every float, so the enclosure's upper end is inf
+    code, out = _run(capsys, "energy", "--alpha", "4", "--t", "1.7976931348623157e308")
     assert code == 0
     d = _strict_json(out)
     assert d["energy_lo"] >= 1e308 and d["energy_hi"] is None
 
 
-@pytest.mark.parametrize("t", ["1e200", "1e300"])
+@pytest.mark.parametrize("t", ["1e200", "1e300", "8.98846567431158e307", "1.79e308"])
 def test_energy_at_huge_spacing_is_finite(capsys, t):
-    # the midpoint tail's error term once formed t^2 before scaling it
+    # the midpoint tail's error term once formed t^2 before scaling it, and
+    # the tail once formed 2t, which overflows from t = 2^1023 on
     code, out = _run(capsys, "energy", "--alpha", "4", "--t", t)
     assert code == 0
     d = _strict_json(out)
