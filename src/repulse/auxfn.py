@@ -51,9 +51,13 @@ class AuxCoefficients:
                 Lanes.of(self.Fn[start:]), Lanes.of(self.dFn[start:]))
 
 
-def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
+def _check_rows(N: int) -> None:
     if N < 8:
         raise ValueError("need N >= 8 coefficient rows")
+
+
+def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
+    _check_rows(N)
     alpha = ctx.alpha
     s_pow = ctx.s_pow_alpha
     n = np.arange(1.0, N + 1.0)

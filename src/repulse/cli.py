@@ -17,6 +17,7 @@ from . import __version__, json_text
 from .interval import Interval
 from .potential import (
     AmbiguousSignChangeError,
+    _check_truncation,
     lattice_energy,
     solve_s_alpha,
 )
@@ -96,6 +97,7 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_salpha(args) -> int:
+    _check_truncation(args.trunc)  # before the solve, as certify checks its route
     ctx = solve_s_alpha(args.alpha, args.tol)
     total = lattice_energy(args.alpha, ctx.s_alpha, args.trunc).total
     _emit({
@@ -124,8 +126,9 @@ def _cmd_energy(args) -> int:
 
 
 def _aux_coeffs(alpha: int, tol: float, n_coeffs: int):
-    from .auxfn import build_coefficients
+    from .auxfn import _check_rows, build_coefficients
 
+    _check_rows(n_coeffs)  # before the solve, as certify checks its route
     return build_coefficients(solve_s_alpha(alpha, tol), n_coeffs)
 
 

@@ -20,27 +20,9 @@ _INF = math.inf
 _nextafter = math.nextafter
 
 __all__ = [
-    "DomainError",
-    "Interval",
-    "Lanes",
-    "PI",
-    "TWO_PI",
-    "HALF_PI",
-    "PI_SQ",
-    "LN2",
-    "SIXTH",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
-    "sinc",
-    "remainder_R",
-    "s3_kernel",
-    "pow_int",
-    "hull",
-    "lane_fold",
-    "lane_sum",
+    "DomainError", "Interval", "Lanes", "PI", "TWO_PI", "HALF_PI", "PI_SQ", "LN2", "SIXTH",
+    "sin", "cos", "exp", "log", "sqrt", "sinc", "remainder_R", "s3_kernel", "pow_int", "hull",
+    "lane_fold", "lane_sum",
 ]
 
 
@@ -119,62 +101,39 @@ def _sub_up(a: float, b: float) -> float:
 
 def _mul_down(a: float, b: float) -> float:
     p, e = _two_prod(a, b)
-    if e is None:
-        return _down(p)
-    return _down(p) if e < 0.0 else p
+    return _down(p) if e is None or e < 0.0 else p
 
 
 def _mul_up(a: float, b: float) -> float:
     p, e = _two_prod(a, b)
-    if e is None:
-        return _up(p)
-    return _up(p) if e > 0.0 else p
+    return _up(p) if e is None or e > 0.0 else p
 
 
-def _div_err_sign(a: float, b: float, q: float):
-    """Sign of a - q*b (the residual of the division), or None if unknown."""
+def _div_err(a: float, b: float, q: float):
+    """The residual r = a - q*b of the division, signed as r/b: the side of q
+    on which the true quotient q + r/b lies; None if unknown."""
     p, e = _two_prod(q, b)
     if e is None:
         return None
     # a - p is exact by Sterbenz when p/2 <= a <= 2p (same sign); q is the
     # correctly rounded quotient so p is within a couple ulp of a.
-    if a == p:
-        d1 = 0.0
-    else:
-        if (a > 0.0) != (p > 0.0):
-            return None
-        aa, pp = abs(a), abs(p)
-        if not (0.5 * pp <= aa <= 2.0 * pp):
-            return None
-        d1 = a - p
-    s, t = _two_sum(d1, -e)
+    if a != p and ((a > 0.0) != (p > 0.0) or not 0.5 * abs(p) <= abs(a) <= 2.0 * abs(p)):
+        return None
+    s, t = _two_sum(0.0 if a == p else a - p, -e)
     r = s if s != 0.0 else t
-    if r > 0.0:
-        return 1
-    if r < 0.0:
-        return -1
-    return 0
+    return r if b > 0.0 else -r
 
 
 def _div_down(a: float, b: float) -> float:
     q = a / b
-    s = _div_err_sign(a, b, q)
-    if s is None:
-        return _down(q)
-    # true quotient = q + (a - q*b)/b
-    if s == 0:
-        return q
-    return _down(q) if (s > 0) != (b > 0.0) else q
+    r = _div_err(a, b, q)
+    return _down(q) if r is None or r < 0.0 else q
 
 
 def _div_up(a: float, b: float) -> float:
     q = a / b
-    s = _div_err_sign(a, b, q)
-    if s is None:
-        return _up(q)
-    if s == 0:
-        return q
-    return _up(q) if (s > 0) == (b > 0.0) else q
+    r = _div_err(a, b, q)
+    return _up(q) if r is None or r > 0.0 else q
 
 
 def _sqrt_down(x: float) -> float:
@@ -408,18 +367,33 @@ def hull(a: Interval, b: Interval) -> Interval:
 # Integer powers (monotone by parity, never naive repeated self-multiply).
 # ---------------------------------------------------------------------------
 
-def _pow_dir(x, k: int, mul):
-    """x**k for x >= 0 with every product rounded by the directed `mul`:
-    _mul_up/_mul_down on floats, _vmul_up/_vmul_down on lanes."""
-    acc = 1.0
-    base = x
-    while k:
+def _known_unit(x: float) -> bool:
+    """Does _two_prod(1.0, x) know its error?  It is then 0 and 1.0 * x is x."""
+    return (x == 0.0 or abs(x) >= _PROD_MIN) and abs(x) <= _NO_SPLIT
+
+
+def _unit_down(x: float) -> float:
+    """_mul_down(1.0, x) without the product."""
+    return x if _known_unit(x) else _down(x)
+
+
+def _unit_up(x: float) -> float:
+    """_mul_up(1.0, x) without the product."""
+    return x if _known_unit(x) else _up(x)
+
+
+def _pow_dir(x, k: int, mul, unit):
+    """x**k for x >= 0 and k >= 1, every product rounded by the directed `mul`
+    (_mul_down/_mul_up, or _vmul_rows on stacked lanes); the chain starts from
+    its first factor x**(2**j) as `unit` gives it, rounded as mul(1.0, .)."""
+    acc = None
+    while True:
         if k & 1:
-            acc = mul(acc, base)
+            acc = unit(x) if acc is None else mul(acc, x)
         k >>= 1
-        if k:
-            base = mul(base, base)
-    return acc
+        if not k:
+            return acc
+        x = mul(x, x)
 
 
 def pow_int(a, k: int):
@@ -434,38 +408,65 @@ def pow_int(a, k: int):
         with np.errstate(all="ignore"):
             return Lanes(*_vpow(a.lo, a.hi, k))
     if k % 2 == 0:
-        m = a.mag
-        lo_abs = a.mig
-        return Interval._raw(_pow_dir(lo_abs, k, _mul_down), _pow_dir(m, k, _mul_up))
+        return Interval._raw(_pow_dir(a.mig, k, _mul_down, _unit_down),
+                             _pow_dir(a.mag, k, _mul_up, _unit_up))
     if a.lo >= 0.0:
-        return Interval._raw(_pow_dir(a.lo, k, _mul_down), _pow_dir(a.hi, k, _mul_up))
+        return Interval._raw(_pow_dir(a.lo, k, _mul_down, _unit_down),
+                             _pow_dir(a.hi, k, _mul_up, _unit_up))
     if a.hi <= 0.0:
-        return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), -_pow_dir(-a.hi, k, _mul_down))
-    return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), _pow_dir(a.hi, k, _mul_up))
+        return Interval._raw(-_pow_dir(-a.lo, k, _mul_up, _unit_up),
+                             -_pow_dir(-a.hi, k, _mul_down, _unit_down))
+    return Interval._raw(-_pow_dir(-a.lo, k, _mul_up, _unit_up),
+                         _pow_dir(a.hi, k, _mul_up, _unit_up))
 
 
 # ---------------------------------------------------------------------------
 # Interval lanes: the rational core on numpy endpoint arrays.
 #
-# Each _v* kernel repeats its scalar twin above operation for operation, so a
-# lane's endpoints equal the scalar result bit for bit.  Branches become
-# masks; every branch is computed on every lane and np.where picks, which
-# never changes a lane's value.  Python's min(a, b)/max(a, b) keep `a` on
-# ties, which np.where(b < a, b, a) reproduces for signed zeros (np.minimum
-# does not).  The kernels may overflow or divide by zero on lanes whose
-# result is discarded, so callers run them inside np.errstate(all="ignore").
+# Each operand's endpoints are the rows of one (2, ...) stack, and an
+# operation runs its error-free transformation once on the stacks: row 0
+# rounds down and row 1 up, by one np.nextafter (_vround).  Each row repeats
+# its scalar twin above operation for operation, so a lane's endpoints equal
+# the scalar result bit for bit.  Branches become masks; every branch is
+# computed on every lane and np.where picks.  If every lane of both factors
+# is >= 0 (numerator >= 0, divisor > 0), the sign selection would pick
+# [lo * lo, hi * hi] ([lo / hi, hi / lo]) on every lane, -0.0 included, so
+# it is skipped.  np.where(b < a, b, a) keeps Python's min(a, b) tie rule on
+# signed zeros (np.minimum does not).  Kernels may overflow or divide by zero
+# on lanes whose result is discarded, so callers run them inside
+# np.errstate(all="ignore").
 # ---------------------------------------------------------------------------
 
-def _vround(x, move, toward: float):
-    """x stepped one ulp toward `toward` where `move`, else x unchanged."""
-    return np.nextafter(x, np.where(move, toward, x))
+# At index n, for a stack of n + 1 axes: e * sign > 0 where the rounding
+# error e points outward, and the direction of the outward step.
+_ROUND_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * n) for n in range(8)]
+_ROUND_TOWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * n) for n in range(8)]
+
+
+def _stack(lo, hi, ndim: int = 0):
+    """lo and hi as rows 0 and 1 of one array with at least ndim lane axes."""
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    x = np.array((lo, hi))
+    return x.reshape((2,) + (1,) * (ndim - lo.ndim) + lo.shape) if ndim > lo.ndim else x
+
+
+def _vround(x, e, unknown=None):
+    """The rows of the new array x, stepped in place one ulp outward (row 0
+    down, row 1 up) where the rounding error e points outward or `unknown`."""
+    n = x.ndim - 1
+    move = e * _ROUND_SIGN[n] > 0.0
+    if unknown is not None:
+        move |= unknown
+    return np.nextafter(x, _ROUND_TOWARD[n], out=x, where=move)
 
 
 def _vtwo_prod(a, b):
     """Lanes of _two_prod: (p, e, known), with e meaningful where known."""
     p = a * b
     ap = np.abs(p)
-    known = np.isfinite(p) & (ap <= _PROD_MAX) & ((ap == 0.0) | (ap >= _PROD_MIN)) \
+    zero = ap == 0.0
+    known = (ap <= _PROD_MAX) & (zero | (ap >= _PROD_MIN)) \
         & (np.abs(a) <= _NO_SPLIT) & (np.abs(b) <= _NO_SPLIT)
     ca = _SPLITTER * a
     ah = ca - (ca - a)
@@ -474,96 +475,85 @@ def _vtwo_prod(a, b):
     bh = cb - (cb - b)
     bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    zero = ap == 0.0
-    if np.any(zero):
+    if zero.any():
         e = np.where(zero & (a != 0.0) & (b != 0.0), np.sign(a) * np.sign(b), e)
     return p, e, known
 
 
-def _vadd_down(a, b):
-    s, e = _two_sum(a, b)
-    return _vround(s, e < 0.0, -_INF)
+def _vadd(x, y):
+    """Stacked _add_down/_add_up: [x0 + y0 down, x1 + y1 up]."""
+    s, e = _two_sum(x, y)
+    return _vround(s, e)
 
 
-def _vadd_up(a, b):
-    s, e = _two_sum(a, b)
-    return _vround(s, e > 0.0, _INF)
+def _vsub(x, y):
+    return _vadd(x, -y[::-1])
 
 
-def _vmul_down(a, b):
-    p, e, known = _vtwo_prod(a, b)
-    return _vround(p, ~known | (e < 0.0), -_INF)
+def _vmul_rows(x, y):
+    """Stacked _mul_down/_mul_up: [x0 * y0 down, x1 * y1 up]."""
+    p, e, known = _vtwo_prod(x, y)
+    return _vround(p, e, ~known)
 
 
-def _vmul_up(a, b):
-    p, e, known = _vtwo_prod(a, b)
-    return _vround(p, ~known | (e > 0.0), _INF)
-
-
-def _vdiv_err_sign(a, b, q):
-    """Lanes of _div_err_sign: (residual > 0, residual < 0, sign known)."""
-    p, e, known = _vtwo_prod(q, b)
-    same = a == p
-    aa, pp = np.abs(a), np.abs(p)
-    known = known & (same | (((a > 0.0) == (p > 0.0)) & (0.5 * pp <= aa) & (aa <= 2.0 * pp)))
-    s, t = _two_sum(np.where(same, 0.0, a - p), -e)
+def _vdiv_rows(x, y):
+    """Stacked _div_down/_div_up: [x0 / y0 down, x1 / y1 up], by the
+    residual of _div_err."""
+    q = x / y
+    p, e, known = _vtwo_prod(q, y)
+    same = x == p
+    ax, ap = np.abs(x), np.abs(p)
+    known &= same | (((x > 0.0) == (p > 0.0)) & (0.5 * ap <= ax) & (ax <= 2.0 * ap))
+    s, t = _two_sum(np.where(same, 0.0, x - p), -e)
     r = np.where(s != 0.0, s, t)
-    return r > 0.0, r < 0.0, known
+    return _vround(q, np.where(y > 0.0, r, -r), ~known)
 
 
-def _vdiv_down(a, b):
-    q = a / b
-    pos, neg, known = _vdiv_err_sign(a, b, q)
-    b_pos = b > 0.0
-    return _vround(q, ~known | (pos & ~b_pos) | (neg & b_pos), -_INF)
+def _vunit(x):
+    """Stacked _unit_down/_unit_up: 1.0 * x as _vmul_rows would round it."""
+    ax = np.abs(x)
+    known = (ax <= _NO_SPLIT) & ((ax >= _PROD_MIN) | (x == 0.0))
+    if known.all():
+        return x
+    return np.nextafter(x, np.where(known, x, _ROUND_TOWARD[x.ndim - 1]))
 
 
-def _vdiv_up(a, b):
-    q = a / b
-    pos, neg, known = _vdiv_err_sign(a, b, q)
-    b_pos = b > 0.0
-    return _vround(q, ~known | (pos & b_pos) | (neg & ~b_pos), _INF)
-
-
-def _vadd(a, b, c, d):
-    return _vadd_down(a, c), _vadd_up(b, d)
-
-
-def _vsub(a, b, c, d):
-    return _vadd_down(a, -d), _vadd_up(b, -c)
-
-
-def _vmul(a, b, c, d):
+def _vmul(x, y):
     """[a, b] * [c, d] by the sign cases of Interval.__mul__, per lane."""
+    (a, b), (c, d) = x, y
     a_pos = a >= 0.0
-    b_neg = ~a_pos & (b <= 0.0)
     c_pos = c >= 0.0
+    if a_pos.all() and c_pos.all():
+        return _vmul_rows(x, y)
+    b_neg = ~a_pos & (b <= 0.0)
     d_neg = ~c_pos & (d <= 0.0)
-    lo = _vmul_down(np.where(a_pos, np.where(c_pos, a, b), np.where(d_neg, b, a)),
-                    np.where(a_pos, c, np.where(~b_neg & d_neg, c, d)))
-    hi = _vmul_up(np.where(a_pos, np.where(d_neg, a, b), np.where(c_pos, b, a)),
-                  np.where(a_pos, d, np.where(~b_neg & c_pos, d, c)))
+    out = _vmul_rows(
+        np.array((np.where(a_pos, np.where(c_pos, a, b), np.where(d_neg, b, a)),
+                  np.where(a_pos, np.where(d_neg, a, b), np.where(c_pos, b, a)))),
+        np.array((np.where(a_pos, c, np.where(~b_neg & d_neg, c, d)),
+                  np.where(a_pos, d, np.where(~b_neg & c_pos, d, c)))))
     both = ~a_pos & ~b_neg & ~c_pos & ~d_neg  # both factors straddle 0
-    if np.any(both):
-        lo2 = _vmul_down(b, c)
-        hi2 = _vmul_up(b, d)
-        lo = np.where(both & (lo2 < lo), lo2, lo)
-        hi = np.where(both & (hi2 > hi), hi2, hi)
-    return lo, hi
+    if both.any():
+        alt = _vmul_rows(b, y)
+        out = np.array((np.where(both & (alt[0] < out[0]), alt[0], out[0]),
+                        np.where(both & (alt[1] > out[1]), alt[1], out[1])))
+    return out
 
 
-def _vdiv(a, b, c, d):
+def _vdiv(x, y):
     """[a, b] / [c, d] by the sign cases of Interval.__truediv__, per lane."""
-    if np.any((c <= 0.0) & (0.0 <= d)):
-        raise DomainError("division by an interval containing 0")
+    (a, b), (c, d) = x, y
     c_pos = c > 0.0
     a_pos = a >= 0.0
+    if c_pos.all() and a_pos.all():
+        return _vdiv_rows(x, y[::-1])
+    if ((c <= 0.0) & (0.0 <= d)).any():
+        raise DomainError("division by an interval containing 0")
     b_neg = ~a_pos & (b <= 0.0)
-    lo = _vdiv_down(np.where(c_pos, a, b),
-                    np.where(c_pos, np.where(a_pos, d, c), np.where(b_neg, c, d)))
-    hi = _vdiv_up(np.where(c_pos, b, a),
-                  np.where(c_pos, np.where(b_neg, d, c), np.where(a_pos, c, d)))
-    return lo, hi
+    return _vdiv_rows(
+        np.array((np.where(c_pos, a, b), np.where(c_pos, b, a))),
+        np.array((np.where(c_pos, np.where(a_pos, d, c), np.where(b_neg, c, d)),
+                  np.where(c_pos, np.where(b_neg, d, c), np.where(a_pos, c, d)))))
 
 
 def _vpow(lo, hi, k: int):
@@ -571,11 +561,14 @@ def _vpow(lo, hi, k: int):
     if k % 2 == 0:
         mag = np.where(hi > -lo, hi, -lo)
         mig = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
-        return _pow_dir(mig, k, _vmul_down), _pow_dir(mag, k, _vmul_up)
+        return _pow_dir(_stack(mig, mag), k, _vmul_rows, _vunit)
     nonneg = lo >= 0.0
+    up = _pow_dir(_stack(lo, hi), k, _vmul_rows, _vunit)  # [lo^k down, hi^k up]
+    if nonneg.all():
+        return up
+    down = _pow_dir(_stack(-hi, -lo), k, _vmul_rows, _vunit)  # [(-hi)^k down, (-lo)^k up]
     neg = ~nonneg & (hi <= 0.0)
-    return (np.where(nonneg, _pow_dir(lo, k, _vmul_down), -_pow_dir(-lo, k, _vmul_up)),
-            np.where(neg, -_pow_dir(-hi, k, _vmul_down), _pow_dir(hi, k, _vmul_up)))
+    return np.array((np.where(nonneg, up[0], -down[1]), np.where(neg, -down[0], up[1])))
 
 
 def _lane_endpoints(x):
@@ -584,11 +577,8 @@ def _lane_endpoints(x):
         return x.lo, x.hi
     if isinstance(x, Interval):
         return np.float64(x.lo), np.float64(x.hi)
-    if isinstance(x, (int, float)):
-        x = np.float64(x)
-        return x, x
-    if isinstance(x, np.ndarray):
-        x = x.astype(float, copy=False)
+    if isinstance(x, (int, float, np.ndarray)):
+        x = np.asarray(x, dtype=float)
         return x, x
     return None
 
@@ -644,9 +634,10 @@ class Lanes:
         o = _lane_endpoints(other)
         if o is None:
             return NotImplemented
-        operands = (*o, self.lo, self.hi) if reflected else (self.lo, self.hi, *o)
+        n = max(self.lo.ndim, self.hi.ndim, o[0].ndim, o[1].ndim)
+        x, y = _stack(self.lo, self.hi, n), _stack(*o, n)
         with np.errstate(all="ignore"):
-            return Lanes(*kernel(*operands))
+            return Lanes(*(kernel(y, x) if reflected else kernel(x, y)))
 
     def __add__(self, other):
         return self._apply(_vadd, other)
@@ -684,26 +675,35 @@ class Lanes:
                      np.where(nonneg | (~nonpos & (hi > -lo)), hi, -lo))
 
 
-_ROUND_SIGN = np.array([[-1.0], [1.0]])  # lo row rounds down where e < 0, hi row up where e > 0
-_ROUND_TOWARD = np.array([[-_INF], [_INF]])
-
-
 def lane_fold(acc: Lanes, *terms) -> Lanes:
     """acc + t[:, 0] + u[:, 0] + ... + t[:, 1] + u[:, 1] + ... for terms t, u, ...
 
-    Lane by lane, these are the outward-rounded Interval additions in exactly
-    this order.  A term given as (lanes, skip) leaves the sum as it is on the
-    lanes where `skip` holds, as if that term were not there.
+    Lane by lane, the K elements acc, t[:, 0], u[:, 0], ..., t[:, 1], ... are
+    summed in a pairwise tree of outward-rounded Interval additions: each
+    level adds the elements (0, 1), (2, 3), ... of the level below, lower
+    index on the left, and an odd last element passes up unchanged: at most
+    ceil(log2 K) roundings from an element to the sum.  A term given as
+    (lanes, skip) stands as [-0.0, -0.0] where `skip` holds; x + (-0.0) is
+    x exactly, so the term drops out there and the tree keeps its shape.
     """
     parts = [(t, None) if isinstance(t, Lanes) else t for t in terms]
-    s = np.array((acc.lo, acc.hi))
+    m = len(parts)
+    *lanes, cols = np.broadcast_shapes(acc.lo.shape + (1,), acc.hi.shape + (1,),
+                                       *(e.shape for t, _ in parts for e in (t.lo, t.hi)))
+    s = np.empty((2, *lanes, 1 + m * cols))
+    s[0, ..., 0], s[1, ..., 0] = acc.lo, acc.hi
+    for i, (t, skip) in enumerate(parts):
+        e = _stack(t.lo, t.hi)
+        s[..., 1 + i::m] = e if skip is None else np.where(skip, -0.0, e)
+    k = s.shape[-1]
     with np.errstate(all="ignore"):
-        for j in range(parts[0][0].lo.shape[-1]):
-            for t, skip in parts:
-                total, e = _two_sum(s, np.array((t.lo[:, j], t.hi[:, j])))
-                total = _vround(total, e * _ROUND_SIGN > 0.0, _ROUND_TOWARD)
-                s = total if skip is None else np.where(skip[:, j], s, total)
-    return Lanes(s[0], s[1])
+        while k > 1:
+            h = k // 2
+            s[..., :h] = _vadd(s[..., 0:2 * h:2], s[..., 1:2 * h:2])
+            if k % 2:
+                s[..., h] = s[..., k - 1]
+            k = h + k % 2
+    return Lanes(s[0, ..., 0], s[1, ..., 0])
 
 
 def lane_sum(acc: Interval, *terms: Lanes) -> Interval:
@@ -808,7 +808,7 @@ def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
     bounds the remainder of an alternating series with decreasing terms.
     """
     n = len(coeffs) - 1
-    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up))
+    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up, _unit_up))
     c_lo, c_hi = coeffs[n - 1]
     for j in range(n - 2, -1, -1):
         # t = s * acc, with s >= 0
@@ -926,7 +926,7 @@ def _exp_point_interval(x: float) -> Interval:
     acc = _EXP_COEFFS[-1]
     for c in reversed(_EXP_COEFFS[:-1]):
         acc = c + r * acc
-    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up))
+    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up, _unit_up))
     acc = acc + Interval._raw(-rem, rem)
     lo = math.ldexp(acc.lo, k)
     hi = math.ldexp(acc.hi, k)
@@ -958,7 +958,7 @@ def _log_point_interval(x: float) -> Interval:
     for j in range(9, 0, -1):
         acc = Interval.from_fraction(Fraction(1, 2 * j - 1)) + u2 * acc
     um = u.mag
-    tail = _mul_up(_pow_dir(um, 23, _mul_up), 1.0 / (23.0 * (1.0 - 0.03)))
+    tail = _mul_up(_pow_dir(um, 23, _mul_up, _unit_up), 1.0 / (23.0 * (1.0 - 0.03)))
     logm = 2.0 * u * acc + Interval._raw(-2.0 * tail, 2.0 * tail)
     return logm + LN2 * e2
 

@@ -53,6 +53,11 @@ def _check_alpha(alpha: int) -> None:
         raise ValueError(f"alpha must be an even integer >= 4, got {alpha!r}")
 
 
+def _check_truncation(N: int) -> None:
+    if N < 2:
+        raise ValueError("lattice_energy requires N >= 2")
+
+
 def power_sum_tail(beta: int, k: int) -> Interval:
     """Upper enclosure [0, B] of sum_{n >= k} n^-beta for beta > 1, k > 0.
 
@@ -243,8 +248,7 @@ def lattice_energy(alpha: int, t: Interval, N: int = 64) -> LatticeEnergyTerms:
     _check_alpha(alpha)
     if not t.lo > 0.0:
         raise ValueError("lattice_energy requires t > 0")
-    if N < 2:
-        raise ValueError("lattice_energy requires N >= 2")
+    _check_truncation(N)
 
     def f(n):
         return f_alpha(alpha, t * Lanes(n))

@@ -7,10 +7,18 @@ an interval enclosure passes when it contains the whole bracket.
 `F_alpha_second` is the quotient form of F'', the oracle of the F''
 enclosure that certify evaluates on lanes (free form where a box holds 0).
 
+`pairwise_sum` is the scalar Interval form of `lane_fold`'s tree, and
+`lane_fold_sequential` is `lane_fold` as the library computed it before the
+tree: one outward-rounded addition per element, in the order of the
+elements.  The tree must equal the first bit for bit and stay within a
+rounding bound of the second.
+
 `eta1_scalar` is the eta1 integrand written with the scalar Interval kernel,
 one box at a time, as the library computed it before it was batched on
 lanes, except that the tail endpoints of the inverse-square sum are now
-added with outward rounding.  The lane form must equal it bit for bit.
+added with outward rounding and the series over n are summed by
+`pairwise_sum`, as `lane_fold` sums them.  The lane form must equal it bit
+for bit.
 
 `solve_s_alpha_sequential` is the spacing solve as the library computed it
 before it was batched: one `energy_derivative` sign at a time, a
@@ -36,7 +44,7 @@ import numpy as np
 
 from repulse import certify
 from repulse.auxfn import build_coefficients
-from repulse.interval import DomainError, Interval, hull, pow_int
+from repulse.interval import DomainError, Interval, Lanes, hull, pow_int
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
@@ -78,13 +86,37 @@ def F_alpha_second(ctx, x):
     return ctx.alpha * F * (one - F) * (ctx.alpha * (one - 2.0 * F) + 1.0) / pow_int(x, 2)
 
 
+def pairwise_sum(items):
+    """The Interval sum of `items` in lane_fold's tree: each level adds the
+    items (0, 1), (2, 3), ..., the lower index on the left, and an odd last
+    item passes up unchanged."""
+    items = list(items)
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)] + odd
+    return items[0]
+
+
+def lane_fold_sequential(acc, *terms):
+    """lane_fold summed one element at a time: acc + t[:, 0] + u[:, 0] + ...
+    + t[:, 1] + ..., leaving out a (lanes, skip) term where `skip` holds."""
+    parts = [(t, None) if isinstance(t, Lanes) else t for t in terms]
+    s = acc
+    for j in range(parts[0][0].lo.shape[-1]):
+        for t, skip in parts:
+            total = s + t[:, j]
+            s = total if skip is None else Lanes.where(skip[:, j], s, total)
+    return s
+
+
 def sum_inv_sq_offset(t, N):
     """sum_{n != 0} 1/(n - t)^2 for t within (-1, 1): head |n| <= N plus
     integral sandwich tails, added with outward rounding."""
     one = Interval(1.0)
-    acc = Interval(0.0)
+    terms = [Interval(0.0)]
     for n in range(1, N + 1):
-        acc = acc + one / pow_int(n - t, 2) + one / pow_int(n + t, 2)
+        terms += [one / pow_int(n - t, 2), one / pow_int(n + t, 2)]
+    acc = pairwise_sum(terms)
     lo_tail = (one / (N + 1 - t) + one / (N + 1 + t)).lo
     hi_tail = (one / (N - t) + one / (N + t)).hi
     return acc + Interval(lo_tail, hi_tail)
@@ -107,13 +139,11 @@ def eta1_scalar(ctx, N=64):
             q = q.intersect((Fx - F1 - t * dF1) / pow_int(t, 2))
         lhs = q + Fx * sum_inv_sq_offset(t, N)
         rhs = one / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
-        B = Interval(0.0)
+        terms = [Interval(0.0)]
         for n in range(2, N + 1):
-            d = x - n
-            B = B + Fn[n] / pow_int(d, 2) + dFn[n] / d
-            dm = x + n
-            B = B + Fn[n] / pow_int(dm, 2) - dFn[n] / dm
-        rhs = rhs + B + Interval(-tail_B, tail_B)
+            d, dm = x - n, x + n
+            terms += [Fn[n] / pow_int(d, 2), dFn[n] / d, Fn[n] / pow_int(dm, 2), -(dFn[n] / dm)]
+        rhs = rhs + pairwise_sum(terms) + Interval(-tail_B, tail_B)
         return lhs - rhs
 
     return expr

@@ -218,6 +218,21 @@ def test_certify_out_of_range_exits_2_before_solving(capsys, monkeypatch, name, 
     assert solves == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("salpha --alpha 4 --trunc 1", "lattice_energy requires N >= 2"),
+    ("psi --alpha 4 --x 1 --coeffs 1", "need N >= 8 coefficient rows"),
+    ("psihat --alpha 4 --xi 0.5 --coeffs 7", "need N >= 8 coefficient rows"),
+])
+def test_bad_truncation_exits_2_before_solving(capsys, monkeypatch, argv, message):
+    solves = _count_solves(monkeypatch)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert solves == []
+
+
 @pytest.mark.parametrize("name, alpha, inequality_id", [
     (r.cli, r.alphas.start, r.inequality_id) for r in ROUTES if r.cli and not r.needs_ctx])
 def test_context_free_routes_make_no_solve(capsys, monkeypatch, name, alpha, inequality_id):

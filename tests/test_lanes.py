@@ -27,6 +27,8 @@ from repulse.interval import (
     pow_int,
 )
 
+from _oracles import lane_fold_sequential, pairwise_sum
+
 OPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -86,19 +88,25 @@ def _edge_values():
     return sorted(vals)
 
 
-def _edge_intervals(rng, count):
-    vals = _edge_values()
+def _edge_intervals(rng, count, nonneg=False):
+    vals = [v for v in _edge_values() if v >= 0.0 or not nonneg]
     out = []
     while len(out) < count:
         a, b = rng.choice(vals), rng.choice(vals)
         lo, hi = min(a, b), max(a, b)
         if lo == math.inf or hi == -math.inf:
             continue
-        if rng.random() < 0.05:  # signed zeros as endpoints
+        if rng.random() < (0.3 if nonneg else 0.05):  # signed zeros as endpoints
             lo = -0.0 if lo == 0.0 else lo
             hi = -0.0 if hi == 0.0 else hi
         out.append(Interval._raw(lo, hi))
     return out
+
+
+def _nonneg_intervals(rng, count):
+    """Intervals with lo >= 0 (-0.0 included): |acceptance-9 values| and edge values."""
+    return [abs(x) for x in _acceptance9_intervals(rng, count)] + \
+        _edge_intervals(rng, count, nonneg=True) + [Interval._raw(-0.0, -0.0), Interval._raw(-0.0, 0.0)]
 
 
 def _pairs(rng, count):
@@ -138,6 +146,34 @@ def test_mixed_operands_keep_scalar_order(name):
         pos = [x for x in xs if _excludes_zero(x)] if name == "div" else xs
         lo, hi = _scalar(op, [other] * len(pos), pos)
         _assert_same(op(other, Lanes.of(pos)), lo, hi, (name, "reflected", other))
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_nonnegative_operands_match_scalar_bits(name):
+    # every lane of both operands >= 0 (divisors > 0): the kernels skip the sign selection
+    rng = random.Random(4099 + len(name))
+    xs, ys = _nonneg_intervals(rng, 3000), _nonneg_intervals(rng, 3000)
+    rng.shuffle(ys)
+    if name == "div":
+        keep = [i for i, y in enumerate(ys) if y.lo > 0.0]
+        xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    op = OPS[name]
+    lo, hi = _scalar(op, xs, ys)
+    _assert_same(op(Lanes.of(xs), Lanes.of(ys)), lo, hi, name)
+    for other in (Interval(0.75, 2.5), Interval(-0.0, 3.0), 0.1, 2):
+        if name == "div" and not _excludes_zero(Interval._coerce(other)):
+            continue
+        lo, hi = _scalar(op, xs, [other] * len(xs))
+        _assert_same(op(Lanes.of(xs), other), lo, hi, (name, other))
+
+
+def test_pow_int_of_nonnegative_lanes_matches_scalar_bits():
+    # odd powers of all-nonnegative lanes take one chain per endpoint
+    xs = _nonneg_intervals(random.Random(8191), 3000)
+    lanes = Lanes.of(xs)
+    for k in (*range(2, 13), 41):
+        out = [pow_int(x, k) for x in xs]
+        _assert_same(pow_int(lanes, k), [v.lo for v in out], [v.hi for v in out], k)
 
 
 def test_pow_int_matches_scalar_bits():
@@ -231,7 +267,7 @@ def test_lane_sum_matches_the_directed_add_loop():
             (case, acc_lo, acc_hi, lo, hi)
 
 
-def test_lane_fold_is_the_sequential_sum():
+def test_lane_fold_is_the_pairwise_sum():
     rng = random.Random(13)
     boxes, cols = 40, 9
     t = [[rng.choice(_acceptance9_intervals(rng, 1) + [Interval(-0.0), Interval(0.0)])
@@ -239,20 +275,30 @@ def test_lane_fold_is_the_sequential_sum():
     u = [_acceptance9_intervals(rng, cols) for _ in range(boxes)]
     skip = [[rng.random() < 0.3 for _ in range(cols)] for _ in range(boxes)]
     acc = [Interval(-0.0, 0.0) if i % 2 else Interval(-1.0, 2.0) for i in range(boxes)]
-    want = []
-    for i in range(boxes):
-        s = acc[i]
-        for j in range(cols):
-            if not skip[i][j]:
-                s = s + t[i][j]
-            s = s - u[i][j]
-        want.append(s)
+    for first in (False, True):  # lanes of -0.0 elements only: the sum keeps its sign
+        t.append([Interval(-0.0)] * cols)
+        u.append([Interval(0.0)] * cols)
+        skip.append([(j % 2 == 0) == first for j in range(cols)])
+        acc.append(Interval(-0.0))
+    # the elements of each lane in fold order, a skipped term standing as -0.0
+    items = [[acc[i]] + [v for j in range(cols)
+                         for v in (Interval(-0.0) if skip[i][j] else t[i][j], -u[i][j])]
+             for i in range(len(acc))]
 
     def grid(rows):
         return Lanes([[v.lo for v in r] for r in rows], [[v.hi for v in r] for r in rows])
 
-    got = lane_fold(Lanes.of(acc), (grid(t), np.array(skip)), -grid(u))
+    terms = ((grid(t), np.array(skip)), -grid(u))
+    got = lane_fold(Lanes.of(acc), *terms)
+    want = [pairwise_sum(row) for row in items]
     _assert_same(got, [v.lo for v in want], [v.hi for v in want], "fold")
+    seq = lane_fold_sequential(Lanes.of(acc), *terms)
+    bound = 2 * len(items[0]) * Fraction(2) ** -52
+    for i, row in enumerate(items):
+        lo, hi = Fraction(float(got.lo[i])), Fraction(float(got.hi[i]))
+        assert lo <= sum(Fraction(v.lo) for v in row) and sum(Fraction(v.hi) for v in row) <= hi
+        assert abs(lo - Fraction(float(seq.lo[i]))) <= bound * sum(abs(Fraction(v.lo)) for v in row)
+        assert abs(hi - Fraction(float(seq.hi[i]))) <= bound * sum(abs(Fraction(v.hi)) for v in row)
 
 
 def test_lanes_contain_exact_results():

@@ -8,7 +8,9 @@ s_alpha enclosure bits for even alpha 4..40.  ACCEPTANCE_4 lists the
 acceptance-4 calls that certify_all does not make; the rest (psi4_le_F4,
 eta0, eta1 and eta_ge2 for alpha 6..14, psihat_nonneg for alpha 4..10) are
 the very calls certify_all makes, so CERTIFY_ALL pins them.  Every pinned
-certificate is verified.
+certificate is verified.  The min_lower_bound pins of psi4_le_F4 and of
+eta1 and eta_ge2 (alpha 6..14) hold the bits of lane_fold's pairwise tree,
+which moved them in their last bits; their boxes and depths did not move.
 """
 
 import pytest
@@ -46,37 +48,37 @@ CERTIFY_ALL = {
     4: {
         'psihat_nonneg': (41, 6, '0x1.ea6e43b099000p-9'),
         'w_inequality': (39, 6, '0x1.ea6e43b099000p-9'),
-        'psi4_le_F4': (258, 8, '0x1.ff0a63c7367d9p-16'),
+        'psi4_le_F4': (258, 8, '0x1.ff0a63c735bd9p-16'),
     },
     6: {
         'psihat_nonneg': (2, 0, '0x1.1307ad8160c70p-8'),
         'eta0': (2, 0, '0x1.1d7a699899e9ap-1'),
-        'eta1': (85, 8, '0x1.97bcff9198000p-10'),
-        'eta_ge2': (73, 4, '0x1.08847a44ee1c5p-18'),
+        'eta1': (85, 8, '0x1.97bcff919a800p-10'),
+        'eta_ge2': (73, 4, '0x1.08847a44eccddp-18'),
     },
     8: {
         'psihat_nonneg': (2, 0, '0x1.34c9af3f85673p-3'),
         'eta0': (2, 0, '0x1.696a743fccb69p-1'),
-        'eta1': (55, 7, '0x1.98bc6b24ee4e0p-5'),
-        'eta_ge2': (65, 3, '0x1.38828a4c8763bp-16'),
+        'eta1': (55, 7, '0x1.98bc6b24ee580p-5'),
+        'eta_ge2': (65, 3, '0x1.38828a4c87027p-16'),
     },
     10: {
         'psihat_nonneg': (2, 0, '0x1.b7ebb2f570cd0p-3'),
         'eta0': (2, 0, '0x1.91ce1dcaf13c8p-1'),
-        'eta1': (39, 6, '0x1.ab0fd34050300p-8'),
-        'eta_ge2': (63, 3, '0x1.c6f691de34ca1p-16'),
+        'eta1': (39, 6, '0x1.ab0fd34050600p-8'),
+        'eta_ge2': (63, 3, '0x1.c6f691de344e7p-16'),
     },
     12: {
         'psihat_nonneg': (2, 0, '0x1.7a6848b9981c4p-3'),
         'eta0': (1, 0, '0x1.73c28fa036da1p+0'),
         'eta1': (35, 6, '0x1.70e10814913d0p-5'),
-        'eta_ge2': (63, 3, '0x1.11b88669c51c0p-15'),
+        'eta_ge2': (63, 3, '0x1.11b88669c4ff3p-15'),
     },
     14: {
         'psihat_nonneg': (2, 0, '0x1.c600b37f64314p-3'),
         'eta0': (1, 0, '0x1.7f3190dbed7e4p+0'),
-        'eta1': (31, 6, '0x1.8db40aef10250p-5'),
-        'eta_ge2': (63, 3, '0x1.31b0765537aebp-15'),
+        'eta1': (31, 6, '0x1.8db40aef10270p-5'),
+        'eta_ge2': (63, 3, '0x1.31b07655378c8p-15'),
     },
 }
 
