@@ -105,8 +105,9 @@ def _edge_intervals(rng, count, nonneg=False):
 
 def _nonneg_intervals(rng, count):
     """Intervals with lo >= 0 (-0.0 included): |acceptance-9 values| and edge values."""
+    zeros = [Interval._raw(-0.0, -0.0), Interval._raw(-0.0, 0.0)]
     return [abs(x) for x in _acceptance9_intervals(rng, count)] + \
-        _edge_intervals(rng, count, nonneg=True) + [Interval._raw(-0.0, -0.0), Interval._raw(-0.0, 0.0)]
+        _edge_intervals(rng, count, nonneg=True) + zeros
 
 
 def _pairs(rng, count):
@@ -293,12 +294,13 @@ def test_lane_fold_is_the_pairwise_sum():
     want = [pairwise_sum(row) for row in items]
     _assert_same(got, [v.lo for v in want], [v.hi for v in want], "fold")
     seq = lane_fold_sequential(Lanes.of(acc), *terms)
-    bound = 2 * len(items[0]) * Fraction(2) ** -52
+    bound = 2 * len(items[0]) * Fraction(2) ** -52  # K roundings each way, and then some
     for i, row in enumerate(items):
         lo, hi = Fraction(float(got.lo[i])), Fraction(float(got.hi[i]))
-        assert lo <= sum(Fraction(v.lo) for v in row) and sum(Fraction(v.hi) for v in row) <= hi
-        assert abs(lo - Fraction(float(seq.lo[i]))) <= bound * sum(abs(Fraction(v.lo)) for v in row)
-        assert abs(hi - Fraction(float(seq.hi[i]))) <= bound * sum(abs(Fraction(v.hi)) for v in row)
+        los, his = [Fraction(v.lo) for v in row], [Fraction(v.hi) for v in row]
+        assert lo <= sum(los) and sum(his) <= hi
+        assert abs(lo - Fraction(float(seq.lo[i]))) <= bound * sum(map(abs, los))
+        assert abs(hi - Fraction(float(seq.hi[i]))) <= bound * sum(map(abs, his))
 
 
 def test_lanes_contain_exact_results():
