@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .interval import ONE as _ONE, ZERO as _ZERO
 from .interval import Interval, Lanes, PI, _sub_down, cos, lane_sum, pow_int, sin, sinc
 from .potential import F_alpha, PotentialContext, power_sum_tail, x_dF_alpha
 
@@ -23,9 +24,6 @@ __all__ = [
     "psi_float",
     "psi_hat_float",
 ]
-
-_ONE = Interval(1.0)
-_ZERO = Interval(0.0)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ import numpy as np
 from . import json_text
 from .auxfn import AuxCoefficients, build_coefficients
 from .interval import (
+    ONE as _ONE,
+    ZERO as _ZERO,
     Interval,
     Lanes,
     PI,
@@ -71,8 +73,6 @@ VERIFIED = "verified"
 FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 
-_ONE = Interval(1.0)
-_ZERO = Interval(0.0)
 _TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
 _CLOSED = "closed-bound evaluation (large alpha)"
 
@@ -102,10 +102,6 @@ class Certificate:
     witness: float | None
     paper_anchor: str
     policy: BnbPolicy
-
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
 
     def to_json_dict(self) -> dict:
         mlb = self.min_lower_bound
@@ -704,35 +700,27 @@ def _inv_sq_offset_sum(t: Lanes, N: int) -> Lanes:
 
 
 def _eta1_integrand(ctx: PotentialContext, N: int):
-    """Lane form of the eta1 integrand, lhs - rhs as a function of t = x - 1.
+    """Lane form of the eta1 integrand in t = x - 1: the eta_ge2 sum at eta = 1
+    with its diagonal term pulled out,
 
-    The removable-singularity quotient (F(1+t)-F(1)-tF'(1))/t^2 is enclosed
-    by the mean-value form (1/2) F''(hull(1, x)), intersected with the
-    direct quotient on boxes that exclude t = 0 (the hull alone cannot
-    shrink with the box).  Every sum adds its terms in the order of the
-    loop over n, so each lane equals the scalar evaluation on the same box
-    bit for bit.
+        L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail_B,
+
+    where L(x, 1) = (F(x) - F(1) - F'(1) t)/t^2 is one lane of `_L_terms`,
+    offset(x, 1) is `_offset_sum` at eta = 1 and tail_B bounds its terms
+    |n| > N.  Each lane is computed on its own, so it equals the scalar
+    evaluation on the same box bit for bit.
     """
-    alpha = ctx.alpha
-    F1, dF1 = ctx.F1, ctx.dF1
-    tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
-    n, Fn_row, dFn_row = build_coefficients(ctx, N).rows(2)  # the B sum over n >= 2 on both sides
+    tail_B = ((32.0 + 8.0 * ctx.alpha) * power_sum_tail(ctx.alpha + 1, N + 1)
+              / ctx.s_pow_alpha).hi
+    rows = build_coefficients(ctx, N).rows()
 
     def integrand(t: Lanes, _param) -> Lanes:
         x = 1.0 + t
         Fx = F_alpha(ctx, x)
-        apart = (t.lo > 0.0) | (t.hi < 0.0)
-        d = Lanes.where(apart, t, 1.0)  # 1.0 stands in where t = 0 is in the box
-        q = 0.5 * _second_derivative_any(ctx, x.hull(1.0))
-        q = q.intersect(Lanes.where(apart, (Fx - F1 - d * dF1) / pow_int(d, 2), q))
-        lhs = q + Fx * _inv_sq_offset_sum(t, N)
-        rhs = _ONE / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
-        X = x[:, None]
-        dl, dm = X - n, X + n
-        B = lane_fold(Lanes(np.zeros_like(t.lo)), Fn_row / pow_int(dl, 2), dFn_row / dl,
-                      Fn_row / pow_int(dm, 2), -(dFn_row / dm))
-        rhs = rhs + B + Interval(-tail_B, tail_B)
-        return lhs - rhs
+        q = _L_terms(ctx, x[:, None], Fx[:, None], np.ones(1), ctx.F1, ctx.dF1)[:, 0]
+        eta = np.ones(t.lo.shape, dtype=np.int64)
+        return q + Fx * _inv_sq_offset_sum(t, N) - _offset_sum(x, eta, rows) \
+            + Interval(-tail_B, tail_B)
 
     return integrand
 
@@ -746,41 +734,51 @@ def certify_eta1(ctx: PotentialContext, N: int = 64,
     return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
 
 
-def _eta_ge2_parts(coeffs: AuxCoefficients):
-    """(head, slope, tail) of -(sum_{n != eta} (F(n)/(x-n)^2 + F'(n)/(x-n)))
-    on boxes x >= 1, each with its segment's eta as param.
+def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
+    """(n == eta, x - n, x + n) for boxes x, each with its eta, and the row n;
+    1.0 stands in for x - n at the left-out n = eta."""
+    X = x[:, None]
+    own = n == eta[:, None]
+    return own, Lanes.where(own, 1.0, X - n), X + n
 
-    head adds n = 0, then for n = 1..N the two terms at n (left out at
-    n = eta) and the two at -n; slope sums d/dx F(n)/(x-n)^2 =
-    -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 the same way (x - n
-    never holds 0, since n != eta); tail is the constant enclosure of
-    |n| > N.
+
+def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
+    """Lanes of offset(x, eta) = sum_{n != eta, |n| <= N} (F(n)/(x-n)^2 + F'(n)/(x-n))
+    for boxes x, each with its eta, on the coefficient rows (n, F(n), F'(n)).
+
+    Adds n = 0 (the term 1/x^2), then for n = 1..N the two terms at n (left
+    out at n = eta) and the two at -n, with F'(-n) = -F'(n).
+    """
+    n, Fn, dFn = rows
+    own, d, dm = _offsets(x, eta, n)
+    return lane_fold(_ONE / pow_int(x, 2), (Fn / pow_int(d, 2), own), (dFn / d, own),
+                     Fn / pow_int(dm, 2), -(dFn / dm))
+
+
+def _eta_ge2_parts(coeffs: AuxCoefficients):
+    """(head, slope, tail) of -offset(x, eta) on boxes x >= 1, each with its
+    segment's eta as param.
+
+    head is -`_offset_sum`; slope sums d/dx F(n)/(x-n)^2 = -2F(n)/(x-n)^3
+    and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order (x - n never
+    holds 0, since n != eta); tail is the constant enclosure of |n| > N.
     """
     ctx = coeffs.ctx
     tail = (2.0 * (1.4 + 1.19 * ctx.alpha) * power_sum_tail(ctx.alpha + 2, coeffs.N + 1)
             / ctx.s_pow_alpha).hi
-    n, Fn, dFn = coeffs.rows()
-
-    def offsets(x: Lanes, eta: np.ndarray):
-        """(n == eta, x - n, x + n); 1.0 stands in for x - n at the left-out n = eta."""
-        X = x[:, None]
-        own = n == eta[:, None]
-        return own, Lanes.where(own, 1.0, X - n), X + n
-
-    def head(x: Lanes, eta: np.ndarray) -> Lanes:
-        own, d, dm = offsets(x, eta)
-        return -lane_fold(_ONE / pow_int(x, 2), (Fn / pow_int(d, 2), own), (dFn / d, own),
-                          Fn / pow_int(dm, 2), -(dFn / dm))
+    rows = coeffs.rows()
+    n, Fn, dFn = rows
 
     def slope(x: Lanes, eta: np.ndarray) -> Lanes:
-        own, d, dm = offsets(x, eta)
+        own, d, dm = _offsets(x, eta, n)
 
         def term(d: Lanes, dF: Lanes) -> Lanes:
             return -2.0 * Fn / pow_int(d, 3) - dF / pow_int(d, 2)
 
         return -lane_fold(-2.0 / pow_int(x, 3), (term(d, dFn), own), term(dm, -dFn))
 
-    return head, slope, lambda x, eta: Interval(-tail, tail)
+    return lambda x, eta: -_offset_sum(x, eta, rows), slope, \
+        lambda x, eta: Interval(-tail, tail)
 
 
 def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
@@ -790,7 +788,7 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
 
     Certifies sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0 on segments
     of constant nearest integer, plus the reduction's side condition
-    F(3/2) < 1/2 (which makes the pulled-out diagonal nonnegative).
+    F(3/2) <= 1/2 (which makes the pulled-out diagonal nonnegative).
     """
     alpha = ctx.alpha
     route = _route("eta_ge2", True, alpha)
@@ -839,8 +837,7 @@ def certify_allthestars_large(alpha: int, policy: BnbPolicy | None = None) -> Ce
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def certify_all(alpha: int, tol: float = 1e-12, N: int = 64,
-                policy: BnbPolicy | None = None,
+def certify_all(alpha: int, N: int = 64, policy: BnbPolicy | None = None,
                 ctx: PotentialContext | None = None) -> list[Certificate]:
     """Run the full certificate suite for one alpha.
 
@@ -848,13 +845,13 @@ def certify_all(alpha: int, tol: float = 1e-12, N: int = 64,
     table order; a listed row that is also a piece of psihat_nonneg (the w
     route with a context) is computed once.  alpha outside the `all` row is a
     ValueError, so every alpha accepted gets a route for every piece of
-    psi <= F.  The interpolation, support and decay conditions hold by
-    construction and are exercised by the property tests rather than
-    certified here.
+    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  The
+    interpolation, support and decay conditions hold by construction and are
+    exercised by the property tests rather than certified here.
     """
     _route("all", True, alpha)
     if ctx is None:
-        ctx = solve_s_alpha(alpha, tol)
+        ctx = solve_s_alpha(alpha)
     listed = {r.inequality_id: r.call(alpha, ctx, N, policy)
               for r in ROUTES if r.listed and alpha in r.alphas}
     psihat = certify_psihat_nonneg(build_coefficients(ctx, N), policy, listed)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interval import (
+    ONE as _ONE,
+    ZERO as _ZERO,
     Interval,
     Lanes,
     PI,
@@ -39,8 +41,6 @@ __all__ = [
     "first_order_residual",
 ]
 
-_ONE = Interval(1.0)
-_ZERO = Interval(0.0)
 _UNIT_BOX = Interval(0.0, 1.0)
 
 

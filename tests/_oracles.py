@@ -4,8 +4,8 @@ The constants are frozen high-precision oracle values (160-bit evaluation,
 1-ulp brackets).  Each is a (lo, hi) float pair bracketing the exact value;
 an interval enclosure passes when it contains the whole bracket.
 
-`F_alpha_second` is the quotient form of F'', the oracle of the F''
-enclosure that certify evaluates on lanes (free form where a box holds 0).
+`F_alpha_second` is the F'' enclosure that certify evaluates on lanes:
+the quotient form, or the free form on a box that reaches 0.
 
 `pairwise_sum` is the scalar Interval form of `lane_fold`'s tree, and
 `lane_fold_sequential` is `lane_fold` as the library computed it before the
@@ -13,12 +13,13 @@ tree: one outward-rounded addition per element, in the order of the
 elements.  The tree must equal the first bit for bit and stay within a
 rounding bound of the second.
 
-`eta1_scalar` is the eta1 integrand written with the scalar Interval kernel,
-one box at a time, as the library computed it before it was batched on
-lanes, except that the tail endpoints of the inverse-square sum are now
-added with outward rounding and the series over n are summed by
-`pairwise_sum`, as `lane_fold` sums them.  The lane form must equal it bit
-for bit.
+`L_scalar` and `offset_sum` are the two terms that psi4_le_F4, eta1 and
+eta_ge2 share, written with the scalar Interval kernel one box at a time:
+the removable quotient L(x, n) by `certify._removable`'s rule, and the
+offset sum of the eta_ge2 head in its element order, summed by
+`pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
+sums them.  `eta1_scalar` is the eta1 integrand built from these two and
+`sum_inv_sq_offset`.  The lane forms must equal them bit for bit.
 
 `solve_s_alpha_sequential` is the spacing solve as the library computed it
 before it was batched: one `energy_derivative` sign at a time, a
@@ -44,7 +45,7 @@ import numpy as np
 
 from repulse import certify
 from repulse.auxfn import build_coefficients
-from repulse.interval import DomainError, Interval, Lanes, hull, pow_int
+from repulse.interval import Interval, Lanes, hull, pow_int
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
@@ -77,13 +78,15 @@ def contains_bracket(iv, bracket) -> bool:
 
 
 def F_alpha_second(ctx, x):
-    """F''(x) = alpha F (1-F)(alpha(1-2F)+1)/x^2 for 0 not in x: the quotient
-    form of the F'' enclosure that the library also evaluates on boxes holding 0."""
-    if x.lo <= 0.0 <= x.hi:
-        raise DomainError("F'' quotient form needs 0 outside x")
+    """F''(x) for x >= 0: the quotient form alpha F (1-F)(alpha(1-2F)+1)/x^2
+    where x.lo > 0, else the free form alpha c x^(alpha-2) F^2 (alpha(1-2F)+1),
+    c = s^alpha, as the library evaluates it on lanes."""
     one = Interval(1.0)
     F = F_alpha(ctx, x)
-    return ctx.alpha * F * (one - F) * (ctx.alpha * (one - 2.0 * F) + 1.0) / pow_int(x, 2)
+    bracket = ctx.alpha * (one - 2.0 * F) + 1.0
+    if x.lo <= 0.0:
+        return ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 2) * pow_int(F, 2) * bracket
+    return ctx.alpha * F * (one - F) * bracket / pow_int(x, 2)
 
 
 def pairwise_sum(items):
@@ -122,29 +125,50 @@ def sum_inv_sq_offset(t, N):
     return acc + Interval(lo_tail, hi_tail)
 
 
+def L_scalar(ctx, x, n, Fx, Fn, dFn):
+    """L(x, n) = (F(x) - F(n) - F'(n)(x - n))/(x - n)^2 for one box x and an
+    integer n != 0 by `certify._removable`'s rule: the quotient at distance
+    >= 0.25 from n, else (1/2) F''(hull(x, n)), intersected with the quotient
+    while the box excludes n.  Fx, Fn and dFn enclose F(x), F(n) and F'(n)."""
+    below, above = x.lo - n, n - x.hi
+    dist = above if above > below else below
+    if dist < 0.25:
+        near = 0.5 * F_alpha_second(ctx, hull(x, Interval(float(n))))
+        if dist <= 0.0:
+            return near
+    d = x - n
+    q = (Fx - Fn - dFn * d) / pow_int(d, 2)
+    return q if dist >= 0.25 else near.intersect(q)
+
+
+def offset_sum(x, eta, coeffs):
+    """sum_{n != eta, |n| <= N} (F(n)/(x-n)^2 + F'(n)/(x-n)) for one box x, in
+    the order of the eta_ge2 head: 1/x^2, then for n = 1..N the two terms at
+    n (-0.0 at n = eta) and the two at -n, summed by `pairwise_sum`."""
+    one, skip = Interval(1.0), Interval(-0.0)
+    terms = [one / pow_int(x, 2)]
+    for n in range(1, coeffs.N + 1):
+        Fn, dFn = coeffs.Fn[n], coeffs.dFn[n]
+        d, dm = x - n, x + n
+        own = n == eta
+        terms += [skip if own else Fn / pow_int(d, 2), skip if own else dFn / d,
+                  Fn / pow_int(dm, 2), -(dFn / dm)]
+    return pairwise_sum(terms)
+
+
 def eta1_scalar(ctx, N=64):
-    """Scalar eta1 integrand: Interval t -> enclosure of lhs - rhs."""
-    one = Interval(1.0)
+    """Scalar eta1 integrand: Interval t -> enclosure of
+    L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail_B, x = 1 + t."""
     coeffs = build_coefficients(ctx, N)
-    Fn, dFn = coeffs.Fn, coeffs.dFn
-    F1, dF1 = ctx.F1, ctx.dF1
     alpha = ctx.alpha
     tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
 
     def expr(t):
         x = 1.0 + t
         Fx = F_alpha(ctx, x)
-        q = 0.5 * F_alpha_second(ctx, hull(Interval(1.0), x))
-        if t.lo > 0.0 or t.hi < 0.0:
-            q = q.intersect((Fx - F1 - t * dF1) / pow_int(t, 2))
-        lhs = q + Fx * sum_inv_sq_offset(t, N)
-        rhs = one / pow_int(x, 2) + F1 / pow_int(2.0 + t, 2) - dF1 / (2.0 + t)
-        terms = [Interval(0.0)]
-        for n in range(2, N + 1):
-            d, dm = x - n, x + n
-            terms += [Fn[n] / pow_int(d, 2), dFn[n] / d, Fn[n] / pow_int(dm, 2), -(dFn[n] / dm)]
-        rhs = rhs + pairwise_sum(terms) + Interval(-tail_B, tail_B)
-        return lhs - rhs
+        q = L_scalar(ctx, x, 1, Fx, ctx.F1, ctx.dF1)
+        return q + Fx * sum_inv_sq_offset(t, N) - offset_sum(x, 1, coeffs) \
+            + Interval(-tail_B, tail_B)
 
     return expr
 

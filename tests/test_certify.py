@@ -28,9 +28,16 @@ from repulse.certify import (
     certificates_to_json,
 )
 from repulse.interval import Interval, Lanes, PI, pow_int, sin
-from repulse.potential import F_alpha, F_deficit_over_x_sq, PotentialContext
+from repulse.potential import F_alpha, F_deficit_over_x_sq, PotentialContext, solve_s_alpha
 
-from _oracles import bnb_level_by_level, F_alpha_second, eta1_scalar, sum_inv_sq_offset
+from _oracles import (
+    L_scalar,
+    bnb_level_by_level,
+    F_alpha_second,
+    eta1_scalar,
+    offset_sum,
+    sum_inv_sq_offset,
+)
 
 
 # -- engine ------------------------------------------------------------------
@@ -490,6 +497,91 @@ def test_inv_sq_offset_sum_matches_scalar_reference(N):
     for i, (a, b) in enumerate(boxes):
         want = sum_inv_sq_offset(Interval(a, b), N)
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 12])
+def test_L_terms_match_scalar_reference(alpha, ctx_by_alpha):
+    # boxes in [0, 9]: seeded random ones, and ones at, across and within 1/4
+    # of an integer, where the hull of the mean-value term takes over
+    ctx = ctx_by_alpha[alpha]
+    coeffs = build_coefficients(ctx, 16)
+    n, Fn, dFn = coeffs.rows()
+    rng = random.Random(3100 + alpha)
+    boxes = [(0.0, 0.0), (0.0, 9.0), (1.0, 1.0), (0.75, 1.25), (0.75, 0.75), (1.25, 1.25)]
+    for _ in range(30):
+        boxes.append(tuple(sorted(rng.uniform(0.0, 9.0) for _ in range(2))))
+        c = rng.randint(1, 9) + rng.uniform(-0.3, 0.3)
+        w = rng.uniform(0.0, 0.2) * 10.0 ** rng.uniform(-12.0, 0.0)
+        boxes.append((c - w, c + w))
+    lo = np.array([b[0] for b in boxes])
+    hi = np.array([b[1] for b in boxes])
+    x = Lanes(lo, hi)
+    X, FX = x[:, None], F_alpha(ctx, x)[:, None]
+    for sign in (1, -1):
+        got = cert._L_terms(ctx, X, FX, sign * n, Fn, sign * dFn)
+        for i, (a, b) in enumerate(boxes):
+            xi = Interval(a, b)
+            for j in range(coeffs.N):
+                want = L_scalar(ctx, xi, sign * (j + 1), F_alpha(ctx, xi), coeffs.Fn[j + 1],
+                                sign * coeffs.dFn[j + 1])
+                assert (got.lo[i, j].hex(), got.hi[i, j].hex()) == \
+                    (want.lo.hex(), want.hi.hex()), (a, b, sign * (j + 1))
+
+
+@pytest.mark.parametrize("alpha", [6, 12])
+def test_offset_sum_matches_scalar_reference(alpha, ctx_by_alpha):
+    # boxes in [eta - 1/2, eta + 1/2] for eta = 1..10, each with its eta
+    coeffs = build_coefficients(ctx_by_alpha[alpha], 16)
+    rng = random.Random(5100 + alpha)
+    boxes = []
+    for eta in range(1, 11):
+        lo, hi = eta - 0.5, eta + 0.5
+        boxes += [(lo, lo, eta), (hi, hi, eta), (eta, eta, eta), (lo, hi, eta)]
+        boxes += [(*sorted(rng.uniform(lo, hi) for _ in range(2)), eta) for _ in range(6)]
+    lo, hi, eta = (np.array(c) for c in zip(*boxes))
+    got = cert._offset_sum(Lanes(lo, hi), eta, coeffs.rows())
+    for i, (a, b, e) in enumerate(boxes):
+        want = offset_sum(Interval(a, b), e, coeffs)
+        assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b, e)
+
+
+@pytest.mark.parametrize("alpha", [6, 12, 1000])
+def test_eta1_lanes_contain_mpmath(alpha, ctx_by_alpha):
+    # the eta1 integrand at point boxes t, against
+    # q + F(x)(pi^2/sin^2(pi t) - 1/t^2) - offset(x, 1) with x = 1 + t and
+    # q = (F(x) - F(1) - F'(1) t)/t^2 (pi^2/3 and F''(1)/2 at t = 0), at 40
+    # digits with c = s^alpha at its enclosure's midpoint; the offset sums
+    # |n| <= M, and `rest` bounds the terms beyond: there |x - n| >= |n|/2,
+    # F(n) <= 1/(c n^alpha) and |F'(n)| <= alpha/(c |n|^(alpha+1))
+    import mpmath
+
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    rng = random.Random(6100 + alpha)
+    ts = [0.0, 0.5, -0.5, 1e-12, -1e-12] + [rng.uniform(-0.5, 0.5) for _ in range(41)]
+    got = cert._eta1_integrand(ctx, 64)(Lanes(ts, ts), None)
+    M = 200
+    with mpmath.workdps(40):
+        c = mpmath.mpf(ctx.s_pow_alpha.mid)
+
+        def F(x):
+            return 1 / (1 + c * x ** alpha)
+
+        def dF(x):
+            return -alpha * c * x ** (alpha - 1) * F(x) ** 2
+
+        rows = [(k, F(k), dF(k)) for k in range(-M, M + 1) if k != 1]
+        rest = 2 * (4 + 2 * alpha) / (c * (alpha + 1) * mpmath.mpf(M) ** (alpha + 1))
+        for i, t in enumerate(ts):
+            t = mpmath.mpf(t)
+            x = 1 + t
+            offset = mpmath.fsum(Fk / (x - k) ** 2 + dFk / (x - k) for k, Fk, dFk in rows)
+            if t == 0:
+                q, inv_sq = mpmath.diff(F, 1, 2) / 2, mpmath.pi ** 2 / 3
+            else:
+                q = (F(x) - F(1) - dF(1) * t) / t ** 2
+                inv_sq = mpmath.pi ** 2 / mpmath.sin(mpmath.pi * t) ** 2 - 1 / t ** 2
+            v = q + F(x) * inv_sq - offset
+            assert got.lo[i] <= v - rest and v + rest <= got.hi[i], (alpha, ts[i])
 
 
 def test_eta1_scalar_reference_gives_the_certificate(ctx6):
