@@ -44,6 +44,7 @@ from .potential import (
     F_alpha,
     F_deficit_over_x_sq,
     PotentialContext,
+    _check_alpha,
     power_sum_tail,
     solve_s_alpha,
 )
@@ -75,6 +76,8 @@ INCONCLUSIVE = "inconclusive"
 
 _TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
 _CLOSED = "closed-bound evaluation (large alpha)"
+
+_N = 64  # every certificate sums the rows |n| <= _N and bounds the rest
 
 
 @dataclass(frozen=True)
@@ -337,18 +340,12 @@ def _T_value(coeffs: AuxCoefficients) -> Interval:
     return 0.5 * (_ONE - 2.0 * SF) - SdF / PI
 
 
-def certify_T(ctx: PotentialContext, N: int = 64,
-              policy: BnbPolicy | None = None) -> Certificate:
-    """Single-constant proof of the transform's positivity on [0, 1/2].
-
-    Where the closed T route applies, it is taken instead.
-    """
-    if ctx.alpha in _route("T_alpha", False).alphas:
-        return certify_T_large(ctx.alpha, policy)
+def certify_T(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+    """Single-constant proof of the transform's positivity on [0, 1/2]."""
     route = _route("T_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_T_value(build_coefficients(ctx, N)), policy)
-    return route.certificate(run, ctx.alpha, f"constant check, head N={N}", policy)
+    run.check(_T_value(build_coefficients(ctx, _N)), policy)
+    return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
 def certify_T_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
@@ -372,19 +369,13 @@ def _L_value(coeffs: AuxCoefficients) -> Interval:
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
 
-def certify_L(ctx: PotentialContext, N: int = 64,
-              policy: BnbPolicy | None = None) -> Certificate:
-    """Single-constant proof of the transform's positivity on [1/2, 1].
-
-    The kernel-weighted sum is evaluated directly on its row's alpha; where
-    the closed L route applies, it is taken instead.
-    """
-    if ctx.alpha in _route("L_alpha", False).alphas:
-        return certify_L_large(ctx.alpha, policy)
+def certify_L(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+    """Single-constant proof of the transform's positivity on [1/2, 1]: the
+    kernel-weighted sum, evaluated directly on its row's alpha."""
     route = _route("L_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_L_value(build_coefficients(ctx, N)), policy)
-    return route.certificate(run, ctx.alpha, f"constant check, head N={N}", policy)
+    run.check(_L_value(build_coefficients(ctx, _N)), policy)
+    return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
 def certify_L_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
@@ -408,15 +399,16 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
     """8w - 4 sin 2w - 5 w sin^2 w >= 0, certified as c*S3(2w) - 2 sinc(w)^2 >= 0.
 
     With no context the displayed constant 5 is used (c = 64/5) and the
-    certificate is labelled with `alpha`, since the inequality does not
-    depend on it; with an alpha = 4 context the constant becomes
-    4*(1 - F(1)) from its enclosure, which is what the transform-positivity
-    reduction actually consumes.
+    certificate is labelled with `alpha` (an even integer >= 4, else
+    ValueError), since the inequality does not depend on it; with an
+    alpha = 4 context the constant becomes 4*(1 - F(1)) from its enclosure,
+    which is what the transform-positivity reduction actually consumes.
     Covers [0, pi/2] by branch-and-bound; for w >= pi/2 the scaled form is
     bounded below by (c1 - 2) w - c1/2, checked at w = pi/2 and increasing.
     """
     run = _Run()
     if ctx is None:
+        _check_alpha(alpha)
         route = _route("w_inequality", False)
         c1 = Interval.from_fraction(Fraction(16, 5))
     else:
@@ -470,7 +462,7 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
         run.check(_monotone_coefficient_check(coeffs), policy)
     for route in parts:
         run.absorb(computed.get(route.inequality_id)
-                   or route.call(ctx.alpha, ctx, coeffs.N, policy))
+                   or route.call(ctx.alpha, ctx, policy))
     return _certificate(run, ctx.alpha,
                         "[0,1/2] via T, [1/2,1] via L or the w route, 0 beyond support",
                         policy, "psihat_nonneg", "transform of psi nonnegative on the whole line")
@@ -589,16 +581,15 @@ def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
 def _psi4_parts(coeffs: AuxCoefficients):
     """(head, slope, tail) of the psi4 integrand sum_{n in Z} L(x, n) on x >= 0.
 
-    head sums |n| <= N as ((L(x, 0) + L(x, 1)) + L(x, -1)) + L(x, 2) ...,
+    head sums |n| <= N (N >= _N) as ((L(x, 0) + L(x, 1)) + L(x, -1)) + ...,
     with L(x, 0) = (F(x) - 1)/x^2 = -c x^(alpha-2) F(x), c = s^alpha;
     slope sums the derivatives in the same order, starting from
-    d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail encloses
-    |n| > N.
+    d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail, the terms
+    |n| > N, is F(x) `_inv_sq_tail` minus offset terms (`_offset_tail`).
     """
     ctx = coeffs.ctx
     alpha, N = ctx.alpha, coeffs.N
-    tail_lo = ((8.0 + 4.0 * alpha) * power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
-    geo = (power_sum_tail(2, N - 8) + power_sum_tail(2, N + 1)).hi
+    off = _offset_tail(ctx)
     n, Fn, dFn = coeffs.rows()
     signed = ((n, dFn), (-n, -dFn))  # the rows n and -n, with F'(-n) = -F'(n)
 
@@ -615,13 +606,12 @@ def _psi4_parts(coeffs: AuxCoefficients):
                                 for k, dFk in signed))
 
     def tail(x: Lanes, _param) -> Lanes:
-        return Lanes(-tail_lo, (F_alpha(ctx, x) * geo + tail_lo).hi)
+        return F_alpha(ctx, x) * _inv_sq_tail(x, N) + Interval(-off, off)
 
     return head, slope, tail
 
 
-def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
-                       policy: BnbPolicy | None = None) -> Certificate:
+def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound, in mean-value form.
 
     The x >= 9 range is discharged by the displayed constant inequality
@@ -631,9 +621,7 @@ def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
     alpha = ctx.alpha
     route = _route("psi4_le_F4", True, alpha)
     run = _Run()
-    if N < 16:
-        raise ValueError("need N >= 16 for the tail bounds")
-    coeffs = build_coefficients(ctx, N)
+    coeffs = build_coefficients(ctx, _N)
     far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
     _bnb(run, _mean_value(*_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
@@ -646,30 +634,26 @@ def certify_psi4_le_F4(ctx: PotentialContext, N: int = 64,
 # The three nearest-integer cases of psi <= F away from alpha = 4.
 # ---------------------------------------------------------------------------
 
-def certify_eta0(ctx: PotentialContext, N: int = 64,
-                 policy: BnbPolicy | None = None) -> Certificate:
+def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """Constant check covering 0 <= x <= 1/2 of psi <= F.
 
     4(F(1/2) - 1) + sum_{n!=0}(F(1/2) - F(n))/n^2 >= sum_{n!=0} n F'(n)/(1/4 - n^2),
     with the side condition F(1/2) >= 2/alpha that the reduction uses.
-    Where the closed eta0 route applies, it is taken instead.
     """
     alpha = ctx.alpha
-    if alpha in _route("eta0", False).alphas:
-        return certify_eta0_large(alpha, policy)
     route = _route("eta0", True, alpha)
     run = _Run()
-    n, F, dF = build_coefficients(ctx, N).rows()
+    n, F, dF = build_coefficients(ctx, _N).rows()
     F_half = F_alpha(ctx, Interval(0.5))
     lhs = 4.0 * (F_half - 1.0) + F_half * PI_SQ / 3.0
     s = lane_sum(_ZERO, F / (n * n))
     r = lane_sum(_ZERO, (n * dF) / (0.25 - n * n))
-    tail_q = (power_sum_tail(alpha + 2, N + 1) / ctx.s_pow_alpha).hi
+    tail_q = (power_sum_tail(alpha + 2, _N + 1) / ctx.s_pow_alpha).hi
     lhs = lhs - 2.0 * (s + Interval(0.0, tail_q))
     rhs = 2.0 * (r + Interval(0.0, (16.0 * alpha / 15.0) * tail_q))
     run.check(lhs - rhs, policy)
     run.check(F_half - Interval(2.0) / alpha, policy)  # the side condition
-    return route.certificate(run, alpha, f"constant check + side condition, head N={N}", policy)
+    return route.certificate(run, alpha, f"constant check + side condition, head N={_N}", policy)
 
 
 def certify_eta0_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
@@ -684,34 +668,36 @@ def certify_eta0_large(alpha: int, policy: BnbPolicy | None = None) -> Certifica
     return route.certificate(run, alpha, _CLOSED, policy)
 
 
+def _inv_sq_tail(t: Lanes, N: int) -> Lanes:
+    """Lanes of sum_{|n| > N} 1/(n - t)^2 for boxes t within (-N, N): the
+    integral sandwich 1/(N+1-t) + 1/(N+1+t) <= sum <= 1/(N-t) + 1/(N+t)."""
+    return Lanes((_ONE / (N + 1 - t) + _ONE / (N + 1 + t)).lo, (_ONE / (N - t) + _ONE / (N + t)).hi)
+
+
 def _inv_sq_offset_sum(t: Lanes, N: int) -> Lanes:
     """Lanes of sum_{n != 0} 1/(n - t)^2 for boxes t within (-1, 1).
 
     Head |n| <= N, added as ((0 + 1/(1-t)^2) + 1/(1+t)^2) + 1/(2-t)^2 ...,
-    plus the integral sandwich tails 1/(N+1-t) + 1/(N+1+t) <= tail <=
-    1/(N-t) + 1/(N+t).
+    plus `_inv_sq_tail`.
     """
     n = np.arange(1.0, N + 1.0)
     T = t[:, None]
     acc = lane_fold(Lanes(np.zeros_like(t.lo)), _ONE / pow_int(n - T, 2), _ONE / pow_int(T + n, 2))
-    lo_tail = (_ONE / (N + 1 - t) + _ONE / (N + 1 + t)).lo
-    hi_tail = (_ONE / (N - t) + _ONE / (N + t)).hi
-    return acc + Lanes(lo_tail, hi_tail)
+    return acc + _inv_sq_tail(t, N)
 
 
 def _eta1_integrand(ctx: PotentialContext, N: int):
     """Lane form of the eta1 integrand in t = x - 1: the eta_ge2 sum at eta = 1
     with its diagonal term pulled out,
 
-        L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail_B,
+        L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail,
 
     where L(x, 1) = (F(x) - F(1) - F'(1) t)/t^2 is one lane of `_L_terms`,
-    offset(x, 1) is `_offset_sum` at eta = 1 and tail_B bounds its terms
-    |n| > N.  Each lane is computed on its own, so it equals the scalar
-    evaluation on the same box bit for bit.
+    offset(x, 1) is `_offset_sum` at eta = 1 on the rows |n| <= N (N >= _N)
+    and tail is `_offset_tail`.  Each lane is computed on its own, so it
+    equals the scalar evaluation on the same box bit for bit.
     """
-    tail_B = ((32.0 + 8.0 * ctx.alpha) * power_sum_tail(ctx.alpha + 1, N + 1)
-              / ctx.s_pow_alpha).hi
+    tail = _offset_tail(ctx)
     rows = build_coefficients(ctx, N).rows()
 
     def integrand(t: Lanes, _param) -> Lanes:
@@ -720,17 +706,16 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
         q = _L_terms(ctx, x[:, None], Fx[:, None], np.ones(1), ctx.F1, ctx.dF1)[:, 0]
         eta = np.ones(t.lo.shape, dtype=np.int64)
         return q + Fx * _inv_sq_offset_sum(t, N) - _offset_sum(x, eta, rows) \
-            + Interval(-tail_B, tail_B)
+            + Interval(-tail, tail)
 
     return integrand
 
 
-def certify_eta1(ctx: PotentialContext, N: int = 64,
-                 policy: BnbPolicy | None = None) -> Certificate:
+def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2."""
     route = _route("eta1", True, ctx.alpha)
     run = _Run()
-    _bnb(run, _eta1_integrand(ctx, N), [(-0.5, 0.5)], policy)
+    _bnb(run, _eta1_integrand(ctx, _N), [(-0.5, 0.5)], policy)
     return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
 
 
@@ -755,17 +740,29 @@ def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
                      Fn / pow_int(dm, 2), -(dFn / dm))
 
 
+def _offset_tail(ctx: PotentialContext) -> float:
+    """B >= sum_{|n| > _N} (F(n)/(x-n)^2 + F'(n)/(x-n)) >= 0 on 0 <= x <= 10
+    (hand-derived, for _N = 64).
+
+    For n >= 65 the terms at n and -n are positive; by F(n) <= n^-alpha/c and
+    |F'(n)| <= alpha n^-(alpha+1)/c, c = s^alpha, they sum to at most
+    n^-(alpha+2)/c (2 (n/(n-10))^2 + 2 alpha n^2/(n^2-100)) <= 2 (1.4 + 1.19
+    alpha) n^-(alpha+2)/c, as both ratios fall in n and (65/55)^2 < 1.4.  B
+    sums that over n > _N, so it also bounds the terms beyond any longer head.
+    """
+    return (2.0 * (1.4 + 1.19 * ctx.alpha) * power_sum_tail(ctx.alpha + 2, _N + 1)
+            / ctx.s_pow_alpha).hi
+
+
 def _eta_ge2_parts(coeffs: AuxCoefficients):
     """(head, slope, tail) of -offset(x, eta) on boxes x >= 1, each with its
     segment's eta as param.
 
-    head is -`_offset_sum`; slope sums d/dx F(n)/(x-n)^2 = -2F(n)/(x-n)^3
-    and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order (x - n never
-    holds 0, since n != eta); tail is the constant enclosure of |n| > N.
+    head is -`_offset_sum` (N >= _N); slope sums d/dx F(n)/(x-n)^2 =
+    -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order
+    (x - n never holds 0, since n != eta); tail is `_offset_tail`.
     """
-    ctx = coeffs.ctx
-    tail = (2.0 * (1.4 + 1.19 * ctx.alpha) * power_sum_tail(ctx.alpha + 2, coeffs.N + 1)
-            / ctx.s_pow_alpha).hi
+    tail = _offset_tail(coeffs.ctx)
     rows = coeffs.rows()
     n, Fn, dFn = rows
 
@@ -781,8 +778,7 @@ def _eta_ge2_parts(coeffs: AuxCoefficients):
         lambda x, eta: Interval(-tail, tail)
 
 
-def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
-                    policy: BnbPolicy | None = None) -> Certificate:
+def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """x in [1.5, 10] by branch-and-bound, in mean-value form, plus the
     displayed x >= 10 constant.
 
@@ -793,7 +789,7 @@ def certify_eta_ge2(ctx: PotentialContext, N: int = 64,
     alpha = ctx.alpha
     route = _route("eta_ge2", True, alpha)
     run = _Run()
-    coeffs = build_coefficients(ctx, N)
+    coeffs = build_coefficients(ctx, _N)
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
@@ -837,7 +833,7 @@ def certify_allthestars_large(alpha: int, policy: BnbPolicy | None = None) -> Ce
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def certify_all(alpha: int, N: int = 64, policy: BnbPolicy | None = None,
+def certify_all(alpha: int, policy: BnbPolicy | None = None,
                 ctx: PotentialContext | None = None) -> list[Certificate]:
     """Run the full certificate suite for one alpha.
 
@@ -852,9 +848,9 @@ def certify_all(alpha: int, N: int = 64, policy: BnbPolicy | None = None,
     _route("all", True, alpha)
     if ctx is None:
         ctx = solve_s_alpha(alpha)
-    listed = {r.inequality_id: r.call(alpha, ctx, N, policy)
+    listed = {r.inequality_id: r.call(alpha, ctx, policy)
               for r in ROUTES if r.listed and alpha in r.alphas}
-    psihat = certify_psihat_nonneg(build_coefficients(ctx, N), policy, listed)
+    psihat = certify_psihat_nonneg(build_coefficients(ctx, _N), policy, listed)
     return [psihat, *listed.values()]
 
 
@@ -880,7 +876,7 @@ class Route:
     """One row of the route table: one way to prove one inequality.
 
     `cli` is the `repulse certify --inequality` name (None: reached only
-    through `all`).  `call(alpha, ctx, N, policy)` runs the route; ctx is
+    through `all`).  `call(alpha, ctx, policy)` runs the route; ctx is
     None unless `needs_ctx`, i.e. unless the route reads the solved
     s_alpha.  The call names its certify_* function inside a plain def, so
     that function is looked up in this module when the route runs and a
@@ -908,47 +904,47 @@ class Route:
 ROUTES = (
     Route("T", "T_alpha", _evens(4, 10), True,
           "T(alpha) = (1/2)(1 - 2*sum F(n)) - (1/pi)*sum_{n>=2}|F'(n)| >= 0",
-          lambda a, ctx, N, p: certify_T(ctx, N, p), part=True),
+          lambda a, ctx, p: certify_T(ctx, p), part=True),
     Route("T", "T_alpha", _evens(12), False,
           "(1/2)(1 - 1/(a-2) - (2/a)(a+1)/(2^a(a-1))) - (1/pi)(a+2)/(a 2^(a+1)) >= 0",
-          lambda a, ctx, N, p: certify_T_large(a, p), part=True),
+          lambda a, ctx, p: certify_T_large(a, p), part=True),
     Route("L", "L_alpha", _evens(6, 10), True,
           "L(alpha) = sum n^3 F'(n)(-2/3+4R(pi n)) - sum 2 n^2 F(n) >= 0",
-          lambda a, ctx, N, p: certify_L(ctx, N, p), part=True),
+          lambda a, ctx, p: certify_L(ctx, p), part=True),
     Route("L", "L_alpha", _evens(12), False,
           "(1-1/(2a-4))(2/3-4R(pi)) - 4(a-1)/(2^(a-2)(2a-5)(a-3)) - 2/(a-2) >= 0",
-          lambda a, ctx, N, p: certify_L_large(a, p), part=True),
+          lambda a, ctx, p: certify_L_large(a, p), part=True),
     Route("w", "w_inequality", _evens(4, 4), True,
           "4(1-F4(1)) S3-form of the half-angle inequality",
-          lambda a, ctx, N, p: certify_w_inequality(ctx, p), part=True, listed=True),
+          lambda a, ctx, p: certify_w_inequality(ctx, p), part=True, listed=True),
     # the displayed inequality, with the constant 5 in place of 4(1 - F4(1))
     Route("w", "w_inequality", _evens(6), False,
           "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0",
-          lambda a, ctx, N, p: certify_w_inequality(None, p, alpha=a)),
+          lambda a, ctx, p: certify_w_inequality(None, p, alpha=a)),
     Route("psi4", "psi4_le_F4", _evens(4, 4), True,
           "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
-          lambda a, ctx, N, p: certify_psi4_le_F4(ctx, N, p), listed=True),
+          lambda a, ctx, p: certify_psi4_le_F4(ctx, p), listed=True),
     Route("eta0", "eta0", _evens(6, 10), True,
           "4(F(1/2)-1) + sum (F(1/2)-F(n))/n^2 >= sum n F'(n)/(1/4-n^2)",
-          lambda a, ctx, N, p: certify_eta0(ctx, N, p), listed=True),
+          lambda a, ctx, p: certify_eta0(ctx, p), listed=True),
     Route("eta0", "eta0", _evens(12), False,
           "-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
-          lambda a, ctx, N, p: certify_eta0_large(a, p), listed=True),
+          lambda a, ctx, p: certify_eta0_large(a, p), listed=True),
     Route("eta1", "eta1", _evens(6, 1000), True,
           "(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
           "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
-          lambda a, ctx, N, p: certify_eta1(ctx, N, p), listed=True),
+          lambda a, ctx, p: certify_eta1(ctx, p), listed=True),
     Route("eta2", "eta_ge2", _evens(6, 14), True,
           "sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0",
-          lambda a, ctx, N, p: certify_eta_ge2(ctx, N, p), listed=True),
+          lambda a, ctx, p: certify_eta_ge2(ctx, p), listed=True),
     Route(None, "allthestars_const", _evens(16), False,
           "-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
           "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
-          lambda a, ctx, N, p: certify_allthestars_large(a, p), listed=True),
+          lambda a, ctx, p: certify_allthestars_large(a, p), listed=True),
     # every piece of the proof; eta1 is the piece with the lowest upper limit
     Route("all", "all", _evens(4, 1000), True,
           "psihat_nonneg and every listed route at alpha",
-          lambda a, ctx, N, p: certify_all(a, N=N, policy=p, ctx=ctx)),
+          lambda a, ctx, p: certify_all(a, policy=p, ctx=ctx)),
 )
 
 

@@ -154,7 +154,7 @@ def _cmd_certify(args) -> int:
     policy = cert.BnbPolicy(max_depth=args.max_depth, budget=args.budget)
     route = cert.route_for(args.inequality, args.alpha)
     ctx = solve_s_alpha(args.alpha, args.tol) if route.needs_ctx else None
-    certs = route.call(args.alpha, ctx, 64, policy)  # the certify_* default N
+    certs = route.call(args.alpha, ctx, policy)
     if not isinstance(certs, list):
         certs = [certs]
     payload = cert.certificates_to_json(certs)

@@ -158,17 +158,19 @@ def offset_sum(x, eta, coeffs):
 
 def eta1_scalar(ctx, N=64):
     """Scalar eta1 integrand: Interval t -> enclosure of
-    L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail_B, x = 1 + t."""
+    L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail, x = 1 + t,
+    with tail = 2 (1.4 + 1.19 alpha) sum_{n > 64} n^-(alpha+2) / s^alpha the
+    bound on the offset terms |n| > 64 (so N >= 64)."""
     coeffs = build_coefficients(ctx, N)
     alpha = ctx.alpha
-    tail_B = ((32.0 + 8.0 * alpha) * power_sum_tail(alpha + 1, N + 1) / ctx.s_pow_alpha).hi
+    tail = (2.0 * (1.4 + 1.19 * alpha) * power_sum_tail(alpha + 2, 65) / ctx.s_pow_alpha).hi
 
     def expr(t):
         x = 1.0 + t
         Fx = F_alpha(ctx, x)
         q = L_scalar(ctx, x, 1, Fx, ctx.F1, ctx.dF1)
         return q + Fx * sum_inv_sq_offset(t, N) - offset_sum(x, 1, coeffs) \
-            + Interval(-tail_B, tail_B)
+            + Interval(-tail, tail)
 
     return expr
 

@@ -298,11 +298,17 @@ def test_T_large_examples():
         certify_T_large(4)
 
 
-def test_T_hands_over_to_its_closed_row(ctx12):
-    c = certify_T(ctx12)
-    assert (c.status, c.alpha) == ("verified", 12)
-    assert c.to_json_dict() | {"wall_time_ms": 0} == \
-        certify_T_large(12).to_json_dict() | {"wall_time_ms": 0}
+_SOLVED_ROWS = [r for r in cert.ROUTES if r.needs_ctx]
+
+
+@pytest.mark.parametrize("route", _SOLVED_ROWS, ids=[r.cli for r in _SOLVED_ROWS])
+def test_solved_context_routes_reject_alpha_above_their_row(route):
+    # the closed rows above are reached through the route table only; a
+    # direct call checks its alpha before it reads the context
+    above = route.alphas[-1] + 2
+    ctx = PotentialContext.from_spacing(above, Interval(1.0))
+    with pytest.raises(ValueError, match=f"covers .*not alpha = {above}"):
+        route.call(above, ctx, None)
 
 
 def test_L_small_alphas(ctx_by_alpha):
@@ -355,6 +361,14 @@ def test_w_inequality_tail_piece():
     # 3(pi/2) - 4 > 0 is what absorbs w >= pi/2 in the displayed form
     v = 3.0 * (PI / 2.0) - 4.0
     assert v.lo > 0.0
+
+
+@pytest.mark.parametrize("alpha", [5, 3, 2, -2, 4.0])
+def test_w_inequality_checks_its_alpha(alpha):
+    # the context-free route is labelled with alpha, so alpha must be one
+    # the paper covers: an even integer >= 4
+    with pytest.raises(ValueError, match="even integer >= 4"):
+        certify_w_inequality(alpha=alpha)
 
 
 def test_w_inequality_context_variant(ctx4):
@@ -429,20 +443,13 @@ def test_eta0(ctx6, ctx8):
     assert certify_eta0(ctx8).status == "verified"
 
 
-def test_eta0_large_route():
-    from repulse.potential import solve_s_alpha
-
-    c = certify_eta0(solve_s_alpha(12, 1e-10))
-    assert c.status == "verified"
-    assert "large" in c.domain
-
-
-def test_eta0_large_route_respects_zero_depth(ctx12):
-    c = certify_eta0(ctx12, policy=BnbPolicy(max_depth=0))
+def test_eta0_large_route_respects_zero_depth():
+    route = cert.route_for("eta0", 12)
+    c = route.call(12, None, BnbPolicy(max_depth=0))
     assert c.status == "inconclusive"
     assert (c.boxes_processed, c.max_depth, c.witness) == (0, 0, None)
     assert math.isnan(c.min_lower_bound)
-    c = certify_eta0(ctx12)
+    c = route.call(12, None, None)
     assert c.status == "verified"
     assert (c.boxes_processed, c.max_depth, c.witness) == (1, 0, None)
     assert c.min_lower_bound > 0.0
@@ -497,6 +504,53 @@ def test_inv_sq_offset_sum_matches_scalar_reference(N):
     for i, (a, b) in enumerate(boxes):
         want = sum_inv_sq_offset(Interval(a, b), N)
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_offset_tail_bounds_the_terms_beyond_the_head(alpha, ctx_by_alpha):
+    # sum_{|n| > 64} (F(n)/(x-n)^2 + F'(n)/(x-n)) on a grid of [0, 10], at 40
+    # digits with c = s^alpha at the lower end of its enclosure, where F(n)
+    # and |F'(n)| are largest (c n^alpha > 1); |n| <= M summed, and `rest`
+    # bounds the terms beyond: for n > M and x <= 10, n - 10 >= 0.99 n, so the
+    # terms at n and -n sum to at most (2 + 2 alpha)/(0.99^2 c) n^-(alpha+2)
+    import mpmath
+
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    bound = cert._offset_tail(ctx)
+    M = 2000
+    with mpmath.workdps(40):
+        c = mpmath.mpf(ctx.s_pow_alpha.lo)
+        rows = []
+        for k in range(65, M + 1):
+            Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
+            rows.append((k, Fk, -alpha * c * mpmath.mpf(k) ** (alpha - 1) * Fk ** 2))
+        rest = (2 + 2 * alpha) / (mpmath.mpf(0.99) ** 2 * c * (alpha + 1)
+                                  * mpmath.mpf(M) ** (alpha + 1))
+        for x in [mpmath.mpf(j) / 2 for j in range(21)]:  # 0, 1/2, 3/2, 9 and 10 among them
+            head = mpmath.fsum(Fk / (x - k) ** 2 + dFk / (x - k) + Fk / (x + k) ** 2 - dFk / (x + k)
+                               for k, Fk, dFk in rows)
+            assert 0 < head and head + rest <= bound, (alpha, x)
+
+
+def test_inv_sq_tail_contains_mpmath():
+    # sum_{|n| > 64} 1/(x - n)^2 = psi'(65 - x) + psi'(65 + x) on seeded
+    # boxes of [0, 9] (psi4_le_F4) and [-1/2, 1/2] (eta1), at box ends,
+    # midpoints and inner points
+    import mpmath
+
+    rng = random.Random(6400)
+    boxes = [(0.0, 9.0), (-0.5, 0.5), (0.0, 0.0), (9.0, 9.0), (-0.5, -0.5), (0.5, 0.5)]
+    for lo, hi in ((0.0, 9.0), (-0.5, 0.5)):
+        for _ in range(30):
+            boxes.append(tuple(sorted(rng.uniform(lo, hi) for _ in range(2))))
+    lo = np.array([b[0] for b in boxes])
+    hi = np.array([b[1] for b in boxes])
+    got = cert._inv_sq_tail(Lanes(lo, hi), 64)
+    with mpmath.workdps(40):
+        for i, (a, b) in enumerate(boxes):
+            for x in (a, 0.5 * (a + b), b, rng.uniform(a, b)):
+                v = mpmath.psi(1, 65 - mpmath.mpf(x)) + mpmath.psi(1, 65 + mpmath.mpf(x))
+                assert got.lo[i] <= v <= got.hi[i], (a, b, x)
 
 
 @pytest.mark.parametrize("alpha", [4, 6, 12])
@@ -781,8 +835,8 @@ def test_allthestars_large():
 # -- invariants ----------------------------------------------------------------
 
 def test_soundness_rerun_double_budget(ctx6):
-    a = certify_eta1(ctx6, N=64)
-    b = certify_eta1(ctx6, N=128, policy=BnbPolicy(max_depth=96))
+    a = certify_eta1(ctx6)
+    b = certify_eta1(ctx6, policy=BnbPolicy(max_depth=96))
     assert a.status == b.status == "verified"
 
 
@@ -875,7 +929,7 @@ def test_dispatch_looks_functions_up_at_call_time(monkeypatch, ctx4):
                 seen.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cert, name, spy)
-    cert.route_for("T", 16).call(16, None, 64, None)
+    cert.route_for("T", 16).call(16, None, None)
     assert seen == ["certify_T_large"]
     seen.clear()
     cert.certify_all(4, ctx=ctx4)

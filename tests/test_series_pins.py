@@ -236,7 +236,7 @@ def test_constant_check_values(ctxs, monkeypatch):
         for r in certify.ROUTES:
             if r.inequality_id != "all" and alpha in r.alphas:
                 seen.clear()
-                r.call(alpha, ctxs[alpha] if r.needs_ctx else None, 64, None)
+                r.call(alpha, ctxs[alpha] if r.needs_ctx else None, None)
                 if seen:
                     got[r.inequality_id, alpha] = tuple(seen)
         seen.clear()
