@@ -589,6 +589,7 @@ def _psi4_parts(coeffs: AuxCoefficients):
     """
     ctx = coeffs.ctx
     alpha, N = ctx.alpha, coeffs.N
+    _check_head(N)
     off = _offset_tail(ctx)
     n, Fn, dFn = coeffs.rows()
     signed = ((n, dFn), (-n, -dFn))  # the rows n and -n, with F'(-n) = -F'(n)
@@ -697,6 +698,7 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
     and tail is `_offset_tail`.  Each lane is computed on its own, so it
     equals the scalar evaluation on the same box bit for bit.
     """
+    _check_head(N)
     tail = _offset_tail(ctx)
     rows = build_coefficients(ctx, N).rows()
 
@@ -754,6 +756,13 @@ def _offset_tail(ctx: PotentialContext) -> float:
             / ctx.s_pow_alpha).hi
 
 
+def _check_head(N: int) -> None:
+    """ValueError unless N >= _N: `_offset_tail` bounds only the terms beyond
+    |n| = _N, so a head |n| <= N with N < _N would leave N < |n| <= _N out."""
+    if N < _N:
+        raise ValueError(f"the offset tail needs a head of |n| <= N with N >= {_N}, not N = {N}")
+
+
 def _eta_ge2_parts(coeffs: AuxCoefficients):
     """(head, slope, tail) of -offset(x, eta) on boxes x >= 1, each with its
     segment's eta as param.
@@ -762,6 +771,7 @@ def _eta_ge2_parts(coeffs: AuxCoefficients):
     -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order
     (x - n never holds 0, since n != eta); tail is `_offset_tail`.
     """
+    _check_head(coeffs.N)
     tail = _offset_tail(coeffs.ctx)
     rows = coeffs.rows()
     n, Fn, dFn = rows
@@ -859,15 +869,14 @@ def certify_all(alpha: int, policy: BnbPolicy | None = None,
 # ---------------------------------------------------------------------------
 
 def _evens(lo: int, hi: int = sys.maxsize) -> range:
-    """The even alpha from lo to hi; no hi means no upper limit."""
+    """The even alpha from lo to hi; no hi means up to sys.maxsize - 1, the
+    largest even alpha a range holds."""
     return range(lo, hi + 1, 2)
 
 
 def _describe(alphas: range) -> str:
     if len(alphas) == 1:
         return f"alpha = {alphas.start}"
-    if alphas.stop > sys.maxsize:
-        return f"even alpha >= {alphas.start}"
     return f"even alpha in [{alphas.start}, {alphas[-1]}]"
 
 

@@ -78,69 +78,123 @@ def _power(base: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     return np.power(base, m, out=out)
 
 
+# Elements of one block of images in `_PairKernel`'s two working buffers.
+# The acceptance-7 cells (n <= 48, K = 3) evaluate all four images in one
+# block; the figure cells (n = 240 and 300) one image per block, so the
+# buffers add little to a relaxation's peak memory.
+_BLOCK_ELEMENTS = 1 << 14
+
+
 class _PairKernel:
     """Pair energy per particle and its gradient for n particles on a cell
-    of length L, over the images |k| <= K, on six n x n buffers that are
-    reused from call to call.
+    of length L, over the images |k| <= K, on buffers reused from call to
+    call.
 
     Only images k = 0..K are evaluated: with d = x_i - x_j, image -k is
     exactly the negated transpose of image k (negation commutes with
-    round-to-nearest), so f_{-k} = f_k^T and w_{-k} = -w_k^T.  Each -k image
-    is read through a contiguous transposed copy, so every `sum()` and
-    `sum(axis=1)` adds in the order of a direct per-image loop, and the image
-    totals are accumulated over k = -K..K as that loop does: the results are
-    equal to it bit for bit.
+    round-to-nearest), so f_{-k} = f_k^T and w_{-k} = -w_k^T.
+
+    Blocks.  The images are evaluated in blocks of b = K + 1 images or as
+    many as fit in `_BLOCK_ELEMENTS` (at least one), each numpy call acting
+    on a whole (b, n, n) block.  Every element gets the operations of a
+    direct per-image loop in the same order, so each element is the same.
+    Each image total is a sum along the contiguous last axes of a block (the
+    whole image for f, each of its rows for w), read for the -k images from
+    a contiguous transposed copy; each adds in the order of the per-image
+    `sum()` or `sum(axis=1)`.  The image totals are then accumulated over
+    k = -K..K one at a time, as that loop does: the results equal it bit for
+    bit.
+
+    Reuse.  The kernel keeps the (K + 1, n, n) stack of 1 + r^alpha and the
+    positions it was computed at.  Every energy call recomputes it; a
+    gradient-only call reads it when its positions equal those (as relax's
+    gradient at its accepted trial does) and recomputes it otherwise.  Equal
+    positions give equal r^2, so a read stack is the stack a fresh kernel
+    would compute.
+
+    Overflow.  Where both alpha r^(alpha-1) and (1 + r^alpha)^2 overflow
+    (at large alpha), the gradient term alpha r^(alpha-1)/(1 + r^alpha)^2
+    evaluates to inf/inf, while it is below alpha/r^(alpha+1) <=
+    alpha^2/(r^2 DBL_MAX); such lanes take their limit, 0.  Every other lane
+    is unchanged.
     """
 
     def __init__(self, n: int, L: float, alpha: int, K: int):
         self.L, self.alpha, self.K = L, alpha, K
-        self._d, self._a, self._r2, self._den, self._out, self._tmp = (
-            np.empty((n, n)) for _ in range(6))
+        b = min(K + 1, max(1, _BLOCK_ELEMENTS // (n * n)))
+        self._blocks = [(k, min(k + b, K + 1)) for k in range(0, K + 1, b)]
+        self._kL = (np.arange(K + 1) * L)[:, None, None]
+        self._d = np.empty((n, n))
+        self._den = np.empty((K + 1, n, n))     # 1 + r^alpha, image k at [k]
+        self._at = np.full(n, np.nan)           # the positions _den holds
+        self._a, self._b = np.empty((b, n, n)), np.empty((b, n, n))
+        self._rows, self._cols = np.empty((K + 1, n)), np.empty((K + 1, n))
 
     def __call__(self, x: np.ndarray, want_energy: bool, want_grad: bool):
         """(energy or None, gradient or None) at positions x."""
-        L, alpha, K = self.L, self.alpha, self.K
-        d, a, r2, den, out, tmp = (
-            self._d, self._a, self._r2, self._den, self._out, self._tmp)
-        n = len(x)
-        m = alpha // 2
-        half = (alpha - 2) // 2
-        np.subtract(x[:, None], x[None, :], out=d)
-        f_sums = [0.0] * (2 * K + 1)      # indexed by k + K
-        w_rows = [None] * (2 * K + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if want_energy or not np.array_equal(x, self._at):
+                self._fill(x)
+            return (self._energy() if want_energy else None,
+                    self._gradient() if want_grad else None)
+
+    def _images(self, k0: int, k1: int) -> np.ndarray:
+        """d + k L for the images k0 <= k < k1, in the first working buffer."""
+        return np.add(self._d, self._kL[k0:k1], out=self._a[:k1 - k0])
+
+    def _fill(self, x: np.ndarray) -> None:
+        np.subtract(x[:, None], x[None, :], out=self._d)
+        np.copyto(self._at, x)
+        for k0, k1 in self._blocks:
+            r2 = self._images(k0, k1)
+            np.multiply(r2, r2, out=r2)
+            den = self._den[k0:k1]
+            _power(r2, self.alpha // 2, den)
+            np.add(den, 1.0, out=den)
+
+    def _energy(self) -> float:
+        n = len(self._d)
+        pos, neg = [], []       # image totals for k >= 0 and for -k, k >= 1
+        for k0, k1 in self._blocks:
+            b, j = k1 - k0, int(k0 == 0)     # image 0 is its own mirror
+            f = np.divide(1.0, self._den[k0:k1], out=self._a[:b])
+            if j:
+                np.fill_diagonal(f[0], 0.0)
+            pos += f.reshape(b, n * n).sum(axis=1).tolist()
+            ft = self._b[:b - j]
+            np.copyto(ft, f[j:].transpose(0, 2, 1))
+            neg += ft.reshape(b - j, n * n).sum(axis=1).tolist()
+        energy = 0.0
+        for e in neg[::-1] + pos:   # not sum(): from Python 3.12 it compensates
+            energy += e
+        return energy / n
+
+    def _gradient(self) -> np.ndarray:
+        alpha, K, n = self.alpha, self.K, len(self._d)
+        rows, cols = self._rows, self._cols     # row sums of w_k and of w_k^T
+        for k0, k1 in self._blocks:
+            b, j = k1 - k0, int(k0 == 0)
+            a = self._images(k0, k1)
+            w = np.multiply(a, -alpha, out=self._b[:b])
+            np.multiply(a, a, out=a)
+            if alpha > 4:                       # r^2 itself at alpha = 4
+                _power(a, (alpha - 2) // 2, a)
+            np.multiply(w, a, out=w)
+            den = self._den[k0:k1]
+            np.divide(w, np.multiply(den, den, out=a), out=w)
+            if np.isnan(np.sum(w, axis=2, out=rows[k0:k1])).any():
+                w[np.isnan(w) & np.isinf(a)] = 0.0      # inf/inf: see Overflow
+                np.sum(w, axis=2, out=rows[k0:k1])
+            wt = a[:b - j]
+            np.copyto(wt, w[j:].transpose(0, 2, 1))
+            np.sum(wt, axis=2, out=cols[k0 + j:k1])
+        grad = np.zeros(n)
+        for k in range(K, 0, -1):       # image -k adds -(w_k^T row sums)
+            grad -= cols[k]
         for k in range(K + 1):
-            np.add(d, k * L, out=a)
-            np.multiply(a, a, out=r2)
-            _power(r2, m, den)
-            np.add(den, 1.0, out=den)                   # 1 + r^alpha
-            if want_energy:
-                f = np.divide(1.0, den, out=out)
-                if k == 0:
-                    np.fill_diagonal(f, 0.0)
-                f_sums[K + k] = float(f.sum())
-                if k:
-                    np.copyto(tmp, f.T)
-                    f_sums[K - k] = float(tmp.sum())
-            if want_grad:
-                w = np.multiply(a, -alpha, out=out)         # f is summed by now
-                np.multiply(w, _power(r2, half, tmp), out=w)
-                np.divide(w, np.multiply(den, den, out=tmp), out=w)
-                w_rows[K + k] = w.sum(axis=1)
-                if k:
-                    np.negative(w.T, out=tmp)
-                    w_rows[K - k] = tmp.sum(axis=1)
-        energy = grad = None
-        if want_energy:
-            energy = 0.0
-            for e in f_sums:    # not sum(): from Python 3.12 it compensates
-                energy += e
-            energy /= n
-        if want_grad:
-            grad = np.zeros(n)
-            for row in w_rows:
-                grad += row
-            grad *= 2.0 / n
-        return energy, grad
+            grad += rows[k]
+        grad *= 2.0 / n
+        return grad
 
 
 def periodic_energy(cfg: Configuration, image_cutoff: int | None = None) -> float:

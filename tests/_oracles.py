@@ -32,7 +32,10 @@ for count, and raise what it raises.
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as the direct loop over every image
 k = -K..K, as the library computed it before the kernel evaluated only
-k = 0..K on reused buffers.  The kernel must equal it bit for bit.
+k = 0..K in blocks of images on reused buffers.  The kernel must equal it
+bit for bit.  It is an oracle only below the overflow of the gradient
+term: where alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow (large
+alpha), its w is inf/inf = NaN, while the kernel gives the term its limit 0.
 
 `bnb_level_by_level` is the branch-and-bound engine as the library ran it
 before it evaluated the levels below a small frontier in the same batch:
@@ -176,7 +179,10 @@ def eta1_scalar(ctx, N=64):
 
 
 def pair_terms_loop(x, L, alpha, K):
-    """(energy per particle, gradient) over images |k| <= K, one image at a time."""
+    """(energy per particle, gradient) over images |k| <= K, one image at a time.
+
+    Valid only while no w is inf/inf, i.e. below the overflow of
+    alpha r^(alpha-1) and (1 + r^alpha)^2 (the kernel's limit 0 there)."""
     n = len(x)
     d = x[:, None] - x[None, :]
     half = (alpha - 2) // 2

@@ -532,6 +532,17 @@ def test_offset_tail_bounds_the_terms_beyond_the_head(alpha, ctx_by_alpha):
             assert 0 < head and head + rest <= bound, (alpha, x)
 
 
+def test_offset_tail_integrands_reject_a_short_head(ctx6):
+    # `_offset_tail` bounds only the terms beyond |n| = 64: a 16-row head
+    # plus that tail missed the exact eta_ge2 sum at x = 9.5, 9.75 and 10
+    short = build_coefficients(ctx6, 16)
+    for make in (lambda: cert._eta_ge2_parts(short), lambda: cert._psi4_parts(short),
+                 lambda: cert._eta1_integrand(ctx6, 16), lambda: cert._eta1_integrand(ctx6, 63)):
+        with pytest.raises(ValueError, match="N >= 64"):
+            make()
+    cert._eta_ge2_parts(build_coefficients(ctx6, 64))
+
+
 def test_inv_sq_tail_contains_mpmath():
     # sum_{|n| > 64} 1/(x - n)^2 = psi'(65 - x) + psi'(65 + x) on seeded
     # boxes of [0, 9] (psi4_le_F4) and [-1/2, 1/2] (eta1), at box ends,

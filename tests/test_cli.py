@@ -218,6 +218,16 @@ def test_certify_out_of_range_exits_2_before_solving(capsys, monkeypatch, name, 
     assert solves == []
 
 
+def test_certify_above_the_open_rows_names_their_limit(capsys, monkeypatch):
+    # the open-ended rows are ranges that stop at sys.maxsize
+    solves = _count_solves(monkeypatch)
+    code = main(["certify", "--alpha", str(10 ** 20), "--inequality", "L"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"even alpha in [12, {sys.maxsize - 1}], not alpha = {10 ** 20}" in captured.err
+    assert captured.out == "" and solves == []
+
+
 @pytest.mark.parametrize("argv, message", [
     ("salpha --alpha 4 --trunc 1", "lattice_energy requires N >= 2"),
     ("psi --alpha 4 --x 1 --coeffs 1", "need N >= 8 coefficient rows"),

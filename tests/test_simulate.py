@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,60 @@ def test_pair_kernel_matches_image_loop():
             no_energy, grad = kernel(x, False, True)
             assert no_grad is None and no_energy is None
             assert _bits(energy, grad) == want, (n, alpha, K, L)
+
+
+def _block_edge_cases():
+    """(n, K, blocks) around the block budget: the largest n whose K + 1 = 4
+    images fit in one block and the next n, then two K that leave a partial
+    last block (the blocks' image counts are listed)."""
+    edge = math.isqrt(sim._BLOCK_ELEMENTS // 4)
+    pair = math.isqrt(sim._BLOCK_ELEMENTS // 2)
+    return [(edge, 3, [4]), (edge + 1, 3, [3, 1]), (edge + 1, 4, [3, 2]),
+            (pair, 4, [2, 2, 1]), (pair + 1, 2, [1, 1, 1])]
+
+
+@pytest.mark.parametrize("n, K, blocks", _block_edge_cases())
+def test_pair_kernel_matches_image_loop_at_block_edges(n, K, blocks):
+    rng = np.random.default_rng(n * 10 + K)
+    L = 16.97
+    for alpha in (4, 6):
+        kernel = sim._PairKernel(n, L, alpha, K)
+        assert [k1 - k0 for k0, k1 in kernel._blocks] == blocks
+        x = rng.uniform(0.0, L, n)
+        assert _bits(*kernel(x, True, True)) == _bits(*pair_terms_loop(x, L, alpha, K))
+
+
+def test_pair_kernel_gradient_elsewhere_is_computed_afresh():
+    # the gradient reads the stored 1 + r^alpha only at the positions of the
+    # last energy call: a new array, or that array mutated in place, recomputes
+    rng = np.random.default_rng(16)
+    n, L, K = 36, 16.97, 3
+    for alpha in (4, 6):
+        def fresh(p):
+            return sim._PairKernel(n, L, alpha, K)(p, False, True)[1].tobytes()
+
+        kernel = sim._PairKernel(n, L, alpha, K)
+        x, y = rng.uniform(0.0, L, n), rng.uniform(0.0, L, n)
+        kernel(x, True, False)
+        assert kernel(y, False, True)[1].tobytes() == fresh(y)
+        kernel(x, True, False)
+        x[5] = (x[5] + 0.3) % L
+        assert kernel(x, False, True)[1].tobytes() == fresh(x)
+        kernel(x, True, False)
+        assert kernel(x.copy(), False, True)[1].tobytes() == fresh(x)
+        assert fresh(x) == pair_terms_loop(x, L, alpha, K)[1].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [150, 200, 1000])
+def test_relax_converges_where_the_gradient_overflows(alpha):
+    # alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow at these alpha;
+    # the gradient term takes its limit 0 there, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = sim.relax(alpha, 1.0, 40.0, seed=0)
+        grad = sim.periodic_gradient(cfg)
+    assert cfg.converged and math.isfinite(cfg.grad_norm) and cfg.grad_norm <= 1e-8
+    assert np.all(np.isfinite(grad))
 
 
 # relax outputs recorded from the per-image loop before the kernel was
