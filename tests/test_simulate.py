@@ -220,9 +220,9 @@ def test_pair_kernel_matches_image_loop():
 
 
 def _block_edge_cases():
-    """(n, K, blocks) around the block budget: the largest n whose K + 1 = 4
-    images fit in one block and the next n, then two K that leave a partial
-    last block (the blocks' image counts are listed)."""
+    """(n, K, images per block) around the block budget: the largest n whose
+    four images (K = 3) fit in one block and the next n, then blocks of
+    three and of two with a partial last block, and one image per block."""
     edge = math.isqrt(sim._BLOCK_ELEMENTS // 4)
     pair = math.isqrt(sim._BLOCK_ELEMENTS // 2)
     return [(edge, 3, [4]), (edge + 1, 3, [3, 1]), (edge + 1, 4, [3, 2]),
@@ -258,7 +258,6 @@ def test_pair_kernel_gradient_elsewhere_is_computed_afresh():
         assert kernel(x, False, True)[1].tobytes() == fresh(x)
         kernel(x, True, False)
         assert kernel(x.copy(), False, True)[1].tobytes() == fresh(x)
-        assert fresh(x) == pair_terms_loop(x, L, alpha, K)[1].tobytes()
 
 
 @pytest.mark.parametrize("alpha", [150, 200, 1000])
