@@ -89,6 +89,8 @@ class SolveDiagnostics:
     lane_batches: int = 0  # lane evaluations of many spacing points at once
     rows_evaluated: int = 0  # spacing points put on lanes
     rows_used: int = 0  # rows whose sign was read
+    coarse_terms: int = 0  # terms per row in the scan and above width 1e-6
+    fine_terms: int = 0  # terms per row of the bisection below width 1e-6
 
 
 @dataclass(frozen=True)
@@ -354,13 +356,14 @@ def _scan_resolution(alpha: int) -> float:
     return 2.0 ** -max(10, (alpha - 1).bit_length())
 
 
-def _scan_bracket(alpha: int, max_cells: int, diag: SolveDiagnostics):
+def _scan_bracket(alpha: int, max_cells: int, ext: int, diag: SolveDiagnostics):
     """Classify derivative signs on [1, 2]; return the unique sign-change cell.
 
     Subdivides one level of cells per lane batch down to the resolution; a
     valid outcome is a sorted sign pattern -1 ... (0s) ... +1 with a single
     undecided run, whose hull brackets the minimiser.  Also returns
-    (centre, derivative midpoint) of the leaves next to the bracket.
+    (centre, derivative midpoint) of the leaves next to the bracket.  Each
+    row sums ext terms.
     """
     resolution = _scan_resolution(alpha)
     level = [(1.0, 2.0)]
@@ -369,7 +372,7 @@ def _scan_bracket(alpha: int, max_cells: int, diag: SolveDiagnostics):
         diag.scan_cells += len(level)
         if diag.scan_cells > max_cells:
             raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        rows = _DerivativeRows(alpha, [Interval(lo, hi) for lo, hi in level], 128, diag)
+        rows = _DerivativeRows(alpha, [Interval(lo, hi) for lo, hi in level], ext, diag)
         split = []
         for i, (lo, hi) in enumerate(level):
             d = rows.row(i)
@@ -393,8 +396,29 @@ def _scan_bracket(alpha: int, max_cells: int, diag: SolveDiagnostics):
     return below[1], above[0], [(0.5 * (lo + hi), dm) for lo, hi, _, dm in (below, above)]
 
 
-def _bisection_ext(width: float) -> int:
-    return 128 if width > 1e-6 else 704
+# The solve's term-count ladders and the tail widths they aim for: the scan
+# and the bisection down to width 1e-6 (coarse), then the bisection below it
+# (fine).  The last rung of each is the cap.
+_COARSE_TERMS = (8, 16, 32, 64, 128)
+_FINE_TERMS = _COARSE_TERMS + (256, 704)
+_FINE_WIDTH = 1e-6
+
+
+def _term_count(alpha: int, fine: bool) -> int:
+    """Terms n <= M the spacing solve sums explicitly in one phase.
+
+    The fewest M on the phase's ladder whose midpoint tail
+    _sum_g_beyond(alpha, 1, M) is at most 1e-12 (coarse) or 1e-18 (fine)
+    wide, else the ladder's last.  Any M >= 2 gives a rigorous enclosure; M
+    only sets how tight it is.  Both error terms of the tail scale like
+    t^-alpha, so its width at t = 1 bounds its width on all of [1, 2].
+    """
+    ladder, width = (_FINE_TERMS, 1e-18) if fine else (_COARSE_TERMS, 1e-12)
+    for M in ladder[:-1]:
+        tail = _sum_g_beyond(alpha, _ONE, M)
+        if tail.hi - tail.lo <= width:
+            return M
+    return ladder[-1]
 
 
 def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> PotentialContext:
@@ -407,19 +431,31 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> Pote
     reads them while it stays on that path, so every step is the
     sequential bisection's.  A centre whose sign is undecided is retried
     off centre, one point at a time.
+
+    Each derivative sums the terms n <= M explicitly, M from _term_count:
+    the fewest on the ladder 8, 16, ..., 128 whose tail at t = 1 is at
+    most 1e-12 wide in the scan and above width 1e-6, and the fewest on
+    8, ..., 128, 256, 704 whose tail is at most 1e-18 wide below it.  So
+    alpha 4 and 6 sum 128 and 704 terms, alpha >= 22 sums 8 in both, and
+    no alpha sums more than 128 and 704.  The diagnostics record both.
     """
     _check_alpha(alpha)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    diag = SolveDiagnostics()
-    lo, hi, (below, above) = _scan_bracket(alpha, max_cells, diag)
+    diag = SolveDiagnostics(coarse_terms=_term_count(alpha, False),
+                            fine_terms=_term_count(alpha, True))
+
+    def ext_at(width: float) -> int:
+        return diag.coarse_terms if width > _FINE_WIDTH else diag.fine_terms
+
+    lo, hi, (below, above) = _scan_bracket(alpha, max_cells, diag.coarse_terms, diag)
     while hi - lo > tol:
-        ext = _bisection_ext(hi - lo)
+        ext = ext_at(hi - lo)
         (t0, d0), (t1, d1) = below, above  # d0 < 0 < d1: their signs are certified
         guess = t0 - d0 * (t1 - t0) / (d1 - d0)
         path = []
         a, b = lo, hi
-        while len(path) < _SPECULATION and b - a > tol and _bisection_ext(b - a) == ext:
+        while len(path) < _SPECULATION and b - a > tol and ext_at(b - a) == ext:
             m = 0.5 * (a + b)
             path.append((a, b, m))
             a, b = (m, b) if m < guess else (a, m)

@@ -40,7 +40,11 @@ class Configuration:
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 1 or not np.all(np.diff(p) >= 0.0):
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise ValueError("L must be finite and positive")
+        if p.ndim != 1 or not np.all(np.isfinite(p)):
+            raise ValueError("positions must be a finite 1-D array")
+        if not np.all(np.diff(p) >= 0.0):
             raise ValueError("positions must be a sorted 1-D array")
         if len(p) and (p[0] < 0.0 or p[-1] >= self.L):
             raise ValueError("positions must lie in [0, L)")

@@ -24,7 +24,8 @@ sums them.  `eta1_scalar` is the eta1 integrand built from these two and
 `solve_s_alpha_sequential` is the spacing solve as the library computed it
 before it was batched: one `energy_derivative` sign at a time, a
 depth-first scan of [1, 2] down to cells of width 1/1024 and a bisection
-that evaluates one midpoint per step.  It returns the enclosure and the
+that evaluates one midpoint per step.  It sums as many terms as the library
+does, by `potential._term_count`, so that only the batching is compared.  It returns the enclosure and the
 counts of scan cells, bisection steps and off-centre retries at each
 tolerance asked for.  The batched solve must equal it bit for bit, count
 for count, and raise what it raises.
@@ -52,6 +53,7 @@ from repulse.interval import Interval, Lanes, hull, pow_int
 from repulse.potential import (
     AmbiguousSignChangeError,
     F_alpha,
+    _term_count,
     energy_derivative,
     power_sum_tail,
 )
@@ -221,7 +223,7 @@ def _scan_bracket_sequential(alpha, max_cells, counts):
         used += 1
         if used > max_cells:
             raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        s = _derivative_sign(alpha, lo, hi, 128)
+        s = _derivative_sign(alpha, lo, hi, _term_count(alpha, False))
         if s != 0 or hi - lo <= 1.0 / 1024.0:
             out.append((lo, hi, s))
         else:
@@ -256,7 +258,7 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,), max_cells=1024):
     for tol in tols:
         while hi - lo > tol:
             width = hi - lo
-            ext = 128 if width > 1e-6 else 704
+            ext = _term_count(alpha, width <= 1e-6)
             mid = 0.5 * (lo + hi)
             counts["bisection_steps"] += 1
             s = _derivative_sign(alpha, mid, mid, ext)

@@ -160,6 +160,53 @@ def test_remainder_sums_bound_brute_force():
             assert sg + alpha * rest <= enc_g.hi, (alpha, tv, M)
 
 
+def test_tail_bound_at_eight_terms_brute_force():
+    # the spacing solve sums as few as 8 terms from alpha 14 on, so the
+    # midpoint tail takes over at n = 9; the terms decay like n^-alpha, so
+    # 2000 of them leave a rest far below the enclosure width
+    import mpmath
+
+    from repulse.potential import _sum_g_beyond
+
+    with mpmath.workprec(140):
+        for alpha in (14, 40):
+            for tv in (1.0, 1.5):
+                T, M = mpmath.mpf(tv), 8
+                top = M + 2000
+                sg = mpmath.fsum(_g_exact(alpha, T * n) for n in range(M + 1, top + 1))
+                rest = alpha * (T * top) ** (1 - alpha) / (T * (alpha - 1))
+                enc = _sum_g_beyond(alpha, Interval(tv), M)
+                assert enc.lo <= sg - rest and sg + rest <= enc.hi, (alpha, tv)
+
+
+def _g_exact(alpha, x):
+    """f(x) + x f'(x) = f(1 - alpha) + alpha f^2 for f = 1/(1 + x^alpha)."""
+    f = 1 / (1 + x ** alpha)
+    return f * (1 - alpha) + alpha * f * f
+
+
+@pytest.mark.parametrize("alpha", [8, 14, 40, 1000])
+def test_derivative_at_the_solved_endpoints_contains_mpmath(alpha, ctx8):
+    # the solve reads energy_derivative with the term counts of its rule;
+    # at both ends of the enclosure each count must contain the exact
+    # derivative 1 + 2 sum_{n >= 1} g(tn), whose sign changes in between
+    import mpmath
+
+    from repulse.potential import _term_count
+
+    ctx = ctx8 if alpha == 8 else solve_s_alpha(alpha, 1e-12)
+    top = 2000 if alpha < 40 else 50
+    with mpmath.workprec(140):
+        for end, sign in ((ctx.s_alpha.lo, -1), (ctx.s_alpha.hi, 1)):
+            T = mpmath.mpf(end)
+            exact = 1 + 2 * mpmath.fsum(_g_exact(alpha, T * n) for n in range(1, top + 1))
+            rest = 2 * alpha * (T * top) ** (1 - alpha) / (T * (alpha - 1))
+            assert sign * exact > rest, (alpha, end)
+            for fine in (False, True):
+                d = energy_derivative(alpha, Interval(end), ext=_term_count(alpha, fine))
+                assert d.lo <= exact - rest and exact + rest <= d.hi, (alpha, end, fine)
+
+
 def test_lattice_energy_at_vanishing_spacing():
     # t^4 underflows at t = 1e-100, so the tail takes the integral bound;
     # as t -> 0 the energy tends to int f = pi/sqrt(2)

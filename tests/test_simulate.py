@@ -174,6 +174,20 @@ def test_periodic_sums_reject_empty_configuration():
             fn(cfg)
 
 
+def test_configuration_rejects_non_finite_positions_and_bad_L():
+    # NaN fails both range comparisons, so one NaN position used to pass
+    # and make periodic_energy return nan
+    nan, inf = float("nan"), float("inf")
+    for positions in ([nan], [inf], [-inf], [1.0, nan], [nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            _config(positions, 10.0, 4)
+    for L in (nan, inf, -inf, 0.0, -10.0):
+        for positions in ([], [1.0]):
+            with pytest.raises(ValueError, match="L must be finite and positive"):
+                sim.Configuration(np.array(positions), L, 4, 1.0, None, 0.0, True, 0.0)
+    assert np.isfinite(sim.periodic_energy(_config([1.0], 10.0, 4)))
+
+
 def test_relax_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sim.relax(5, 1.0, 10.0)

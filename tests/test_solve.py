@@ -14,6 +14,7 @@ from repulse.potential import (
     PotentialContext,
     _DerivativeRows,
     _scan_resolution,
+    _term_count,
     energy_derivative,
     solve_s_alpha,
 )
@@ -49,7 +50,7 @@ def test_batched_solve_equals_sequential(alpha):
         (AmbiguousSignChangeError, "scan budget exhausted on [1, 2]")
 
 
-@pytest.mark.parametrize("alpha, tol", [(8, 3e-14), (40, 1e-13)])
+@pytest.mark.parametrize("alpha, tol", [(12, 2e-14), (40, 1e-13)])
 def test_off_centre_retries_equal_sequential(alpha, tol):
     # below 1e-12 the centre's sign can stay undecided; the retries run
     # one point at a time and leave the predicted path
@@ -75,9 +76,24 @@ def test_diagnostics_count_the_sequential_work(alpha, ctx_by_alpha):
     # every scan cell and every step or retry is one row read
     assert d.rows_used == sum(counts.values()) <= d.rows_evaluated
     assert 0 < d.lane_batches < d.rows_used
+    # terms per row above and below width 1e-6
+    assert (d.coarse_terms, d.fine_terms) == {4: (128, 704), 12: (16, 32), 40: (8, 8)}[alpha]
     # the counts are not part of the context's value
     assert ctx == PotentialContext.from_spacing(alpha, ctx.s_alpha)
     assert "diagnostics" not in repr(ctx)
+
+
+def test_term_count_keeps_the_caps():
+    # alpha 4 and 6 keep the 128 and 704 terms the solve always summed;
+    # no alpha sums more, and larger alpha never sums more than smaller
+    assert [_term_count(a, fine) for a in (4, 6) for fine in (False, True)] == \
+        [128, 704, 128, 704]
+    prev = (128, 704)
+    for alpha in [*range(4, 401, 2), 1000, 4000, 10000, 100000]:
+        counts = (_term_count(alpha, False), _term_count(alpha, True))
+        assert counts[0] <= counts[1] and counts[0] <= prev[0] and counts[1] <= prev[1], alpha
+        prev = counts
+    assert prev == (8, 8)
 
 
 def test_rows_equal_the_one_row_derivative():
