@@ -8,6 +8,7 @@ precondition error, 3 solver ambiguity, 4 inconclusive certificates,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import math
 import os
@@ -17,6 +18,7 @@ from . import __version__, json_text
 from .interval import Interval
 from .potential import (
     AmbiguousSignChangeError,
+    _check_tol,
     _check_truncation,
     lattice_energy,
     solve_s_alpha,
@@ -108,6 +110,7 @@ def _cmd_salpha(args) -> int:
         "s_pow_alpha_hi": ctx.s_pow_alpha.hi,
         "energy_lo": total.lo,
         "energy_hi": total.hi,
+        "diagnostics": dataclasses.asdict(ctx.diagnostics),
     })
     return EXIT_OK
 
@@ -151,6 +154,7 @@ def _cmd_psihat(args) -> int:
 def _cmd_certify(args) -> int:
     from . import certify as cert
 
+    _check_tol(args.tol)  # on every route, also those that make no solve
     policy = cert.BnbPolicy(max_depth=args.max_depth, budget=args.budget)
     route = cert.route_for(args.inequality, args.alpha)
     ctx = solve_s_alpha(args.alpha, args.tol) if route.needs_ctx else None
@@ -269,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="route name: %(choices)s")
     sp.add_argument("--max-depth", type=int, default=48)
     sp.add_argument("--budget", type=int, default=10_000_000)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="width of the s_alpha enclosure; checked on every route, "
+                         "but rows without a spacing solve do not read it")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=_cmd_certify)
 

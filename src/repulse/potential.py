@@ -58,6 +58,11 @@ def _check_truncation(N: int) -> None:
         raise ValueError("lattice_energy requires N >= 2")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
 def power_sum_tail(beta: int, k: int) -> Interval:
     """Upper enclosure [0, B] of sum_{n >= k} n^-beta for beta > 1, k > 0.
 
@@ -440,8 +445,7 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> Pote
     no alpha sums more than 128 and 704.  The diagnostics record both.
     """
     _check_alpha(alpha)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     diag = SolveDiagnostics(coarse_terms=_term_count(alpha, False),
                             fine_terms=_term_count(alpha, True))
 

@@ -8,6 +8,7 @@ experimentally and cross-checks them against the certified lattice sums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,25 +245,91 @@ def _as_configuration(x, pair_terms: _PairKernel, seed, converged,
     )
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as ints."""
+    n = operator.index(seed)        # TypeError for a non-integral seed
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [n & _M32]            # little-endian 32-bit words, [0] for 0
+    while n >> 32:
+        n >>= 32
+        entropy.append(n & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word in entropy[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(word))
+    h, words = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        words.append(v ^ v >> 16)
+    return [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]
+
+
+def _uniform_start(seed: int, L: float, count: int) -> np.ndarray:
+    """np.random.default_rng(seed).uniform(0.0, L, count), bit for bit.
+
+    The stream written out, so that a relaxation does not load
+    numpy.random (about 5 MB of peak RSS): SeedSequence seeds PCG64 (a
+    128-bit LCG, O'Neill 2014), each XSL-RR output gives 53 bits of a
+    double in [0, 1), and uniform scales it as low + (high - low) * u.
+    """
+    s0, s1, i0, i1 = _seed_state(seed)
+    inc = (i0 << 64 | i1) << 1 & _M128 | 1
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128
+    low, high, out = 0.0, L, []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _M128
+        v, rot = (state >> 64 ^ state) & _M64, state >> 122
+        v = (v >> rot | v << (-rot & 63)) & _M64
+        out.append(low + (high - low) * ((v >> 11) * 2.0**-53))
+    return np.array(out, dtype=float)
+
+
 def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
           gtol: float = 1e-8, image_cutoff: int | None = None) -> Configuration:
     """Gradient descent with Barzilai-Borwein steps and Armijo backtracking.
 
-    Starts from seed-determined uniform random positions; accepted steps
-    never increase the energy; sets `converged = False` when the gradient
-    max-norm still exceeds gtol after `iters` accepted steps.
+    Starts from the uniform positions numpy's default_rng(seed).uniform(0,
+    L, count) draws, reproduced bit for bit by `_uniform_start` so that a
+    run does not load numpy.random; accepted steps never increase the
+    energy; sets `converged = False` when the gradient max-norm still
+    exceeds gtol (finite, >= 0) after `iters` accepted steps.
     """
     if alpha % 2 or alpha < 4:
         raise ValueError("alpha must be an even integer >= 4")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if not (math.isfinite(gtol) and gtol >= 0.0):
+        raise ValueError("gtol must be finite and >= 0")
     count = int(round(rho * L))
     if count < 1:
         raise ValueError("density and cell length give no particles")
     K = _image_cutoff(image_cutoff, L)
     pair_terms = _PairKernel(count, L, alpha, K)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, L, count)
+    x = _uniform_start(seed, L, count)
     E, g = pair_terms(x, True, True)
     step = 0.05 * L / count
     gnorm = float(np.max(np.abs(g))) if count > 1 else 0.0

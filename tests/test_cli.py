@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from repulse import certify, cli
 from repulse.certify import ROUTES
 from repulse.cli import main
-from repulse.potential import asymptotic_s_pow_alpha
+from repulse.potential import asymptotic_s_pow_alpha, solve_s_alpha
 
 
 def _run(capsys, *argv):
@@ -275,6 +276,33 @@ def test_other_commands_do_not_load_certify():
     assert out.splitlines()[-1] == "False"
 
 
+def test_simulate_does_not_load_numpy_random():
+    # relax draws its start without numpy.random; a numpy that imports it
+    # with numpy itself (1.x) gives no such saving to check
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+            "from repulse.cli import main; "
+            "code = main(['simulate', '--alpha', '4', '--rho', '1', '--length', '8', "
+            "'--seed', '3', '--iters', '200']); "
+            "print(code, eager, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    code, eager, loaded = out.splitlines()[-1].split()
+    assert code == "0"
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random at import")
+    assert loaded == "False"
+
+
+@pytest.mark.parametrize("alpha", [4, 40])
+def test_salpha_prints_the_solve_diagnostics(capsys, alpha):
+    code, out = _run(capsys, "salpha", "--alpha", str(alpha))
+    assert code == 0
+    d = json.loads(out)
+    assert list(d)[-1] == "diagnostics"
+    assert d["diagnostics"] == dataclasses.asdict(solve_s_alpha(alpha, 1e-12).diagnostics)
+
+
 def test_certify_bad_budget_is_usage_error(capsys):
     code = main(["certify", "--alpha", "6", "--inequality", "T", "--budget", "0"])
     assert code == 2
@@ -329,6 +357,8 @@ def test_simulate_rho_not_near_integer(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--length", "0"), ("--iters", "0"), ("--rho", "-1"),
     ("--length", "inf"), ("--rho", "nan"), ("--gap-threshold", "0"),
+    ("--gtol", "nan"), ("--gtol", "-1"), ("--gtol", "inf"),
+    ("--seed", "-1"),
 ])
 def test_simulate_bad_input_is_usage_error(capsys, flag, value):
     argv = {"--alpha": "4", "--rho": "1.0", "--length": "8", "--iters": "10"}
@@ -350,6 +380,8 @@ def test_simulate_bad_input_is_usage_error(capsys, flag, value):
     "psi --alpha 4 --x 1 --coeffs 4",
     "psihat --alpha 4 --xi nan",
     "certify --alpha 12 --inequality T --out {missing}/x.json",
+    "certify --alpha 16 --inequality T --tol -5",
+    "certify --alpha 16 --inequality T --tol nan",
     "simulate --alpha 4 --rho 1 --length 8 --iters 10 --csv {missing}/x.csv",
 ])
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):

@@ -193,6 +193,14 @@ def test_relax_rejects_bad_arguments():
         sim.relax(5, 1.0, 10.0)
     with pytest.raises(ValueError):
         sim.relax(4, 1.0, 10.0, iters=0)
+    for gtol in (math.nan, -1.0, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gtol must be finite and >= 0"):
+            sim.relax(4, 1.0, 12.0, iters=50, gtol=gtol)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sim.relax(4, 1.0, 10.0, seed=-1)       # default_rng's seed errors
+    for seed in (1.5, 2.0, None):
+        with pytest.raises(TypeError):
+            sim.relax(4, 1.0, 10.0, seed=seed)
     with pytest.raises(ValueError):
         sim.periodic_energy(_config([1.0], 10.0, 4), 0)
     for cutoff in (0, -1):
@@ -204,6 +212,17 @@ def test_relax_rejects_bad_arguments():
             sim.periodic_gradient(_config([1.0, 4.0], 10.0, 4), cutoff)
         with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
             sim.periodic_energy(_config([1.0, 4.0], 10.0, 4), cutoff)
+
+
+def test_uniform_start_equals_default_rng():
+    # seeds of one to seven 32-bit words (more than four run SeedSequence's
+    # second mixing loop), and counts up to the figure cells
+    for seed in [*range(300), 2**32 - 1, 2**32, 2**63, 2**64 + 5, 10**30, 2**200 + 7]:
+        for L in (1.0, 16.97, 30.0):
+            for count in (1, 2, 48, 300):
+                want = np.random.default_rng(seed).uniform(0.0, L, count)
+                assert sim._uniform_start(seed, L, count).tobytes() == want.tobytes(), \
+                    (seed, L, count)
 
 
 def _bits(energy, grad):
