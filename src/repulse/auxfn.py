@@ -13,7 +13,7 @@ import numpy as np
 
 from .interval import ONE as _ONE, ZERO as _ZERO
 from .interval import Interval, Lanes, PI, _sub_down, cos, lane_sum, pow_int, sin, sinc
-from .potential import F_alpha, PotentialContext, power_sum_tail, x_dF_alpha
+from .potential import _MAX_TRUNCATION, F_alpha, PotentialContext, power_sum_tail, x_dF_alpha
 
 __all__ = [
     "AuxCoefficients",
@@ -52,6 +52,8 @@ class AuxCoefficients:
 def _check_rows(N: int) -> None:
     if N < 8:
         raise ValueError("need N >= 8 coefficient rows")
+    if N > _MAX_TRUNCATION:
+        raise ValueError(f"need N <= {_MAX_TRUNCATION} coefficient rows")
 
 
 def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:

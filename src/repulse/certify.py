@@ -31,7 +31,6 @@ from .interval import (
     Interval,
     Lanes,
     PI,
-    PI_SQ,
     SIXTH,
     lane_fold,
     lane_sum,
@@ -60,7 +59,6 @@ __all__ = [
     "certify_psihat_nonneg",
     "certify_psi4_le_F4",
     "certify_eta0",
-    "certify_eta0_large",
     "certify_eta1",
     "certify_eta_ge2",
     "certify_allthestars_large",
@@ -579,7 +577,8 @@ def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
 
 
 def _psi4_parts(coeffs: AuxCoefficients):
-    """(head, slope, tail) of the psi4 integrand sum_{n in Z} L(x, n) on x >= 0.
+    """(head, slope, tail) of the integrand sum_{n in Z} L(x, n) on x >= 0, at any
+    alpha: `psi4_le_F4` at alpha = 4 and `eta0` on [0, 1/2].
 
     head sums |n| <= N (N >= _N) as ((L(x, 0) + L(x, 1)) + L(x, -1)) + ...,
     with L(x, 0) = (F(x) - 1)/x^2 = -c x^(alpha-2) F(x), c = s^alpha;
@@ -636,37 +635,19 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -
 # ---------------------------------------------------------------------------
 
 def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
-    """Constant check covering 0 <= x <= 1/2 of psi <= F.
+    """sum_{n in Z} L(x, n) >= 0 on [0, 1/2] by branch-and-bound, which is psi <= F there.
 
-    4(F(1/2) - 1) + sum_{n!=0}(F(1/2) - F(n))/n^2 >= sum_{n!=0} n F'(n)/(1/4 - n^2),
-    with the side condition F(1/2) >= 2/alpha that the reduction uses.
+    The sum is the `_psi4_parts` integrand at this alpha, and it equals
+    pi^2 (F(x) - psi(x))/sin^2(pi x) (Cohn and Kumar, JAMS 2007).  It is
+    enclosed in direct form, head(X) + tail(X), which discharges the root
+    in one box where the mean-value form splits it.
     """
-    alpha = ctx.alpha
-    route = _route("eta0", True, alpha)
+    route = _route("eta0", True, ctx.alpha)
     run = _Run()
-    n, F, dF = build_coefficients(ctx, _N).rows()
-    F_half = F_alpha(ctx, Interval(0.5))
-    lhs = 4.0 * (F_half - 1.0) + F_half * PI_SQ / 3.0
-    s = lane_sum(_ZERO, F / (n * n))
-    r = lane_sum(_ZERO, (n * dF) / (0.25 - n * n))
-    tail_q = (power_sum_tail(alpha + 2, _N + 1) / ctx.s_pow_alpha).hi
-    lhs = lhs - 2.0 * (s + Interval(0.0, tail_q))
-    rhs = 2.0 * (r + Interval(0.0, (16.0 * alpha / 15.0) * tail_q))
-    run.check(lhs - rhs, policy)
-    run.check(F_half - Interval(2.0) / alpha, policy)  # the side condition
-    return route.certificate(run, alpha, f"constant check + side condition, head N={_N}", policy)
-
-
-def certify_eta0_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
-    """Closed bound for the eta0 constant check, valid for large alpha."""
-    route = _route("eta0", False, alpha)
-    run = _Run()
-    rhs = Interval(4.0 * alpha) / (3.0 * alpha - 6.0) \
-        + Interval(float(alpha + 1)) / (pow_int(Interval(2.0), alpha) * (alpha - 1))
-    lhs = Interval.from_fraction(Fraction(-4, 100)) \
-        + Interval.from_fraction(Fraction(94, 100)) * PI_SQ / 3.0
-    run.check(lhs - rhs, policy)
-    return route.certificate(run, alpha, _CLOSED, policy)
+    head, _, tail = _psi4_parts(build_coefficients(ctx, _N))
+    _bnb(run, lambda x, param: head(x, param) + tail(x, param), [(0.0, 0.5)], policy)
+    return route.certificate(run, ctx.alpha, "[0, 1/2] branch-and-bound of sum_n L(x, n), "
+                             "so psi <= F", policy)
 
 
 def _inv_sq_tail(t: Lanes, N: int) -> Lanes:
@@ -933,12 +914,10 @@ ROUTES = (
     Route("psi4", "psi4_le_F4", _evens(4, 4), True,
           "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
           lambda a, ctx, p: certify_psi4_le_F4(ctx, p), listed=True),
-    Route("eta0", "eta0", _evens(6, 10), True,
-          "4(F(1/2)-1) + sum (F(1/2)-F(n))/n^2 >= sum n F'(n)/(1/4-n^2)",
+    Route("eta0", "eta0", _evens(6, 1000), True,
+          "sum_n (F(x) - F(n) - F'(n)(x-n))/(x-n)^2 = pi^2 (F(x) - psi(x))/sin^2(pi x) >= 0 "
+          "on [0, 1/2]",
           lambda a, ctx, p: certify_eta0(ctx, p), listed=True),
-    Route("eta0", "eta0", _evens(12), False,
-          "-0.04 + 0.94 pi^2/3 >= 4a/(3a-6) + 2^-a (a+1)/(a-1)",
-          lambda a, ctx, p: certify_eta0_large(a, p), listed=True),
     Route("eta1", "eta1", _evens(6, 1000), True,
           "(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
           "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
@@ -950,7 +929,7 @@ ROUTES = (
           "-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
           "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
           lambda a, ctx, p: certify_allthestars_large(a, p), listed=True),
-    # every piece of the proof; eta1 is the piece with the lowest upper limit
+    # every piece of the proof; eta0 and eta1 are the pieces with the lowest upper limit
     Route("all", "all", _evens(4, 1000), True,
           "psihat_nonneg and every listed route at alpha",
           lambda a, ctx, p: certify_all(a, policy=p, ctx=ctx)),

@@ -20,7 +20,7 @@ _INF = math.inf
 _nextafter = math.nextafter
 
 __all__ = [
-    "DomainError", "Interval", "Lanes", "PI", "TWO_PI", "HALF_PI", "PI_SQ", "LN2", "SIXTH",
+    "DomainError", "Interval", "Lanes", "PI", "TWO_PI", "HALF_PI", "LN2", "SIXTH",
     "sin", "cos", "exp", "log", "sqrt", "sinc", "remainder_R", "s3_kernel", "pow_int", "hull",
     "lane_fold", "lane_sum",
 ]
@@ -769,7 +769,6 @@ if not (PI.lo <= math.pi <= PI.hi and PI.width <= 5e-16):  # pragma: no cover
     raise RuntimeError("pi enclosure failed self-validation")
 TWO_PI = Interval._raw(_mul_down(PI.lo, 2.0), _mul_up(PI.hi, 2.0))
 HALF_PI = Interval._raw(_mul_down(PI.lo, 0.5), _mul_up(PI.hi, 0.5))
-PI_SQ = PI * PI
 LN2 = Interval.from_fraction(*_ln2_bounds(22))
 SIXTH = Interval.from_fraction(Fraction(1, 6))
 

@@ -53,9 +53,17 @@ def _check_alpha(alpha: int) -> None:
         raise ValueError(f"alpha must be an even integer >= 4, got {alpha!r}")
 
 
+# The largest truncation lattice_energy and the coefficient tables accept.
+# lattice_energy(4, 1.5, N) takes about 2 s at N = 10^6, and its enclosure
+# only widens past N ~ 10^4 (8.3e-13 wide there, 8.3e-11 at 10^6).
+_MAX_TRUNCATION = 10 ** 6
+
+
 def _check_truncation(N: int) -> None:
     if N < 2:
         raise ValueError("lattice_energy requires N >= 2")
+    if N > _MAX_TRUNCATION:
+        raise ValueError(f"lattice_energy requires N <= {_MAX_TRUNCATION}")
 
 
 def _check_tol(tol: float) -> None:

@@ -89,6 +89,11 @@ def _power(base: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
 # buffers add little to a relaxation's peak memory.
 _BLOCK_ELEMENTS = 1 << 14
 
+# Elements of `_PairKernel`'s (K + 1, n, n) stack of 1 + r^alpha at most
+# (512 MB of floats).  The largest cell of the acceptance runs (n = 300,
+# K = 3) holds 360,000.
+_STACK_ELEMENTS = 1 << 26
+
 
 class _PairKernel:
     """Pair energy per particle and its gradient for n particles on a cell
@@ -125,6 +130,9 @@ class _PairKernel:
     """
 
     def __init__(self, n: int, L: float, alpha: int, K: int):
+        if (K + 1) * n * n > _STACK_ELEMENTS:
+            raise ValueError(f"the pair kernel of n = {n} particles on a cell of length {L!r} "
+                             f"needs more than {_STACK_ELEMENTS} elements")
         self.L, self.alpha, self.K = L, alpha, K
         b = min(K + 1, max(1, _BLOCK_ELEMENTS // (n * n)))
         self._blocks = [(k, min(k + b, K + 1)) for k in range(0, K + 1, b)]

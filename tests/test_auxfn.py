@@ -1,8 +1,10 @@
 """Auxiliary function: interpolation, transform, decay, and the float paths."""
 
 import numpy as np
+import pytest
 
 from repulse.auxfn import (
+    build_coefficients,
     decay_constant,
     psi,
     psi_float,
@@ -10,6 +12,7 @@ from repulse.auxfn import (
     psi_hat_float,
 )
 from repulse.interval import Interval
+from repulse.potential import solve_s_alpha
 
 
 def test_tables(coeffs4):
@@ -95,3 +98,32 @@ def test_float_paths_inside_enclosures(coeffs4):
 def test_psi_hat_grid_nonnegative_scan(coeffs4):
     xs = np.linspace(0.0, 1.0, 1001)
     assert float(psi_hat_float(coeffs4, xs).min()) >= -1e-12
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_coefficient_tails_bound_the_rows_beyond_the_table(alpha, ctx_by_alpha):
+    # sum_{n > N} F(n), |F'(n)| and n^2 F(n) at 40 digits, with c = s^alpha at
+    # each end of its enclosure, F(n) = 1/(1 + c n^alpha) and
+    # |F'(n)| = alpha c n^(alpha-1) F(n)^2.  n <= M summed; beyond it,
+    # F(n) <= n^-alpha/c, |F'(n)| <= alpha n^-(alpha+1)/c and
+    # sum_{n > M} n^-b <= M^(1-b)/(b-1) give the three `rest` bounds
+    import mpmath
+
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    tables = [build_coefficients(ctx, N) for N in (8, 64, 256)]
+    M = 2000
+    with mpmath.workdps(40):
+        for end in (ctx.s_pow_alpha.lo, ctx.s_pow_alpha.hi):
+            c, m = mpmath.mpf(end), mpmath.mpf(M)
+            rows = {}
+            for n in range(9, M + 1):
+                p = c * mpmath.mpf(n) ** alpha
+                F = 1 / (1 + p)
+                rows[n] = (F, alpha * p * F ** 2 / n, n * n * F)
+            rest = (m ** (1 - alpha) / ((alpha - 1) * c), m ** -alpha / c,
+                    m ** (3 - alpha) / ((alpha - 3) * c))
+            for coeffs in tables:
+                tails = (coeffs.tail_F, coeffs.tail_dF, coeffs.tail_n2F)
+                for k, (name, tail) in enumerate(zip(("F", "dF", "n2F"), tails)):
+                    beyond = mpmath.fsum(rows[n][k] for n in range(coeffs.N + 1, M + 1)) + rest[k]
+                    assert tail.lo == 0.0 and beyond <= tail.hi, (name, coeffs.N, end)

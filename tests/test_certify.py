@@ -443,16 +443,69 @@ def test_eta0(ctx6, ctx8):
     assert certify_eta0(ctx8).status == "verified"
 
 
-def test_eta0_large_route_respects_zero_depth():
+def test_eta0_large_route_respects_zero_depth(ctx12):
     route = cert.route_for("eta0", 12)
-    c = route.call(12, None, BnbPolicy(max_depth=0))
+    c = route.call(12, ctx12, BnbPolicy(max_depth=0))
     assert c.status == "inconclusive"
     assert (c.boxes_processed, c.max_depth, c.witness) == (0, 0, None)
     assert math.isnan(c.min_lower_bound)
-    c = route.call(12, None, None)
+    c = route.call(12, ctx12, None)
     assert c.status == "verified"
     assert (c.boxes_processed, c.max_depth, c.witness) == (1, 0, None)
     assert c.min_lower_bound > 0.0
+
+
+@pytest.mark.parametrize("alpha", [6, 16, 100, 1000])
+def test_eta0_discharges_its_root_in_one_box_across_its_row(alpha):
+    # the direct enclosure of sum_n L(x, n) holds on all of [0, 1/2] at once
+    c = certify_eta0(solve_s_alpha(alpha))
+    assert c.status == "verified"
+    assert (c.boxes_processed, c.max_depth, c.witness) == (1, 0, None)
+    assert c.min_lower_bound > 0.5
+
+
+@pytest.mark.parametrize("alpha", [6, 14, 1000])
+def test_eta0_integrand_is_pi_sq_times_F_minus_psi_over_sin_sq(alpha, ctx_by_alpha):
+    # the interpolation identity sum_n L(x, n) = pi^2 (F(x) - psi(x))/sin^2(pi x)
+    # at points of [0, 1/2]: psi(x) at 40 digits from its sinc-product
+    # definition (auxfn.psi's docstring), with c = s^alpha the midpoint of its
+    # enclosure, so F(n) and F'(n) are exact for that c and lie in the
+    # enclosures the lanes use.  |n| <= M summed; for n > M and x <= 1/2,
+    # |sinc(pi(x +- n))| <= 1/(pi (n - 1)) <= 1/(0.999 pi n), F(n) <= n^-alpha/c
+    # and n |F'(n)| <= alpha n^-alpha/c, so the terms at n and -n sum to at
+    # most (2 + 2 alpha) n^-(alpha+2)/(0.999^2 pi^2 c), and all of them to
+    # `rest`; 1e-30 more covers the rounding of the 40-digit sum
+    import mpmath
+
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    head, _, tail = cert._psi4_parts(build_coefficients(ctx, 64))
+    M = 2000
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        c = mpmath.mpf(ctx.s_pow_alpha.mid)
+
+        def F(t):
+            return 1 / (1 + c * t ** alpha)
+
+        def sinc(t):
+            return mpmath.sin(pi * t) / (pi * t)
+
+        rows = []
+        for n in range(1, M + 1):
+            Fn = F(mpmath.mpf(n))
+            rows.append((n, Fn, -alpha * c * mpmath.mpf(n) ** (alpha - 1) * Fn ** 2))
+        rest = 2 / (mpmath.mpf(0.999) ** 2 * pi ** 2 * c * mpmath.mpf(M) ** (alpha + 1)) \
+            + mpmath.mpf(1e-30)
+        for x in (1 / 64, 1 / 8, 1 / 4, 3 / 8, 1 / 2):
+            X = mpmath.mpf(x)
+            psi = sinc(X) ** 2 + mpmath.fsum(
+                Fn * (sinc(X - n) ** 2 + sinc(X + n) ** 2) + 2 * n * dFn * sinc(X - n) * sinc(X + n)
+                for n, Fn, dFn in rows)
+            scale = pi ** 2 / mpmath.sin(pi * X) ** 2
+            want = scale * (F(X) - psi)
+            at, param = Lanes(np.array([x])), np.zeros(1, dtype=np.int64)
+            got = head(at, param) + tail(at, param)
+            assert got.lo[0] <= want - scale * rest and want + scale * rest <= got.hi[0], (alpha, x)
 
 
 def test_eta1(ctx6, ctx8):
@@ -917,7 +970,7 @@ def test_certify_all_rejects_alpha_past_eta1():
 
 
 def test_closed_routes_reject_alpha_below_their_row():
-    for fn in (cert.certify_T_large, cert.certify_L_large, cert.certify_eta0_large):
+    for fn in (cert.certify_T_large, cert.certify_L_large):
         with pytest.raises(ValueError):
             fn(10)
 

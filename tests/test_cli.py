@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,7 +163,7 @@ def test_certify_zero_depth_inconclusive(capsys):
     assert code == 4
 
 
-def test_certify_zero_depth_inconclusive_on_closed_eta0(capsys):
+def test_certify_zero_depth_inconclusive_on_eta0(capsys):
     code = main(["certify", "--alpha", "12", "--inequality", "eta0",
                  "--max-depth", "0"])
     certs = json.loads(capsys.readouterr().out)
@@ -204,7 +205,7 @@ def _just_outside():
 
 def test_just_outside_cases_follow_the_route_table():
     assert set(_just_outside()) == {
-        ("L", 4), ("psi4", 6), ("eta0", 4), ("eta1", 4), ("eta1", 1002),
+        ("L", 4), ("psi4", 6), ("eta0", 4), ("eta0", 1002), ("eta1", 4), ("eta1", 1002),
         ("eta2", 4), ("eta2", 16), ("all", 1002)}
 
 
@@ -233,6 +234,10 @@ def test_certify_above_the_open_rows_names_their_limit(capsys, monkeypatch):
     ("salpha --alpha 4 --trunc 1", "lattice_energy requires N >= 2"),
     ("psi --alpha 4 --x 1 --coeffs 1", "need N >= 8 coefficient rows"),
     ("psihat --alpha 4 --xi 0.5 --coeffs 7", "need N >= 8 coefficient rows"),
+    ("energy --alpha 4 --t 1.5 --trunc 100000000000000000000",
+     "lattice_energy requires N <= 1000000"),
+    ("salpha --alpha 4 --trunc 100000000000000000000", "lattice_energy requires N <= 1000000"),
+    ("psi --alpha 4 --x 1 --coeffs 100000000000", "need N <= 1000000 coefficient rows"),
 ])
 def test_bad_truncation_exits_2_before_solving(capsys, monkeypatch, argv, message):
     solves = _count_solves(monkeypatch)
@@ -370,6 +375,15 @@ def test_simulate_bad_input_is_usage_error(capsys, flag, value):
     assert captured.out == ""
 
 
+# sizes that a run cannot reach: each must be refused before any work
+_OVERSIZED = (
+    "energy --alpha 4 --t 1.5 --trunc 100000000000000000000",
+    "salpha --alpha 4 --trunc 100000000000000000000",
+    "psi --alpha 4 --x 1 --coeffs 100000000000",
+    "simulate --alpha 4 --rho 1e300 --length 1e-300",
+)
+
+
 @pytest.mark.parametrize("argv", [
     "energy --alpha 4 --t 0",
     "energy --alpha 4 --t nan",
@@ -383,6 +397,7 @@ def test_simulate_bad_input_is_usage_error(capsys, flag, value):
     "certify --alpha 16 --inequality T --tol -5",
     "certify --alpha 16 --inequality T --tol nan",
     "simulate --alpha 4 --rho 1 --length 8 --iters 10 --csv {missing}/x.csv",
+    *_OVERSIZED,
 ])
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv.format(missing=tmp_path / "no-such-dir").split())
@@ -390,3 +405,11 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED)
+def test_oversized_arguments_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()

@@ -18,6 +18,12 @@ One bound on the offset terms beyond |n| = 64, shared by psi4_le_F4, eta1
 and eta_ge2, and the integral sandwich of the psi4_le_F4 tail moved the
 min_lower_bound of psi4_le_F4 at alpha 4 (+4.4%) and of eta1 at alpha 6 and
 8 (+1.6e-8 and +7e-14 relative); their boxes and depths did not move.
+The eta0 pins (alpha 6..14) hold the bits of a different proof: eta0 now
+encloses the psi4_le_F4 integrand sum_n L(x, n) on [0, 1/2] in one box
+(1 box, depth 0 at every alpha), where it was a hand-derived constant check
+plus the side condition F(1/2) >= 2/alpha (2 boxes at alpha 6..10) and a
+closed bound at alpha >= 12 (1 box); so each of their min_lower_bound pins
+moved, and the boxes at alpha 6..10 went from 2 to 1.
 """
 
 import pytest
@@ -59,31 +65,31 @@ CERTIFY_ALL = {
     },
     6: {
         'psihat_nonneg': (2, 0, '0x1.1307ad8160c70p-8'),
-        'eta0': (2, 0, '0x1.1d7a699899e9ap-1'),
+        'eta0': (1, 0, '0x1.2155750dd1f0dp-1'),
         'eta1': (85, 8, '0x1.97bcfffdaa4a7p-10'),
         'eta_ge2': (73, 4, '0x1.08847a44eccddp-18'),
     },
     8: {
         'psihat_nonneg': (2, 0, '0x1.34c9af3f85673p-3'),
-        'eta0': (2, 0, '0x1.696a743fccb69p-1'),
+        'eta0': (1, 0, '0x1.352a0d1fb2430p+0'),
         'eta1': (55, 7, '0x1.98bc6b24ee73ep-5'),
         'eta_ge2': (65, 3, '0x1.38828a4c87027p-16'),
     },
     10: {
         'psihat_nonneg': (2, 0, '0x1.b7ebb2f570cd0p-3'),
-        'eta0': (2, 0, '0x1.91ce1dcaf13c8p-1'),
+        'eta0': (1, 0, '0x1.75fa0d06edde9p+0'),
         'eta1': (39, 6, '0x1.ab0fd340502ffp-8'),
         'eta_ge2': (63, 3, '0x1.c6f691de344e7p-16'),
     },
     12: {
         'psihat_nonneg': (2, 0, '0x1.7a6848b9981c4p-3'),
-        'eta0': (1, 0, '0x1.73c28fa036da1p+0'),
+        'eta0': (1, 0, '0x1.90b82c7d05609p+0'),
         'eta1': (35, 6, '0x1.70e10814913afp-5'),
         'eta_ge2': (63, 3, '0x1.11b88669c4ff3p-15'),
     },
     14: {
         'psihat_nonneg': (2, 0, '0x1.c600b37f64314p-3'),
-        'eta0': (1, 0, '0x1.7f3190dbed7e4p+0'),
+        'eta0': (1, 0, '0x1.9c8f13a4b2f66p+0'),
         'eta1': (31, 6, '0x1.8db40aef1022fp-5'),
         'eta_ge2': (63, 3, '0x1.31b07655378c8p-15'),
     },

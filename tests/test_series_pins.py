@@ -44,10 +44,6 @@ CHECKS = {
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
-    ('eta0', 6): (
-        ('0x1.4f4f5d004af34p-1', '0x1.4f4f5d00609e2p-1'),
-        ('0x1.1d7a699899e9ap-1', '0x1.1d7a69989abdcp-1'),
-    ),
     ('eta_ge2', 6): (
         ('0x1.f4a7e2a43e2dcp-2', '0x1.f4a7e2a43e5dap-2'),
         ('0x1.0b9834ad74b0dp-1', '0x1.10168cf714cbfp-1'),
@@ -65,10 +61,6 @@ CHECKS = {
     ('w_inequality', 8): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
-    ),
-    ('eta0', 8): (
-        ('0x1.468e305bbcddfp+0', '0x1.468e305bc892cp+0'),
-        ('0x1.696a743fccb69p-1', '0x1.696a743fcd35ap-1'),
     ),
     ('eta_ge2', 8): (
         ('0x1.fca0ff7e04ff1p-2', '0x1.fca0ff7e0512dp-2'),
@@ -88,10 +80,6 @@ CHECKS = {
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
-    ('eta0', 10): (
-        ('0x1.91c5e44a5f1fep+0', '0x1.91c5e44a6c230p+0'),
-        ('0x1.91ce1dcaf13c8p-1', '0x1.91ce1dcaf176fp-1'),
-    ),
     ('eta_ge2', 10): (
         ('0x1.fee1270ee1194p-2', '0x1.fee1270ee121dp-2'),
         ('0x1.83fee209a81e8p-1', '0x1.83fee20a59c33p-1'),
@@ -110,9 +98,6 @@ CHECKS = {
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
-    ('eta0', 12): (
-        ('0x1.73c28fa036da1p+0', '0x1.73c28fa036db3p+0'),
-    ),
     ('eta_ge2', 12): (
         ('0x1.ff9a478456ad1p-2', '0x1.ff9a478456b0ep-2'),
         ('0x1.9ce2bad9e26f0p-1', '0x1.9ce2bad9fc9ebp-1'),
@@ -130,9 +115,6 @@ CHECKS = {
     ('w_inequality', 14): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
-    ),
-    ('eta0', 14): (
-        ('0x1.7f3190dbed7e4p+0', '0x1.7f3190dbed7f6p+0'),
     ),
     ('eta_ge2', 14): (
         ('0x1.ffda654fa8bfcp-2', '0x1.ffda654fa8c17p-2'),
