@@ -1,8 +1,9 @@
 """The band-limited auxiliary function and its Fourier transform.
 
-psi is evaluated through the symmetrised sinc-product expansion (every
-summand globally bounded, no poles to cancel) and psi-hat through the
-real cosine/sine form, both truncated with explicit tail enclosures.
+psi is evaluated through its interpolation series, the terms off the
+nearest integer summed on lanes by `_offset_sum`, the offset sum that the
+certificates share; psi-hat through the real cosine/sine form.  Both are
+truncated with explicit tail enclosures.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import ONE as _ONE, ZERO as _ZERO
-from .interval import Interval, Lanes, PI, _sub_down, cos, lane_sum, pow_int, sin, sinc
+from .interval import Interval, Lanes, PI, _sub_down, cos, lane_fold, lane_sum, pow_int, sin, sinc
 from .potential import _MAX_TRUNCATION, F_alpha, PotentialContext, power_sum_tail, x_dF_alpha
 
 __all__ = [
@@ -21,8 +22,6 @@ __all__ = [
     "psi",
     "psi_hat",
     "decay_constant",
-    "psi_float",
-    "psi_hat_float",
 ]
 
 
@@ -71,24 +70,59 @@ def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     return AuxCoefficients(ctx, N, Fn, dFn, tail_F, tail_dF, tail_n2F)
 
 
-def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:
-    """Enclosure of psi(x) from the sinc-product expansion.
+def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
+    """(n == eta, x - n, x + n) for boxes x, each with its eta, and the row n;
+    1.0 stands in for x - n at the left-out n = eta."""
+    X = x[:, None]
+    own = n == eta[:, None]
+    return own, Lanes.where(own, 1.0, X - n), X + n
 
-    psi(x) = sum_n F(n) sinc(pi(x-n))^2
-           + sum_n n F'(n) sinc(pi(x-n)) sinc(pi(x+n)).
+
+def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
+    """Lanes of offset(x, eta) = sum_{n != eta, |n| <= N} (F(n)/(x-n)^2 + F'(n)/(x-n))
+    for boxes x, each with its eta, on the coefficient rows (n, F(n), F'(n)).
+
+    Adds n = 0 (the term 1/x^2, left out at eta = 0), then for n = 1..N the
+    two terms at n (left out at n = eta) and the two at -n, with
+    F'(-n) = -F'(n).  A left-out term stands as -0.0, and 1/x^2 is taken of
+    1.0 where eta = 0, so x may hold 0 there.
+    """
+    n, Fn, dFn = rows
+    own, d, dm = _offsets(x, eta, n)
+    at0 = eta == 0
+    head = Lanes.where(at0, -0.0, _ONE / pow_int(Lanes.where(at0, 1.0, x), 2))
+    return lane_fold(head, (Fn / pow_int(d, 2), own), (dFn / d, own),
+                     Fn / pow_int(dm, 2), -(dFn / dm))
+
+
+def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:
+    """Enclosure of psi(x) from its interpolation series (Cohn and Kumar, JAMS 2007)
+
+        psi(x) = sum_n (F(n) + F'(n)(x - n)) sinc^2(pi(x - n)).
+
+    psi is even, so x reads |x|.  Let eta be the integer nearest its
+    midpoint and d = x - eta.  Since sin(pi(x - n)) = +-sin(pi x),
+
+        psi(x) = sinc^2(pi d) (F(eta) + F'(eta) d) + (sin(pi x)/pi)^2 offset(x, eta),
+
+    with offset the `_offset_sum` of the table's rows |n| <= N.  The box must
+    lie within |x| <= N // 2 and be narrower than 1, so that x - n holds no 0
+    for n != eta; otherwise ValueError.
     """
     N = coeffs.N
+    if x.hi - x.lo >= 1.0:
+        raise ValueError("psi needs a box narrower than 1")
+    x = abs(x)
     mag = x.mag
     if mag > N // 2:
         raise ValueError("evaluation point too far out for the coefficient table")
-    Fn, dFn = coeffs.Fn, coeffs.dFn
-    acc = Fn[0] * pow_int(sinc(PI * x), 2)
-    for n in range(1, N + 1):
-        sm = sinc(PI * (x - n))
-        sp = sinc(PI * (x + n))
-        acc = acc + Fn[n] * (pow_int(sm, 2) + pow_int(sp, 2)) + (2.0 * n) * dFn[n] * (sm * sp)
-    # |sinc(pi(x +- n))| <= 1/(pi (n - |x|)) for n > |x|; round the worst
-    # distance down so the bound stays an overestimate
+    eta = round(x.mid)
+    d = x - eta
+    near = pow_int(sinc(PI * d), 2) * (coeffs.Fn[eta] + coeffs.dFn[eta] * d)
+    off = _offset_sum(Lanes([x.lo], [x.hi]), np.array([eta]), coeffs.rows())
+    acc = near + pow_int(sin(PI * x) / PI, 2) * Interval(off.lo[0], off.hi[0])
+    # the terms |n| > N: |sinc(pi(x +- n))| <= 1/(pi (n - |x|)) for n > |x|;
+    # round the worst distance down so the bound stays an overestimate
     dist = Interval(_sub_down(N + 1.0, mag))
     geo = pow_int(PI.lo * dist, 2)
     b = ((2.0 * (1.0 + coeffs.ctx.alpha)) * coeffs.tail_F / geo).hi
@@ -143,43 +177,3 @@ def decay_constant(coeffs: AuxCoefficients) -> Interval:
     tail = (2.0 + 2.0 * alpha) * coeffs.tail_F + (8.0 + 2.4 * alpha) * coeffs.tail_n2F
     c = b0 + b2 + Interval(0.0, tail.hi)
     return Interval(0.0, c.hi)
-
-
-# ---------------------------------------------------------------------------
-# Non-rigorous float paths (corroboration scans).
-# ---------------------------------------------------------------------------
-
-def _tables_float(coeffs: AuxCoefficients):
-    F = np.array([iv.mid for iv in coeffs.Fn])
-    dF = np.array([iv.mid for iv in coeffs.dFn])
-    return F, dF
-
-
-def psi_float(coeffs: AuxCoefficients, xs) -> np.ndarray:
-    """Midpoint-coefficient psi on a float grid (not certified)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    F, dF = _tables_float(coeffs)
-    ns = np.arange(1, coeffs.N + 1)
-    out = np.empty_like(xs)
-    chunk = max(1, int(2e6 // (coeffs.N + 1)))
-    for i in range(0, len(xs), chunk):
-        x = xs[i:i + chunk, None]
-        sm = np.sinc(x - ns[None, :])
-        sp = np.sinc(x + ns[None, :])
-        out[i:i + chunk] = (
-            F[0] * np.sinc(x[:, 0]) ** 2
-            + (sm * sm + sp * sp) @ F[1:]
-            + (sm * sp) @ (2.0 * ns * dF[1:])
-        )
-    return out
-
-
-def psi_hat_float(coeffs: AuxCoefficients, xis) -> np.ndarray:
-    """Midpoint-coefficient psi_hat on a float grid (not certified)."""
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    F, dF = _tables_float(coeffs)
-    ns = np.arange(1, coeffs.N + 1)
-    a = np.abs(xis)
-    arg = 2.0 * np.pi * a[:, None] * ns[None, :]
-    val = (1.0 - a) * (F[0] + 2.0 * (np.cos(arg) @ F[1:])) - (np.sin(arg) @ dF[1:]) / np.pi
-    return np.where(a >= 1.0, 0.0, val)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import json_text
-from .auxfn import AuxCoefficients, build_coefficients
+from .auxfn import AuxCoefficients, _offset_sum, _offsets, build_coefficients
 from .interval import (
     ONE as _ONE,
     ZERO as _ZERO,
@@ -242,6 +242,9 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
 
     - a midpoint's enclosure is < 0: `failed`, with the leftmost such
       midpoint as witness and its enclosure's lower bound in min_lb;
+    - a midpoint's enclosure holds 0 (lo < 0 <= hi): `inconclusive`.  Both
+      halves hold that midpoint, so for an inclusion-isotone f no box below
+      could be discharged; for the mean-value form it is a policy;
     - the level did not fit in the budget: `inconclusive`.  No more than
       `budget` boxes are ever counted, counting the run's earlier pieces;
       the level is cut to the boxes that fit.  A window holds no more boxes
@@ -293,7 +296,8 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
             run.witness = float(mid[bad[0]])
             run.min_lb = min(run.min_lb, float(vm.lo[bad[0]]))
             return
-        if cut or (lo.size and depth >= policy.max_depth) or np.any((mid <= lo) | (mid >= hi)):
+        if cut or (lo.size and depth >= policy.max_depth) or np.any(vm.lo < 0.0) \
+                or np.any((mid <= lo) | (mid >= hi)):
             run.status = INCONCLUSIVE
             return
         lo, hi, param = _halves(lo, hi, mid, param)
@@ -700,27 +704,6 @@ def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Cert
     run = _Run()
     _bnb(run, _eta1_integrand(ctx, _N), [(-0.5, 0.5)], policy)
     return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
-
-
-def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
-    """(n == eta, x - n, x + n) for boxes x, each with its eta, and the row n;
-    1.0 stands in for x - n at the left-out n = eta."""
-    X = x[:, None]
-    own = n == eta[:, None]
-    return own, Lanes.where(own, 1.0, X - n), X + n
-
-
-def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
-    """Lanes of offset(x, eta) = sum_{n != eta, |n| <= N} (F(n)/(x-n)^2 + F'(n)/(x-n))
-    for boxes x, each with its eta, on the coefficient rows (n, F(n), F'(n)).
-
-    Adds n = 0 (the term 1/x^2), then for n = 1..N the two terms at n (left
-    out at n = eta) and the two at -n, with F'(-n) = -F'(n).
-    """
-    n, Fn, dFn = rows
-    own, d, dm = _offsets(x, eta, n)
-    return lane_fold(_ONE / pow_int(x, 2), (Fn / pow_int(d, 2), own), (dFn / d, own),
-                     Fn / pow_int(dm, 2), -(dFn / dm))
 
 
 def _offset_tail(ctx: PotentialContext) -> float:

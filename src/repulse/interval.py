@@ -81,14 +81,17 @@ def _two_prod(a: float, b: float):
     return p, e
 
 
+# A sum that overflows from finite operands has e = NaN: its error is
+# unknown, so it steps outward, to the largest float on the inner side.
+
 def _add_down(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
-    return _down(s) if e < 0.0 else s
+    return s if e >= 0.0 else _down(s)
 
 
 def _add_up(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
-    return _up(s) if e > 0.0 else s
+    return s if e <= 0.0 else _up(s)
 
 
 def _sub_down(a: float, b: float) -> float:
@@ -111,7 +114,13 @@ def _mul_up(a: float, b: float) -> float:
 
 def _div_err(a: float, b: float, q: float):
     """The residual r = a - q*b of the division, signed as r/b: the side of q
-    on which the true quotient q + r/b lies; None if unknown."""
+    on which the true quotient q + r/b lies; None if unknown.
+
+    When a nonzero a gives q == 0 the residual is a itself, and r/b has the
+    sign of a/b, as `_two_prod` signs a product that underflows.
+    """
+    if q == 0.0 and a != 0.0:
+        return math.copysign(1.0, a) * math.copysign(1.0, b)
     p, e = _two_prod(q, b)
     if e is None:
         return None
@@ -453,9 +462,10 @@ def _stack(lo, hi, ndim: int = 0):
 
 def _vround(x, e, unknown=None):
     """The rows of the new array x, stepped in place one ulp outward (row 0
-    down, row 1 up) where the rounding error e points outward or `unknown`."""
+    down, row 1 up) where the rounding error e points outward, is NaN (as
+    `_add_down` and `_add_up` read it) or `unknown`."""
     n = x.ndim - 1
-    move = e * _ROUND_SIGN[n] > 0.0
+    move = ~(e * _ROUND_SIGN[n] <= 0.0)
     if unknown is not None:
         move |= unknown
     return np.nextafter(x, _ROUND_TOWARD[n], out=x, where=move)
@@ -506,7 +516,13 @@ def _vdiv_rows(x, y):
     known &= same | (((x > 0.0) == (p > 0.0)) & (0.5 * ap <= ax) & (ax <= 2.0 * ap))
     s, t = _two_sum(np.where(same, 0.0, x - p), -e)
     r = np.where(s != 0.0, s, t)
-    return _vround(q, np.where(y > 0.0, r, -r), ~known)
+    r = np.where(y > 0.0, r, -r)
+    zero = q == 0.0
+    if zero.any():
+        under = zero & (x != 0.0)
+        r = np.where(under, np.sign(x) * np.sign(y), r)
+        known |= under
+    return _vround(q, r, ~known)
 
 
 def _vunit(x):
@@ -717,11 +733,11 @@ def lane_sum(acc: Interval, *terms: Lanes) -> Interval:
     for v in np.column_stack([t.lo for t in terms]).ravel().tolist():
         s = lo + v
         bb = s - lo
-        lo = _nextafter(s, -_INF) if (lo - (s - bb)) + (v - bb) < 0.0 else s
+        lo = s if (lo - (s - bb)) + (v - bb) >= 0.0 else _nextafter(s, -_INF)
     for v in np.column_stack([t.hi for t in terms]).ravel().tolist():
         s = hi + v
         bb = s - hi
-        hi = _nextafter(s, _INF) if (hi - (s - bb)) + (v - bb) > 0.0 else s
+        hi = s if (hi - (s - bb)) + (v - bb) <= 0.0 else _nextafter(s, _INF)
     return Interval._raw(lo, hi)
 
 

@@ -16,8 +16,8 @@ rounding bound of the second.
 `L_scalar` and `offset_sum` are the two terms that psi4_le_F4, eta1 and
 eta_ge2 share, written with the scalar Interval kernel one box at a time:
 the removable quotient L(x, n) by `certify._removable`'s rule, and the
-offset sum of the eta_ge2 head in its element order, summed by
-`pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
+offset sum of the eta_ge2 head (and of psi) in its element order, summed
+by `pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
 sums them.  `eta1_scalar` is the eta1 integrand built from these two and
 `sum_inv_sq_offset`.  The lane forms must equal them bit for bit.
 
@@ -43,6 +43,10 @@ before it evaluated the levels below a small frontier in the same batch:
 one level per batch (boxes and midpoints together when they fit in one
 chunk).  The engine must give the same status, boxes, max_depth,
 min_lower_bound and witness, with no more calls to f.
+
+`psi_float` and `psi_hat_float` are psi and psi-hat from the midpoints of
+the coefficient enclosures on float grids, in the symmetrised sinc-product
+and cosine/sine forms: uncertified corroboration for grid scans.
 """
 
 import numpy as np
@@ -148,10 +152,11 @@ def L_scalar(ctx, x, n, Fx, Fn, dFn):
 
 def offset_sum(x, eta, coeffs):
     """sum_{n != eta, |n| <= N} (F(n)/(x-n)^2 + F'(n)/(x-n)) for one box x, in
-    the order of the eta_ge2 head: 1/x^2, then for n = 1..N the two terms at
-    n (-0.0 at n = eta) and the two at -n, summed by `pairwise_sum`."""
+    the order of the eta_ge2 head: 1/x^2 (-0.0 at eta = 0), then for
+    n = 1..N the two terms at n (-0.0 at n = eta) and the two at -n, summed
+    by `pairwise_sum`."""
     one, skip = Interval(1.0), Interval(-0.0)
-    terms = [one / pow_int(x, 2)]
+    terms = [skip if eta == 0 else one / pow_int(x, 2)]
     for n in range(1, coeffs.N + 1):
         Fn, dFn = coeffs.Fn[n], coeffs.dFn[n]
         d, dm = x - n, x + n
@@ -159,6 +164,42 @@ def offset_sum(x, eta, coeffs):
         terms += [skip if own else Fn / pow_int(d, 2), skip if own else dFn / d,
                   Fn / pow_int(dm, 2), -(dFn / dm)]
     return pairwise_sum(terms)
+
+
+def _tables_float(coeffs):
+    F = np.array([iv.mid for iv in coeffs.Fn])
+    dF = np.array([iv.mid for iv in coeffs.dFn])
+    return F, dF
+
+
+def psi_float(coeffs, xs) -> np.ndarray:
+    """Midpoint-coefficient psi on a float grid (not certified)."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    F, dF = _tables_float(coeffs)
+    ns = np.arange(1, coeffs.N + 1)
+    out = np.empty_like(xs)
+    chunk = max(1, int(2e6 // (coeffs.N + 1)))
+    for i in range(0, len(xs), chunk):
+        x = xs[i:i + chunk, None]
+        sm = np.sinc(x - ns[None, :])
+        sp = np.sinc(x + ns[None, :])
+        out[i:i + chunk] = (
+            F[0] * np.sinc(x[:, 0]) ** 2
+            + (sm * sm + sp * sp) @ F[1:]
+            + (sm * sp) @ (2.0 * ns * dF[1:])
+        )
+    return out
+
+
+def psi_hat_float(coeffs, xis) -> np.ndarray:
+    """Midpoint-coefficient psi_hat on a float grid (not certified)."""
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    F, dF = _tables_float(coeffs)
+    ns = np.arange(1, coeffs.N + 1)
+    a = np.abs(xis)
+    arg = 2.0 * np.pi * a[:, None] * ns[None, :]
+    val = (1.0 - a) * (F[0] + 2.0 * (np.cos(arg) @ F[1:])) - (np.sin(arg) @ dF[1:]) / np.pi
+    return np.where(a >= 1.0, 0.0, val)
 
 
 def eta1_scalar(ctx, N=64):
@@ -327,7 +368,8 @@ def bnb_level_by_level(run, f, roots, policy):
             run.witness = float(mid[bad[0]])
             run.min_lb = min(run.min_lb, float(vm.lo[bad[0]]))
             return
-        if cut or (lo.size and depth >= policy.max_depth) or np.any((mid <= lo) | (mid >= hi)):
+        if cut or (lo.size and depth >= policy.max_depth) or np.any(vm.lo < 0.0) \
+                or np.any((mid <= lo) | (mid >= hi)):
             run.status = certify.INCONCLUSIVE
             return
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()

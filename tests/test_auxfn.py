@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repulse.auxfn import (
-    build_coefficients,
-    decay_constant,
-    psi,
-    psi_float,
-    psi_hat,
-    psi_hat_float,
-)
+from repulse.auxfn import build_coefficients, decay_constant, psi, psi_hat
 from repulse.interval import Interval
 from repulse.potential import solve_s_alpha
+
+from _oracles import psi_float, psi_hat_float
 
 
 def test_tables(coeffs4):
@@ -40,6 +35,53 @@ def test_psi_below_potential_at_half(coeffs4):
 def test_psi_even(coeffs4):
     for x in (0.3, 1.8, 7.25):
         assert psi(coeffs4, Interval(x)).overlaps(psi(coeffs4, Interval(-x)))
+
+
+def test_psi_needs_a_box_narrower_than_one(coeffs4):
+    # x - n would hold 0 for some n != eta in a box 1 or more wide
+    for box in (Interval(2.0, 3.0), Interval(-0.5, 0.5), Interval(0.0, 7.0)):
+        with pytest.raises(ValueError):
+            psi(coeffs4, box)
+    box = psi(coeffs4, Interval(2.0, np.nextafter(3.0, 0.0)))
+    assert box.contains_interval(psi(coeffs4, Interval(2.0)))
+    assert box.contains_interval(psi(coeffs4, Interval(2.75)))
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_psi_contains_the_interpolation_series(alpha, ctx_by_alpha):
+    # psi(x) = sum_n (F(n) + F'(n)(x - n)) sinc^2(pi(x - n)) at 40 digits, in
+    # the symmetrised form over +-n, with c = s^alpha the midpoint of its
+    # enclosure, so F(n) and F'(n) are exact for that c and lie in the
+    # enclosures of the table.  |n| <= M summed; for n > M and |x| <= 50.3,
+    # |sinc(pi(x +- n))| <= 1/(pi (n - |x|)) <= 1/(0.97 pi n), F(n) <= n^-alpha/c
+    # and n |F'(n)| <= alpha n^-alpha/c, so the terms at n and -n sum to at
+    # most (2 + 2 alpha) n^-(alpha+2)/(0.97^2 pi^2 c), and all of them to
+    # `rest`; 1e-30 more covers the rounding of the 40-digit sum
+    import mpmath
+
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    coeffs = build_coefficients(ctx)
+    M = 2000
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        c = mpmath.mpf(ctx.s_pow_alpha.mid)
+
+        def sinc(t):
+            return mpmath.mpf(1) if t == 0 else mpmath.sinpi(t) / (pi * t)
+
+        rows = []
+        for n in range(1, M + 1):
+            Fn = 1 / (1 + c * mpmath.mpf(n) ** alpha)
+            rows.append((n, Fn, -alpha * c * mpmath.mpf(n) ** (alpha - 1) * Fn ** 2))
+        rest = 2 / (mpmath.mpf(0.97) ** 2 * pi ** 2 * c * mpmath.mpf(M) ** (alpha + 1)) \
+            + mpmath.mpf(1e-30)
+        for x in (1.0, 1.25, 2.5, -2.5, 7.75, 50.3):
+            X = mpmath.mpf(x)
+            want = sinc(X) ** 2 + mpmath.fsum(
+                Fn * (sinc(X - n) ** 2 + sinc(X + n) ** 2) + 2 * n * dFn * sinc(X - n) * sinc(X + n)
+                for n, Fn, dFn in rows)
+            got = psi(coeffs, Interval(x))
+            assert got.lo <= want - rest and want + rest <= got.hi, (alpha, x)
 
 
 def test_psi_hat_support(coeffs4):

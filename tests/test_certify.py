@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repulse import certify as cert
-from repulse.auxfn import build_coefficients, psi_float
+from repulse import auxfn, certify as cert
+from repulse.auxfn import build_coefficients
 from repulse.certify import (
     BnbPolicy,
     certify_L,
@@ -36,6 +36,7 @@ from _oracles import (
     F_alpha_second,
     eta1_scalar,
     offset_sum,
+    psi_float,
     sum_inv_sq_offset,
 )
 
@@ -247,6 +248,21 @@ def test_engine_ignores_midpoints_of_discharged_boxes():
     assert f(Lanes([2.5]), None).hi[0] < 0.0
     assert run.status == "verified" and run.witness is None
     assert (run.boxes, run.max_depth, run.min_lb) == (4, 1, 1.75)
+
+
+def test_engine_straddling_midpoint_is_inconclusive():
+    # f holds 0 on every box that holds 3/4, the point 3/4 included, so no box
+    # that holds it can be discharged: the run stops, without a witness, on
+    # the level whose midpoint is 3/4, not at max_depth
+    def f(x: Lanes, param) -> Lanes:
+        holds = (x.lo <= 0.75) & (0.75 <= x.hi)
+        return Lanes(np.where(holds, -1.0, 1.0), np.ones_like(x.lo))
+
+    for engine in (cert._bnb, bnb_level_by_level):
+        run = cert._Run()
+        engine(run, f, [(0.0, 1.0)], BnbPolicy())
+        assert run.status == "inconclusive" and run.witness is None
+        assert (run.boxes, run.max_depth, run.min_lb) == (3, 1, 1.0)
 
 
 def test_engine_scalar_adapter_matches_lanes():
@@ -474,11 +490,13 @@ def test_eta0_integrand_is_pi_sq_times_F_minus_psi_over_sin_sq(alpha, ctx_by_alp
     # |sinc(pi(x +- n))| <= 1/(pi (n - 1)) <= 1/(0.999 pi n), F(n) <= n^-alpha/c
     # and n |F'(n)| <= alpha n^-alpha/c, so the terms at n and -n sum to at
     # most (2 + 2 alpha) n^-(alpha+2)/(0.999^2 pi^2 c), and all of them to
-    # `rest`; 1e-30 more covers the rounding of the 40-digit sum
+    # `rest`; 1e-30 more covers the rounding of the 40-digit sum.  auxfn.psi
+    # on the same table must contain psi(x) +- rest as well
     import mpmath
 
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
-    head, _, tail = cert._psi4_parts(build_coefficients(ctx, 64))
+    coeffs = build_coefficients(ctx, 64)
+    head, _, tail = cert._psi4_parts(coeffs)
     M = 2000
     with mpmath.workdps(40):
         pi = mpmath.pi
@@ -506,6 +524,8 @@ def test_eta0_integrand_is_pi_sq_times_F_minus_psi_over_sin_sq(alpha, ctx_by_alp
             at, param = Lanes(np.array([x])), np.zeros(1, dtype=np.int64)
             got = head(at, param) + tail(at, param)
             assert got.lo[0] <= want - scale * rest and want + scale * rest <= got.hi[0], (alpha, x)
+            p = auxfn.psi(coeffs, Interval(x))
+            assert p.lo <= psi - rest and psi + rest <= p.hi, (alpha, x)
 
 
 def test_eta1(ctx6, ctx8):
@@ -648,7 +668,8 @@ def test_L_terms_match_scalar_reference(alpha, ctx_by_alpha):
 
 @pytest.mark.parametrize("alpha", [6, 12])
 def test_offset_sum_matches_scalar_reference(alpha, ctx_by_alpha):
-    # boxes in [eta - 1/2, eta + 1/2] for eta = 1..10, each with its eta
+    # boxes in [eta - 1/2, eta + 1/2] for eta = 1..10, each with its eta, and
+    # boxes in [0, 1/2] with eta = 0 (psi's own lanes), the point 0 among them
     coeffs = build_coefficients(ctx_by_alpha[alpha], 16)
     rng = random.Random(5100 + alpha)
     boxes = []
@@ -656,8 +677,10 @@ def test_offset_sum_matches_scalar_reference(alpha, ctx_by_alpha):
         lo, hi = eta - 0.5, eta + 0.5
         boxes += [(lo, lo, eta), (hi, hi, eta), (eta, eta, eta), (lo, hi, eta)]
         boxes += [(*sorted(rng.uniform(lo, hi) for _ in range(2)), eta) for _ in range(6)]
+    boxes += [(0.0, 0.0, 0), (0.5, 0.5, 0), (0.0, 0.5, 0), (0.0, 0.25, 0)]
+    boxes += [(*sorted(rng.uniform(0.0, 0.5) for _ in range(2)), 0) for _ in range(6)]
     lo, hi, eta = (np.array(c) for c in zip(*boxes))
-    got = cert._offset_sum(Lanes(lo, hi), eta, coeffs.rows())
+    got = auxfn._offset_sum(Lanes(lo, hi), eta, coeffs.rows())
     for i, (a, b, e) in enumerate(boxes):
         want = offset_sum(Interval(a, b), e, coeffs)
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b, e)

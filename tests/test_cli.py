@@ -171,6 +171,16 @@ def test_certify_zero_depth_inconclusive_on_eta0(capsys):
     assert [c["status"] for c in certs] == ["inconclusive"]
 
 
+def test_certify_eta2_at_a_loose_tol_stops_inconclusive(capsys):
+    # the wide s_alpha enclosure leaves a midpoint whose enclosure holds 0,
+    # so the run can never verify; it stops at that level, in a dozen boxes
+    code = main(["certify", "--alpha", "6", "--inequality", "eta2", "--tol", "1e-2"])
+    certs = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert [(c["status"], c["witness"], c["boxes_processed"]) for c in certs] == \
+        [("inconclusive", None, 11)]
+
+
 def test_certify_usage_error_for_L_at_alpha4(capsys):
     code = main(["certify", "--alpha", "4", "--inequality", "L"])
     capsys.readouterr()

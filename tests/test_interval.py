@@ -1,7 +1,9 @@
 """Interval kernel: containment, directed rounding, and the special kernels."""
 
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repulse.interval import (
+    _NO_SPLIT,
+    _PROD_MAX,
+    _PROD_MIN,
     DomainError,
     Interval,
+    Lanes,
     PI,
     cos,
     exp,
@@ -371,6 +377,7 @@ def _nested(center, w_in, w_out):
 @settings(max_examples=300, deadline=None)
 @given(_vals, _vals, _widths, _widths, _widths, _widths)
 @example(2.2250738585e-313, 1.0229864588617348e-37, 0.0, 2.2250738585e-313, 0.0, 0.0)  # product underflows to 0
+@example(5e-324, 2.0, 0.0, 5e-324, 0.0, 0.0)  # quotient underflows to 0
 def test_inclusion_monotonicity_binary(c1, c2, wi1, wo1, wi2, wo2):
     a_in, a_out = _nested(c1, wi1, wo1)
     b_in, b_out = _nested(c2, wi2, wo2)
@@ -380,6 +387,74 @@ def test_inclusion_monotonicity_binary(c1, c2, wi1, wo1, wi2, wo2):
     if b_in.lo > 0 or b_in.hi < 0:
         if b_out.lo > 0 or b_out.hi < 0:
             assert (a_out / b_out).contains_interval(a_in / b_in)
+
+
+def _edge_grid():
+    """0 and 22 magnitudes with both signs: the subnormals, the smallest
+    normal, the guards of the error-free product and a neighbour, small
+    integers and fractions, and the largest float."""
+    mags = [5e-324, 1e-323, 1.5e-323, sys.float_info.min, 1e-300, 3e-200, 1e-150,
+            _PROD_MIN, math.nextafter(_PROD_MIN, 1.0), 1 / 3, 0.5, 1.0, math.nextafter(1.0, 2.0),
+            2.0, 3.0, 10.0, 1e16, 1e150, 1e290, _PROD_MAX, _NO_SPLIT, sys.float_info.max]
+    return [0.0, *mags, *(-m for m in mags)]
+
+
+def _widened(v):
+    """The point v first, then v widened by one ulp below, above and on both
+    sides, where the new endpoints stay finite."""
+    down, up = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+    return [Interval(a, b) for a, b in ((v, v), (down, v), (v, up), (down, up))
+            if math.isfinite(a) and math.isfinite(b)]
+
+
+def _check_edge_results(pairs, scalar, lanes, exact):
+    """Lanes equal the scalar kernel bit for bit; every point result contains
+    the exact value and keeps the sign of a one-signed one; every result
+    contains the result at the points it widens."""
+    assert [(v.lo.hex(), v.hi.hex()) for v in scalar] == \
+        [(a.hex(), b.hex()) for a, b in zip(lanes.lo.tolist(), lanes.hi.tolist())]
+    at_points = {}
+    for (key, point), v in zip(pairs, scalar):
+        if point:
+            r = exact(*key)
+            assert v.lo <= r <= v.hi, key
+            assert (r <= 0 or v.lo >= 0.0) and (r >= 0 or v.hi <= 0.0), key
+            at_points[key] = v
+    for (key, _), v in zip(pairs, scalar):
+        assert v.contains_interval(at_points[key]), key
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_rational_ops_on_the_edge_grid(name):
+    # every pair of grid points, each as a point and widened by one ulp, on
+    # the scalar kernel and on lanes, against the exact rational result
+    op = getattr(operator, {"div": "truediv"}.get(name, name))
+    grid = _edge_grid()
+    boxes = {v: _widened(v) for v in grid}
+    pairs, xs, ys = [], [], []
+    for a in grid:
+        for b in grid:
+            for i, x in enumerate(boxes[a]):
+                for j, y in enumerate(boxes[b]):
+                    if name != "div" or y.lo > 0.0 or y.hi < 0.0:
+                        pairs.append(((a, b), i == j == 0))
+                        xs.append(x)
+                        ys.append(y)
+    scalar = [op(x, y) for x, y in zip(xs, ys)]
+    _check_edge_results(pairs, scalar, op(Lanes.of(xs), Lanes.of(ys)),
+                        lambda a, b: op(Fraction(a), Fraction(b)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_pow_int_on_the_edge_grid(k):
+    grid = _edge_grid()
+    pairs, xs = [], []
+    for a in grid:
+        for i, x in enumerate(_widened(a)):
+            pairs.append(((a,), i == 0))
+            xs.append(x)
+    _check_edge_results(pairs, [pow_int(x, k) for x in xs], pow_int(Lanes.of(xs), k),
+                        lambda a: Fraction(a) ** k)
 
 
 @settings(max_examples=200, deadline=None)
