@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -60,16 +61,19 @@ def _two_prod(a: float, b: float):
     """Dekker product: returns (p, e) with a*b == p + e exactly, or (p, None)
     when the splitting could overflow/underflow and e is unknown.
 
+    A zero factor makes the product an exact 0, 0 * inf included (IEEE 1788).
     When nonzero factors underflow to p == 0 the error is a*b itself, too
     small to hold; e is then +-1.0 with its sign, the only part callers use.
     """
     p = a * b
+    if a == 0.0 or b == 0.0:
+        return (p if p == p else 0.0), 0.0
     if not math.isfinite(p):
         return p, None
     ap = abs(p)
     if ap > _PROD_MAX or (ap != 0.0 and ap < _PROD_MIN) or abs(a) > _NO_SPLIT or abs(b) > _NO_SPLIT:
         return p, None
-    if ap == 0.0 and a != 0.0 and b != 0.0:
+    if ap == 0.0:
         return p, math.copysign(1.0, a) * math.copysign(1.0, b)
     ca = _SPLITTER * a
     ah = ca - (ca - a)
@@ -376,29 +380,14 @@ def hull(a: Interval, b: Interval) -> Interval:
 # Integer powers (monotone by parity, never naive repeated self-multiply).
 # ---------------------------------------------------------------------------
 
-def _known_unit(x: float) -> bool:
-    """Does _two_prod(1.0, x) know its error?  It is then 0 and 1.0 * x is x."""
-    return (x == 0.0 or abs(x) >= _PROD_MIN) and abs(x) <= _NO_SPLIT
-
-
-def _unit_down(x: float) -> float:
-    """_mul_down(1.0, x) without the product."""
-    return x if _known_unit(x) else _down(x)
-
-
-def _unit_up(x: float) -> float:
-    """_mul_up(1.0, x) without the product."""
-    return x if _known_unit(x) else _up(x)
-
-
-def _pow_dir(x, k: int, mul, unit):
+def _pow_dir(x, k: int, mul):
     """x**k for x >= 0 and k >= 1, every product rounded by the directed `mul`
     (_mul_down/_mul_up, or _vmul_rows on stacked lanes); the chain starts from
-    its first factor x**(2**j) as `unit` gives it, rounded as mul(1.0, .)."""
+    its first factor x**(2**j) as computed."""
     acc = None
     while True:
         if k & 1:
-            acc = unit(x) if acc is None else mul(acc, x)
+            acc = x if acc is None else mul(acc, x)
         k >>= 1
         if not k:
             return acc
@@ -417,16 +406,12 @@ def pow_int(a, k: int):
         with np.errstate(all="ignore"):
             return Lanes(*_vpow(a.lo, a.hi, k))
     if k % 2 == 0:
-        return Interval._raw(_pow_dir(a.mig, k, _mul_down, _unit_down),
-                             _pow_dir(a.mag, k, _mul_up, _unit_up))
+        return Interval._raw(_pow_dir(a.mig, k, _mul_down), _pow_dir(a.mag, k, _mul_up))
     if a.lo >= 0.0:
-        return Interval._raw(_pow_dir(a.lo, k, _mul_down, _unit_down),
-                             _pow_dir(a.hi, k, _mul_up, _unit_up))
+        return Interval._raw(_pow_dir(a.lo, k, _mul_down), _pow_dir(a.hi, k, _mul_up))
     if a.hi <= 0.0:
-        return Interval._raw(-_pow_dir(-a.lo, k, _mul_up, _unit_up),
-                             -_pow_dir(-a.hi, k, _mul_down, _unit_down))
-    return Interval._raw(-_pow_dir(-a.lo, k, _mul_up, _unit_up),
-                         _pow_dir(a.hi, k, _mul_up, _unit_up))
+        return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), -_pow_dir(-a.hi, k, _mul_down))
+    return Interval._raw(-_pow_dir(-a.lo, k, _mul_up), _pow_dir(a.hi, k, _mul_up))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +460,9 @@ def _vtwo_prod(a, b):
     """Lanes of _two_prod: (p, e, known), with e meaningful where known."""
     p = a * b
     ap = np.abs(p)
-    zero = ap == 0.0
-    known = (ap <= _PROD_MAX) & (zero | (ap >= _PROD_MIN)) \
-        & (np.abs(a) <= _NO_SPLIT) & (np.abs(b) <= _NO_SPLIT)
+    zero = ~(ap > 0.0)  # p == 0, or NaN from 0 * inf
+    known = zero | ((ap <= _PROD_MAX) & (ap >= _PROD_MIN)
+                    & (np.abs(a) <= _NO_SPLIT) & (np.abs(b) <= _NO_SPLIT))
     ca = _SPLITTER * a
     ah = ca - (ca - a)
     al = a - ah
@@ -485,8 +470,9 @@ def _vtwo_prod(a, b):
     bh = cb - (cb - b)
     bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    if zero.any():
-        e = np.where(zero & (a != 0.0) & (b != 0.0), np.sign(a) * np.sign(b), e)
+    if zero.any():  # a zero factor: p = 0 exactly, e = 0; an underflow: e its sign
+        p = np.where(p == p, p, 0.0)
+        e = np.where(zero, np.sign(a) * np.sign(b), e)
     return p, e, known
 
 
@@ -523,15 +509,6 @@ def _vdiv_rows(x, y):
         r = np.where(under, np.sign(x) * np.sign(y), r)
         known |= under
     return _vround(q, r, ~known)
-
-
-def _vunit(x):
-    """Stacked _unit_down/_unit_up: 1.0 * x as _vmul_rows would round it."""
-    ax = np.abs(x)
-    known = (ax <= _NO_SPLIT) & ((ax >= _PROD_MIN) | (x == 0.0))
-    if known.all():
-        return x
-    return np.nextafter(x, np.where(known, x, _ROUND_TOWARD[x.ndim - 1]))
 
 
 def _vmul(x, y):
@@ -577,12 +554,12 @@ def _vpow(lo, hi, k: int):
     if k % 2 == 0:
         mag = np.where(hi > -lo, hi, -lo)
         mig = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
-        return _pow_dir(_stack(mig, mag), k, _vmul_rows, _vunit)
+        return _pow_dir(_stack(mig, mag), k, _vmul_rows)
     nonneg = lo >= 0.0
-    up = _pow_dir(_stack(lo, hi), k, _vmul_rows, _vunit)  # [lo^k down, hi^k up]
+    up = _pow_dir(_stack(lo, hi), k, _vmul_rows)  # [lo^k down, hi^k up]
     if nonneg.all():
         return up
-    down = _pow_dir(_stack(-hi, -lo), k, _vmul_rows, _vunit)  # [(-hi)^k down, (-lo)^k up]
+    down = _pow_dir(_stack(-hi, -lo), k, _vmul_rows)  # [(-hi)^k down, (-lo)^k up]
     neg = ~nonneg & (hi <= 0.0)
     return np.array((np.where(nonneg, up[0], -down[1]), np.where(neg, -down[0], up[1])))
 
@@ -724,20 +701,10 @@ def lane_fold(acc: Lanes, *terms) -> Lanes:
 
 def lane_sum(acc: Interval, *terms: Lanes) -> Interval:
     """acc + t[0] + u[0] + ... + t[1] + u[1] + ... for 1-d lanes t, u, ...,
-    added one term at a time, exactly as the loop of Interval additions would.
-
-    The loops are _add_down and _add_up written out: _two_sum, then one ulp
-    outward where the rounding error points outward.
-    """
-    lo, hi = acc.lo, acc.hi
-    for v in np.column_stack([t.lo for t in terms]).ravel().tolist():
-        s = lo + v
-        bb = s - lo
-        lo = s if (lo - (s - bb)) + (v - bb) >= 0.0 else _nextafter(s, -_INF)
-    for v in np.column_stack([t.hi for t in terms]).ravel().tolist():
-        s = hi + v
-        bb = s - hi
-        hi = s if (hi - (s - bb)) + (v - bb) <= 0.0 else _nextafter(s, _INF)
+    added one term at a time by _add_down and _add_up, exactly as the loop of
+    Interval additions would."""
+    lo = reduce(_add_down, np.column_stack([t.lo for t in terms]).ravel().tolist(), acc.lo)
+    hi = reduce(_add_up, np.column_stack([t.hi for t in terms]).ravel().tolist(), acc.hi)
     return Interval._raw(lo, hi)
 
 
@@ -823,7 +790,7 @@ def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
     bounds the remainder of an alternating series with decreasing terms.
     """
     n = len(coeffs) - 1
-    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up, _unit_up))
+    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up))
     c_lo, c_hi = coeffs[n - 1]
     for j in range(n - 2, -1, -1):
         # t = s * acc, with s >= 0
@@ -941,7 +908,7 @@ def _exp_point_interval(x: float) -> Interval:
     acc = _EXP_COEFFS[-1]
     for c in reversed(_EXP_COEFFS[:-1]):
         acc = c + r * acc
-    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up, _unit_up))
+    rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up))
     acc = acc + Interval._raw(-rem, rem)
     lo = math.ldexp(acc.lo, k)
     hi = math.ldexp(acc.hi, k)
@@ -973,7 +940,7 @@ def _log_point_interval(x: float) -> Interval:
     for j in range(9, 0, -1):
         acc = Interval.from_fraction(Fraction(1, 2 * j - 1)) + u2 * acc
     um = u.mag
-    tail = _mul_up(_pow_dir(um, 23, _mul_up, _unit_up), 1.0 / (23.0 * (1.0 - 0.03)))
+    tail = _mul_up(_pow_dir(um, 23, _mul_up), 1.0 / (23.0 * (1.0 - 0.03)))
     logm = 2.0 * u * acc + Interval._raw(-2.0 * tail, 2.0 * tail)
     return logm + LN2 * e2
 

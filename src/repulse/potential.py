@@ -53,7 +53,8 @@ def _check_alpha(alpha: int) -> None:
         raise ValueError(f"alpha must be an even integer >= 4, got {alpha!r}")
 
 
-# The largest truncation lattice_energy and the coefficient tables accept.
+# The largest truncation lattice_energy, energy_derivative's ext,
+# first_order_residual and the coefficient tables accept.
 # lattice_energy(4, 1.5, N) takes about 2 s at N = 10^6, and its enclosure
 # only widens past N ~ 10^4 (8.3e-13 wide there, 8.3e-11 at 10^6).
 _MAX_TRUNCATION = 10 ** 6
@@ -336,6 +337,8 @@ def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
         raise ValueError("energy_derivative requires t > 1/2")
     if ext < 2:
         raise ValueError("energy_derivative requires ext >= 2")
+    if ext > _MAX_TRUNCATION:
+        raise ValueError(f"energy_derivative requires ext <= {_MAX_TRUNCATION}")
     return _DerivativeRows(alpha, [t], ext).row(0)
 
 
@@ -343,6 +346,8 @@ def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
     """Enclosure of sum_{n in Z} (F(n) + n F'(n)); contains 0 at s_alpha."""
     if N < 2:
         raise ValueError("first_order_residual requires N >= 2")
+    if N > _MAX_TRUNCATION:
+        raise ValueError(f"first_order_residual requires N <= {_MAX_TRUNCATION}")
     alpha = ctx.alpha
     S = _series(lambda n: _g_terms(alpha, F_alpha(ctx, Lanes(n))), 1, N)
     bound = (2.0 * (alpha + 1) * power_sum_tail(alpha, N + 1) / ctx.s_pow_alpha).hi

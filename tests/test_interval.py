@@ -14,6 +14,8 @@ from repulse.interval import (
     _NO_SPLIT,
     _PROD_MAX,
     _PROD_MIN,
+    _mul_down,
+    _mul_up,
     DomainError,
     Interval,
     Lanes,
@@ -401,10 +403,9 @@ def _edge_grid():
 
 def _widened(v):
     """The point v first, then v widened by one ulp below, above and on both
-    sides, where the new endpoints stay finite."""
+    sides; the largest float widens out to inf."""
     down, up = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
-    return [Interval(a, b) for a, b in ((v, v), (down, v), (v, up), (down, up))
-            if math.isfinite(a) and math.isfinite(b)]
+    return [Interval(a, b) for a, b in ((v, v), (down, v), (v, up), (down, up))]
 
 
 def _check_edge_results(pairs, scalar, lanes, exact):
@@ -445,7 +446,7 @@ def test_rational_ops_on_the_edge_grid(name):
                         lambda a, b: op(Fraction(a), Fraction(b)))
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 16])
 def test_pow_int_on_the_edge_grid(k):
     grid = _edge_grid()
     pairs, xs = [], []
@@ -455,6 +456,22 @@ def test_pow_int_on_the_edge_grid(k):
             xs.append(x)
     _check_edge_results(pairs, [pow_int(x, k) for x in xs], pow_int(Lanes.of(xs), k),
                         lambda a: Fraction(a) ** k)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_pow_int_of_a_power_of_two_is_the_chain_of_directed_squarings(k):
+    # x**(2**m) is its one factor, so no step beyond the m directed squarings
+    # [RD(...RD(x*x)...), RU(...RU(x*x)...)] may widen it, at any edge
+    grid = _edge_grid()
+    want = []
+    for x in grid:
+        lo = hi = abs(x)
+        for _ in range(k.bit_length() - 1):
+            lo, hi = _mul_down(lo, lo), _mul_up(hi, hi)
+        want.append((lo.hex(), hi.hex()))
+    lanes = pow_int(Lanes.of([Interval(x) for x in grid]), k)
+    assert [(v.lo.hex(), v.hi.hex()) for v in (pow_int(Interval(x), k) for x in grid)] == want
+    assert list(zip(map(float.hex, lanes.lo.tolist()), map(float.hex, lanes.hi.tolist()))) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,16 @@ def test_energy_derivative_takes_ext_by_keyword_only():
         energy_derivative(4, t, 64)  # the old truncation N, which ext overrode
     with pytest.raises(ValueError):
         energy_derivative(4, t, ext=1)
+
+
+def test_term_counts_above_the_truncation_cap_raise_at_once(ctx4):
+    # above 10^6 terms these would hold or sum every term before answering
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="energy_derivative requires ext <= 1000000"):
+        energy_derivative(4, Interval(1.2), ext=10 ** 6 + 1)
+    with pytest.raises(ValueError, match="first_order_residual requires N <= 1000000"):
+        first_order_residual(ctx4, 10 ** 6 + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_energy_derivative_alpha6_at_one():
