@@ -364,6 +364,75 @@ def test_elementary_functions_bit_pins():
     assert not moved
 
 
+# exp over boxes from 0 and +-5e-324 to the top of its range and down
+# through the subnormal results to the flush at -745: (box, "lo hi").
+_EXP_PINS = [
+    ((0.0, 0.0), "0x1.0000000000000p+0 0x1.0000000000000p+0"),
+    ((-0.0, -0.0), "0x1.0000000000000p+0 0x1.0000000000000p+0"),
+    ((5e-324, 5e-324), "0x1.fffffffffffffp-1 0x1.0000000000002p+0"),
+    ((-5e-324, -5e-324), "0x1.ffffffffffffep-1 0x1.0000000000001p+0"),
+    ((1e-300, 1e-300), "0x1.fffffffffffffp-1 0x1.0000000000002p+0"),
+    ((8.673617379884035e-19, 8.673617379884035e-19), "0x1.fffffffffffffp-1 0x1.0000000000002p+0"),
+    ((0.25, 0.25), "0x1.48b5e3c3e8185p+0 0x1.48b5e3c3e8188p+0"),
+    ((0.3465735902799726, 0.3465735902799726), "0x1.6a09e667f3bcap+0 0x1.6a09e667f3bcep+0"),
+    ((0.34657359027997264, 0.34657359027997264), "0x1.6a09e667f3bcbp+0 0x1.6a09e667f3bcep+0"),
+    ((0.5, 0.5), "0x1.a61298e1e0699p+0 0x1.a61298e1e069ep+0"),
+    ((1.0, 1.0), "0x1.5bf0a8b145767p+1 0x1.5bf0a8b14576bp+1"),
+    ((-1.0, -1.0), "0x1.78b56362cef36p-2 0x1.78b56362cef3ap-2"),
+    ((0.6931471805599453, 0.6931471805599453), "0x1.ffffffffffffep+0 0x1.0000000000001p+1"),
+    ((2.5, 2.5), "0x1.85d6fd931e0b6p+3 0x1.85d6fd931e0bep+3"),
+    ((10.0, 10.0), "0x1.5829dcf950557p+14 0x1.5829dcf950565p+14"),
+    ((-10.0, -10.0), "0x1.7cd79b5647c93p-15 0x1.7cd79b5647ca7p-15"),
+    ((100.0, 100.0), "0x1.3494a9b171baep+144 0x1.3494a9b171c4cp+144"),
+    ((-100.0, -100.0), "0x1.a8c1f14e2aecfp-145 0x1.a8c1f14e2afd3p-145"),
+    ((700.0, 700.0), "0x1.d945df4f8e678p+1009 0x1.d945df4f8ee7dp+1009"),
+    ((709.0, 709.0), "0x1.d422d2be5d797p+1022 0x1.d422d2be5df9dp+1022"),
+    ((-700.0, -700.0), "0x1.14f2b0fb92f8ap-1010 0x1.14f2b0fb933e3p-1010"),
+    ((-708.0, -708.0), "0x1.7c8ab2288c652p-1022 0x1.7c8ab2288ce75p-1022"),
+    ((-708.4, -708.4), "0x0.ff15b469edf0ap-1022 0x0.ff15b469ee30dp-1022"),
+    ((-709.0, -709.0), "0x0.8bfe55de0226bp-1022 0x0.8bfe55de0249fp-1022"),
+    ((-710.0, -710.0), "0x0.33802fd28b39fp-1022 0x0.33802fd28b423p-1022"),
+    ((-720.0, -720.0), "0x0.0000993b4dc94p-1022 0x0.0000993b4dc96p-1022"),
+    ((-730.0, -730.0), "0x0.00000001c7ea2p-1022 0x0.00000001c7ea4p-1022"),
+    ((-740.0, -740.0), "0x0.0000000000054p-1022 0x0.0000000000056p-1022"),
+    ((-744.0, -744.0), "0x0.0000000000001p-1022 0x0.0000000000003p-1022"),
+    ((-744.4, -744.4), "0x0.0p+0 0x0.0000000000002p-1022"),
+    ((-745.0, -745.0), "0x0.0p+0 0x0.0000000000002p-1022"),
+    ((-745.1, -745.1), "0x0.0p+0 0x0.0000000000001p-1022"),
+    ((-1000.0, -1000.0), "0x0.0p+0 0x0.0000000000001p-1022"),
+    ((-1.0, 1.0), "0x1.78b56362cef36p-2 0x1.5bf0a8b14576bp+1"),
+    ((0.5, 2.5), "0x1.a61298e1e0699p+0 0x1.85d6fd931e0bep+3"),
+    ((-745.0, -700.0), "0x0.0p+0 0x1.14f2b0fb933e3p-1010"),
+    ((-746.0, 709.0), "0x0.0p+0 0x1.d422d2be5df9dp+1022"),
+    ((-1e-300, 1e-300), "0x1.ffffffffffffep-1 0x1.0000000000002p+0"),
+    ((700.0, 709.0), "0x1.d945df4f8e678p+1009 0x1.d422d2be5df9dp+1022"),
+    ((-740.0, -720.0), "0x0.0000000000054p-1022 0x0.0000993b4dc96p-1022"),
+]
+
+
+def _moved_or_outside(fn, pins):
+    """The pins of the increasing fn that moved, and those whose interval
+    misses mpmath's fn of the same name at a box endpoint, in 200-bit
+    arithmetic."""
+    import mpmath
+
+    mp_fn = getattr(mpmath, fn.__name__)
+    moved, outside = [], []
+    with mpmath.workprec(200):
+        for box, pin in pins:
+            v = fn(Interval(*box))
+            got = f"{v.lo.hex()} {v.hi.hex()}"
+            if got != pin:
+                moved.append((box, got, pin))
+            if not (v.lo <= mp_fn(mpmath.mpf(box[0])) and mp_fn(mpmath.mpf(box[1])) <= v.hi):
+                outside.append((box, got))
+    return moved, outside
+
+
+def test_exp_bit_pins():
+    assert _moved_or_outside(exp, _EXP_PINS) == ([], [])
+
+
 # -- inclusion monotonicity ---------------------------------------------------
 
 _vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
