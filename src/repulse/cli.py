@@ -193,6 +193,8 @@ def _cmd_simulate(args) -> int:
     if args.gap_threshold is not None and not args.gap_threshold > 0.0:
         raise ValueError("--gap-threshold must be positive")
     target = args.rho * args.length
+    if not math.isfinite(target):
+        raise ValueError("rho*length must be finite")
     count = int(round(target))
     if abs(target - count) > 1e-9:
         print(f"warning: rho*length = {target!r} rounded to {count} particles",

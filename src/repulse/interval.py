@@ -116,6 +116,27 @@ def _mul_up(a: float, b: float) -> float:
     return _up(p) if e is None or e > 0.0 else p
 
 
+def _mul_raw(a: float, b: float, c: float, d: float):
+    """Raw endpoints of [a, b] * [c, d], by the nine sign cases."""
+    if a >= 0.0:
+        if c >= 0.0:
+            return _mul_down(a, c), _mul_up(b, d)
+        if d <= 0.0:
+            return _mul_down(b, c), _mul_up(a, d)
+        return _mul_down(b, c), _mul_up(b, d)
+    if b <= 0.0:
+        if c >= 0.0:
+            return _mul_down(a, d), _mul_up(b, c)
+        if d <= 0.0:
+            return _mul_down(b, d), _mul_up(a, c)
+        return _mul_down(a, d), _mul_up(a, c)
+    if c >= 0.0:
+        return _mul_down(a, d), _mul_up(b, d)
+    if d <= 0.0:
+        return _mul_down(b, c), _mul_up(a, c)
+    return min(_mul_down(a, d), _mul_down(b, c)), max(_mul_up(a, c), _mul_up(b, d))
+
+
 def _div_err(a: float, b: float, q: float):
     """The residual r = a - q*b of the division, signed as r/b: the side of q
     on which the true quotient q + r/b lies; None if unknown.
@@ -304,27 +325,7 @@ class Interval:
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if a >= 0.0:
-            if c >= 0.0:
-                return Interval._raw(_mul_down(a, c), _mul_up(b, d))
-            if d <= 0.0:
-                return Interval._raw(_mul_down(b, c), _mul_up(a, d))
-            return Interval._raw(_mul_down(b, c), _mul_up(b, d))
-        if b <= 0.0:
-            if c >= 0.0:
-                return Interval._raw(_mul_down(a, d), _mul_up(b, c))
-            if d <= 0.0:
-                return Interval._raw(_mul_down(b, d), _mul_up(a, c))
-            return Interval._raw(_mul_down(a, d), _mul_up(a, c))
-        if c >= 0.0:
-            return Interval._raw(_mul_down(a, d), _mul_up(b, d))
-        if d <= 0.0:
-            return Interval._raw(_mul_down(b, c), _mul_up(a, c))
-        return Interval._raw(
-            min(_mul_down(a, d), _mul_down(b, c)),
-            max(_mul_up(a, c), _mul_up(b, d)),
-        )
+        return Interval._raw(*_mul_raw(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
@@ -512,7 +513,7 @@ def _vdiv_rows(x, y):
 
 
 def _vmul(x, y):
-    """[a, b] * [c, d] by the sign cases of Interval.__mul__, per lane."""
+    """[a, b] * [c, d] by the sign cases of _mul_raw, per lane."""
     (a, b), (c, d) = x, y
     a_pos = a >= 0.0
     c_pos = c >= 0.0
@@ -763,59 +764,46 @@ _INV_LN2 = 1.0 / math.log(2.0)
 # Series machinery.
 # ---------------------------------------------------------------------------
 
-# 1/j! as raw (lo, hi) endpoints, j = 0..20; every series reads a slice of it.
-_INV_FACT = [(c.lo, c.hi) for c in
-             (Interval.from_fraction(Fraction(1, math.factorial(j))) for j in range(21))]
+# Series coefficients as raw (lo, hi) endpoints, built once.
+_INV_FACT = [(_float_down(f), _float_up(f))  # 1/j!, j = 0..20
+             for f in (Fraction(1, math.factorial(j)) for j in range(21))]
 _INV_ODD_FACT = _INV_FACT[1::2]  # 1/(2j+1)!, j = 0..9
+_LOG_C = [(_float_down(f), _float_up(f))  # 1/(2j+1), j = 0..10
+          for f in (Fraction(1, 2 * j + 1) for j in range(11))]
 
 # The alternating series sum_j (-1)^j c_j s^j with s = x^2, as coefficient
-# lists whose last entry is the first omitted coefficient (see _poly_alt_raw).
+# lists whose last entry is the first omitted coefficient (see _alt_raw).
 _SIN_C = _INV_ODD_FACT          # sin r = r * sum 1/(2j+1)! terms, j < 9
 _COS_C = _INV_FACT[0::2]        # cos r = sum 1/(2j)! terms, j < 10
 _SINC_C = _INV_ODD_FACT[:9]     # sinc x = sum 1/(2j+1)! terms, j < 8
 _R_C = _INV_ODD_FACT[2:]        # R(x) = x^2 * sum 1/(2j+5)! terms, j < 7
-# exp r = sum_j r^j / j!, j = 0..13, remainder at 1.5 * r^14/14!
-_EXP_COEFFS = [Interval._raw(*c) for c in _INV_FACT[:14]]
 
 # pi/4 plus reduction slop (k * ulp(pi/2) stays below 3e-7 for |x| <= 1e9)
 _TRIG_REDUCED_MAX = 0.78545
 _TRIG_POINT_MAX = 1e9
 
 
-def _poly_alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
+def _horner_raw(x_lo: float, x_hi: float, coeffs, rem: float):
+    """Raw endpoints of sum_j c_j x^j + [-rem, rem] over x = [x_lo, x_hi],
+    by Horner's rule on the (lo, hi) coefficients c_j."""
+    lo, hi = coeffs[-1]
+    for c_lo, c_hi in coeffs[-2::-1]:
+        t_lo, t_hi = _mul_raw(x_lo, x_hi, lo, hi)
+        lo, hi = _add_down(c_lo, t_lo), _add_up(c_hi, t_hi)
+    return _sub_down(lo, rem), _add_up(hi, rem)
+
+
+def _alt_raw(s_lo: float, s_hi: float, coeffs, mag: float):
     """Raw endpoints of sum_{j<n} (-1)^j c_j s^j + [-rem, rem], n = len(coeffs) - 1.
 
     s = [s_lo, s_hi] is the square of a number of magnitude <= mag (so
     s_lo >= 0), and rem = c_n mag^(2n) is the first omitted term, which
     bounds the remainder of an alternating series with decreasing terms.
+    Horner in -s: _mul_down(-a, b) == -_mul_up(a, b), so c + (-s)*acc
+    rounds as c - s*acc.
     """
     n = len(coeffs) - 1
-    rem = _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up))
-    c_lo, c_hi = coeffs[n - 1]
-    for j in range(n - 2, -1, -1):
-        # t = s * acc, with s >= 0
-        if c_lo >= 0.0:
-            t_lo = _mul_down(s_lo, c_lo)
-            t_hi = _mul_up(s_hi, c_hi)
-        elif c_hi <= 0.0:
-            t_lo = _mul_down(s_hi, c_lo)
-            t_hi = _mul_up(s_lo, c_hi)
-        else:
-            t_lo = _mul_down(s_hi, c_lo)
-            t_hi = _mul_up(s_hi, c_hi)
-        b_lo, b_hi = coeffs[j]
-        c_lo = _sub_down(b_lo, t_hi)
-        c_hi = _sub_up(b_hi, t_lo)
-    return _sub_down(c_lo, rem), _add_up(c_hi, rem)
-
-
-def _reduced(x: float, k: int):
-    """r = x - k*(pi/2) as raw endpoints."""
-    if k == 0:
-        return x, x
-    if k > 0:
-        return _sub_down(x, _mul_up(float(k), HALF_PI.hi)), _sub_up(x, _mul_down(float(k), HALF_PI.lo))
-    return _sub_down(x, _mul_up(float(k), HALF_PI.lo)), _sub_up(x, _mul_down(float(k), HALF_PI.hi))
+    return _horner_raw(-s_hi, -s_lo, coeffs[:n], _mul_up(coeffs[n][1], _pow_dir(mag, 2 * n, _mul_up)))
 
 
 def _trig_series_raw(r_lo: float, r_hi: float, odd: bool):
@@ -825,10 +813,9 @@ def _trig_series_raw(r_lo: float, r_hi: float, odd: bool):
         raise AssertionError("sin/cos series argument out of reduced range")
     s_lo = 0.0 if r_lo <= 0.0 <= r_hi else min(_mul_down(r_lo, r_lo), _mul_down(r_hi, r_hi))
     s_hi = _mul_up(m, m)
-    lo, hi = _poly_alt_raw(s_lo, s_hi, _SIN_C if odd else _COS_C, m)
+    lo, hi = _alt_raw(s_lo, s_hi, _SIN_C if odd else _COS_C, m)
     if odd:
-        v = Interval._raw(r_lo, r_hi) * Interval._raw(lo, hi)
-        lo, hi = v.lo, v.hi
+        lo, hi = _mul_raw(r_lo, r_hi, lo, hi)
     return max(lo, -1.0), min(hi, 1.0)
 
 
@@ -839,9 +826,9 @@ def _trig_point_raw(x: float, quadrant: int):
     if abs(x) > _TRIG_POINT_MAX:
         return -1.0, 1.0
     k = round(x * _INV_HALF_PI)
-    r_lo, r_hi = _reduced(x, k)
+    t_lo, t_hi = _mul_raw(float(k), float(k), HALF_PI.lo, HALF_PI.hi)  # r = x - k*(pi/2)
     m = (k + quadrant) % 4
-    lo, hi = _trig_series_raw(r_lo, r_hi, m % 2 == 0)
+    lo, hi = _trig_series_raw(_sub_down(x, t_hi), _sub_up(x, t_lo), m % 2 == 0)
     return (lo, hi) if m < 2 else (-hi, -lo)
 
 
@@ -856,8 +843,7 @@ def _crosses(a_lo: float, a_hi: float, frac: float) -> bool:
         return True
     for k in range(k_lo, k_hi + 1):
         kf = k + frac
-        c_lo = _mul_down(TWO_PI.lo, kf) if kf >= 0 else _mul_down(TWO_PI.hi, kf)
-        c_hi = _mul_up(TWO_PI.hi, kf) if kf >= 0 else _mul_up(TWO_PI.lo, kf)
+        c_lo, c_hi = _mul_raw(TWO_PI.lo, TWO_PI.hi, kf, kf)
         if c_lo <= a_hi and c_hi >= a_lo:
             return True
     return False
@@ -905,13 +891,11 @@ def _exp_point_interval(x: float) -> Interval:
     m = r.mag
     if m > 0.3566:
         raise AssertionError("exp series argument out of reduced range")
-    acc = _EXP_COEFFS[-1]
-    for c in reversed(_EXP_COEFFS[:-1]):
-        acc = c + r * acc
+    # exp r = sum_j r^j / j!, j = 0..13, remainder at 1.5 * r^14/14!
     rem = _mul_up(1.5 * _INV_FACT[14][1], _pow_dir(m, 14, _mul_up))
-    acc = acc + Interval._raw(-rem, rem)
-    lo = math.ldexp(acc.lo, k)
-    hi = math.ldexp(acc.hi, k)
+    lo, hi = _horner_raw(r.lo, r.hi, _INV_FACT[:14], rem)
+    lo = math.ldexp(lo, k)
+    hi = math.ldexp(hi, k)
     if lo != 0.0 and abs(lo) < 1e-300:
         lo = _down(lo)
         hi = _up(hi)
@@ -935,12 +919,10 @@ def _log_point_interval(x: float) -> Interval:
     mi = Interval._raw(m, m)
     u = (mi - 1.0) / (mi + 1.0)
     u2 = u * u
-    # log m = 2 * (u + u^3/3 + u^5/5 + ...)
-    acc = Interval.from_fraction(Fraction(1, 21))
-    for j in range(9, 0, -1):
-        acc = Interval.from_fraction(Fraction(1, 2 * j - 1)) + u2 * acc
-    um = u.mag
-    tail = _mul_up(_pow_dir(um, 23, _mul_up), 1.0 / (23.0 * (1.0 - 0.03)))
+    # log m = 2 * sum_j u^(2j+1)/(2j+1): j = 0..10, and the rest below
+    # 2 |u|^23/(23 (1 - u^2)) with u^2 <= 0.0295 (|u| <= 0.1716)
+    acc = Interval._raw(*_horner_raw(u2.lo, u2.hi, _LOG_C, 0.0))
+    tail = _mul_up(_pow_dir(u.mag, 23, _mul_up), 1.0 / (23.0 * (1.0 - 0.03)))
     logm = 2.0 * u * acc + Interval._raw(-2.0 * tail, 2.0 * tail)
     return logm + LN2 * e2
 
@@ -970,7 +952,7 @@ _SINC_RANGE = Interval._raw(-0.22, 1.0)
 
 def _sinc_series(a: Interval) -> Interval:
     s = pow_int(a, 2)
-    return Interval._raw(*_poly_alt_raw(s.lo, s.hi, _SINC_C, a.mag))
+    return Interval._raw(*_alt_raw(s.lo, s.hi, _SINC_C, a.mag))
 
 
 def _sinc_direct(a: Interval) -> Interval:
@@ -1006,7 +988,7 @@ def _R_point(x: float) -> Interval:
     xi = Interval._raw(x, x)
     if x <= 0.5:
         x2 = pow_int(xi, 2)
-        poly = Interval._raw(*_poly_alt_raw(x2.lo, x2.hi, _R_C, x))
+        poly = Interval._raw(*_alt_raw(x2.lo, x2.hi, _R_C, x))
         return (x2 * poly).intersect(_R_RANGE)
     x3 = pow_int(xi, 3)
     num = sin(xi) - xi + x3 * SIXTH

@@ -332,6 +332,8 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
         raise ValueError("iters must be >= 1")
     if not (math.isfinite(gtol) and gtol >= 0.0):
         raise ValueError("gtol must be finite and >= 0")
+    if not (math.isfinite(L) and math.isfinite(rho * L)):
+        raise ValueError("L and rho * L must be finite")
     count = int(round(rho * L))
     if count < 1:
         raise ValueError("density and cell length give no particles")

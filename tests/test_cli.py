@@ -391,6 +391,7 @@ _OVERSIZED = (
     "salpha --alpha 4 --trunc 100000000000000000000",
     "psi --alpha 4 --x 1 --coeffs 100000000000",
     "simulate --alpha 4 --rho 1e300 --length 1e-300",
+    "simulate --alpha 4 --rho 1e300 --length 1e300",
 )
 
 

@@ -433,6 +433,62 @@ def test_exp_bit_pins():
     assert _moved_or_outside(exp, _EXP_PINS) == ([], [])
 
 
+# log at the mantissas just inside 1/sqrt(2) and sqrt(2), where |u| =
+# |m - 1|/(m + 1) is largest, scaled by 2^0, 2^-1, 2^1, 2^-40 and 2^40;
+# then from the smallest subnormal to the largest float: (box, "lo hi").
+_LOG_PINS = [
+    ((0.7071067811865476, 0.7071067811865476), "-0x1.62e42fefa39f2p-2 -0x1.62e42fefa39ebp-2"),
+    ((0.3535533905932738, 0.3535533905932738), "-0x1.0a2b23f3bab75p+0 -0x1.0a2b23f3bab72p+0"),
+    ((1.4142135623730951, 1.4142135623730951), "0x1.62e42fefa39ecp-2 0x1.62e42fefa39f5p-2"),
+    ((6.431098710768743e-13, 6.431098710768743e-13), "-0x1.c128ccab4b154p+4 -0x1.c128ccab4b151p+4"),
+    ((777472127993.8688, 777472127993.8688), "0x1.b611ab2bcdf82p+4 0x1.b611ab2bcdf85p+4"),
+    ((0.7071067811865477, 0.7071067811865477), "-0x1.62e42fefa39efp-2 -0x1.62e42fefa39e9p-2"),
+    ((0.35355339059327384, 0.35355339059327384), "-0x1.0a2b23f3bab74p+0 -0x1.0a2b23f3bab71p+0"),
+    ((1.4142135623730954, 1.4142135623730954), "0x1.62e42fefa39efp-2 0x1.62e42fefa39f7p-2"),
+    ((6.431098710768744e-13, 6.431098710768744e-13), "-0x1.c128ccab4b154p+4 -0x1.c128ccab4b151p+4"),
+    ((777472127993.8689, 777472127993.8689), "0x1.b611ab2bcdf82p+4 0x1.b611ab2bcdf85p+4"),
+    ((1.4142135623730947, 1.4142135623730947), "0x1.62e42fefa39e8p-2 0x1.62e42fefa39efp-2"),
+    ((0.7071067811865474, 0.7071067811865474), "-0x1.62e42fefa39f8p-2 -0x1.62e42fefa39efp-2"),
+    ((2.8284271247461894, 2.8284271247461894), "0x1.0a2b23f3bab71p+0 0x1.0a2b23f3bab74p+0"),
+    ((1.2862197421537482e-12, 1.2862197421537482e-12), "-0x1.b611ab2bcdf85p+4 -0x1.b611ab2bcdf82p+4"),
+    ((1554944255987.737, 1554944255987.737), "0x1.c128ccab4b151p+4 0x1.c128ccab4b154p+4"),
+    ((1.414213562373095, 1.414213562373095), "0x1.62e42fefa39ebp-2 0x1.62e42fefa39f1p-2"),
+    ((0.7071067811865475, 0.7071067811865475), "-0x1.62e42fefa39f5p-2 -0x1.62e42fefa39edp-2"),
+    ((2.82842712474619, 2.82842712474619), "0x1.0a2b23f3bab72p+0 0x1.0a2b23f3bab75p+0"),
+    ((1.2862197421537484e-12, 1.2862197421537484e-12), "-0x1.b611ab2bcdf85p+4 -0x1.b611ab2bcdf82p+4"),
+    ((1554944255987.7373, 1554944255987.7373), "0x1.c128ccab4b151p+4 0x1.c128ccab4b154p+4"),
+    ((1.0, 1.0), "0x0.0p+0 0x0.0p+0"),
+    ((2.0, 2.0), "0x1.62e42fefa39efp-1 0x1.62e42fefa39f0p-1"),
+    ((0.5, 0.5), "-0x1.62e42fefa39f0p-1 -0x1.62e42fefa39efp-1"),
+    ((1.0000000000000002, 1.0000000000000002), "0x1.ffffffffffffdp-53 0x1.0000000000002p-52"),
+    ((0.9999999999999999, 0.9999999999999999), "-0x1.0000000000004p-53 -0x1.fffffffffffffp-54"),
+    ((2.718281828459045, 2.718281828459045), "0x1.ffffffffffffdp-1 0x1.0000000000001p+0"),
+    ((10.0, 10.0), "0x1.26bb1bbb55514p+1 0x1.26bb1bbb55517p+1"),
+    ((5e-324, 5e-324), "-0x1.74385446d71c5p+9 -0x1.74385446d71c3p+9"),
+    ((2.2250738585072014e-308, 2.2250738585072014e-308), "-0x1.6232bdd7abcd4p+9 -0x1.6232bdd7abcd2p+9"),
+    ((1e-300, 1e-300), "-0x1.5963447f87fb7p+9 -0x1.5963447f87fb4p+9"),
+    ((1e+300, 1e+300), "0x1.5963447f87fb4p+9 0x1.5963447f87fb7p+9"),
+    ((1.7976931348623157e+308, 1.7976931348623157e+308), "0x1.62e42fefa39eep+9 0x1.62e42fefa39f0p+9"),
+    ((0.5, 2.0), "-0x1.62e42fefa39f0p-1 0x1.62e42fefa39f0p-1"),
+    ((0.7, 1.5), "-0x1.6d3c324e13f54p-2 0x1.9f323ecbf9850p-2"),
+    ((1.4135, 1.4142135623730951), "0x1.625fe29ee4d84p-2 0x1.62e42fefa39f5p-2"),
+    ((1e-300, 1e+300), "-0x1.5963447f87fb7p+9 0x1.5963447f87fb7p+9"),
+    ((5e-324, 1.7976931348623157e+308), "-0x1.74385446d71c5p+9 0x1.62e42fefa39f0p+9"),
+]
+
+
+def test_log_bit_pins():
+    assert _moved_or_outside(log, _LOG_PINS) == ([], [])
+
+
+def test_log_series_table_holds_every_coefficient():
+    from repulse import interval
+
+    assert len(interval._LOG_C) == 11
+    for j, (lo, hi) in enumerate(interval._LOG_C):
+        assert Fraction(lo) <= Fraction(1, 2 * j + 1) <= Fraction(hi), j
+
+
 # -- inclusion monotonicity ---------------------------------------------------
 
 _vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

@@ -248,9 +248,9 @@ def test_lane_sum_interleaves_its_terms():
 
 
 def test_lane_sum_matches_the_directed_add_loop():
-    # lane_sum writes _add_down/_add_up out inline; the loop of the two
-    # must give the same bits on every edge value: infinities (and the NaN
-    # of inf - inf), signed zeros, subnormals and sums that overflow
+    # lane_sum folds its lanes with _add_down/_add_up; the fold must give
+    # the loop's bits on every edge value: infinities (and the NaN of
+    # inf - inf), signed zeros, subnormals and sums that overflow
     rng = random.Random(29)
     vals = _edge_values() + [1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307]
     for case in range(2000):

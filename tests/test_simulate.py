@@ -196,6 +196,9 @@ def test_relax_rejects_bad_arguments():
     for gtol in (math.nan, -1.0, math.inf, -math.inf):
         with pytest.raises(ValueError, match="gtol must be finite and >= 0"):
             sim.relax(4, 1.0, 12.0, iters=50, gtol=gtol)
+    for rho, L in ((1e300, 1e300), (1.0, math.inf), (math.nan, 10.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            sim.relax(4, rho, L)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         sim.relax(4, 1.0, 10.0, seed=-1)       # default_rng's seed errors
     for seed in (1.5, 2.0, None):
