@@ -76,11 +76,21 @@ def _image_cutoff(image_cutoff: int | None, L: float) -> int:
     return image_cutoff
 
 
-def _power(base: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-    """base ** m into out, through the ufunc that `ndarray ** m` dispatches to."""
-    if m == 2:
-        return np.square(base, out=out)
-    return np.power(base, m, out=out)
+def _power(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
+    """x**m (m >= 1) into x's buffer by binary powering, in `interval._pow_dir`'s
+    order: the chain starts from its first factor x**(2**j).  Every step is
+    one np.multiply, an IEEE product whose bits do not depend on which SIMD
+    loop numpy dispatches to (numpy's power ufunc gives different bits under
+    its baseline, AVX2 and AVX-512 loops).  `spare`, a buffer of x's shape,
+    is overwritten when m is not a power of two."""
+    acc = None
+    while True:
+        if m & 1:
+            acc = x if acc is None else np.multiply(acc, x, out=acc)
+        m >>= 1
+        if not m:
+            return acc
+        x = np.multiply(x, x, out=spare if x is acc else x)
 
 
 # Elements of one block of images in `_PairKernel`'s two working buffers.
@@ -112,15 +122,20 @@ class _PairKernel:
     whole image for f, each of its rows for w), read for the -k images from
     a contiguous transposed copy; each adds in the order of the per-image
     `sum()` or `sum(axis=1)`.  The image totals are then accumulated over
-    k = -K..K one at a time, as that loop does: the results equal it bit for
-    bit.
+    k = -K..K one at a time, as that loop does (the gradient's in one
+    sequential np.add.accumulate, adding the negated -k totals: x - y is
+    x + (-y) in IEEE arithmetic): the results equal it bit for bit.
 
     Reuse.  The kernel keeps the (K + 1, n, n) stack of 1 + r^alpha and the
     positions it was computed at.  Every energy call recomputes it; a
-    gradient-only call reads it when its positions equal those (as relax's
-    gradient at its accepted trial does) and recomputes it otherwise.  Equal
-    positions give equal r^2, so a read stack is the stack a fresh kernel
-    would compute.
+    gradient-only call reads it when its positions equal those and
+    recomputes it otherwise.  Equal positions give equal r^2, so a read
+    stack is the stack a fresh kernel would compute.  `relax` calls `_fill`,
+    `_energy` and `_gradient` itself, inside one `_errstate()`, and takes the
+    gradient at an accepted trial from the stack that trial's energy filled.
+
+    Powers.  r^alpha and r^(alpha-2) are chains of IEEE products (`_power`),
+    so the results do not depend on the SIMD loops numpy dispatches to.
 
     Overflow.  Where both alpha r^(alpha-1) and (1 + r^alpha)^2 overflow
     (at large alpha), the gradient term alpha r^(alpha-1)/(1 + r^alpha)^2
@@ -141,29 +156,31 @@ class _PairKernel:
         self._den = np.empty((K + 1, n, n))     # 1 + r^alpha, image k at [k]
         self._at = np.full(n, np.nan)           # the positions _den holds
         self._a, self._b = np.empty((b, n, n)), np.empty((b, n, n))
-        self._rows, self._cols = np.empty((K + 1, n)), np.empty((K + 1, n))
+        self._diag = self._a.reshape(-1)[:n * n:n + 1]  # the diagonal of image 0
+        # The gradient's terms in the order they are added to 0 (row 0):
+        # minus the row sums of w_k^T for k = K..1, then those of w_k, k = 0..K.
+        self._terms = np.zeros((2 * K + 2, n))
 
     def __call__(self, x: np.ndarray, want_energy: bool, want_grad: bool):
         """(energy or None, gradient or None) at positions x."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _errstate():
             if want_energy or not np.array_equal(x, self._at):
                 self._fill(x)
             return (self._energy() if want_energy else None,
                     self._gradient() if want_grad else None)
 
-    def _images(self, k0: int, k1: int) -> np.ndarray:
-        """d + k L for the images k0 <= k < k1, in the first working buffer."""
-        return np.add(self._d, self._kL[k0:k1], out=self._a[:k1 - k0])
+    def _images(self, k0: int, k1: int, out: np.ndarray) -> np.ndarray:
+        """d + k L for the images k0 <= k < k1, in out's first k1 - k0 images."""
+        return np.add(self._d, self._kL[k0:k1], out=out[:k1 - k0])
 
     def _fill(self, x: np.ndarray) -> None:
         np.subtract(x[:, None], x[None, :], out=self._d)
         np.copyto(self._at, x)
         for k0, k1 in self._blocks:
-            r2 = self._images(k0, k1)
+            r2 = self._images(k0, k1, self._a)
             np.multiply(r2, r2, out=r2)
             den = self._den[k0:k1]
-            _power(r2, self.alpha // 2, den)
-            np.add(den, 1.0, out=den)
+            np.add(_power(r2, self.alpha // 2, den), 1.0, out=den)
 
     def _energy(self) -> float:
         n = len(self._d)
@@ -172,11 +189,11 @@ class _PairKernel:
             b, j = k1 - k0, int(k0 == 0)     # image 0 is its own mirror
             f = np.divide(1.0, self._den[k0:k1], out=self._a[:b])
             if j:
-                np.fill_diagonal(f[0], 0.0)
-            pos += f.reshape(b, n * n).sum(axis=1).tolist()
+                self._diag[...] = 0.0
+            pos += np.add.reduce(f.reshape(b, n * n), axis=1).tolist()
             ft = self._b[:b - j]
             np.copyto(ft, f[j:].transpose(0, 2, 1))
-            neg += ft.reshape(b - j, n * n).sum(axis=1).tolist()
+            neg += np.add.reduce(ft.reshape(b - j, n * n), axis=1).tolist()
         energy = 0.0
         for e in neg[::-1] + pos:   # not sum(): from Python 3.12 it compensates
             energy += e
@@ -184,30 +201,32 @@ class _PairKernel:
 
     def _gradient(self) -> np.ndarray:
         alpha, K, n = self.alpha, self.K, len(self._d)
-        rows, cols = self._rows, self._cols     # row sums of w_k and of w_k^T
+        m = (alpha - 2) // 2                    # r^(alpha-2) = (r^2)^m
+        terms = self._terms     # rows[k], cols[k] (k >= 1): row sums of w_k, w_k^T
+        rows, cols = terms[K + 1:], terms[K + 1:0:-1]
         for k0, k1 in self._blocks:
             b, j = k1 - k0, int(k0 == 0)
-            a = self._images(k0, k1)
+            a = self._images(k0, k1, self._a)
             w = np.multiply(a, -alpha, out=self._b[:b])
-            np.multiply(a, a, out=a)
-            if alpha > 4:                       # r^2 itself at alpha = 4
-                _power(a, (alpha - 2) // 2, a)
+            _power(np.multiply(a, a, out=a), m, w)
+            if m & (m - 1):     # the power took w's buffer as its spare
+                np.multiply(self._images(k0, k1, w), -alpha, out=w)
             np.multiply(w, a, out=w)
             den = self._den[k0:k1]
             np.divide(w, np.multiply(den, den, out=a), out=w)
-            if np.isnan(np.sum(w, axis=2, out=rows[k0:k1])).any():
+            if np.isnan(np.add.reduce(w, axis=2, out=rows[k0:k1])).any():
                 w[np.isnan(w) & np.isinf(a)] = 0.0      # inf/inf: see Overflow
-                np.sum(w, axis=2, out=rows[k0:k1])
+                np.add.reduce(w, axis=2, out=rows[k0:k1])
             wt = a[:b - j]
             np.copyto(wt, w[j:].transpose(0, 2, 1))
-            np.sum(wt, axis=2, out=cols[k0 + j:k1])
-        grad = np.zeros(n)
-        for k in range(K, 0, -1):       # image -k adds -(w_k^T row sums)
-            grad -= cols[k]
-        for k in range(K + 1):
-            grad += rows[k]
-        grad *= 2.0 / n
-        return grad
+            np.add.reduce(wt, axis=2, out=cols[k0 + j:k1])
+        np.negative(terms[1:K + 1], out=terms[1:K + 1])
+        return np.multiply(np.add.accumulate(terms, axis=0)[-1], 2.0 / n)
+
+
+def _errstate():
+    """The floating-point state the pair kernel runs in: see its Overflow."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def periodic_energy(cfg: Configuration, image_cutoff: int | None = None) -> float:
@@ -340,39 +359,42 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
     K = _image_cutoff(image_cutoff, L)
     pair_terms = _PairKernel(count, L, alpha, K)
     x = _uniform_start(seed, L, count)
-    E, g = pair_terms(x, True, True)
-    step = 0.05 * L / count
-    gnorm = float(np.max(np.abs(g))) if count > 1 else 0.0
-    converged = gnorm <= gtol
-    for _ in range(iters):
-        if converged or count == 1:
-            converged = True
-            break
-        gg = float(g @ g)
-        t = step
-        accepted = False
-        for _ in range(60):
-            xn = np.mod(x - t * g, L)
-            En, _ = pair_terms(xn, True, False)
-            if En <= E - 1e-4 * t * gg:
-                accepted = True
+    with _errstate():
+        pair_terms._fill(x)
+        E, g = pair_terms._energy(), pair_terms._gradient()
+        step = 0.05 * L / count
+        gnorm = float(np.abs(g).max()) if count > 1 else 0.0
+        converged = gnorm <= gtol
+        for _ in range(iters):
+            if converged or count == 1:
+                converged = True
                 break
-            t *= 0.5
-        if not accepted:
-            break  # at the resolution floor; energy can no longer decrease
-        _, gn = pair_terms(xn, False, True)
-        s = -t * g
-        y = gn - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-300 else t * 2.0
-        x, E, g = xn, En, gn
-        gnorm = float(np.max(np.abs(g)))
-        # cap the next trial so no particle moves more than a quarter cell
-        if gnorm > 0.0:
-            step = min(max(step, 1e-14), 0.25 * L / gnorm)
-        if gnorm <= gtol:
-            converged = True
-            break
+            gg = float(g @ g)
+            t = step
+            accepted = False
+            for _ in range(60):
+                xn = np.mod(x - t * g, L)
+                pair_terms._fill(xn)
+                En = pair_terms._energy()
+                if En <= E - 1e-4 * t * gg:
+                    accepted = True
+                    break
+                t *= 0.5
+            if not accepted:
+                break  # at the resolution floor; energy can no longer decrease
+            gn = pair_terms._gradient()     # at xn, from the stack its energy filled
+            s = -t * g
+            y = gn - g
+            sy = float(s @ y)
+            step = float(s @ s) / sy if sy > 1e-300 else t * 2.0
+            x, E, g = xn, En, gn
+            gnorm = float(np.abs(g).max())
+            # cap the next trial so no particle moves more than a quarter cell
+            if gnorm > 0.0:
+                step = min(max(step, 1e-14), 0.25 * L / gnorm)
+            if gnorm <= gtol:
+                converged = True
+                break
     return _as_configuration(x, pair_terms, seed, converged, gnorm)
 
 

@@ -33,7 +33,9 @@ for count, and raise what it raises.
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as the direct loop over every image
 k = -K..K, as the library computed it before the kernel evaluated only
-k = 0..K in blocks of images on reused buffers.  The kernel must equal it
+k = 0..K in blocks of images on reused buffers.  Its powers of r^2 are
+`power_chain`: the squarings x^(2^j) for the set bits j of the exponent,
+multiplied lowest first, each one IEEE product.  The kernel must equal it
 bit for bit.  It is an oracle only below the overflow of the gradient
 term: where alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow (large
 alpha), its w is inf/inf = NaN, while the kernel gives the term its limit 0.
@@ -221,6 +223,19 @@ def eta1_scalar(ctx, N=64):
     return expr
 
 
+def power_chain(x, m):
+    """x**m (m >= 1) as the product of the squarings x**(2**j) over the set
+    bits j of m, lowest first, each product one IEEE multiplication."""
+    squares = [x]
+    while len(squares) < m.bit_length():
+        squares.append(squares[-1] * squares[-1])
+    factors = [sq for j, sq in enumerate(squares) if m >> j & 1]
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
 def pair_terms_loop(x, L, alpha, K):
     """(energy per particle, gradient) over images |k| <= K, one image at a time.
 
@@ -228,19 +243,17 @@ def pair_terms_loop(x, L, alpha, K):
     alpha r^(alpha-1) and (1 + r^alpha)^2 (the kernel's limit 0 there)."""
     n = len(x)
     d = x[:, None] - x[None, :]
-    half = (alpha - 2) // 2
     energy = 0.0
     grad = np.zeros(n)
     for k in range(-K, K + 1):
         a = d + k * L
         r2 = a * a
-        ra = r2 ** (alpha // 2)
-        denom = 1.0 + ra
+        denom = 1.0 + power_chain(r2, alpha // 2)
         f = 1.0 / denom
         if k == 0:
             np.fill_diagonal(f, 0.0)
         energy += float(f.sum())
-        w = (-alpha) * a * r2 ** half / (denom * denom)
+        w = (-alpha) * a * power_chain(r2, (alpha - 2) // 2) / (denom * denom)
         grad += w.sum(axis=1)
     grad *= 2.0 / n
     return energy / n, grad

@@ -1,0 +1,54 @@
+"""Acceptance-7 seed sweep: every seed the benchmark may draw converges.
+
+The `salpha-simulate` benchmark draws its acceptance-7 relaxation seeds
+from 0..199 (alpha 4 and 6, n = 2, 3, 4 particles per site on 12 sites)
+and counts a run that fails to converge, or that ends more than 1e-9
+below the theorem configuration's energy, as a failed job.  This script
+relaxes all 1,200 of them as that benchmark does, then the two
+acceptance-8 figure cells, and exits 1 if any run fails its check.
+It is too slow for Tier-1 (about 12 s); CI runs it as its own step:
+
+    PYTHONPATH=src python tests/acceptance7_sweep.py
+"""
+
+import sys
+
+from repulse import simulate as sim
+from repulse.potential import solve_s_alpha
+
+SEEDS = range(200)
+SITES = 12
+ENERGY_SLACK = 1e-9
+
+
+def main() -> int:
+    spacing = {a: solve_s_alpha(a, 1e-12).s_alpha.mid for a in (4, 6)}
+    failures = []
+    runs = 0
+    for a, s in spacing.items():
+        for n in (2, 3, 4):
+            base = sim.theorem_configuration(a, n, SITES, s_alpha=s).energy_per_particle
+            for seed in SEEDS:
+                cfg = sim.relax(a, n / s, SITES * s, seed=seed, iters=30000)
+                runs += 1
+                if not (cfg.converged and cfg.energy_per_particle >= base - ENERGY_SLACK):
+                    failures.append(f"alpha {a}, n {n}, seed {seed}: converged {cfg.converged}, "
+                                    f"energy {cfg.energy_per_particle!r} vs lattice {base!r}")
+    for a, rho, seed in ((4, 8.0, 0), (6, 10.0, 1)):
+        s = spacing[a]
+        cfg = sim.relax(a, rho, 30.0, seed=seed)
+        rep = sim.detect_clusters(cfg, s / 2.0)
+        k = len(rep.clusters)
+        runs += 1
+        if not (cfg.converged and (a != 4 or 19 <= k <= 23) and rep.mean_spacing is not None
+                and abs(rep.mean_spacing / s - 1.0) <= 0.10):
+            failures.append(f"figure cell alpha {a}: converged {cfg.converged}, {k} clusters, "
+                            f"mean spacing {rep.mean_spacing!r} vs {s!r}")
+    for line in failures:
+        print("FAIL", line)
+    print(f"{runs - len(failures)}/{runs} runs passed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,14 @@
 """Periodic-cell relaxation, cluster detection and exports."""
 
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from repulse import simulate as sim
 from repulse.interval import Interval
 from repulse.potential import lattice_energy
 
-from _oracles import pair_terms_loop
+from _oracles import pair_terms_loop, power_chain
 
 
 def _config(positions, L, alpha):
@@ -235,7 +241,8 @@ def _bits(energy, grad):
 def test_pair_kernel_matches_image_loop():
     # images k = 0..K with -k by exact transposition, on reused buffers,
     # against the direct loop over k = -K..K, bit for bit: alpha 4..12 runs
-    # np.square and np.power for both alpha/2 and (alpha-2)/2
+    # the product chains of r^2 to the powers 1..6, as alpha/2 and (alpha-2)/2,
+    # with and without the spare buffer
     rng = np.random.default_rng(20261018)
     sizes = (1, 2, 3, 5, 8, 13, 24, 36, 48, 61, 97, 128, 160, 199, 240, 300, 320)
     for i, n in enumerate(sizes):
@@ -296,6 +303,73 @@ def test_pair_kernel_gradient_elsewhere_is_computed_afresh():
         assert kernel(x.copy(), False, True)[1].tobytes() == fresh(x)
 
 
+def test_power_chain_bits_and_range():
+    # each power is the written-out chain of IEEE squarings, in x's buffer;
+    # inf where the exact power overflows and 0 where it underflows, never
+    # NaN, and no RuntimeWarning under the kernel's floating-point state
+    r2 = [0.0, 5e-324, 1e-160, 1.0, 1e154, 1e155, math.inf]
+    tiny, huge = Fraction(2) ** -1075, Fraction(2) ** 1024
+    for m in (2, 3, 4, 5, 75, 500):
+        x, spare = np.array(r2), np.full(len(r2), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with sim._errstate():
+                got = sim._power(x, m, spare)
+        assert got is x
+        assert got.tobytes() == np.array([power_chain(v, m) for v in r2]).tobytes(), m
+        for v, p in zip(r2, got.tolist()):
+            assert not math.isnan(p), (v, m)
+            exact = Fraction(v) ** m if math.isfinite(v) else huge
+            if exact >= huge:
+                assert p == math.inf, (v, m)
+            elif exact <= tiny:
+                assert p == 0.0, (v, m)
+            elif exact >= Fraction(2) ** -1022:     # normal: a few roundings off
+                assert abs(Fraction(p) / exact - 1) <= Fraction(m.bit_length() * 2, 2**53), (v, m)
+
+
+# x86-64-v2, the baseline numpy's x86-64 wheels build for: with only these
+# features enabled numpy dispatches to none of its AVX2 or AVX-512 loops
+_X86_64_BASELINE = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"
+
+_DISPATCH_PROBE = """
+import hashlib, json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from repulse import simulate as sim
+enabled = set(sys.argv[1].split())
+out = {"dispatched": [t for t in __cpu_dispatch__ if __cpu_features__.get(t) and t not in enabled]}
+for alpha, rho, L, seed, iters in json.loads(sys.argv[2]):
+    cfg = sim.relax(alpha, rho, L, seed=seed, iters=iters)
+    out[str(seed)] = [hashlib.sha256(cfg.positions.tobytes()).hexdigest(), cfg.energy_per_particle.hex()]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the SIMD dispatch levels named are x86-64's")
+def test_relax_bits_do_not_depend_on_simd_dispatch():
+    # alpha 6 (n = 36 and the n = 300 figure cell) and alpha 8 relaxed with
+    # numpy held to the x86-64 baseline give the positions and energies of
+    # this process, whatever loops numpy dispatches to here
+    runs = [c[:5] for c in _RELAX_RECORD if c[0] >= 6 and c[6] != 48]
+    assert [(c[0], c[3]) for c in runs] == [(6, 11), (6, 1), (8, 3)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=_X86_64_BASELINE,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, _X86_64_BASELINE, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    assert got.pop("dispatched") == []
+    for alpha, rho, L, seed, iters in runs:
+        cfg = sim.relax(alpha, rho, L, seed=seed, iters=iters)
+        want = [hashlib.sha256(cfg.positions.tobytes()).hexdigest(), cfg.energy_per_particle.hex()]
+        assert got[str(seed)] == want, (alpha, seed)
+
+
 @pytest.mark.parametrize("alpha", [150, 200, 1000])
 def test_relax_converges_where_the_gradient_overflows(alpha):
     # alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow at these alpha;
@@ -313,15 +387,16 @@ def test_relax_converges_where_the_gradient_overflows(alpha):
 # positions' bytes, energy per particle, converged, gradient max-norm.
 # Acceptance-7 inputs (n per site on 12 sites), both acceptance-8 figure
 # inputs, an alpha-8 case and the two-particle antipodal case.  Recorded on
-# x86-64 with numpy 2.4; for alpha >= 6 the bits rest on numpy's `power`.
+# x86-64 with numpy 2.4; the alpha >= 6 rows again after the powers became
+# chains of IEEE products (`simulate._power`), which no SIMD dispatch changes.
 _RELAX_RECORD = [
     (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "80dcbbd0b46c02471689cff7769fbb45af09e00dbe92cb6c13540911678a014c", "0x1.185d999c84f7bp+1", True, "0x1.8fe687ad10f2ap-28"),
     (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "65abc3b5f85de539b9972950a8eb542921e6c43efcc17677f8b4e61f5269d33d", "0x1.38738d0f71e69p+2", True, "0x1.2d1e4d9b80f3dp-27"),
-    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "3ae635797fdd7137faddc4b2845c3bb15095ad653232fd75be48691259abf334", "0x1.90f3692424447p+1", True, "0x1.4c09cfb97c46ep-27"),
-    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "cdf92034111a0a46e26936461b3771c14697548cd501ab5e4d8ec6e039a90b1a", "0x1.2d6271ca76cf1p+2", True, "0x1.18da176f21cb4p-27"),
+    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "4e1f22d6b33b5c7390ce6f42eae8d432172dd56e4b490938d32019c28327e4c8", "0x1.90f3692424447p+1", True, "0x1.4c09b2aa7e0c3p-27"),
+    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "4c3bbc7680efe983f8f6a92a486fd89929f4739825bc5544769976759dceda7b", "0x1.2d6271ca76cf1p+2", True, "0x1.18d9a9a86c62ep-27"),
     (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "b661c05f89503b0b578aabbadc9b08c8b0ba86de9a2019d418c44ab3b07dfbe3", "0x1.f6d76d74ce7eap+3", True, "0x1.4ea70d0cb14c2p-27"),
-    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "815de4cb3c6fc4ce51e9f3ac539a79bead18933767fadc3c9f6a85c4a5991197", "0x1.0ecfb94ab6077p+4", True, "0x1.13d0e6e87d6dfp-27"),
-    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "1da54c19c2dafa80831d586ccffa506d6b864035e91450492e0e8d420b3ae400", "0x1.2c9954349d4edp+1", True, "0x1.02553915a5e52p-27"),
+    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "1b633ca51d8439eb7cd6add145817356d470ef33465638fb9492ba1db42e4f77", "0x1.0ecfb94ab60b8p+4", True, "0x1.5421d929a993dp-27"),
+    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "54d5e85ddb5db53033632200cc22ff445a84c7bc3373133f1fd5538ffd5dbe8d", "0x1.2c9954349d4edp+1", True, "0x1.02553be304652p-27"),
     (4, 0.02, 100.0, 1, 10000, 1e-12, 2, "4c062145aee1866ed231f7d7527971635406ac0a551b751b18ba750e0c39b26f", "0x1.738aef64b6fbep-22", True, "0x1.ba2dbe65a0000p-55"),
 ]
 
