@@ -1,12 +1,13 @@
 """The repulsive potential family, lattice energies and the optimal spacing.
 
 Everything here is certified interval arithmetic: lattice sums carry
-rigorous tail enclosures, and the spacing solver only narrows its bracket
-on sign-certified derivative evaluations.
+rigorous tail enclosures, and the spacing solver proves its zero unique and
+narrows its enclosure by interval Newton steps and certified signs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ _UNIT_BOX = Interval(0.0, 1.0)
 
 
 class AmbiguousSignChangeError(RuntimeError):
-    """The derivative sign pattern on [1, 2] could not be certified unique."""
+    """The spacing solve could not certify the zero of E' on [1, 2] to its tol."""
 
 
 def _check_alpha(alpha: int) -> None:
@@ -97,14 +98,13 @@ def f_alpha(alpha: int, x: Interval) -> Interval:
 class SolveDiagnostics:
     """What one solve_s_alpha run evaluated; not part of the context's value."""
 
-    scan_cells: int = 0  # cells of the scan tree on [1, 2]
-    bisection_steps: int = 0  # centre midpoints read
-    off_centre_retries: int = 0
+    cover_cells: int = 0  # cells certifying E'(2) > 0 and E' < 0 on [1, t_c]
+    newton_steps: int = 0  # interval Newton steps on [t_c, 2]
+    bisection_steps: int = 0  # cuts at m where E'' is not certified > 0
     lane_batches: int = 0  # lane evaluations of many spacing points at once
     rows_evaluated: int = 0  # spacing points put on lanes
-    rows_used: int = 0  # rows whose sign was read
-    coarse_terms: int = 0  # terms per row in the scan and above width 1e-6
-    fine_terms: int = 0  # terms per row of the bisection below width 1e-6
+    coarse_terms: int = 0  # terms per row in the cover and above width 1e-6
+    fine_terms: int = 0  # terms per row of the steps below width 1e-6
 
 
 @dataclass(frozen=True)
@@ -297,32 +297,42 @@ def closed_form_energy_alpha4(t: Interval) -> Interval:
 
 
 class _DerivativeRows:
-    """energy_derivative at the spacings ts[i]: lanes of rows x terms.
-
-    The terms of every row are computed at once; row i is summed, in the
-    term order of the one-row case, only when row(i) is read.
-    """
+    """E' (row) and E'' (second) at the spacings ts[i] from one lane batch of
+    f_alpha(t n), rows x terms; row i is summed, in the term order of the
+    one-row case, only when it is read."""
 
     def __init__(self, alpha: int, ts: list[Interval], ext: int,
                  diag: SolveDiagnostics | None = None):
-        self.alpha, self.ts, self.ext, self.diag = alpha, ts, ext, diag
+        self.alpha, self.ts, self.ext = alpha, ts, ext
         t = Lanes([[x.lo] for x in ts], [[x.hi] for x in ts])
         step = max(1, _LANE_ELEMENTS // len(ts))
-        self.batches = []
-        for start in range(1, ext + 1, step):
-            n = Lanes(np.arange(start, min(start + step, ext + 1), dtype=float))
-            self.batches.append(_g_terms(alpha, f_alpha(alpha, t * n)))
+        ns = (np.arange(lo, min(lo + step, ext + 1), dtype=float) for lo in range(1, ext + 1, step))
+        self.batches = [f_alpha(alpha, t * Lanes(n)) for n in ns]
         if diag is not None:
             diag.lane_batches += 1
             diag.rows_evaluated += len(ts)
 
     def row(self, i: int) -> Interval:
-        if self.diag is not None:
-            self.diag.rows_used += 1
+        """E'(t) = 1 + 2 sum_{n>=1} g(tn), g = f(1 - alpha) + alpha f^2."""
         S = _ZERO
-        for terms in self.batches:
-            S = lane_sum(S, terms[i])
+        for f in self.batches:
+            S = lane_sum(S, _g_terms(self.alpha, f[i]))
         return 1.0 + 2.0 * (S + _sum_g_beyond(self.alpha, self.ts[i], self.ext))
+
+    def second(self, i: int) -> Interval:
+        """E''(t) = (2 alpha/t) sum_{n>=1} f_n(1 - f_n)(alpha - 1 - 2 alpha f_n), t >= 1.
+
+        A term is >= 0 where (tn)^alpha >= (alpha + 1)/(alpha - 1), so at
+        every n >= 2, and at most (alpha - 1) (tn)^-alpha: the terms n > ext
+        sum to [0, (alpha - 1) t^-alpha power_sum_tail(alpha, ext + 1)].
+        """
+        a, t = self.alpha, self.ts[i]
+        S = _ZERO
+        for f in self.batches:
+            fi = f[i]
+            S = lane_sum(S, fi * (1.0 - fi) * ((a - 1.0) - 2.0 * a * fi))
+        tail = (a - 1) * power_sum_tail(a, self.ext + 1) / pow_int(t, a)
+        return 2.0 * a * (S + Interval(0.0, tail.hi)) / t
 
 
 def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
@@ -358,65 +368,25 @@ def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
 # Certified solve for the optimal spacing.
 # ---------------------------------------------------------------------------
 
-_SPECULATION = 8  # predicted bisection midpoints per lane batch
+_MAX_COVER_CELLS = 256  # to certify E'(2) > 0 and E' < 0 on [1, t_c]
 
 
 def _sign(d: Interval) -> int:
     return -1 if d.hi < 0.0 else 1 if d.lo > 0.0 else 0
 
 
-def _scan_resolution(alpha: int) -> float:
-    """Width of the finest scan cell: 2^-ceil(log2 alpha), at most 1/1024.
-
-    Near t = 1 the derivative varies on a scale of 1/alpha, so a coarser
-    cell next to 1 stays undecided while the cells after it are negative.
-    """
-    return 2.0 ** -max(10, (alpha - 1).bit_length())
-
-
-def _scan_bracket(alpha: int, max_cells: int, ext: int, diag: SolveDiagnostics):
-    """Classify derivative signs on [1, 2]; return the unique sign-change cell.
-
-    Subdivides one level of cells per lane batch down to the resolution; a
-    valid outcome is a sorted sign pattern -1 ... (0s) ... +1 with a single
-    undecided run, whose hull brackets the minimiser.  Also returns
-    (centre, derivative midpoint) of the leaves next to the bracket.  Each
-    row sums ext terms.
-    """
-    resolution = _scan_resolution(alpha)
-    level = [(1.0, 2.0)]
-    out = []
-    while level:
-        diag.scan_cells += len(level)
-        if diag.scan_cells > max_cells:
-            raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        rows = _DerivativeRows(alpha, [Interval(lo, hi) for lo, hi in level], ext, diag)
-        split = []
-        for i, (lo, hi) in enumerate(level):
-            d = rows.row(i)
-            s = _sign(d)
-            if s != 0 or hi - lo <= resolution:
-                out.append((lo, hi, s, d.mid))
-            else:
-                m = 0.5 * (lo + hi)
-                split += [(lo, m), (m, hi)]
-        level = split
-    out.sort()
-    signs = [s for (_, _, s, _) in out]
-    if -1 not in signs or 1 not in signs:
-        raise AmbiguousSignChangeError("no certified sign change of the derivative in [1, 2]")
-    if signs != sorted(signs):
-        raise AmbiguousSignChangeError("ambiguous sign-change count in [1, 2]")
-    below = [leaf for leaf in out if leaf[2] < 0][-1]
-    above = next(leaf for leaf in out if leaf[2] > 0)
-    if above[0] <= below[1]:
-        raise AmbiguousSignChangeError("empty sign-change bracket")
-    return below[1], above[0], [(0.5 * (lo + hi), dm) for lo, hi, _, dm in (below, above)]
+def _t_crit(alpha: int) -> float:
+    """A float t_c with (alpha - 1) t_c^alpha >= alpha + 1, as pow_int
+    certifies: from t_c on, every term of t E''(t) is >= 0."""
+    t = ((alpha + 1) / (alpha - 1)) ** (1.0 / alpha)
+    while ((alpha - 1) * pow_int(Interval(t), alpha)).lo < alpha + 1:
+        t = float(np.nextafter(t, 2.0))
+    return t
 
 
-# The solve's term-count ladders and the tail widths they aim for: the scan
-# and the bisection down to width 1e-6 (coarse), then the bisection below it
-# (fine).  The last rung of each is the cap.
+# The solve's term-count ladders and the tail widths they aim for: the
+# cover of [1, t_c] and the steps down to width 1e-6 (coarse), then the
+# steps below it (fine).  The last rung of each is the cap.
 _COARSE_TERMS = (8, 16, 32, 64, 128)
 _FINE_TERMS = _COARSE_TERMS + (256, 704)
 _FINE_WIDTH = 1e-6
@@ -439,68 +409,56 @@ def _term_count(alpha: int, fine: bool) -> int:
     return ladder[-1]
 
 
-def solve_s_alpha(alpha: int, tol: float = 1e-12, max_cells: int = 1024) -> PotentialContext:
-    """Certified enclosure of the optimal spacing s_alpha on [1, 2].
+def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
+    """Certified enclosure, at most tol wide, of the optimal spacing s_alpha:
+    the unique zero of E'(t) = d/dt sum_n t f_alpha(tn) on [1, 2].
 
-    Verifies a unique derivative sign change by subdivision, then bisects
-    on certified signs until the enclosure width is <= tol.  Each lane
-    batch evaluates the next midpoints along the path that the secant
-    through the nearest evaluated points either side predicts; the walk
-    reads them while it stays on that path, so every step is the
-    sequential bisection's.  A centre whose sign is undecided is retried
-    off centre, one point at a time.
-
-    Each derivative sums the terms n <= M explicitly, M from _term_count:
-    the fewest on the ladder 8, 16, ..., 128 whose tail at t = 1 is at
-    most 1e-12 wide in the scan and above width 1e-6, and the fewest on
-    8, ..., 128, 256, 704 whose tail is at most 1e-18 wide below it.  So
-    alpha 4 and 6 sum 128 and 704 terms, alpha >= 22 sums 8 in both, and
-    no alpha sums more than 128 and 704.  The diagnostics record both.
+    What is proved, and where:
+    1. Every term of t E''(t) is >= 0 on [t_c, 2] (_t_crit,
+       _DerivativeRows.second), and those with n >= 2 are > 0: E' is
+       strictly increasing there.
+    2. The cover certifies E'(2) > 0 and E' < 0 on cells of [1, t_c]
+       (undecided cells are halved): E' has exactly one zero on [1, 2].
+    3. Each step reads E'(m) and E''(X) from one lane batch.  Where
+       E''(X) > 0 the interval Newton step X <- X & (m - E'(m)/E''(X))
+       keeps the zero by the mean value theorem (Moore, Kearfott and Cloud
+       2009, ch. 8); elsewhere (at large alpha f(2n) underflows and E''(X)
+       reaches 0) X is cut at m on the certified sign of E'(m).
+    m = 1 + sqrt((lo - 1)(hi - 1)): near 1, E' varies on the scale
+    t - 1 ~ 1/alpha, so at large alpha this reaches a box where Newton
+    contracts in a few steps; on a narrow X it is the midpoint.  An
+    uncertified sign, or an X that stops shrinking above tol, raises
+    AmbiguousSignChangeError.
     """
     _check_alpha(alpha)
     _check_tol(tol)
     diag = SolveDiagnostics(coarse_terms=_term_count(alpha, False),
                             fine_terms=_term_count(alpha, True))
-
-    def ext_at(width: float) -> int:
-        return diag.coarse_terms if width > _FINE_WIDTH else diag.fine_terms
-
-    lo, hi, (below, above) = _scan_bracket(alpha, max_cells, diag.coarse_terms, diag)
+    lo, hi = _t_crit(alpha), 2.0
+    cells = [(Interval(2.0), 1), (Interval(1.0, lo), -1)]  # (cell, sign E' must have)
+    while cells:
+        diag.cover_cells += len(cells)
+        if diag.cover_cells > _MAX_COVER_CELLS:
+            raise AmbiguousSignChangeError("cannot certify E'(2) > 0 and E' < 0 on [1, t_c]")
+        rows = _DerivativeRows(alpha, [c for c, _ in cells], diag.coarse_terms, diag)
+        cells = [(half, want) for i, (c, want) in enumerate(cells) if _sign(rows.row(i)) != want
+                 for half in (Interval(c.lo, c.mid), Interval(c.mid, c.hi))]
     while hi - lo > tol:
-        ext = ext_at(hi - lo)
-        (t0, d0), (t1, d1) = below, above  # d0 < 0 < d1: their signs are certified
-        guess = t0 - d0 * (t1 - t0) / (d1 - d0)
-        path = []
-        a, b = lo, hi
-        while len(path) < _SPECULATION and b - a > tol and ext_at(b - a) == ext:
-            m = 0.5 * (a + b)
-            path.append((a, b, m))
-            a, b = (m, b) if m < guess else (a, m)
-        rows = _DerivativeRows(alpha, [Interval(m) for _, _, m in path], ext, diag)
-        for i, (a, b, m) in enumerate(path):
-            if (a, b) != (lo, hi):
-                break  # the walk left the predicted path
+        X, m = Interval(lo, hi), min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
+        ext = diag.coarse_terms if hi - lo > _FINE_WIDTH else diag.fine_terms
+        rows = _DerivativeRows(alpha, [X, Interval(m)], ext, diag)
+        d2, d1 = rows.second(0), rows.row(1)
+        if d2.lo > 0.0:
+            diag.newton_steps += 1
+            step = m - d1 / d2
+            new = max(lo, step.lo), min(hi, step.hi)
+        else:
             diag.bisection_steps += 1
-            d = rows.row(i)
-            if _sign(d) == 0:  # an off-centre point also leaves the path
-                m, d = _off_centre(alpha, lo, hi, ext, diag)
-            if _sign(d) < 0:
-                lo, below = m, (m, d.mid)
-            else:
-                hi, above = m, (m, d.mid)
+            new = {-1: (m, hi), 0: (lo, hi), 1: (lo, m)}[_sign(d1)]
+        if new == (lo, hi) or new[0] > new[1]:
+            raise AmbiguousSignChangeError(f"cannot narrow [{lo!r}, {hi!r}] around the zero of E'")
+        lo, hi = new
     return PotentialContext.from_spacing(alpha, Interval(lo, hi), diag)
-
-
-def _off_centre(alpha: int, lo: float, hi: float, ext: int, diag: SolveDiagnostics):
-    """(point, derivative) of the first retry at 3/8, 5/8, 1/4, 3/4 of
-    [lo, hi] whose sign is certified, one point at a time."""
-    for frac in (0.375, 0.625, 0.25, 0.75):
-        m = lo + frac * (hi - lo)
-        diag.off_centre_retries += 1
-        d = _DerivativeRows(alpha, [Interval(m)], ext, diag).row(0)
-        if _sign(d):
-            return m, d
-    raise AmbiguousSignChangeError(f"cannot certify derivative sign below width {hi - lo:.3e}")
 
 
 def asymptotic_s_pow_alpha(alpha: int) -> tuple[Interval, Interval]:

@@ -21,14 +21,11 @@ by `pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
 sums them.  `eta1_scalar` is the eta1 integrand built from these two and
 `sum_inv_sq_offset`.  The lane forms must equal them bit for bit.
 
-`solve_s_alpha_sequential` is the spacing solve as the library computed it
-before it was batched: one `energy_derivative` sign at a time, a
-depth-first scan of [1, 2] down to cells of width 1/1024 and a bisection
-that evaluates one midpoint per step.  It sums as many terms as the library
-does, by `potential._term_count`, so that only the batching is compared.  It returns the enclosure and the
-counts of scan cells, bisection steps and off-centre retries at each
-tolerance asked for.  The batched solve must equal it bit for bit, count
-for count, and raise what it raises.
+`derivative_mp` and `second_derivative_mp` are E'(t) and E''(t) of the
+lattice energy E(t) = sum_n t f_alpha(tn), summed in mpmath at 40 digits
+over n <= 2000 from f = 1/(1 + x^alpha), with a bound on the terms beyond
+(see each docstring).  They share no code with the library: they stand in
+for the spacing solve's own E' and E'' evaluations.
 
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as the direct loop over every image
@@ -57,10 +54,7 @@ from repulse import certify
 from repulse.auxfn import build_coefficients
 from repulse.interval import Interval, Lanes, hull, pow_int
 from repulse.potential import (
-    AmbiguousSignChangeError,
     F_alpha,
-    _term_count,
-    energy_derivative,
     power_sum_tail,
 )
 
@@ -259,88 +253,48 @@ def pair_terms_loop(x, L, alpha, K):
     return energy / n, grad
 
 
-def _derivative_sign(alpha, lo, hi, ext):
-    d = energy_derivative(alpha, Interval(lo, hi), ext=ext)
-    if d.hi < 0.0:
-        return -1
-    if d.lo > 0.0:
-        return 1
-    return 0
+_MP_DPS = 40
+_MP_TERMS = 2000
 
 
-def _scan_bracket_sequential(alpha, max_cells, counts):
-    stack = [(1.0, 2.0)]
-    out = []
-    used = 0
-    while stack:
-        lo, hi = stack.pop()
-        used += 1
-        if used > max_cells:
-            raise AmbiguousSignChangeError("scan budget exhausted on [1, 2]")
-        s = _derivative_sign(alpha, lo, hi, _term_count(alpha, False))
-        if s != 0 or hi - lo <= 1.0 / 1024.0:
-            out.append((lo, hi, s))
-        else:
-            m = 0.5 * (lo + hi)
-            stack.append((m, hi))
-            stack.append((lo, m))
-    counts["scan_cells"] = used
-    out.sort()
-    signs = [s for (_, _, s) in out]
-    if -1 not in signs or 1 not in signs:
-        raise AmbiguousSignChangeError("no certified sign change of the derivative in [1, 2]")
-    if signs != sorted(signs):
-        raise AmbiguousSignChangeError("ambiguous sign-change count in [1, 2]")
-    bracket_lo = max(hi for (lo, hi, s) in out if s == -1)
-    bracket_hi = min(lo for (lo, hi, s) in out if s == 1)
-    if bracket_hi <= bracket_lo:
-        raise AmbiguousSignChangeError("empty sign-change bracket")
-    return bracket_lo, bracket_hi
+def _mp_f(alpha, x):
+    return 1 / (1 + x ** alpha)
 
 
-def solve_s_alpha_sequential(alpha, tols=(1e-12,), max_cells=1024):
-    """[(s_alpha enclosure, counts)] by the sequential solve, one per tolerance
-    of the decreasing sequence `tols`; alpha <= 1000.
+def derivative_mp(alpha, t):
+    """(value, rest): E'(t) = 1 + 2 sum_{n>=1} g(tn), g = f(1 - alpha) + alpha f^2,
+    summed over n <= 2000, and a bound on |E'(t) - value|.
 
-    The bisection's steps do not depend on the tolerance, which only says
-    when to stop, so one walk serves every tolerance: its result at tol is
-    the first bracket of width <= tol, with the counts made up to there.
+    f <= 1/2, so |g| <= (alpha - 1) f <= (alpha - 1) x^-alpha, and the terms
+    beyond N sum to at most (alpha - 1) t^-alpha int_N^inf x^-alpha dx =
+    t^-alpha N^(1 - alpha) in modulus.
     """
-    counts = {"scan_cells": 0, "bisection_steps": 0, "off_centre_retries": 0}
-    lo, hi = _scan_bracket_sequential(alpha, max_cells, counts)
-    out = []
-    for tol in tols:
-        while hi - lo > tol:
-            width = hi - lo
-            ext = _term_count(alpha, width <= 1e-6)
-            mid = 0.5 * (lo + hi)
-            counts["bisection_steps"] += 1
-            s = _derivative_sign(alpha, mid, mid, ext)
-            if s == 0:
-                moved = False
-                for frac in (0.375, 0.625, 0.25, 0.75):
-                    mid2 = lo + frac * width
-                    counts["off_centre_retries"] += 1
-                    s2 = _derivative_sign(alpha, mid2, mid2, ext)
-                    if s2 < 0:
-                        lo = mid2
-                        moved = True
-                        break
-                    if s2 > 0:
-                        hi = mid2
-                        moved = True
-                        break
-                if not moved:
-                    raise AmbiguousSignChangeError(
-                        f"cannot certify derivative sign below width {width:.3e}"
-                    )
-                continue
-            if s < 0:
-                lo = mid
-            else:
-                hi = mid
-        out.append((Interval(lo, hi), dict(counts)))
-    return out
+    import mpmath
+
+    with mpmath.workdps(_MP_DPS):
+        t = mpmath.mpf(t)
+        head = mpmath.fsum((1 - alpha) * f + alpha * f * f
+                           for f in (_mp_f(alpha, t * n) for n in range(1, _MP_TERMS + 1)))
+        rest = 2 * t ** -alpha * mpmath.mpf(_MP_TERMS) ** (1 - alpha)
+        return 1 + 2 * head, rest
+
+
+def second_derivative_mp(alpha, t):
+    """(value, rest): E''(t) = (2 alpha/t) sum_{n>=1} f_n (1 - f_n)(alpha - 1 - 2 alpha f_n)
+    summed over n <= 2000, and rest >= E''(t) - value >= 0, for t >= 1.
+
+    For tn >= 2 a term lies in [0, (alpha - 1) f_n] and f_n <= (tn)^-alpha,
+    so the terms beyond N sum to [0, t^-alpha N^(1 - alpha)] before the
+    factor 2 alpha/t.
+    """
+    import mpmath
+
+    with mpmath.workdps(_MP_DPS):
+        t = mpmath.mpf(t)
+        head = mpmath.fsum(f * (1 - f) * (alpha - 1 - 2 * alpha * f)
+                           for f in (_mp_f(alpha, t * n) for n in range(1, _MP_TERMS + 1)))
+        rest = t ** -alpha * mpmath.mpf(_MP_TERMS) ** (1 - alpha)
+        return 2 * alpha * head / t, 2 * alpha * rest / t
 
 
 def bnb_level_by_level(run, f, roots, policy):

@@ -418,6 +418,15 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+def test_salpha_below_the_solve_floor_exits_3_with_one_error_line(capsys):
+    # at alpha 4 the enclosure stops narrowing near 6e-14, far above 1e-17
+    code = main(["salpha", "--alpha", "4", "--tol", "1e-17"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", _OVERSIZED)
 def test_oversized_arguments_exit_2_at_once(capsys, argv):
     start = time.perf_counter()

@@ -24,6 +24,12 @@ encloses the psi4_le_F4 integrand sum_n L(x, n) on [0, 1/2] in one box
 plus the side condition F(1/2) >= 2/alpha (2 boxes at alpha 6..10) and a
 closed bound at alpha >= 12 (1 box); so each of their min_lower_bound pins
 moved, and the boxes at alpha 6..10 went from 2 to 1.
+The interval-Newton spacing solve moved every s_alpha pin: its enclosures
+are 4.4e-16 to 6.1e-14 wide at alpha 4..40, and each overlaps the
+bisection's enclosure (up to 9.1e-13 wide).  Through the narrower s_alpha,
+F(1) and F'(1), every min_lower_bound of a certificate that reads the
+context rose, by 8e-14 to 6e-8 relative; no status, box count or depth
+moved.
 """
 
 import pytest
@@ -35,75 +41,75 @@ TOL = 1e-12
 
 # s_alpha enclosure (lo, hi) at tol 1e-12
 S_ALPHA = {
-    4: ('0x1.6a09e667f3800p+0', '0x1.6a09e667f4400p+0'),
-    6: ('0x1.68cc2180b0000p+0', '0x1.68cc2180b1000p+0'),
-    8: ('0x1.5c91098bb5000p+0', '0x1.5c91098bb6000p+0'),
-    10: ('0x1.516f5870bd000p+0', '0x1.516f5870be000p+0'),
-    12: ('0x1.4864ee90cc000p+0', '0x1.4864ee90cd000p+0'),
-    14: ('0x1.411e719706000p+0', '0x1.411e719707000p+0'),
-    16: ('0x1.3b32ab87eb000p+0', '0x1.3b32ab87ec000p+0'),
-    18: ('0x1.364e085bb3000p+0', '0x1.364e085bb4000p+0'),
-    20: ('0x1.32331b7580000p+0', '0x1.32331b7581000p+0'),
-    22: ('0x1.2eb5393235000p+0', '0x1.2eb5393236000p+0'),
-    24: ('0x1.2bb39bc64d000p+0', '0x1.2bb39bc64e000p+0'),
-    26: ('0x1.2915dc4420000p+0', '0x1.2915dc4421000p+0'),
-    28: ('0x1.26c9834448000p+0', '0x1.26c9834449000p+0'),
-    30: ('0x1.24c05df94d000p+0', '0x1.24c05df94e000p+0'),
-    32: ('0x1.22ef57a562000p+0', '0x1.22ef57a563000p+0'),
-    34: ('0x1.214dabb8b1000p+0', '0x1.214dabb8b2000p+0'),
-    36: ('0x1.1fd453b9b9000p+0', '0x1.1fd453b9ba000p+0'),
-    38: ('0x1.1e7d9dffe8000p+0', '0x1.1e7d9dffe9000p+0'),
-    40: ('0x1.1d44e0b476000p+0', '0x1.1d44e0b477000p+0'),
+    4: ('0x1.6a09e667f3b55p+0', '0x1.6a09e667f3c52p+0'),
+    6: ('0x1.68cc2180b0f55p+0', '0x1.68cc2180b101cp+0'),
+    8: ('0x1.5c91098bb515ep+0', '0x1.5c91098bb5193p+0'),
+    10: ('0x1.516f5870bd361p+0', '0x1.516f5870bd36ep+0'),
+    12: ('0x1.4864ee90ccdb4p+0', '0x1.4864ee90ccec8p+0'),
+    14: ('0x1.411e719706048p+0', '0x1.411e71970604cp+0'),
+    16: ('0x1.3b32ab87eb1cep+0', '0x1.3b32ab87eb1d1p+0'),
+    18: ('0x1.364e085bb333dp+0', '0x1.364e085bb3340p+0'),
+    20: ('0x1.32331b7580043p+0', '0x1.32331b7580046p+0'),
+    22: ('0x1.2eb5393235b6ap+0', '0x1.2eb5393235b6cp+0'),
+    24: ('0x1.2bb39bc64dec7p+0', '0x1.2bb39bc64dec9p+0'),
+    26: ('0x1.2915dc442061ap+0', '0x1.2915dc442061dp+0'),
+    28: ('0x1.26c98344488e7p+0', '0x1.26c98344488ecp+0'),
+    30: ('0x1.24c05df94de62p+0', '0x1.24c05df94de68p+0'),
+    32: ('0x1.22ef57a56257bp+0', '0x1.22ef57a562583p+0'),
+    34: ('0x1.214dabb8b1208p+0', '0x1.214dabb8b1210p+0'),
+    36: ('0x1.1fd453b9b95d3p+0', '0x1.1fd453b9b95dap+0'),
+    38: ('0x1.1e7d9dffe80f1p+0', '0x1.1e7d9dffe80f5p+0'),
+    40: ('0x1.1d44e0b476d99p+0', '0x1.1d44e0b476e5fp+0'),
 }
 
 # certify_all(alpha): inequality_id -> (boxes_processed, max_depth, min_lower_bound)
 CERTIFY_ALL = {
     4: {
-        'psihat_nonneg': (41, 6, '0x1.ea6e43b099000p-9'),
-        'w_inequality': (39, 6, '0x1.ea6e43b099000p-9'),
-        'psi4_le_F4': (258, 8, '0x1.0ae341aebf7ccp-15'),
+        'psihat_nonneg': (41, 6, '0x1.ea6e43b10c800p-9'),
+        'w_inequality': (39, 6, '0x1.ea6e43b10c800p-9'),
+        'psi4_le_F4': (258, 8, '0x1.0ae341c7472f1p-15'),
     },
     6: {
-        'psihat_nonneg': (2, 0, '0x1.1307ad8160c70p-8'),
-        'eta0': (1, 0, '0x1.2155750dd1f0dp-1'),
-        'eta1': (85, 8, '0x1.97bcfffdaa4a7p-10'),
-        'eta_ge2': (73, 4, '0x1.08847a44eccddp-18'),
+        'psihat_nonneg': (2, 0, '0x1.1307ad83662f7p-8'),
+        'eta0': (1, 0, '0x1.2155750dde77cp-1'),
+        'eta1': (85, 8, '0x1.97bd00077f8a7p-10'),
+        'eta_ge2': (73, 4, '0x1.08847b3f6dc4dp-18'),
     },
     8: {
-        'psihat_nonneg': (2, 0, '0x1.34c9af3f85673p-3'),
-        'eta0': (1, 0, '0x1.352a0d1fb2430p+0'),
-        'eta1': (55, 7, '0x1.98bc6b24ee73ep-5'),
-        'eta_ge2': (65, 3, '0x1.38828a4c87027p-16'),
+        'psihat_nonneg': (2, 0, '0x1.34c9af3f990dap-3'),
+        'eta0': (1, 0, '0x1.352a0d1fb4b57p+0'),
+        'eta1': (55, 7, '0x1.98bc6b25c2b1ep-5'),
+        'eta_ge2': (65, 3, '0x1.38828aab9a64bp-16'),
     },
     10: {
-        'psihat_nonneg': (2, 0, '0x1.b7ebb2f570cd0p-3'),
-        'eta0': (1, 0, '0x1.75fa0d06edde9p+0'),
-        'eta1': (39, 6, '0x1.ab0fd340502ffp-8'),
-        'eta_ge2': (63, 3, '0x1.c6f691de344e7p-16'),
+        'psihat_nonneg': (2, 0, '0x1.b7ebb2f5885d3p-3'),
+        'eta0': (1, 0, '0x1.75fa0d06f054dp+0'),
+        'eta1': (39, 6, '0x1.ab0fd358986ffp-8'),
+        'eta_ge2': (63, 3, '0x1.c6f69254798c1p-16'),
     },
     12: {
         'psihat_nonneg': (2, 0, '0x1.7a6848b9981c4p-3'),
-        'eta0': (1, 0, '0x1.90b82c7d05609p+0'),
-        'eta1': (35, 6, '0x1.70e10814913afp-5'),
-        'eta_ge2': (63, 3, '0x1.11b88669c4ff3p-15'),
+        'eta0': (1, 0, '0x1.90b82c7d0cec9p+0'),
+        'eta1': (35, 6, '0x1.70e108157770fp-5'),
+        'eta_ge2': (63, 3, '0x1.11b886a58600ep-15'),
     },
     14: {
         'psihat_nonneg': (2, 0, '0x1.c600b37f64314p-3'),
-        'eta0': (1, 0, '0x1.9c8f13a4b2f66p+0'),
-        'eta1': (31, 6, '0x1.8db40aef1022fp-5'),
-        'eta_ge2': (63, 3, '0x1.31b07655378c8p-15'),
+        'eta0': (1, 0, '0x1.9c8f13a4b3a4ap+0'),
+        'eta1': (31, 6, '0x1.8db40af14729fp-5'),
+        'eta_ge2': (63, 3, '0x1.31b076ac0f381p-15'),
     },
 }
 
 # acceptance 4 beyond certify_all: (function, alpha) -> (status, boxes, max_depth, min_lower_bound)
 ACCEPTANCE_4 = {
-    ('certify_T', 4): ('verified', 1, 0, '0x1.12aa6c1673dfcp-2'),
-    ('certify_T', 6): ('verified', 1, 0, '0x1.87c895ecd2c27p-2'),
-    ('certify_T', 8): ('verified', 1, 0, '0x1.af4928c624531p-2'),
-    ('certify_T', 10): ('verified', 1, 0, '0x1.c2fe2a36c8cf7p-2'),
-    ('certify_L', 6): ('verified', 1, 0, '0x1.1307ad8160c70p-8'),
-    ('certify_L', 8): ('verified', 1, 0, '0x1.34c9af3f85673p-3'),
-    ('certify_L', 10): ('verified', 1, 0, '0x1.b7ebb2f570cd0p-3'),
+    ('certify_T', 4): ('verified', 1, 0, '0x1.12aa6c1674537p-2'),
+    ('certify_T', 6): ('verified', 1, 0, '0x1.87c895ecd4774p-2'),
+    ('certify_T', 8): ('verified', 1, 0, '0x1.af4928c624787p-2'),
+    ('certify_T', 10): ('verified', 1, 0, '0x1.c2fe2a36c92b7p-2'),
+    ('certify_L', 6): ('verified', 1, 0, '0x1.1307ad83662f7p-8'),
+    ('certify_L', 8): ('verified', 1, 0, '0x1.34c9af3f990dap-3'),
+    ('certify_L', 10): ('verified', 1, 0, '0x1.b7ebb2f5885d3p-3'),
     ('certify_w_inequality', None): ('verified', 39, 6, '0x1.ea6e43b11ca00p-9'),
     ('certify_T_large', 12): ('verified', 1, 0, '0x1.ccba9d07d2932p-2'),
     ('certify_L_large', 12): ('verified', 1, 0, '0x1.7a6848b9981c4p-3'),

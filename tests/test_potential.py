@@ -324,8 +324,8 @@ def test_solver_rejects_bad_tol(tol):
         solve_s_alpha(4, tol)
 
 
-def test_scan_flags_missing_sign_change():
-    # the scan runs on [1, 2]; a derivative that never certifies negative
-    # anywhere must be reported, which a tiny budget forces quickly
-    with pytest.raises(AmbiguousSignChangeError):
-        solve_s_alpha(4, max_cells=3)
+def test_solve_flags_a_tol_below_its_floor():
+    # the enclosure of s_4 stops narrowing near 6e-14: the solve must say
+    # so rather than loop or return a wider enclosure than asked for
+    with pytest.raises(AmbiguousSignChangeError, match="cannot narrow"):
+        solve_s_alpha(4, 1e-17)

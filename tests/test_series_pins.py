@@ -5,7 +5,11 @@ keep its bits.  Pinned: both endpoints of every constant-check value of
 every route at alpha 4..14 (tests/test_parity.py pins only the lower
 bounds that end up in certificates), the head and tail of lattice_energy
 on a seeded grid of (alpha, t, N), first_order_residual, decay_constant
-and a SHA-256 of the build_coefficients tables.
+and a SHA-256 of the build_coefficients tables.  The values that read a
+solved context (the constant checks, first_order_residual, decay_constant
+and the tables) were re-pinned when the interval-Newton spacing solve
+narrowed s_alpha: each enclosure overlaps its old value, or, where it is a
+point taken from a lower bound (w_inequality's c1 - 2), lies above it.
 """
 
 import hashlib
@@ -19,74 +23,74 @@ from repulse.potential import first_order_residual, lattice_energy, solve_s_alph
 # (inequality_id, alpha) -> (lo, hi) of each value passed to a constant check, in order
 CHECKS = {
     ('T_alpha', 4): (
-        ('0x1.12aa6c1673dfcp-2', '0x1.12aa81b57ec00p-2'),
+        ('0x1.12aa6c1674537p-2', '0x1.12aa81b57db5ap-2'),
     ),
     ('w_inequality', 4): (
-        ('0x1.3333333332c52p+0', '0x1.3333333332c52p+0'),
-        ('0x1.23cb661472160p-2', '0x1.23cb661472164p-2'),
+        ('0x1.333333333325ap+0', '0x1.333333333325ap+0'),
+        ('0x1.23cb661473b34p-2', '0x1.23cb661473b38p-2'),
     ),
     ('psi4_le_F4', 4): (
-        ('0x1.8c7231c57da85p-3', '0x1.36324f99c243ep-2'),
+        ('0x1.8c7231c5a0985p-3', '0x1.36324f99b11bdp-2'),
     ),
     ('psihat_nonneg', 4): (
-        ('0x1.7a17a17a15b15p-3', '0x1.7a17a17a18aa9p-3'),
-        ('0x1.12aa6c1673dfcp-2', '0x1.12aa81b57ec00p-2'),
-        ('0x1.3333333332c52p+0', '0x1.3333333332c52p+0'),
-        ('0x1.23cb661472160p-2', '0x1.23cb661472164p-2'),
+        ('0x1.7a17a17a17808p-3', '0x1.7a17a17a17bf8p-3'),
+        ('0x1.12aa6c1674537p-2', '0x1.12aa81b57db5ap-2'),
+        ('0x1.333333333325ap+0', '0x1.333333333325ap+0'),
+        ('0x1.23cb661473b34p-2', '0x1.23cb661473b38p-2'),
     ),
     ('T_alpha', 6): (
-        ('0x1.87c895ecd2c27p-2', '0x1.87c895ed3f4efp-2'),
+        ('0x1.87c895ecd4774p-2', '0x1.87c895ed3f520p-2'),
     ),
     ('L_alpha', 6): (
-        ('0x1.1307ad8160c70p-8', '0x1.13284c736dde2p-8'),
+        ('0x1.1307ad83662f7p-8', '0x1.13284c71a253ap-8'),
     ),
     ('w_inequality', 6): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 6): (
-        ('0x1.f4a7e2a43e2dcp-2', '0x1.f4a7e2a43e5dap-2'),
-        ('0x1.0b9834ad74b0dp-1', '0x1.10168cf714cbfp-1'),
+        ('0x1.f4a7e2a43e5b9p-2', '0x1.f4a7e2a43e5dfp-2'),
+        ('0x1.0b9834ad7d0cfp-1', '0x1.10168cf709b8bp-1'),
     ),
     ('psihat_nonneg', 6): (
-        ('0x1.87c895ecd2c27p-2', '0x1.87c895ed3f4efp-2'),
-        ('0x1.1307ad8160c70p-8', '0x1.13284c736dde2p-8'),
+        ('0x1.87c895ecd4774p-2', '0x1.87c895ed3f520p-2'),
+        ('0x1.1307ad83662f7p-8', '0x1.13284c71a253ap-8'),
     ),
     ('T_alpha', 8): (
-        ('0x1.af4928c624531p-2', '0x1.af4928c6260d0p-2'),
+        ('0x1.af4928c624787p-2', '0x1.af4928c624828p-2'),
     ),
     ('L_alpha', 8): (
-        ('0x1.34c9af3f85673p-3', '0x1.34c9af479485bp-3'),
+        ('0x1.34c9af3f990dap-3', '0x1.34c9af4784cc0p-3'),
     ),
     ('w_inequality', 8): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 8): (
-        ('0x1.fca0ff7e04ff1p-2', '0x1.fca0ff7e0512dp-2'),
-        ('0x1.5bdfceea09dcap-1', '0x1.5bdfe1b16259bp-1'),
+        ('0x1.fca0ff7e0500cp-2', '0x1.fca0ff7e05011p-2'),
+        ('0x1.5bdfceea16316p-1', '0x1.5bdfe1b15b26cp-1'),
     ),
     ('psihat_nonneg', 8): (
-        ('0x1.af4928c624531p-2', '0x1.af4928c6260d0p-2'),
-        ('0x1.34c9af3f85673p-3', '0x1.34c9af479485bp-3'),
+        ('0x1.af4928c624787p-2', '0x1.af4928c624828p-2'),
+        ('0x1.34c9af3f990dap-3', '0x1.34c9af4784cc0p-3'),
     ),
     ('T_alpha', 10): (
-        ('0x1.c2fe2a36c8cf7p-2', '0x1.c2fe2a36ca83ap-2'),
+        ('0x1.c2fe2a36c92b7p-2', '0x1.c2fe2a36c92d9p-2'),
     ),
     ('L_alpha', 10): (
-        ('0x1.b7ebb2f570cd0p-3', '0x1.b7ebb2f59a508p-3'),
+        ('0x1.b7ebb2f5885d3p-3', '0x1.b7ebb2f588db5p-3'),
     ),
     ('w_inequality', 10): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 10): (
-        ('0x1.fee1270ee1194p-2', '0x1.fee1270ee121dp-2'),
-        ('0x1.83fee209a81e8p-1', '0x1.83fee20a59c33p-1'),
+        ('0x1.fee1270ee11b1p-2', '0x1.fee1270ee11b2p-2'),
+        ('0x1.83fee209b6395p-1', '0x1.83fee20a51480p-1'),
     ),
     ('psihat_nonneg', 10): (
-        ('0x1.c2fe2a36c8cf7p-2', '0x1.c2fe2a36ca83ap-2'),
-        ('0x1.b7ebb2f570cd0p-3', '0x1.b7ebb2f59a508p-3'),
+        ('0x1.c2fe2a36c92b7p-2', '0x1.c2fe2a36c92d9p-2'),
+        ('0x1.b7ebb2f5885d3p-3', '0x1.b7ebb2f588db5p-3'),
     ),
     ('T_alpha', 12): (
         ('0x1.ccba9d07d2932p-2', '0x1.ccba9d07d2935p-2'),
@@ -99,8 +103,8 @@ CHECKS = {
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 12): (
-        ('0x1.ff9a478456ad1p-2', '0x1.ff9a478456b0ep-2'),
-        ('0x1.9ce2bad9e26f0p-1', '0x1.9ce2bad9fc9ebp-1'),
+        ('0x1.ff9a478456b04p-2', '0x1.ff9a478456b09p-2'),
+        ('0x1.9ce2bad9e966cp-1', '0x1.9ce2bad9eb399p-1'),
     ),
     ('psihat_nonneg', 12): (
         ('0x1.ccba9d07d2932p-2', '0x1.ccba9d07d2935p-2'),
@@ -117,8 +121,8 @@ CHECKS = {
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 14): (
-        ('0x1.ffda654fa8bfcp-2', '0x1.ffda654fa8c17p-2'),
-        ('0x1.adc114187c41fp-1', '0x1.adc114189a133p-1'),
+        ('0x1.ffda654fa8bfdp-2', '0x1.ffda654fa8bfep-2'),
+        ('0x1.adc1141893537p-1', '0x1.adc114189364dp-1'),
     ),
     ('psihat_nonneg', 14): (
         ('0x1.d5511ab950e6dp-2', '0x1.d5511ab950e70p-2'),
@@ -160,42 +164,42 @@ LATTICE = {
 
 # alpha -> first_order_residual(ctx) (N = 128); (alpha, N) -> at that N
 RESIDUAL = {
-    4: ('-0x1.5b001f4539a12p-23', '0x1.53c415d54e685p-21'),
-    6: ('-0x1.ede8084a01ef2p-38', '0x1.4ac50212807bdp-36'),
-    8: ('-0x1.811bd1238b577p-40', '0x1.617cf448e2d5ep-38'),
-    10: ('-0x1.388000276d3f6p-39', '0x1.8f220013b69fbp-38'),
-    12: ('-0x1.102a0000001e6p-37', '0x1.e870000000f2fp-40'),
-    (4, 2): ('-0x1.074fe8f5fead5p-5', '0x1.7605df460176bp-4'),
+    4: ('-0x1.5aff741d37aacp-23', '0x1.53c3dd274deabp-21'),
+    6: ('-0x1.c5441093ec910p-39', '0x1.397302127d922p-36'),
+    8: ('-0x1.5f7a24716aeb5p-45', '0x1.243d1238b575bp-44'),
+    10: ('-0x1.280009db4fd76p-45', '0x1.5e0013b69faecp-46'),
+    12: ('-0x1.8680000003cb9p-42', '0x1.6640000003cb9p-42'),
+    (4, 2): ('-0x1.074fe8f5d34c8p-5', '0x1.7605df45e5304p-4'),
 }
 
 # (alpha, N) -> SHA-256 of the hex endpoints of Fn, dFn and the three tails
 COEFFS = {
-    (4, 8): '65b8d8b830d3cea0e8d9484186b0e462c6d4f8efcf9f28f4e5937d939e30cf25',
-    (4, 64): '9d212adde358ffec37c667ede7e70afdd1c36f4073cdff5df7c857d68a5f4e35',
-    (4, 256): '62edbdfde1b12f4d2d994d6ac35daba204d86131e7742c99c0186004b7716523',
-    (6, 8): 'a3f9ee4a52a5762acac9689a11e1845cd801f2f38fb4384b21f3a0a534d0002e',
-    (6, 64): '9aad3cb6643e1f5b3b25cf2c69578c2d8a9600d4878eae10e9a6d68b118b3a93',
-    (6, 256): '77d33d8b7605a5f83bade284625c42c2bf61cc43101017d5e90a245a9a25798a',
-    (8, 8): '17457d14e734c0836a1868b627dd77fffa56451ea4aa83bd48cb9b358935263d',
-    (8, 64): '00ebf13c7a7db4c9cb40f85ca4b24804a5cd4a8452c8ac9c658affd06eeb784b',
-    (8, 256): '8e9ceb7244b699e36181e6d7b100d1512d2c4d9183112d30d0e5c626015fbab0',
-    (10, 8): '3082f8ab226b45ed02a84fa702f00bf8dc2cd6b591c02ee3fc754665dbe82b07',
-    (10, 64): '39503059eaf58a131e127bacc1d47a290bd844d62e65e17f6e1ad711fcf11228',
-    (10, 256): '198440bddfce74e2f08647f879381354da2c9f205a6102e7c32847474a67fa7c',
-    (12, 8): '553213a49a64615216fec9a8dbe4cf6f34a9d2379083c0d13b20c1e573327bb3',
-    (12, 64): 'fa5d6d6df7924ec220fa8e08cb2a6b52504251bd6e3625e83d86f7f2521bf42c',
-    (12, 256): '0af564348c9932990a2f9dbb09d59846dd06f1918f0a8a9135b66b288004ab73',
-    (14, 8): '76898802744e24687e04464cf00e810fe529c5acd7c613a78ee35ff65693fba0',
-    (14, 64): '4d7ace7db5d77bab118540546cd89876300a4c0658147a7f3d080f73129f4b09',
-    (14, 256): '53c737793d902f0900d395acf6e0b4ec8752e2e142fb896df14be0c1879e9103',
+    (4, 8): 'c154e7e9c0466b5ba83fc7df09c8fda0b7bc254a9fcc1d263d2a0c2a0789a80f',
+    (4, 64): 'f93dc793b9980c9995ddf18a746909db28789e974900fa98a9775b8b1797311f',
+    (4, 256): 'b3dc9fd6371662a6d68d0096639a3dfff523efd4ad3e796539ddd57f129cd819',
+    (6, 8): '612e899465a1b518246aeaae3a037b1793b80f69923fb9a4947756b3283647c1',
+    (6, 64): '7fe9e019fd8949cea69029a776258102ba9bb81c86ad0aa22481d9bfd4953774',
+    (6, 256): 'b0006d6ac9ae2fed63d6d40cbdf45b6923ed195ef08e736b42984b8998e09461',
+    (8, 8): 'd5631316f61a08f710b634e6697f49238bd4e0d352b685a57c86b92c38d5f0e8',
+    (8, 64): '4f9231429ee84f0ccc6e615cf7ed6593e69d663ffc8d68a6ffdef3d5ffcec8f8',
+    (8, 256): 'f2650e5bf0d263edba4e9b7a765015b706e09040b7e1820cbc2fc61a4804deec',
+    (10, 8): '49e722459937e6cebf123546861d4575869fa4933b8ca1e49846841cf6c39141',
+    (10, 64): '46e17d4922500bc535b54d743c302ef6072e42858dc7332f4da32a0ccc802bdf',
+    (10, 256): '554abb0d228f72dbdfd336d60ff1d80dd9a17dfe6c6d19554dbc09170cbb9b4e',
+    (12, 8): '4afebce3f32494ef22ac606ea577ff974e4affcbac5a46b9f634e4bf2d9fc346',
+    (12, 64): '659a137032bc0ce654512213a3380ced1f4b3e71ebafb668183f85061c861480',
+    (12, 256): 'c5ae01f6ab3f14a94b5b6ae0c10285e127df8efd8b42c81a689e453458650513',
+    (14, 8): '09d539ac6640781bff93cb856c6ed72c4d18602a0afa7ff2d4d1f211f5b2812d',
+    (14, 64): '1a3326469c9b507ed16f87566b84b9c5e2a1c7fde1f4dbfac29386d7ad412be2',
+    (14, 256): 'fe3c6c439b0834520a031b9f6e64a4b0bee1bf2df7f436669e670c7b9f3d04d7',
 }
 
 # alpha -> decay_constant(build_coefficients(ctx, 256))
 DECAY = {
-    4: ('0x0.0p+0', '0x1.b16c270ef0cf3p+2'),
-    6: ('0x0.0p+0', '0x1.1c0bb4a23f6b1p+2'),
-    8: ('0x0.0p+0', '0x1.fdb242b855119p+1'),
-    10: ('0x0.0p+0', '0x1.e42e69e2d5b75p+1'),
+    4: ('0x0.0p+0', '0x1.b16c270eefe6ep+2'),
+    6: ('0x0.0p+0', '0x1.1c0bb4a23c619p+2'),
+    8: ('0x0.0p+0', '0x1.fdb242b853e6ap+1'),
+    10: ('0x0.0p+0', '0x1.e42e69e2d347ap+1'),
 }
 
 

@@ -112,7 +112,10 @@ def test_relax_energy_never_increases():
 
 
 def test_detect_clusters_lattice(ctx4):
-    s4 = ctx4.s_alpha.mid
+    # s_4 rounded to 40 fractional bits: every site k s4 (k <= 8) is then an
+    # exact float, so the cluster gaps are exactly equal whatever the low
+    # bits of the solved enclosure
+    s4 = math.ldexp(round(math.ldexp(ctx4.s_alpha.mid, 40)), -40)
     cfg = sim.theorem_configuration(4, 3, 8, s_alpha=s4)
     rep = sim.detect_clusters(cfg, s4 / 2.0)
     assert len(rep.clusters) == 8

@@ -1,81 +1,88 @@
-"""The batched spacing solve against the sequential one, bit for bit.
+"""The spacing solve: its proof steps against independent sums.
 
-The scan evaluates one level of cells per lane batch and the bisection
-evaluates predicted midpoints ahead of the walk; neither may move a bit of
-an enclosure, a count of the sequential solve, or the error it raises.
+The solve rests on three facts: t_c from _t_crit satisfies
+(alpha - 1) t_c^alpha >= alpha + 1, so every term of t E''(t) is >= 0 on
+[t_c, 2]; _DerivativeRows.second encloses E''; and the returned enclosure's
+ends carry opposite signs of E'.  Each is checked here against exact
+rationals or an mpmath sum that shares no code with the library.
 """
 
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repulse.interval import Interval
 from repulse.potential import (
     _LANE_ELEMENTS,
-    AmbiguousSignChangeError,
     PotentialContext,
     _DerivativeRows,
-    _scan_resolution,
+    _t_crit,
     _term_count,
     energy_derivative,
     solve_s_alpha,
 )
 
-from _oracles import solve_s_alpha_sequential
-
-TOLS = (1e-6, 1e-9, 1e-12)
-COUNTS = ("scan_cells", "bisection_steps", "off_centre_retries")
+from _oracles import derivative_mp, second_derivative_mp
 
 
 def _bits(iv):
     return iv.lo.hex(), iv.hi.hex()
 
 
-def _raised(solve, *args):
-    with pytest.raises(Exception) as info:
-        solve(*args)
-    return type(info.value), str(info.value)
+def _meets_t_crit(alpha, t):
+    """(alpha - 1) t^alpha >= alpha + 1, exactly."""
+    return (alpha - 1) * Fraction(t) ** alpha >= alpha + 1
 
 
-@pytest.mark.parametrize("alpha", range(4, 201, 2))
-def test_batched_solve_equals_sequential(alpha):
-    want = solve_s_alpha_sequential(alpha, TOLS)
-    cells = want[0][1]["scan_cells"]
-    # a budget of exactly the scan tree solves, and the tree is the same
-    for tol, (s_alpha, counts), max_cells in zip(TOLS, want, (cells, 1024, 1024)):
-        ctx = solve_s_alpha(alpha, tol, max_cells)
-        assert _bits(ctx.s_alpha) == _bits(s_alpha), tol
-        assert {k: getattr(ctx.diagnostics, k) for k in COUNTS} == counts, tol
-    # one cell less fails alike, before any bisection
-    assert _raised(solve_s_alpha, alpha, 1e-6, cells - 1) == \
-        _raised(solve_s_alpha_sequential, alpha, TOLS, cells - 1) == \
-        (AmbiguousSignChangeError, "scan budget exhausted on [1, 2]")
+@pytest.mark.parametrize("alphas", [range(4, 1001, 2), (4000, 100000)], ids=["4-1000", "large"])
+def test_t_crit_meets_its_inequality_within_two_ulps(alphas):
+    for alpha in alphas:
+        t = _t_crit(alpha)
+        below = float(np.nextafter(np.nextafter(t, 0.0), 0.0))
+        assert _meets_t_crit(alpha, t) and not _meets_t_crit(alpha, below), alpha
 
 
-@pytest.mark.parametrize("alpha, tol", [(12, 2e-14), (40, 1e-13)])
-def test_off_centre_retries_equal_sequential(alpha, tol):
-    # below 1e-12 the centre's sign can stay undecided; the retries run
-    # one point at a time and leave the predicted path
-    (s_alpha, counts), = solve_s_alpha_sequential(alpha, (tol,))
-    ctx = solve_s_alpha(alpha, tol)
-    assert counts["off_centre_retries"] > 0
-    assert _bits(ctx.s_alpha) == _bits(s_alpha)
-    assert {k: getattr(ctx.diagnostics, k) for k in COUNTS} == counts
+@pytest.mark.parametrize("alpha", [6, 8, 14, 20, 40, 100, 1000])
+def test_solved_ends_carry_the_signs_of_the_exact_derivative(alpha, ctx_by_alpha):
+    ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    value, rest = derivative_mp(alpha, ctx.s_alpha.lo)
+    assert value + rest < 0, alpha
+    value, rest = derivative_mp(alpha, ctx.s_alpha.hi)
+    assert value - rest > 0, alpha
 
 
-def test_undecided_retries_fail_alike():
-    assert _raised(solve_s_alpha, 4, 3e-14) == \
-        _raised(solve_s_alpha_sequential, 4, (3e-14,)) == \
-        (AmbiguousSignChangeError, "cannot certify derivative sign below width 8.527e-14")
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_second_derivative_contains_mpmath(alpha):
+    # points and seeded boxes in [t_c, 2]; at alpha 4 the bound on the
+    # terms beyond ext is most of the width of E'' (8.5e-3 of E'' at 8
+    # terms), so a dropped or halved bound misses the exact value
+    rng = random.Random(alpha)
+    t_c = _t_crit(alpha)
+    points = [t_c, 2.0] + [rng.uniform(t_c, 2.0) for _ in range(3)]
+    boxes = [Interval(t_c, 2.0)] + [Interval(*sorted(rng.uniform(t_c, 2.0) for _ in range(2)))
+                                    for _ in range(3)]
+    exact = {p: second_derivative_mp(alpha, p)
+             for p in points + [p for box in boxes for p in (box.lo, box.mid, box.hi)]}
+    for ext in (8, _term_count(alpha, False), _term_count(alpha, True)):
+        rows = _DerivativeRows(alpha, [Interval(p) for p in points] + boxes, ext)
+        for i, t in enumerate([Interval(p) for p in points] + boxes):
+            d2 = rows.second(i)
+            for p in {t.lo, t.mid, t.hi}:
+                value, rest = exact[p]
+                assert d2.lo <= value and value + rest <= d2.hi, (alpha, ext, t, p)
 
 
 @pytest.mark.parametrize("alpha", [4, 12, 40])
-def test_diagnostics_count_the_sequential_work(alpha, ctx_by_alpha):
+def test_diagnostics_count_the_rows(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
-    (_, counts), = solve_s_alpha_sequential(alpha)
     d = ctx.diagnostics
-    assert {k: getattr(d, k) for k in COUNTS} == counts
-    # every scan cell and every step or retry is one row read
-    assert d.rows_used == sum(counts.values()) <= d.rows_evaluated
-    assert 0 < d.lane_batches < d.rows_used
+    steps = d.newton_steps + d.bisection_steps
+    # the cover's rows (the point 2 and the cells of [1, t_c]), then one
+    # box and one point per step
+    assert d.rows_evaluated == d.cover_cells + 2 * steps
+    assert d.lane_batches > steps >= d.newton_steps > 0 and d.cover_cells >= 2
     # terms per row above and below width 1e-6
     assert (d.coarse_terms, d.fine_terms) == {4: (128, 704), 12: (16, 32), 40: (8, 8)}[alpha]
     # the counts are not part of the context's value
@@ -105,10 +112,3 @@ def test_rows_equal_the_one_row_derivative():
     assert all(b.lo.size <= _LANE_ELEMENTS for b in rows.batches)
     for i, t in enumerate(ts):
         assert _bits(rows.row(i)) == _bits(energy_derivative(6, t, ext=704))
-
-
-def test_scan_resolution_moves_only_above_alpha_1024():
-    assert all(_scan_resolution(a) == 1.0 / 1024.0 for a in range(4, 1025, 2))
-    assert _scan_resolution(1026) == 1.0 / 2048.0
-    assert _scan_resolution(4000) == 1.0 / 4096.0
-
