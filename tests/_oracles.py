@@ -27,6 +27,13 @@ over n <= 2000 from f = 1/(1 + x^alpha), with a bound on the terms beyond
 (see each docstring).  They share no code with the library: they stand in
 for the spacing solve's own E' and E'' evaluations.
 
+`solve_s_alpha_sequential` is the spacing solve evaluated one spacing
+point at a time: each cover cell, each Newton box and each step's point
+on a lane batch of its own, E' by `energy_derivative`.  The solve puts a
+level of the cover, or a step's box and point, on one batch, which splits
+the terms n differently; that must not move a bit of the enclosure or a
+count of the steps.
+
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as the direct loop over every image
 k = -K..K, as the library computed it before the kernel evaluated only
@@ -48,13 +55,23 @@ the coefficient enclosures on float grids, in the symmetrised sinc-product
 and cosine/sine forms: uncertified corroboration for grid scans.
 """
 
+import math
+
 import numpy as np
 
 from repulse import certify
 from repulse.auxfn import build_coefficients
 from repulse.interval import Interval, Lanes, hull, pow_int
 from repulse.potential import (
+    _FINE_WIDTH,
+    _MAX_COVER_CELLS,
+    AmbiguousSignChangeError,
     F_alpha,
+    _DerivativeRows,
+    _sign,
+    _t_crit,
+    _term_count,
+    energy_derivative,
     power_sum_tail,
 )
 
@@ -295,6 +312,49 @@ def second_derivative_mp(alpha, t):
                            for f in (_mp_f(alpha, t * n) for n in range(1, _MP_TERMS + 1)))
         rest = t ** -alpha * mpmath.mpf(_MP_TERMS) ** (1 - alpha)
         return 2 * alpha * head / t, 2 * alpha * rest / t
+
+
+def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
+    """[(s_alpha enclosure, counts)] by the one-point-at-a-time solve, one
+    per tolerance of the decreasing sequence `tols`.
+
+    The steps do not depend on the tolerance, which only says when to stop,
+    so one walk serves every tolerance: its result at tol is the first
+    enclosure of width <= tol, with the counts made up to there.
+    """
+    coarse, fine = _term_count(alpha, False), _term_count(alpha, True)
+    counts = {"cover_cells": 0, "newton_steps": 0, "bisection_steps": 0}
+    lo, hi = _t_crit(alpha), 2.0
+    cells = [(Interval(2.0), 1), (Interval(1.0, lo), -1)]
+    while cells:
+        counts["cover_cells"] += len(cells)
+        if counts["cover_cells"] > _MAX_COVER_CELLS:
+            raise AmbiguousSignChangeError("cannot certify E'(2) > 0 and E' < 0 on [1, t_c]")
+        undecided = []
+        for c, want in cells:
+            if _sign(energy_derivative(alpha, c, ext=coarse)) != want:
+                undecided += [(Interval(c.lo, c.mid), want), (Interval(c.mid, c.hi), want)]
+        cells = undecided
+    out = []
+    for tol in tols:
+        while hi - lo > tol:
+            m = min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
+            ext = coarse if hi - lo > _FINE_WIDTH else fine
+            d2 = _DerivativeRows(alpha, [Interval(lo, hi)], ext).second(0)
+            d1 = energy_derivative(alpha, Interval(m), ext=ext)
+            if d2.lo > 0.0:
+                counts["newton_steps"] += 1
+                step = m - d1 / d2
+                new = max(lo, step.lo), min(hi, step.hi)
+            else:
+                counts["bisection_steps"] += 1
+                new = {-1: (m, hi), 0: (lo, hi), 1: (lo, m)}[_sign(d1)]
+            if new == (lo, hi) or new[0] > new[1]:
+                raise AmbiguousSignChangeError(
+                    f"cannot narrow [{lo!r}, {hi!r}] around the zero of E'")
+            lo, hi = new
+        out.append((Interval(lo, hi), dict(counts)))
+    return out
 
 
 def bnb_level_by_level(run, f, roots, policy):

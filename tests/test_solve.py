@@ -5,6 +5,10 @@ The solve rests on three facts: t_c from _t_crit satisfies
 [t_c, 2]; _DerivativeRows.second encloses E''; and the returned enclosure's
 ends carry opposite signs of E'.  Each is checked here against exact
 rationals or an mpmath sum that shares no code with the library.
+
+The solve puts many spacing points on one lane batch; the one-point-at-a-time
+solve of _oracles must give the same enclosure bit for bit and the same
+counts.
 """
 
 import random
@@ -24,7 +28,10 @@ from repulse.potential import (
     solve_s_alpha,
 )
 
-from _oracles import derivative_mp, second_derivative_mp
+from _oracles import derivative_mp, second_derivative_mp, solve_s_alpha_sequential
+
+TOLS = (1e-6, 1e-9, 1e-12)
+COUNTS = ("cover_cells", "newton_steps", "bisection_steps")
 
 
 def _bits(iv):
@@ -42,6 +49,14 @@ def test_t_crit_meets_its_inequality_within_two_ulps(alphas):
         t = _t_crit(alpha)
         below = float(np.nextafter(np.nextafter(t, 0.0), 0.0))
         assert _meets_t_crit(alpha, t) and not _meets_t_crit(alpha, below), alpha
+
+
+@pytest.mark.parametrize("alpha", range(4, 201, 2))
+def test_batched_solve_equals_sequential(alpha):
+    for tol, (s_alpha, counts) in zip(TOLS, solve_s_alpha_sequential(alpha, TOLS)):
+        ctx = solve_s_alpha(alpha, tol)
+        assert _bits(ctx.s_alpha) == _bits(s_alpha), tol
+        assert {k: getattr(ctx.diagnostics, k) for k in COUNTS} == counts, tol
 
 
 @pytest.mark.parametrize("alpha", [6, 8, 14, 20, 40, 100, 1000])
@@ -75,9 +90,11 @@ def test_second_derivative_contains_mpmath(alpha):
 
 
 @pytest.mark.parametrize("alpha", [4, 12, 40])
-def test_diagnostics_count_the_rows(alpha, ctx_by_alpha):
+def test_diagnostics_count_the_sequential_work(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
+    (_, counts), = solve_s_alpha_sequential(alpha)
     d = ctx.diagnostics
+    assert {k: getattr(d, k) for k in COUNTS} == counts
     steps = d.newton_steps + d.bisection_steps
     # the cover's rows (the point 2 and the cells of [1, t_c]), then one
     # box and one point per step
