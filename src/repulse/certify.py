@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -35,9 +35,6 @@ from .interval import (
     lane_fold,
     lane_sum,
     pow_int,
-    remainder_R,
-    s3_kernel,
-    sinc,
 )
 from .potential import (
     F_alpha,
@@ -72,8 +69,8 @@ VERIFIED = "verified"
 FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 
-_TWO_THIRDS = Interval.from_fraction(Fraction(2, 3))
 _CLOSED = "closed-bound evaluation (large alpha)"
+_FOUR_OVER_PI_SQ = 4.0 / pow_int(PI, 2)  # L's kernel at pi n, times -n^2
 
 _N = 64  # every certificate sums the rows |n| <= _N and bounds the rest
 
@@ -105,20 +102,11 @@ class Certificate:
     policy: BnbPolicy
 
     def to_json_dict(self) -> dict:
-        mlb = self.min_lower_bound
-        return {
-            "inequality_id": self.inequality_id,
-            "alpha": self.alpha,
-            "domain": self.domain,
-            "status": self.status,
-            "boxes_processed": self.boxes_processed,
-            "max_depth": self.max_depth,
-            "min_lower_bound": None if math.isnan(mlb) else mlb,
-            "wall_time_ms": self.wall_time_ms,
-            "witness": self.witness,
-            "paper_anchor": self.paper_anchor,
-            "policy": {"max_depth": self.policy.max_depth, "budget": self.policy.budget},
-        }
+        """The fields in declaration order, policy as a dict; a NaN min_lower_bound is None."""
+        d = asdict(self)
+        if math.isnan(d["min_lower_bound"]):
+            d["min_lower_bound"] = None
+        return d
 
 
 def certificates_to_json(certs) -> str:
@@ -177,14 +165,6 @@ def _evaluate(f, lo: np.ndarray, hi: np.ndarray, param: np.ndarray) -> Lanes:
     return Lanes(np.concatenate([p.lo for p in parts]), np.concatenate([p.hi for p in parts]))
 
 
-def _per_lane(f):
-    """Lane form of a scalar callable Interval -> Interval, one box at a time."""
-    def lanes(x: Lanes, _param) -> Lanes:
-        vals = [f(Interval(a, b)) for a, b in zip(x.lo.tolist(), x.hi.tolist())]
-        return Lanes([v.lo for v in vals], [v.hi for v in vals])
-    return lanes
-
-
 def _halves(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, param: np.ndarray):
     """(lo, hi, param) of the halves [lo, mid] and [mid, hi] of every box, in order."""
     return np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), \
@@ -220,10 +200,10 @@ def _bnb(run: _Run, f, roots, policy: BnbPolicy | None) -> None:
 
     `roots` lists boxes (lo, hi) or (lo, hi, param).  f maps Lanes of boxes
     and the array of their roots' params (0 where none is given) to Lanes of
-    enclosures; `_per_lane` adapts a scalar callable.  A level is the whole
-    frontier in left-to-right order: root order, then position.  A box is
-    discharged when its enclosure's lower bound is >= 0; otherwise f is
-    evaluated at its midpoint and the box is bisected there.
+    enclosures.  A level is the whole frontier in left-to-right order: root
+    order, then position.  A box is discharged when its enclosure's lower
+    bound is >= 0; otherwise f is evaluated at its midpoint and the box is
+    bisected there.
 
     A level of more than _CHUNK / 2 boxes is evaluated on its own: its
     boxes, then the midpoints of those not discharged.  A smaller level
@@ -363,10 +343,14 @@ def certify_T_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
 
 
 def _L_value(coeffs: AuxCoefficients) -> Interval:
-    """L = sum_n n^3 F'(n)(-2/3 + 4R(pi n)) - sum_n 2 n^2 F(n), over Z."""
+    """L = sum_n n^3 F'(n)(-2/3 + 4R(pi n)) - sum_n 2 n^2 F(n), over Z.
+
+    R is the remainder of sin x = x - x^3/6 + x^3 R(x); sin(pi n) = 0 makes
+    the kernel -2/3 + 4R(pi n) exactly -4/(pi n)^2, so each row adds
+    -(4/pi^2) n F'(n) - 2 n^2 F(n).
+    """
     n, F, dF = coeffs.rows()
-    kern = Lanes.of([4.0 * remainder_R(PI * k) - _TWO_THIRDS for k in range(1, coeffs.N + 1)])
-    total = 2.0 * lane_sum(_ZERO, dF * _n_pow(n, 3) * kern, -((2.0 * n * n) * F))
+    total = 2.0 * lane_sum(_ZERO, -(dF * n * _FOUR_OVER_PI_SQ), -((2.0 * n * n) * F))
     t2 = coeffs.tail_n2F.hi
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
@@ -384,8 +368,7 @@ def certify_L_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
     """Closed lower bound for L(alpha), valid for large alpha."""
     route = _route("L_alpha", False, alpha)
     run = _Run()
-    r_pi = remainder_R(PI)
-    lead = (_ONE - _ONE / (2 * alpha - 4)) * (_TWO_THIRDS - 4.0 * r_pi)
+    lead = (_ONE - _ONE / (2 * alpha - 4)) * _FOUR_OVER_PI_SQ  # 2/3 - 4R(pi) = 4/pi^2
     mid = Interval(4.0) * (alpha - 1) / (pow_int(Interval(2.0), alpha - 2)
                                          * (2 * alpha - 5) * (alpha - 3))
     run.check(lead - mid - Interval(2.0) / (alpha - 2), policy)
@@ -393,19 +376,44 @@ def certify_L_large(alpha: int, policy: BnbPolicy | None = None) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# The alpha = 4 scalar inequality in w (cancellation-free kernel form).
+# The alpha = 4 scalar inequality in w, through a Taylor minorant.
 # ---------------------------------------------------------------------------
+
+def _w_minorant(c1: Interval):
+    """Lanes of P(w^2) on boxes w: the minorant that `certify_w_inequality` discharges."""
+    p0 = 2.0 * c1 / 3.0 - 2.0
+    p1 = Interval.from_fraction(Fraction(2, 3)) - 2.0 * c1 / 15.0
+    p2 = Interval.from_fraction(Fraction(4, 45))
+
+    def minorant(w: Lanes, _param) -> Lanes:
+        s = pow_int(w, 2)
+        return p0 + s * (p1 - p2 * s)
+
+    return minorant
+
 
 def certify_w_inequality(ctx: PotentialContext | None = None,
                          policy: BnbPolicy | None = None, *, alpha: int = 4) -> Certificate:
-    """8w - 4 sin 2w - 5 w sin^2 w >= 0, certified as c*S3(2w) - 2 sinc(w)^2 >= 0.
+    """8w - 4 sin 2w - 5 w sin^2 w >= 0, certified as f(w) = 4 c1 S3(2w) - 2 sinc(w)^2 >= 0,
+    S3(u) = (u - sin u)/u^3.
 
-    With no context the displayed constant 5 is used (c = 64/5) and the
+    With no context the displayed constant 5 is used (c1 = 16/5) and the
     certificate is labelled with `alpha` (an even integer >= 4, else
     ValueError), since the inequality does not depend on it; with an
-    alpha = 4 context the constant becomes 4*(1 - F(1)) from its enclosure,
-    which is what the transform-positivity reduction actually consumes.
-    Covers [0, pi/2] by branch-and-bound; for w >= pi/2 the scaled form is
+    alpha = 4 context the constant becomes c1 = 4(1 - F(1)) from its
+    enclosure, which is what the transform-positivity reduction consumes.
+
+    On [0, pi/2] f is bounded below by a polynomial.  The series
+    S3(u) = 1/6 - u^2/120 + u^4/5040 - ... and
+    sinc(w)^2 = (1 - cos 2w)/(2 w^2) = 1 - w^2/3 + 2 w^4/45 - w^6/315 + ...
+    alternate, and their terms decrease in size for u <= pi and w <= pi/2:
+    the ratio of a term to the one before is at most u^2/20 <= pi^2/20 in
+    the first and 4 w^2/12 <= pi^2/12 in the second.  Such a series lies
+    between consecutive partial sums, so S3(2w) >= 1/6 - w^2/30 and
+    sinc(w)^2 <= 1 - w^2/3 + 2 w^4/45, and f(w) >= P(w^2) with
+    P(s) = (2 c1/3 - 2) + s ((2/3 - 2 c1/15) - (4/45) s) (`_w_minorant`).
+    P(0) = f(0), so the margin at w = 0 is f's own.  P is discharged by
+    branch-and-bound on [0, pi/2].  For w >= pi/2 the scaled form is
     bounded below by (c1 - 2) w - c1/2, checked at w = pi/2 and increasing.
     """
     run = _Run()
@@ -417,18 +425,14 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
         route = _route("w_inequality", True, ctx.alpha)
         alpha = ctx.alpha
         c1 = Interval(4.0 * (_ONE - ctx.F1).lo)
-    four_c1 = 4.0 * c1
-
-    def f(w: Interval) -> Interval:
-        return four_c1 * s3_kernel(2.0 * w) - 2.0 * pow_int(sinc(w), 2)
-
     # w >= pi/2 piece: the w^3-scaled form is >= (c1-2) w - c1/2, which
     # increases in w only when c1 > 2, so that slope is certified first
     run.check(c1 - 2.0, policy)
     run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, policy, at=math.pi / 2.0)
-    _bnb(run, _per_lane(f), [(0.0, (PI / 2.0).hi)], policy)
-    return route.certificate(run, alpha, "[0, pi/2] branch-and-bound + analytic piece for w >= pi/2",
-                             policy)
+    _bnb(run, _w_minorant(c1), [(0.0, (PI / 2.0).hi)], policy)
+    return route.certificate(
+        run, alpha, "[0, pi/2] branch-and-bound of the Taylor minorant P(w^2) "
+        "+ analytic piece for w >= pi/2", policy)
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,11 @@ class _PairKernel:
     sequential np.add.accumulate, adding the negated -k totals: x - y is
     x + (-y) in IEEE arithmetic): the results equal it bit for bit.
 
-    Reuse.  The kernel keeps the (K + 1, n, n) stack of 1 + r^alpha and the
-    positions it was computed at.  Every energy call recomputes it; a
-    gradient-only call reads it when its positions equal those and
-    recomputes it otherwise.  Equal positions give equal r^2, so a read
-    stack is the stack a fresh kernel would compute.  `relax` calls `_fill`,
-    `_energy` and `_gradient` itself, inside one `_errstate()`, and takes the
-    gradient at an accepted trial from the stack that trial's energy filled.
+    Reuse.  `_fill` computes the (K + 1, n, n) stack of 1 + r^alpha at the
+    given positions, and `_energy` and `_gradient` both read it.  Every call
+    of the kernel fills it afresh.  `relax` calls `_fill`, `_energy` and
+    `_gradient` itself, inside one `_errstate()`, and takes the gradient at
+    an accepted trial from the stack that trial's energy filled.
 
     Powers.  r^alpha and r^(alpha-2) are chains of IEEE products (`_power`),
     so the results do not depend on the SIMD loops numpy dispatches to.
@@ -154,7 +152,6 @@ class _PairKernel:
         self._kL = (np.arange(K + 1) * L)[:, None, None]
         self._d = np.empty((n, n))
         self._den = np.empty((K + 1, n, n))     # 1 + r^alpha, image k at [k]
-        self._at = np.full(n, np.nan)           # the positions _den holds
         self._a, self._b = np.empty((b, n, n)), np.empty((b, n, n))
         self._diag = self._a.reshape(-1)[:n * n:n + 1]  # the diagonal of image 0
         # The gradient's terms in the order they are added to 0 (row 0):
@@ -164,8 +161,7 @@ class _PairKernel:
     def __call__(self, x: np.ndarray, want_energy: bool, want_grad: bool):
         """(energy or None, gradient or None) at positions x."""
         with _errstate():
-            if want_energy or not np.array_equal(x, self._at):
-                self._fill(x)
+            self._fill(x)
             return (self._energy() if want_energy else None,
                     self._gradient() if want_grad else None)
 
@@ -175,7 +171,6 @@ class _PairKernel:
 
     def _fill(self, x: np.ndarray) -> None:
         np.subtract(x[:, None], x[None, :], out=self._d)
-        np.copyto(self._at, x)
         for k0, k1 in self._blocks:
             r2 = self._images(k0, k1, self._a)
             np.multiply(r2, r2, out=r2)
@@ -256,9 +251,7 @@ def _cell_kernel(cfg: Configuration, image_cutoff: int | None) -> _PairKernel:
 def _as_configuration(x, pair_terms: _PairKernel, seed, converged,
                       grad_norm) -> Configuration:
     L, alpha = pair_terms.L, pair_terms.alpha
-    order = np.argsort(x, kind="stable")
-    xs = np.mod(x[order], L)
-    xs.sort(kind="stable")
+    xs = np.sort(np.mod(x, L), kind="stable")
     e, _ = pair_terms(xs, True, False)
     return Configuration(
         positions=xs,

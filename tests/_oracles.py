@@ -50,6 +50,10 @@ one level per batch (boxes and midpoints together when they fit in one
 chunk).  The engine must give the same status, boxes, max_depth,
 min_lower_bound and witness, with no more calls to f.
 
+`per_lane` adapts a scalar callable Interval -> Interval to the lane
+integrand `certify._bnb` takes, one box at a time, so that a scalar test
+function or a scalar reference integrand can run through the engine.
+
 `psi_float` and `psi_hat_float` are psi and psi-hat from the midpoints of
 the coefficient enclosures on float grids, in the symmetrised sinc-product
 and cosine/sine forms: uncertified corroboration for grid scans.
@@ -355,6 +359,14 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
             lo, hi = new
         out.append((Interval(lo, hi), dict(counts)))
     return out
+
+
+def per_lane(f):
+    """Lane form of a scalar callable Interval -> Interval, one box at a time."""
+    def lanes(x, _param):
+        vals = [f(Interval(a, b)) for a, b in zip(x.lo.tolist(), x.hi.tolist())]
+        return Lanes([v.lo for v in vals], [v.hi for v in vals])
+    return lanes
 
 
 def bnb_level_by_level(run, f, roots, policy):

@@ -27,7 +27,19 @@ from repulse.certify import (
     certify_w_inequality,
     certificates_to_json,
 )
-from repulse.interval import Interval, Lanes, PI, pow_int, sin
+from repulse.interval import (
+    ONE,
+    ZERO,
+    Interval,
+    Lanes,
+    PI,
+    lane_sum,
+    pow_int,
+    remainder_R,
+    s3_kernel,
+    sin,
+    sinc,
+)
 from repulse.potential import F_alpha, F_deficit_over_x_sq, PotentialContext, solve_s_alpha
 
 from _oracles import (
@@ -36,6 +48,7 @@ from _oracles import (
     F_alpha_second,
     eta1_scalar,
     offset_sum,
+    per_lane,
     psi_float,
     sum_inv_sq_offset,
 )
@@ -50,31 +63,31 @@ def _run_engine(f, roots, policy=None):
 
 
 def test_engine_square_is_nonnegative():
-    run = _run_engine(cert._per_lane(lambda x: pow_int(x, 2)), [(-1.0, 1.0)])
+    run = _run_engine(per_lane(lambda x: pow_int(x, 2)), [(-1.0, 1.0)])
     assert run.status == "verified"
     assert run.min_lb >= 0.0
 
 
 def test_engine_failure_attaches_valid_witness():
     f = lambda x: x - 10.0
-    run = _run_engine(cert._per_lane(f), [(0.0, 1.0)])
+    run = _run_engine(per_lane(f), [(0.0, 1.0)])
     assert run.status == "failed"
     assert run.witness is not None
     assert f(Interval(run.witness)).hi < 0.0
 
 
 def test_engine_sine_positive_piece():
-    run = _run_engine(cert._per_lane(sin), [(0.1, 3.0)])
+    run = _run_engine(per_lane(sin), [(0.1, 3.0)])
     assert run.status == "verified"
 
 
 def test_engine_budget_exhaustion_is_inconclusive():
-    run = _run_engine(cert._per_lane(lambda x: x), [(-1e-9, 1.0)], BnbPolicy(max_depth=4))
+    run = _run_engine(per_lane(lambda x: x), [(-1e-9, 1.0)], BnbPolicy(max_depth=4))
     assert run.status == "inconclusive"
 
 
 def test_engine_zero_depth_policy():
-    run = _run_engine(cert._per_lane(lambda x: Interval(1.0)), [(0.0, 1.0)], BnbPolicy(max_depth=0))
+    run = _run_engine(per_lane(lambda x: Interval(1.0)), [(0.0, 1.0)], BnbPolicy(max_depth=0))
     assert run.status == "inconclusive"
 
 
@@ -269,7 +282,7 @@ def test_engine_scalar_adapter_matches_lanes():
     def g(x):
         return pow_int(x - 0.3, 2) * 4.0 - 0.01 + x * 0.05
 
-    a = _run_engine(cert._per_lane(g), [(0.0, 1.0)])
+    a = _run_engine(per_lane(g), [(0.0, 1.0)])
     run = _run_engine(lambda x, _p: g(x), [(0.0, 1.0)])
     assert a.status == run.status == "verified"
     assert (a.boxes, a.max_depth, a.min_lb.hex()) == (run.boxes, run.max_depth, run.min_lb.hex())
@@ -350,6 +363,62 @@ def test_L_sensitive_to_remainder_kernel(ctx6):
     assert cert._L_value(coeffs).lo > 0.0
 
 
+@pytest.mark.parametrize("alpha", [6, 8, 10])
+def test_L_closed_kernel_lies_inside_the_kernel_form(alpha, ctx_by_alpha):
+    # L in its paper form, with the kernel -2/3 + 4R(pi n) from remainder_R:
+    # each kernel lane holds -4/(pi n)^2 (40 digits), and _L_value, which
+    # takes the kernel in that closed form, lies inside the kernel form
+    import mpmath
+
+    coeffs = build_coefficients(ctx_by_alpha[alpha], 64)
+    n, F, dF = coeffs.rows()
+    kern = Lanes.of([4.0 * remainder_R(PI * k) - Interval.from_fraction(Fraction(2, 3))
+                     for k in range(1, 65)])
+    with mpmath.workdps(40):
+        for k in range(1, 65):
+            exact = -4 / (mpmath.pi * k) ** 2
+            assert kern.lo[k - 1] <= exact <= kern.hi[k - 1], k
+    t2 = coeffs.tail_n2F.hi
+    old = 2.0 * lane_sum(ZERO, dF * cert._n_pow(n, 3) * kern, -((2.0 * n * n) * F)) \
+        + Interval(-4.0 * t2, (4.0 * alpha / 3.0) * t2)
+    new = cert._L_value(coeffs)
+    assert old.lo <= new.lo and new.hi <= old.hi
+
+
+@pytest.mark.parametrize("alpha", [6, 8, 10])
+def test_L_tail_contains_the_terms_beyond_the_head(alpha, ctx_by_alpha):
+    # _L_value bounds its rows n > N = 64 by [-4 t2, (4 alpha/3) t2], with
+    # t2 >= sum_{n > N} n^2 F(n).  Those rows add
+    # 2 sum_{n > N} (-(4/pi^2) n F'(n) - 2 n^2 F(n)), here summed at 40
+    # digits over N < n <= M = 2000 at both ends of the s_alpha enclosure
+    # (c = s^alpha).  Beyond M, n |F'(n)| = alpha c n^alpha F(n)^2 <= alpha F(n)
+    # and F(n) <= n^-alpha/c, so a row adds at most 2 (alpha + 2) n^(2-alpha)/c
+    # in size and all of them at most 2 (alpha + 2) M^(3-alpha)/((alpha - 3) c),
+    # `rest`; 1e-30 more covers the rounding of the sum.  The library's tail
+    # is _L_value on the table with its head rows set to 0.  The rows beyond
+    # N sum to a negative value, near -4 sum n^2 F(n), so the lower side is
+    # tight and the upper side is loose.
+    import mpmath
+
+    ctx = ctx_by_alpha[alpha]
+    coeffs = build_coefficients(ctx, 64)
+    N, M = coeffs.N, 2000
+    bare = dataclasses.replace(coeffs, Fn=(ONE,) + (ZERO,) * N, dFn=(ZERO,) * (N + 1))
+    tail = cert._L_value(bare)
+    with mpmath.workdps(40):
+        for s in (ctx.s_alpha.lo, ctx.s_alpha.hi):
+            c = mpmath.mpf(s) ** alpha
+            total = mpmath.mpf(0)
+            for k in range(N + 1, M + 1):
+                Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
+                k_dFk = -alpha * c * mpmath.mpf(k) ** alpha * Fk ** 2
+                total += 2 * (-4 / mpmath.pi ** 2 * k_dFk - 2 * k * k * Fk)
+            rest = 2 * (alpha + 2) * mpmath.mpf(M) ** (3 - alpha) / ((alpha - 3) * c) \
+                + mpmath.mpf(1e-30)
+            assert total < 0
+            assert tail.lo <= total - rest and total + rest <= tail.hi, (alpha, s)
+
+
 def test_L_large_examples():
     assert certify_L_large(12).status == "verified"
     assert certify_L_large(40).status == "verified"
@@ -371,6 +440,70 @@ def test_w_inequality_displayed_form():
     c = certify_w_inequality()
     assert c.status == "verified"
     assert c.boxes_processed <= 10_000
+
+
+def _w_constants(ctx4):
+    """c1 of the displayed route (16/5) and of the alpha = 4 route (4(1 - F(1)))."""
+    return (Interval.from_fraction(Fraction(16, 5)), Interval(4.0 * (ONE - ctx4.F1).lo))
+
+
+def test_w_minorant_lies_below_the_integrand(ctx4):
+    # at 40 digits on 20,001 points w of [0, pi/2], both c1: the truncations
+    # S3(2w) >= 1/6 - w^2/30 and sinc(w)^2 <= 1 - w^2/3 + 2 w^4/45 hold;
+    # f(w) = 4 c1 S3(2w) - 2 sinc(w)^2 is at least
+    # P(w^2) = (2 c1/3 - 2) + w^2 ((2/3 - 2 c1/15) - (4/45) w^2), with
+    # equality only at w = 0; and the lane minorant the certificate
+    # discharges encloses P at every point
+    import mpmath
+
+    ws = np.linspace(0.0, math.pi / 2.0, 20_001)
+    consts = []
+    with mpmath.workdps(40):
+        for c1, C in zip(_w_constants(ctx4), (mpmath.mpf(16) / 5, None)):
+            P = cert._w_minorant(c1)(Lanes(ws), np.zeros(ws.size, dtype=np.int64))
+            consts.append((C or mpmath.mpf(c1.lo), P.lo.tolist(), P.hi.tolist()))
+        one, two = mpmath.mpf(1), mpmath.mpf(2)
+        for i, w in enumerate(ws.tolist()):
+            W = mpmath.mpf(w)
+            s = W * W
+            s3_low = one / 6 - s / 30
+            sinc2_high = 1 - s / 3 + 2 * s * s / 45
+            if w == 0.0:
+                s3, sinc2 = one / 6, one
+            else:
+                s3 = (2 * W - mpmath.sin(2 * W)) / (2 * W) ** 3
+                sinc2 = (mpmath.sin(W) / W) ** 2
+            assert s3 >= s3_low and sinc2 <= sinc2_high, w
+            p_c1, p_rest = two / 3 - 2 * s / 15, s * (two / 3 - 4 * s / 45) - 2  # P = c1 p_c1 + p_rest
+            for C, lo, hi in consts:
+                p = C * p_c1 + p_rest
+                f = 4 * C * s3 - 2 * sinc2
+                assert lo[i] <= p <= hi[i], (w, C)
+                assert f > p or (w == 0.0 and abs(f - p) < 1e-35), (w, C)
+
+
+@pytest.mark.parametrize("route", [0, 1])
+def test_w_integrand_in_kernel_form_still_verifies(route, ctx4):
+    # f itself, on the scalar kernels s3_kernel and sinc through the per-box
+    # adapter, also verifies on [0, pi/2]: after the two w >= pi/2 checks,
+    # in 39 boxes to depth 6, where its minorant P takes 3 boxes at depth 0
+    c1 = _w_constants(ctx4)[route]
+    run = cert._Run()
+    run.check(c1 - 2.0, None)
+    run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, None, at=math.pi / 2.0)
+    cert._bnb(run, per_lane(lambda w: 4.0 * c1 * s3_kernel(2.0 * w) - 2.0 * pow_int(sinc(w), 2)),
+              [(0.0, (PI / 2.0).hi)], None)
+    bits = ("0x1.ea6e43b11ca00p-9", "0x1.ea6e43b10c800p-9")[route]
+    assert (run.status, run.boxes, run.max_depth, run.min_lb.hex()) == ("verified", 39, 6, bits)
+
+
+def test_w_inequality_reports_the_integrand_minimum(ctx4):
+    # P(0) = f(0) = 2 c1/3 - 2 is the least value of f on [0, pi/2], so the
+    # certificate's margin is f's own: 2/15 for c1 = 16/5, in one box
+    for ctx in (None, ctx4):
+        c = certify_w_inequality(ctx)
+        assert (c.status, c.boxes_processed, c.max_depth) == ("verified", 3, 0)
+        assert abs(c.min_lower_bound - 2.0 / 15.0) < 1e-12
 
 
 def test_w_inequality_tail_piece():
@@ -728,7 +861,7 @@ def test_eta1_lanes_contain_mpmath(alpha, ctx_by_alpha):
 def test_eta1_scalar_reference_gives_the_certificate(ctx6):
     # the reference, run through the per-box adapter, reproduces certify_eta1
     c = certify_eta1(ctx6)
-    run = _run_engine(cert._per_lane(eta1_scalar(ctx6, 64)), [(-0.5, 0.5)])
+    run = _run_engine(per_lane(eta1_scalar(ctx6, 64)), [(-0.5, 0.5)])
     assert c.status == run.status == "verified"
     assert (c.boxes_processed, c.max_depth, c.min_lower_bound.hex()) == \
         (run.boxes, run.max_depth, run.min_lb.hex())

@@ -287,8 +287,8 @@ def test_pair_kernel_matches_image_loop_at_block_edges(n, K, blocks):
 
 
 def test_pair_kernel_gradient_elsewhere_is_computed_afresh():
-    # the gradient reads the stored 1 + r^alpha only at the positions of the
-    # last energy call: a new array, or that array mutated in place, recomputes
+    # a gradient-only call equals a fresh kernel's, whatever the kernel was
+    # called at before: a new array, that array mutated in place, or a copy
     rng = np.random.default_rng(16)
     n, L, K = 36, 16.97, 3
     for alpha in (4, 6):
