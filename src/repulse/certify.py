@@ -72,7 +72,7 @@ INCONCLUSIVE = "inconclusive"
 _CLOSED = "closed-bound evaluation (large alpha)"
 _FOUR_OVER_PI_SQ = 4.0 / pow_int(PI, 2)  # L's kernel at pi n, times -n^2
 
-_N = 64  # every certificate sums the rows |n| <= _N and bounds the rest
+_N = 16  # every certificate sums the rows |n| <= _N and bounds the rest
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,9 @@ class _Run:
             self.status = INCONCLUSIVE
 
 
-# Boxes per lane batch.  A batched f holds a few dozen (boxes x terms)
-# arrays at once: with 64 terms a batch of 64 boxes peaks near 0.8 MB, and
-# 128 boxes double that for about an eighth less time.
+# Boxes per lane batch.  A batched f holds a few dozen (boxes x rows)
+# arrays at once: with the 16-row head a batch of 64 boxes of the
+# psi4_le_F4 mean-value integrand peaks near 0.4 MB (1.7 MB with 64 rows).
 _CHUNK = 64
 
 
@@ -588,7 +588,7 @@ def _psi4_parts(coeffs: AuxCoefficients):
     """(head, slope, tail) of the integrand sum_{n in Z} L(x, n) on x >= 0, at any
     alpha: `psi4_le_F4` at alpha = 4 and `eta0` on [0, 1/2].
 
-    head sums |n| <= N (N >= _N) as ((L(x, 0) + L(x, 1)) + L(x, -1)) + ...,
+    head sums |n| <= N (N >= 10) as ((L(x, 0) + L(x, 1)) + L(x, -1)) + ...,
     with L(x, 0) = (F(x) - 1)/x^2 = -c x^(alpha-2) F(x), c = s^alpha;
     slope sums the derivatives in the same order, starting from
     d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail, the terms
@@ -596,8 +596,7 @@ def _psi4_parts(coeffs: AuxCoefficients):
     """
     ctx = coeffs.ctx
     alpha, N = ctx.alpha, coeffs.N
-    _check_head(N)
-    off = _offset_tail(ctx)
+    off = _offset_tail(ctx, N)
     n, Fn, dFn = coeffs.rows()
     signed = ((n, dFn), (-n, -dFn))  # the rows n and -n, with F'(-n) = -F'(n)
 
@@ -634,8 +633,8 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -
     run.check(far, policy, at=9.0)
     _bnb(run, _mean_value(*_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
     return route.certificate(
-        run, alpha, "[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption recorded)",
-        policy)
+        run, alpha, f"[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption "
+        f"recorded), head N={_N}", policy)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +654,7 @@ def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Cert
     head, _, tail = _psi4_parts(build_coefficients(ctx, _N))
     _bnb(run, lambda x, param: head(x, param) + tail(x, param), [(0.0, 0.5)], policy)
     return route.certificate(run, ctx.alpha, "[0, 1/2] branch-and-bound of sum_n L(x, n), "
-                             "so psi <= F", policy)
+                             f"so psi <= F, head N={_N}", policy)
 
 
 def _inv_sq_tail(t: Lanes, N: int) -> Lanes:
@@ -683,12 +682,11 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
         L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail,
 
     where L(x, 1) = (F(x) - F(1) - F'(1) t)/t^2 is one lane of `_L_terms`,
-    offset(x, 1) is `_offset_sum` at eta = 1 on the rows |n| <= N (N >= _N)
+    offset(x, 1) is `_offset_sum` at eta = 1 on the rows |n| <= N (N >= 10)
     and tail is `_offset_tail`.  Each lane is computed on its own, so it
     equals the scalar evaluation on the same box bit for bit.
     """
-    _check_head(N)
-    tail = _offset_tail(ctx)
+    tail = _offset_tail(ctx, N)
     rows = build_coefficients(ctx, N).rows()
 
     def integrand(t: Lanes, _param) -> Lanes:
@@ -707,40 +705,37 @@ def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Cert
     route = _route("eta1", True, ctx.alpha)
     run = _Run()
     _bnb(run, _eta1_integrand(ctx, _N), [(-0.5, 0.5)], policy)
-    return route.certificate(run, ctx.alpha, "t in [-1/2, 1/2] (x = 1 + t)", policy)
+    return route.certificate(run, ctx.alpha, f"t in [-1/2, 1/2] (x = 1 + t), head N={_N}", policy)
 
 
-def _offset_tail(ctx: PotentialContext) -> float:
-    """B >= sum_{|n| > _N} (F(n)/(x-n)^2 + F'(n)/(x-n)) >= 0 on 0 <= x <= 10
-    (hand-derived, for _N = 64).
+def _offset_tail(ctx: PotentialContext, N: int) -> float:
+    """B >= sum_{|n| > N} (F(n)/(x-n)^2 + F'(n)/(x-n)) >= 0 on 0 <= x <= 10
+    (hand-derived); ValueError unless N >= 10.
 
-    For n >= 65 the terms at n and -n are positive; by F(n) <= n^-alpha/c and
-    |F'(n)| <= alpha n^-(alpha+1)/c, c = s^alpha, they sum to at most
-    n^-(alpha+2)/c (2 (n/(n-10))^2 + 2 alpha n^2/(n^2-100)) <= 2 (1.4 + 1.19
-    alpha) n^-(alpha+2)/c, as both ratios fall in n and (65/55)^2 < 1.4.  B
-    sums that over n > _N, so it also bounds the terms beyond any longer head.
+    For n >= N + 1 >= 11 the terms at n and -n are positive; by
+    F(n) <= n^-alpha/c and |F'(n)| <= alpha n^-(alpha+1)/c, c = s^alpha,
+    they sum to at most n^-(alpha+2)/c (2 (n/(n-10))^2 + 2 alpha n^2/(n^2-100)).
+    Both ratios fall in n, so with k = N + 1 that is at most
+    2 ((k/(k-10))^2 + alpha k^2/(k^2-100)) n^-(alpha+2)/c, the rational
+    factor rounded up once.  B sums that over n > N.
     """
-    return (2.0 * (1.4 + 1.19 * ctx.alpha) * power_sum_tail(ctx.alpha + 2, _N + 1)
-            / ctx.s_pow_alpha).hi
-
-
-def _check_head(N: int) -> None:
-    """ValueError unless N >= _N: `_offset_tail` bounds only the terms beyond
-    |n| = _N, so a head |n| <= N with N < _N would leave N < |n| <= _N out."""
-    if N < _N:
-        raise ValueError(f"the offset tail needs a head of |n| <= N with N >= {_N}, not N = {N}")
+    if N < 10:
+        raise ValueError(f"the offset tail needs a head of |n| <= N with N >= 10, not N = {N}")
+    k = N + 1
+    ratio = Interval.from_fraction(2 * (Fraction(k, k - 10) ** 2
+                                        + ctx.alpha * Fraction(k * k, k * k - 100)))
+    return (ratio * power_sum_tail(ctx.alpha + 2, k) / ctx.s_pow_alpha).hi
 
 
 def _eta_ge2_parts(coeffs: AuxCoefficients):
     """(head, slope, tail) of -offset(x, eta) on boxes x >= 1, each with its
     segment's eta as param.
 
-    head is -`_offset_sum` (N >= _N); slope sums d/dx F(n)/(x-n)^2 =
+    head is -`_offset_sum` (N >= 10); slope sums d/dx F(n)/(x-n)^2 =
     -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order
     (x - n never holds 0, since n != eta); tail is `_offset_tail`.
     """
-    _check_head(coeffs.N)
-    tail = _offset_tail(coeffs.ctx)
+    tail = _offset_tail(coeffs.ctx, coeffs.N)
     rows = coeffs.rows()
     n, Fn, dFn = rows
 
@@ -774,8 +769,8 @@ def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None) -> C
     _bnb(run, _mean_value(*_eta_ge2_parts(coeffs)), [sg for sg in segments if sg[0] < sg[1]],
          policy)
     return route.certificate(
-        run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10",
-        policy)
+        run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10, "
+        f"head N={_N}", policy)
 
 
 def _allthestars_small_value(coeffs: AuxCoefficients) -> Interval:

@@ -60,6 +60,7 @@ and cosine/sine forms: uncertified corroboration for grid scans.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -219,14 +220,23 @@ def psi_hat_float(coeffs, xis) -> np.ndarray:
     return np.where(a >= 1.0, 0.0, val)
 
 
-def eta1_scalar(ctx, N=64):
+def eta1_scalar(ctx, N):
     """Scalar eta1 integrand: Interval t -> enclosure of
     L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail, x = 1 + t,
-    with tail = 2 (1.4 + 1.19 alpha) sum_{n > 64} n^-(alpha+2) / s^alpha the
-    bound on the offset terms |n| > 64 (so N >= 64)."""
+    with the offset terms |n| <= N (N >= 10) summed and the rest bounded.
+
+    tail bounds the terms at n and -n for n > N on 0 <= x <= 10: they sum to
+    at most (2 F(n) (n/(n-10))^2 + 2 n |F'(n)| n^2/(n^2-100))/n^2, with
+    F(n) <= n^-alpha/c and n |F'(n)| <= alpha n^-alpha/c, c = s^alpha;
+    both ratios are largest at n = k = N + 1, so tail is
+    2 k^2 (k^2 - 100 + alpha (k - 10)^2)/((k - 10)^2 (k^2 - 100)), rounded
+    up, times sum_{n >= k} n^-(alpha+2)/c.
+    """
     coeffs = build_coefficients(ctx, N)
-    alpha = ctx.alpha
-    tail = (2.0 * (1.4 + 1.19 * alpha) * power_sum_tail(alpha + 2, 65) / ctx.s_pow_alpha).hi
+    alpha, k = ctx.alpha, N + 1
+    ratio = Interval.from_fraction(Fraction(2 * k * k * (k * k - 100 + alpha * (k - 10) ** 2),
+                                            (k - 10) ** 2 * (k * k - 100)))
+    tail = (ratio * power_sum_tail(alpha + 2, k) / ctx.s_pow_alpha).hi
 
     def expr(t):
         x = 1.0 + t

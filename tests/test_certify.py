@@ -693,8 +693,8 @@ def test_eta1_lanes_match_scalar_reference(alpha, ctx_by_alpha):
     boxes = _eta1_boxes(random.Random(20260 + alpha), 40)
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
-    got = cert._eta1_integrand(ctx, 64)(Lanes(lo, hi), None)
-    ref = eta1_scalar(ctx, 64)
+    got = cert._eta1_integrand(ctx, cert._N)(Lanes(lo, hi), None)
+    ref = eta1_scalar(ctx, cert._N)
     for i, (a, b) in enumerate(boxes):
         want = ref(Interval(a, b))
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
@@ -712,47 +712,81 @@ def test_inv_sq_offset_sum_matches_scalar_reference(N):
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b)
 
 
-@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+@pytest.mark.parametrize("alpha", [4, 6, 14, 200, 1000])
 def test_offset_tail_bounds_the_terms_beyond_the_head(alpha, ctx_by_alpha):
-    # sum_{|n| > 64} (F(n)/(x-n)^2 + F'(n)/(x-n)) on a grid of [0, 10], at 40
-    # digits with c = s^alpha at the lower end of its enclosure, where F(n)
-    # and |F'(n)| are largest (c n^alpha > 1); |n| <= M summed, and `rest`
-    # bounds the terms beyond: for n > M and x <= 10, n - 10 >= 0.99 n, so the
-    # terms at n and -n sum to at most (2 + 2 alpha)/(0.99^2 c) n^-(alpha+2)
+    # sum_{|n| > N} (F(n)/(x-n)^2 + F'(n)/(x-n)) on a grid of [0, 10], for the
+    # certificates' head N = _N, for N = 64 and for the least head the bound
+    # admits, N = 10, where its factor ((N+1)/(N-9))^2 carries it (121) and
+    # a smaller one fails; at 40 digits with c = s^alpha
+    # at the lower end of its enclosure, where F(n) and |F'(n)| are largest
+    # (c n^alpha > 1); N < |n| <= M summed, and `rest` bounds the terms
+    # beyond: for n > M and x <= 10, n - 10 >= 0.99 n, so the terms at n and
+    # -n sum to at most (2 + 2 alpha)/(0.99^2 c) n^-(alpha+2).  At alpha 200
+    # and N = 16 the sum is 0.91 of the bound, where the alpha factor
+    # (N+1)^2/((N+1)^2-100) carries it, so a smaller factor fails here; at
+    # alpha 1000, (N+1)^(alpha+2) overflows and the bound is a subnormal, far
+    # above the sum
     import mpmath
 
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
-    bound = cert._offset_tail(ctx)
     M = 2000
     with mpmath.workdps(40):
         c = mpmath.mpf(ctx.s_pow_alpha.lo)
-        rows = []
-        for k in range(65, M + 1):
-            Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
-            rows.append((k, Fk, -alpha * c * mpmath.mpf(k) ** (alpha - 1) * Fk ** 2))
         rest = (2 + 2 * alpha) / (mpmath.mpf(0.99) ** 2 * c * (alpha + 1)
                                   * mpmath.mpf(M) ** (alpha + 1))
+        rows = []
+        for k in range(11, M + 1):
+            Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
+            rows.append((k, Fk, -alpha * c * mpmath.mpf(k) ** (alpha - 1) * Fk ** 2))
         for x in [mpmath.mpf(j) / 2 for j in range(21)]:  # 0, 1/2, 3/2, 9 and 10 among them
-            head = mpmath.fsum(Fk / (x - k) ** 2 + dFk / (x - k) + Fk / (x + k) ** 2 - dFk / (x + k)
-                               for k, Fk, dFk in rows)
-            assert 0 < head and head + rest <= bound, (alpha, x)
+            terms = [Fk / (x - k) ** 2 + dFk / (x - k) + Fk / (x + k) ** 2 - dFk / (x + k)
+                     for k, Fk, dFk in rows]
+            for N in (10, cert._N, 64):
+                head = mpmath.fsum(terms[N - 10:])  # the terms k = N + 1 .. M
+                assert 0 < head and head + rest <= cert._offset_tail(ctx, N), (alpha, N, x)
 
 
 def test_offset_tail_integrands_reject_a_short_head(ctx6):
-    # `_offset_tail` bounds only the terms beyond |n| = 64: a 16-row head
-    # plus that tail missed the exact eta_ge2 sum at x = 9.5, 9.75 and 10
-    short = build_coefficients(ctx6, 16)
-    for make in (lambda: cert._eta_ge2_parts(short), lambda: cert._psi4_parts(short),
-                 lambda: cert._eta1_integrand(ctx6, 16), lambda: cert._eta1_integrand(ctx6, 63)):
-        with pytest.raises(ValueError, match="N >= 64"):
-            make()
-    cert._eta_ge2_parts(build_coefficients(ctx6, 64))
+    # the offset-tail bound is derived for heads |n| <= N with N >= 10 (it
+    # divides by N - 9); any such head carries the tail beyond its own N, so
+    # a 10- or 16-row eta_ge2 head plus its tail contains the exact sum at
+    # x = 9.5, 9.75 and 10, which a 16-row head plus the tail beyond |n| = 64
+    # missed: 40 digits, |n| <= M, at both ends of c = s^alpha's enclosure,
+    # and for |n| > M the terms at n and -n sum to at most
+    # (2 + 2 alpha)/(0.99^2 c) n^-(alpha+2), all of them to `rest`
+    import mpmath
+
+    for N in (8, 9):  # build_coefficients takes N >= 8
+        short = build_coefficients(ctx6, N)
+        for make in (lambda: cert._eta_ge2_parts(short), lambda: cert._psi4_parts(short),
+                     lambda: cert._eta1_integrand(ctx6, N), lambda: cert._offset_tail(ctx6, N)):
+            with pytest.raises(ValueError, match="N >= 10"):
+                make()
+    assert cert._offset_tail(ctx6, 10) > cert._offset_tail(ctx6, 16) > cert._offset_tail(ctx6, 64)
+    alpha, M, xs = 6, 2000, (9.5, 9.75, 10.0)
+    at, eta = Lanes(np.array(xs)), np.full(len(xs), 10, dtype=np.int64)
+    with mpmath.workdps(40):
+        for c in (mpmath.mpf(ctx6.s_pow_alpha.lo), mpmath.mpf(ctx6.s_pow_alpha.hi)):
+            rows = []
+            for k in range(-M, M + 1):
+                Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
+                rows.append((k, Fk, -alpha * c * mpmath.mpf(k) ** (alpha - 1) * Fk ** 2))
+            rest = (2 + 2 * alpha) / (mpmath.mpf(0.99) ** 2 * c * (alpha + 1)
+                                      * mpmath.mpf(M) ** (alpha + 1))
+            want = [-mpmath.fsum(Fk / (x - k) ** 2 + dFk / (x - k) for k, Fk, dFk in rows if k != 10)
+                    for x in map(mpmath.mpf, xs)]
+            for N in (10, 16):
+                head, _, tail = cert._eta_ge2_parts(build_coefficients(ctx6, N))
+                got = head(at, eta) + tail(at, eta)
+                for i, w in enumerate(want):
+                    assert got.lo[i] <= w - rest and w + rest <= got.hi[i], (N, xs[i])
 
 
 def test_inv_sq_tail_contains_mpmath():
-    # sum_{|n| > 64} 1/(x - n)^2 = psi'(65 - x) + psi'(65 + x) on seeded
-    # boxes of [0, 9] (psi4_le_F4) and [-1/2, 1/2] (eta1), at box ends,
-    # midpoints and inner points
+    # sum_{|n| > N} 1/(x - n)^2 = psi'(N + 1 - x) + psi'(N + 1 + x), for the
+    # certificates' head N = _N and for N = 64, on seeded boxes of [0, 9]
+    # (psi4_le_F4) and [-1/2, 1/2] (eta1), at box ends, midpoints and inner
+    # points
     import mpmath
 
     rng = random.Random(6400)
@@ -762,12 +796,13 @@ def test_inv_sq_tail_contains_mpmath():
             boxes.append(tuple(sorted(rng.uniform(lo, hi) for _ in range(2))))
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
-    got = cert._inv_sq_tail(Lanes(lo, hi), 64)
     with mpmath.workdps(40):
-        for i, (a, b) in enumerate(boxes):
-            for x in (a, 0.5 * (a + b), b, rng.uniform(a, b)):
-                v = mpmath.psi(1, 65 - mpmath.mpf(x)) + mpmath.psi(1, 65 + mpmath.mpf(x))
-                assert got.lo[i] <= v <= got.hi[i], (a, b, x)
+        for N in (cert._N, 64):
+            got = cert._inv_sq_tail(Lanes(lo, hi), N)
+            for i, (a, b) in enumerate(boxes):
+                for x in (a, 0.5 * (a + b), b, rng.uniform(a, b)):
+                    v = mpmath.psi(1, N + 1 - mpmath.mpf(x)) + mpmath.psi(1, N + 1 + mpmath.mpf(x))
+                    assert got.lo[i] <= v <= got.hi[i], (N, a, b, x)
 
 
 @pytest.mark.parametrize("alpha", [4, 6, 12])
@@ -861,7 +896,7 @@ def test_eta1_lanes_contain_mpmath(alpha, ctx_by_alpha):
 def test_eta1_scalar_reference_gives_the_certificate(ctx6):
     # the reference, run through the per-box adapter, reproduces certify_eta1
     c = certify_eta1(ctx6)
-    run = _run_engine(per_lane(eta1_scalar(ctx6, 64)), [(-0.5, 0.5)])
+    run = _run_engine(per_lane(eta1_scalar(ctx6, cert._N)), [(-0.5, 0.5)])
     assert c.status == run.status == "verified"
     assert (c.boxes_processed, c.max_depth, c.min_lower_bound.hex()) == \
         (run.boxes, run.max_depth, run.min_lb.hex())
