@@ -70,12 +70,19 @@ def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     return AuxCoefficients(ctx, N, Fn, dFn, tail_F, tail_dF, tail_n2F)
 
 
+def _beside(a: Lanes, b: Lanes) -> Lanes:
+    """The lanes a and b side by side on the last axis, as one block (such as
+    the rows n and -n of a sum over n)."""
+    return Lanes(np.concatenate((a.lo, b.lo), axis=-1), np.concatenate((a.hi, b.hi), axis=-1))
+
+
 def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
-    """(n == eta, x - n, x + n) for boxes x, each with its eta, and the row n;
-    1.0 stands in for x - n at the left-out n = eta."""
-    X = x[:, None]
+    """(n == eta, D) for boxes x, each with its eta, and the row n: D is the
+    block x - [n, -n], the columns x - n and then x + n; 1.0 stands in for
+    x - n at the left-out n = eta."""
     own = n == eta[:, None]
-    return own, Lanes.where(own, 1.0, X - n), X + n
+    d = x[:, None] - np.concatenate((n, -n))
+    return own, Lanes.where(np.concatenate((own, np.zeros_like(own)), axis=1), 1.0, d)
 
 
 def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
@@ -85,14 +92,18 @@ def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
     Adds n = 0 (the term 1/x^2, left out at eta = 0), then for n = 1..N the
     two terms at n (left out at n = eta) and the two at -n, with
     F'(-n) = -F'(n).  A left-out term stands as -0.0, and 1/x^2 is taken of
-    1.0 where eta = 0, so x may hold 0 there.
+    1.0 where eta = 0, so x may hold 0 there.  One block holds the rows n and
+    -n (`_offsets`), so each term is one lane operation over both; the fold
+    reads the halves back in the order above.
     """
     n, Fn, dFn = rows
-    own, d, dm = _offsets(x, eta, n)
+    own, d = _offsets(x, eta, n)
     at0 = eta == 0
     head = Lanes.where(at0, -0.0, _ONE / pow_int(Lanes.where(at0, 1.0, x), 2))
-    return lane_fold(head, (Fn / pow_int(d, 2), own), (dFn / d, own),
-                     Fn / pow_int(dm, 2), -(dFn / dm))
+    sq = _beside(Fn, Fn) / pow_int(d, 2)
+    lin = _beside(dFn, -dFn) / d
+    N = n.size
+    return lane_fold(head, (sq[:, :N], own), (lin[:, :N], own), sq[:, N:], lin[:, N:])
 
 
 def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:

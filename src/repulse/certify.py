@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import json_text
-from .auxfn import AuxCoefficients, _offset_sum, _offsets, build_coefficients
+from .auxfn import AuxCoefficients, _beside, _offset_sum, _offsets, build_coefficients
 from .interval import (
     ONE as _ONE,
     ZERO as _ZERO,
@@ -308,6 +308,14 @@ def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
 # The transform-positivity constants T(alpha) and L(alpha).
 # ---------------------------------------------------------------------------
 
+def _table(ctx: PotentialContext, coeffs: AuxCoefficients | None) -> AuxCoefficients:
+    """The coefficient table of ctx at the head _N: coeffs when it is that
+    table (as `certify_all` hands one to every piece), else built here."""
+    if coeffs is not None and coeffs.ctx is ctx and coeffs.N == _N:
+        return coeffs
+    return build_coefficients(ctx, _N)
+
+
 def _n_pow(n: np.ndarray, k: int, c: float = 1.0) -> Lanes:
     """Lanes enclosing c n^k on the row n of integers, for any row length;
     a float c * n**k is rounded once n^k passes 2^53 (n > 1552 for k = 5)."""
@@ -322,11 +330,13 @@ def _T_value(coeffs: AuxCoefficients) -> Interval:
     return 0.5 * (_ONE - 2.0 * SF) - SdF / PI
 
 
-def certify_T(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
-    """Single-constant proof of the transform's positivity on [0, 1/2]."""
+def certify_T(ctx: PotentialContext, policy: BnbPolicy | None = None,
+              coeffs: AuxCoefficients | None = None) -> Certificate:
+    """Single-constant proof of the transform's positivity on [0, 1/2]; coeffs
+    as `_table` reads it."""
     route = _route("T_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_T_value(build_coefficients(ctx, _N)), policy)
+    run.check(_T_value(_table(ctx, coeffs)), policy)
     return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
@@ -355,12 +365,14 @@ def _L_value(coeffs: AuxCoefficients) -> Interval:
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
 
-def certify_L(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+def certify_L(ctx: PotentialContext, policy: BnbPolicy | None = None,
+              coeffs: AuxCoefficients | None = None) -> Certificate:
     """Single-constant proof of the transform's positivity on [1/2, 1]: the
-    kernel-weighted sum, evaluated directly on its row's alpha."""
+    kernel-weighted sum, evaluated directly on its row's alpha; coeffs as
+    `_table` reads it."""
     route = _route("L_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_L_value(build_coefficients(ctx, _N)), policy)
+    run.check(_L_value(_table(ctx, coeffs)), policy)
     return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
@@ -456,9 +468,10 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
     enclosure and the coefficient monotonicity F(n) <= F(1), n >= 2, that
     the reduction relies on checked first rather than assumed); |xi| >= 1
     is the support condition.  The other pieces are the `part` rows of
-    ROUTES at this alpha, each a certificate of its own.  `computed` maps
-    an inequality_id to its certificate already made with the same context
-    and policy, which is merged instead of recomputed.
+    ROUTES at this alpha, each a certificate of its own, handed coeffs as
+    `_table` reads it.  `computed` maps an inequality_id to its certificate
+    already made with the same context and policy, which is merged instead
+    of recomputed.
     """
     ctx = coeffs.ctx
     computed = computed or {}
@@ -468,7 +481,7 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
         run.check(_monotone_coefficient_check(coeffs), policy)
     for route in parts:
         run.absorb(computed.get(route.inequality_id)
-                   or route.call(ctx.alpha, ctx, policy))
+                   or route.call(ctx.alpha, ctx, policy, coeffs))
     return _certificate(run, ctx.alpha,
                         "[0,1/2] via T, [1/2,1] via L or the w route, 0 beyond support",
                         policy, "psihat_nonneg", "transform of psi nonnegative on the whole line")
@@ -523,10 +536,10 @@ def _dL_terms(ctx: PotentialContext, x: Lanes, dFx: Lanes, L: Lanes, n: np.ndarr
                       lambda h: SIXTH * _third_derivative(ctx, h))
 
 
-def _first_derivative(ctx: PotentialContext, x: Lanes) -> Lanes:
-    """F' = -alpha c x^(alpha-1) F^2 with c = s^alpha: a free form, valid on any x >= 0."""
-    return -ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 1) \
-        * pow_int(F_alpha(ctx, x), 2)
+def _first_derivative(ctx: PotentialContext, x: Lanes, F: Lanes) -> Lanes:
+    """F' = -alpha c x^(alpha-1) F^2 with c = s^alpha, from F = F(x): a free form,
+    valid on any x >= 0."""
+    return -ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 1) * pow_int(F, 2)
 
 
 def _second_derivative_any(ctx: PotentialContext, x: Lanes) -> Lanes:
@@ -577,11 +590,20 @@ def _mean_value(head, slope, tail):
 
 
 def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
-    """Enclosure of sum_{n in Z} (3 n^2 F(n) + n^3 F'(n))."""
+    """Enclosure of sum_{n in Z} (3 n^2 F(n) + n^3 F'(n)).
+
+    By n F'(n) = -alpha F(n)(1 - F(n)), each term is
+    n^2 F(n)(3 - alpha + alpha F(n)).  Beyond the head, F(n) <= F(N) < 1/4
+    (N >= 8 and s_alpha >= 1), so for alpha >= 4 each term lies in
+    [-(3 + alpha) n^2 F(n), 0) and the rows |n| > N in [-2b, 0],
+    b = (3 + alpha) tail_n2F.  ValueError if the table's F(N) is not < 1/4.
+    """
+    if not coeffs.Fn[coeffs.N].hi < 0.25:
+        raise ValueError("the one-sided tail needs F(N) < 1/4")
     n, F, dF = coeffs.rows()
     acc = lane_sum(_ZERO, (3.0 * n * n) * F, dF * _n_pow(n, 3))
     b = ((3.0 + coeffs.ctx.alpha) * coeffs.tail_n2F).hi
-    return 2.0 * acc + Interval(-2.0 * b, 2.0 * b)
+    return 2.0 * acc + Interval(-2.0 * b, 0.0)
 
 
 def _psi4_parts(coeffs: AuxCoefficients):
@@ -593,24 +615,27 @@ def _psi4_parts(coeffs: AuxCoefficients):
     slope sums the derivatives in the same order, starting from
     d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail, the terms
     |n| > N, is F(x) `_inv_sq_tail` minus offset terms (`_offset_tail`).
+    head and slope evaluate F(x) once, and one block holds the rows n and
+    -n, with F'(-n) = -F'(n); the fold reads its halves in the order above.
     """
     ctx = coeffs.ctx
     alpha, N = ctx.alpha, coeffs.N
     off = _offset_tail(ctx, N)
     n, Fn, dFn = coeffs.rows()
-    signed = ((n, dFn), (-n, -dFn))  # the rows n and -n, with F'(-n) = -F'(n)
+    k = n.size
+    ns, Fs, dFs = np.concatenate((n, -n)), _beside(Fn, Fn), _beside(dFn, -dFn)
 
     def head(x: Lanes, _param) -> Lanes:
-        X, FX = x[:, None], F_alpha(ctx, x)[:, None]
-        return lane_fold(F_deficit_over_x_sq(ctx, x),
-                         *(_L_terms(ctx, X, FX, k, Fn, dFk) for k, dFk in signed))
+        F = F_alpha(ctx, x)
+        L = _L_terms(ctx, x[:, None], F[:, None], ns, Fs, dFs)
+        return lane_fold(F_deficit_over_x_sq(ctx, x, F), L[:, :k], L[:, k:])
 
     def slope(x: Lanes, _param) -> Lanes:
         F = F_alpha(ctx, x)
-        X, FX, dFX = x[:, None], F[:, None], _first_derivative(ctx, x)[:, None]
+        X, dFX = x[:, None], _first_derivative(ctx, x, F)[:, None]
         at0 = -ctx.s_pow_alpha * pow_int(x, alpha - 3) * F * (alpha * F - 2.0)
-        return lane_fold(at0, *(_dL_terms(ctx, X, dFX, _L_terms(ctx, X, FX, k, Fn, dFk), k, dFk)
-                                for k, dFk in signed))
+        dL = _dL_terms(ctx, X, dFX, _L_terms(ctx, X, F[:, None], ns, Fs, dFs), ns, dFs)
+        return lane_fold(at0, dL[:, :k], dL[:, k:])
 
     def tail(x: Lanes, _param) -> Lanes:
         return F_alpha(ctx, x) * _inv_sq_tail(x, N) + Interval(-off, off)
@@ -618,17 +643,19 @@ def _psi4_parts(coeffs: AuxCoefficients):
     return head, slope, tail
 
 
-def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None,
+                       coeffs: AuxCoefficients | None = None) -> Certificate:
     """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound, in mean-value form.
 
     The x >= 9 range is discharged by the displayed constant inequality
     -sum(3n^2 F + n^3 F') >= 10/81 + 1/81 + (5/2) F(9), evaluated in
     interval arithmetic (the surrounding hand derivation is trusted).
+    coeffs as `_table` reads it.
     """
     alpha = ctx.alpha
     route = _route("psi4_le_F4", True, alpha)
     run = _Run()
-    coeffs = build_coefficients(ctx, _N)
+    coeffs = _table(ctx, coeffs)
     far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
     _bnb(run, _mean_value(*_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
@@ -641,17 +668,19 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -
 # The three nearest-integer cases of psi <= F away from alpha = 4.
 # ---------------------------------------------------------------------------
 
-def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None,
+                 coeffs: AuxCoefficients | None = None) -> Certificate:
     """sum_{n in Z} L(x, n) >= 0 on [0, 1/2] by branch-and-bound, which is psi <= F there.
 
     The sum is the `_psi4_parts` integrand at this alpha, and it equals
     pi^2 (F(x) - psi(x))/sin^2(pi x) (Cohn and Kumar, JAMS 2007).  It is
     enclosed in direct form, head(X) + tail(X), which discharges the root
-    in one box where the mean-value form splits it.
+    in one box where the mean-value form splits it.  coeffs as `_table`
+    reads it.
     """
     route = _route("eta0", True, ctx.alpha)
     run = _Run()
-    head, _, tail = _psi4_parts(build_coefficients(ctx, _N))
+    head, _, tail = _psi4_parts(_table(ctx, coeffs))
     _bnb(run, lambda x, param: head(x, param) + tail(x, param), [(0.0, 0.5)], policy)
     return route.certificate(run, ctx.alpha, "[0, 1/2] branch-and-bound of sum_n L(x, n), "
                              f"so psi <= F, head N={_N}", policy)
@@ -659,35 +688,44 @@ def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Cert
 
 def _inv_sq_tail(t: Lanes, N: int) -> Lanes:
     """Lanes of sum_{|n| > N} 1/(n - t)^2 for boxes t within (-N, N): the
-    integral sandwich 1/(N+1-t) + 1/(N+1+t) <= sum <= 1/(N-t) + 1/(N+t)."""
-    return Lanes((_ONE / (N + 1 - t) + _ONE / (N + 1 + t)).lo, (_ONE / (N - t) + _ONE / (N + t)).hi)
+    integral sandwich 1/(N+1-t) + 1/(N+1+t) <= sum <= 1/(N-t) + 1/(N+t).
+
+    The four quotients are one block of columns, each lower bound's pair
+    added in the order written."""
+    T = t[:, None]
+    pm = _beside(-T, T)
+    q = _ONE / (_beside(pm, pm) + np.array([N + 1.0, N + 1.0, N, N]))
+    s = q[:, 0::2] + q[:, 1::2]
+    return Lanes(s.lo[:, 0], s.hi[:, 1])
 
 
 def _inv_sq_offset_sum(t: Lanes, N: int) -> Lanes:
     """Lanes of sum_{n != 0} 1/(n - t)^2 for boxes t within (-1, 1).
 
     Head |n| <= N, added as ((0 + 1/(1-t)^2) + 1/(1+t)^2) + 1/(2-t)^2 ...,
-    plus `_inv_sq_tail`.
+    plus `_inv_sq_tail`.  One block holds t - n and t + n; (t - n)^2 has
+    the bits of (n - t)^2, and the fold reads the halves in the order above.
     """
     n = np.arange(1.0, N + 1.0)
-    T = t[:, None]
-    acc = lane_fold(Lanes(np.zeros_like(t.lo)), _ONE / pow_int(n - T, 2), _ONE / pow_int(T + n, 2))
+    q = _ONE / pow_int(t[:, None] - np.concatenate((n, -n)), 2)
+    acc = lane_fold(Lanes(np.zeros_like(t.lo)), q[:, :N], q[:, N:])
     return acc + _inv_sq_tail(t, N)
 
 
-def _eta1_integrand(ctx: PotentialContext, N: int):
+def _eta1_integrand(coeffs: AuxCoefficients):
     """Lane form of the eta1 integrand in t = x - 1: the eta_ge2 sum at eta = 1
     with its diagonal term pulled out,
 
         L(x, 1) + F(x) sum_{n != 0} 1/(n - t)^2 - offset(x, 1) +- tail,
 
     where L(x, 1) = (F(x) - F(1) - F'(1) t)/t^2 is one lane of `_L_terms`,
-    offset(x, 1) is `_offset_sum` at eta = 1 on the rows |n| <= N (N >= 10)
-    and tail is `_offset_tail`.  Each lane is computed on its own, so it
-    equals the scalar evaluation on the same box bit for bit.
+    offset(x, 1) is `_offset_sum` at eta = 1 on the table's rows |n| <= N
+    (N >= 10) and tail is `_offset_tail`.  Each lane is computed on its own,
+    so it equals the scalar evaluation on the same box bit for bit.
     """
+    ctx, N = coeffs.ctx, coeffs.N
     tail = _offset_tail(ctx, N)
-    rows = build_coefficients(ctx, N).rows()
+    rows = coeffs.rows()
 
     def integrand(t: Lanes, _param) -> Lanes:
         x = 1.0 + t
@@ -700,11 +738,13 @@ def _eta1_integrand(ctx: PotentialContext, N: int):
     return integrand
 
 
-def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
-    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2."""
+def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None,
+                 coeffs: AuxCoefficients | None = None) -> Certificate:
+    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2; coeffs
+    as `_table` reads it."""
     route = _route("eta1", True, ctx.alpha)
     run = _Run()
-    _bnb(run, _eta1_integrand(ctx, _N), [(-0.5, 0.5)], policy)
+    _bnb(run, _eta1_integrand(_table(ctx, coeffs)), [(-0.5, 0.5)], policy)
     return route.certificate(run, ctx.alpha, f"t in [-1/2, 1/2] (x = 1 + t), head N={_N}", policy)
 
 
@@ -733,36 +773,38 @@ def _eta_ge2_parts(coeffs: AuxCoefficients):
 
     head is -`_offset_sum` (N >= 10); slope sums d/dx F(n)/(x-n)^2 =
     -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order
-    (x - n never holds 0, since n != eta); tail is `_offset_tail`.
+    (x - n never holds 0, since n != eta), on one block of the rows n and -n
+    as the head does; tail is `_offset_tail`.
     """
     tail = _offset_tail(coeffs.ctx, coeffs.N)
     rows = coeffs.rows()
     n, Fn, dFn = rows
+    k = n.size
+    minus_2F, dFs = -2.0 * _beside(Fn, Fn), _beside(dFn, -dFn)
 
     def slope(x: Lanes, eta: np.ndarray) -> Lanes:
-        own, d, dm = _offsets(x, eta, n)
-
-        def term(d: Lanes, dF: Lanes) -> Lanes:
-            return -2.0 * Fn / pow_int(d, 3) - dF / pow_int(d, 2)
-
-        return -lane_fold(-2.0 / pow_int(x, 3), (term(d, dFn), own), term(dm, -dFn))
+        own, d = _offsets(x, eta, n)
+        term = minus_2F / pow_int(d, 3) - dFs / pow_int(d, 2)
+        return -lane_fold(-2.0 / pow_int(x, 3), (term[:, :k], own), term[:, k:])
 
     return lambda x, eta: -_offset_sum(x, eta, rows), slope, \
         lambda x, eta: Interval(-tail, tail)
 
 
-def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None,
+                    coeffs: AuxCoefficients | None = None) -> Certificate:
     """x in [1.5, 10] by branch-and-bound, in mean-value form, plus the
     displayed x >= 10 constant.
 
     Certifies sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0 on segments
     of constant nearest integer, plus the reduction's side condition
-    F(3/2) <= 1/2 (which makes the pulled-out diagonal nonnegative).
+    F(3/2) <= 1/2 (which makes the pulled-out diagonal nonnegative).  coeffs
+    as `_table` reads it.
     """
     alpha = ctx.alpha
     route = _route("eta_ge2", True, alpha)
     run = _Run()
-    coeffs = build_coefficients(ctx, _N)
+    coeffs = _table(ctx, coeffs)
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
@@ -814,16 +856,18 @@ def certify_all(alpha: int, policy: BnbPolicy | None = None,
     table order; a listed row that is also a piece of psihat_nonneg (the w
     route with a context) is computed once.  alpha outside the `all` row is a
     ValueError, so every alpha accepted gets a route for every piece of
-    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  The
-    interpolation, support and decay conditions hold by construction and are
-    exercised by the property tests rather than certified here.
+    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  One coefficient
+    table at the head _N serves every piece.  The interpolation, support and
+    decay conditions hold by construction and are exercised by the property
+    tests rather than certified here.
     """
     _route("all", True, alpha)
     if ctx is None:
         ctx = solve_s_alpha(alpha)
-    listed = {r.inequality_id: r.call(alpha, ctx, policy)
+    coeffs = build_coefficients(ctx, _N)
+    listed = {r.inequality_id: r.call(alpha, ctx, policy, coeffs)
               for r in ROUTES if r.listed and alpha in r.alphas}
-    psihat = certify_psihat_nonneg(build_coefficients(ctx, _N), policy, listed)
+    psihat = certify_psihat_nonneg(coeffs, policy, listed)
     return [psihat, *listed.values()]
 
 
@@ -848,11 +892,13 @@ class Route:
     """One row of the route table: one way to prove one inequality.
 
     `cli` is the `repulse certify --inequality` name (None: reached only
-    through `all`).  `call(alpha, ctx, policy)` runs the route; ctx is
-    None unless `needs_ctx`, i.e. unless the route reads the solved
-    s_alpha.  The call names its certify_* function inside a plain def, so
-    that function is looked up in this module when the route runs and a
-    rebinding of the module attribute (a tracer's span) is seen.  `part`
+    through `all`).  `call(alpha, ctx, policy, coeffs=None)` runs the route;
+    ctx is None unless `needs_ctx`, i.e. unless the route reads the solved
+    s_alpha, and coeffs, a coefficient table of ctx if given, goes to the
+    routes that sum one (see `_table`).  The call names its certify_*
+    function inside a plain def, so that function is looked up in this
+    module when the route runs and a rebinding of the module attribute (a
+    tracer's span) is seen.  `part`
     marks the pieces of psihat_nonneg; `listed` the certificates that
     certify_all returns on their own.
     """
@@ -876,45 +922,45 @@ class Route:
 ROUTES = (
     Route("T", "T_alpha", _evens(4, 10), True,
           "T(alpha) = (1/2)(1 - 2*sum F(n)) - (1/pi)*sum_{n>=2}|F'(n)| >= 0",
-          lambda a, ctx, p: certify_T(ctx, p), part=True),
+          lambda a, ctx, p, c=None: certify_T(ctx, p, c), part=True),
     Route("T", "T_alpha", _evens(12), False,
           "(1/2)(1 - 1/(a-2) - (2/a)(a+1)/(2^a(a-1))) - (1/pi)(a+2)/(a 2^(a+1)) >= 0",
-          lambda a, ctx, p: certify_T_large(a, p), part=True),
+          lambda a, ctx, p, c=None: certify_T_large(a, p), part=True),
     Route("L", "L_alpha", _evens(6, 10), True,
           "L(alpha) = sum n^3 F'(n)(-2/3+4R(pi n)) - sum 2 n^2 F(n) >= 0",
-          lambda a, ctx, p: certify_L(ctx, p), part=True),
+          lambda a, ctx, p, c=None: certify_L(ctx, p, c), part=True),
     Route("L", "L_alpha", _evens(12), False,
           "(1-1/(2a-4))(2/3-4R(pi)) - 4(a-1)/(2^(a-2)(2a-5)(a-3)) - 2/(a-2) >= 0",
-          lambda a, ctx, p: certify_L_large(a, p), part=True),
+          lambda a, ctx, p, c=None: certify_L_large(a, p), part=True),
     Route("w", "w_inequality", _evens(4, 4), True,
           "4(1-F4(1)) S3-form of the half-angle inequality",
-          lambda a, ctx, p: certify_w_inequality(ctx, p), part=True, listed=True),
+          lambda a, ctx, p, c=None: certify_w_inequality(ctx, p), part=True, listed=True),
     # the displayed inequality, with the constant 5 in place of 4(1 - F4(1))
     Route("w", "w_inequality", _evens(6), False,
           "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0",
-          lambda a, ctx, p: certify_w_inequality(None, p, alpha=a)),
+          lambda a, ctx, p, c=None: certify_w_inequality(None, p, alpha=a)),
     Route("psi4", "psi4_le_F4", _evens(4, 4), True,
           "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
-          lambda a, ctx, p: certify_psi4_le_F4(ctx, p), listed=True),
+          lambda a, ctx, p, c=None: certify_psi4_le_F4(ctx, p, c), listed=True),
     Route("eta0", "eta0", _evens(6, 1000), True,
           "sum_n (F(x) - F(n) - F'(n)(x-n))/(x-n)^2 = pi^2 (F(x) - psi(x))/sin^2(pi x) >= 0 "
           "on [0, 1/2]",
-          lambda a, ctx, p: certify_eta0(ctx, p), listed=True),
+          lambda a, ctx, p, c=None: certify_eta0(ctx, p, c), listed=True),
     Route("eta1", "eta1", _evens(6, 1000), True,
           "(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
           "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
-          lambda a, ctx, p: certify_eta1(ctx, p), listed=True),
+          lambda a, ctx, p, c=None: certify_eta1(ctx, p, c), listed=True),
     Route("eta2", "eta_ge2", _evens(6, 14), True,
           "sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0",
-          lambda a, ctx, p: certify_eta_ge2(ctx, p), listed=True),
+          lambda a, ctx, p, c=None: certify_eta_ge2(ctx, p, c), listed=True),
     Route(None, "allthestars_const", _evens(16), False,
           "-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
           "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
-          lambda a, ctx, p: certify_allthestars_large(a, p), listed=True),
+          lambda a, ctx, p, c=None: certify_allthestars_large(a, p), listed=True),
     # every piece of the proof; eta0 and eta1 are the pieces with the lowest upper limit
     Route("all", "all", _evens(4, 1000), True,
           "psihat_nonneg and every listed route at alpha",
-          lambda a, ctx, p: certify_all(a, policy=p, ctx=ctx)),
+          lambda a, ctx, p, c=None: certify_all(a, policy=p, ctx=ctx)),
 )
 
 

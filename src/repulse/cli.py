@@ -235,70 +235,68 @@ def _cmd_simulate(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, the options after the required --alpha)
+_COMMANDS = {
+    "salpha": ("certified enclosure of the optimal spacing", _cmd_salpha, (
+        ("--tol", dict(type=float, default=1e-12)),
+        ("--trunc", dict(type=int, default=64)))),
+    "energy": ("lattice energy enclosure at spacing t", _cmd_energy, (
+        ("--t", dict(type=float, required=True)),
+        ("--trunc", dict(type=int, default=64)))),
+    "psi": ("auxiliary function enclosure at x", _cmd_psi, (
+        ("--x", dict(type=float, required=True)),
+        ("--coeffs", dict(type=int, default=256)),
+        ("--tol", dict(type=float, default=1e-12)))),
+    "psihat": ("transform enclosure at xi", _cmd_psihat, (
+        ("--xi", dict(type=float, required=True)),
+        ("--coeffs", dict(type=int, default=256)),
+        ("--tol", dict(type=float, default=1e-12)))),
+    "certify": ("run inequality certificates", _cmd_certify, (
+        ("--inequality", dict(required=True, choices=_Inequalities(), metavar="NAME",
+                              help="route name: %(choices)s")),
+        ("--max-depth", dict(type=int, default=48)),
+        ("--budget", dict(type=int, default=10_000_000)),
+        ("--tol", dict(type=float, default=1e-12,
+                       help="width of the s_alpha enclosure; checked on every route, "
+                            "but rows without a spacing solve do not read it")),
+        ("--out", dict(type=str, default=None)))),
+    "simulate": ("relax a random configuration and report clusters", _cmd_simulate, (
+        ("--rho", dict(type=float, required=True)),
+        ("--length", dict(type=float, required=True)),
+        ("--seed", dict(type=int, default=0)),
+        ("--iters", dict(type=int, default=20000)),
+        ("--gtol", dict(type=float, default=1e-8)),
+        ("--gap-threshold", dict(type=float, default=None)),
+        ("--csv", dict(type=str, default=None)),
+        ("--svg", dict(type=str, default=None)))),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone: a run
+    builds only the subcommand it names, and its help, usage and errors read
+    the same either way."""
     p = argparse.ArgumentParser(
         prog="repulse",
         description="certified spacing, positivity certificates and clustered "
                     "ground-state simulation for 1/(1+x^alpha) potentials",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("salpha", help="certified enclosure of the optimal spacing")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--trunc", type=int, default=64)
-    sp.set_defaults(func=_cmd_salpha)
-
-    sp = sub.add_parser("energy", help="lattice energy enclosure at spacing t")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--trunc", type=int, default=64)
-    sp.set_defaults(func=_cmd_energy)
-
-    sp = sub.add_parser("psi", help="auxiliary function enclosure at x")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--coeffs", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.set_defaults(func=_cmd_psi)
-
-    sp = sub.add_parser("psihat", help="transform enclosure at xi")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--xi", type=float, required=True)
-    sp.add_argument("--coeffs", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.set_defaults(func=_cmd_psihat)
-
-    sp = sub.add_parser("certify", help="run inequality certificates")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--inequality", required=True, choices=_Inequalities(), metavar="NAME",
-                    help="route name: %(choices)s")
-    sp.add_argument("--max-depth", type=int, default=48)
-    sp.add_argument("--budget", type=int, default=10_000_000)
-    sp.add_argument("--tol", type=float, default=1e-12,
-                    help="width of the s_alpha enclosure; checked on every route, "
-                         "but rows without a spacing solve do not read it")
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("simulate", help="relax a random configuration and report clusters")
-    sp.add_argument("--alpha", type=_even_alpha, required=True)
-    sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--length", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--iters", type=int, default=20000)
-    sp.add_argument("--gtol", type=float, default=1e-8)
-    sp.add_argument("--gap-threshold", type=float, default=None)
-    sp.add_argument("--csv", type=str, default=None)
-    sp.add_argument("--svg", type=str, default=None)
-    sp.set_defaults(func=_cmd_simulate)
+    for name, (text, func, options) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            sp.add_argument("--alpha", type=_even_alpha, required=True)
+            for flag, kwargs in options:
+                sp.add_argument(flag, **kwargs)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     """Run one command; invalid input (ValueError, OSError) exits 2 and an
     uncertifiable sign change 3, each with one `error:` line on stderr."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

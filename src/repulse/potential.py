@@ -140,9 +140,9 @@ def _g_terms(alpha: int, f):
     return f * (1.0 - alpha) + alpha * f * f
 
 
-def F_deficit_over_x_sq(ctx: PotentialContext, x: Interval) -> Interval:
-    """Enclosure of (F(x) - 1)/x^2 = -s^alpha x^(alpha-2) F(x), valid at 0."""
-    return -ctx.s_pow_alpha * pow_int(x, ctx.alpha - 2) * F_alpha(ctx, x)
+def F_deficit_over_x_sq(ctx: PotentialContext, x: Interval, F: Interval) -> Interval:
+    """Enclosure of (F(x) - 1)/x^2 = -s^alpha x^(alpha-2) F(x) from F = F(x), valid at 0."""
+    return -ctx.s_pow_alpha * pow_int(x, ctx.alpha - 2) * F
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ by `pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
 sums them.  `eta1_scalar` is the eta1 integrand built from these two and
 `sum_inv_sq_offset`.  The lane forms must equal them bit for bit.
 
+`offset_sum_two_chain`, `psi4_parts_two_chain`, `eta_ge2_slope_two_chain`,
+`inv_sq_offset_sum_two_chain` and `inv_sq_tail_two_chain` are the lane
+integrands as the library computed them before one block held the rows n
+and -n (and the four tail quotients): one chain of lane operations for the
+rows n, another for -n, with -(F'(n)/(x + n)) negated after the quotient,
+and F(x) evaluated by each helper that reads it.  The block forms must
+equal them bit for bit.
+
 `derivative_mp` and `second_derivative_mp` are E'(t) and E''(t) of the
 lattice energy E(t) = sum_n t f_alpha(tn), summed in mpmath at 40 digits
 over n <= 2000 from f = 1/(1 + x^alpha), with a bound on the terms beyond
@@ -66,12 +74,13 @@ import numpy as np
 
 from repulse import certify
 from repulse.auxfn import build_coefficients
-from repulse.interval import Interval, Lanes, hull, pow_int
+from repulse.interval import Interval, Lanes, hull, lane_fold, pow_int
 from repulse.potential import (
     _FINE_WIDTH,
     _MAX_COVER_CELLS,
     AmbiguousSignChangeError,
     F_alpha,
+    F_deficit_over_x_sq,
     _DerivativeRows,
     _sign,
     _t_crit,
@@ -182,6 +191,77 @@ def offset_sum(x, eta, coeffs):
         terms += [skip if own else Fn / pow_int(d, 2), skip if own else dFn / d,
                   Fn / pow_int(dm, 2), -(dFn / dm)]
     return pairwise_sum(terms)
+
+
+def _offsets_two_chain(x, eta, n):
+    X = x[:, None]
+    own = n == eta[:, None]
+    return own, Lanes.where(own, 1.0, X - n), X + n
+
+
+def offset_sum_two_chain(x, eta, rows):
+    n, Fn, dFn = rows
+    own, d, dm = _offsets_two_chain(x, eta, n)
+    at0 = eta == 0
+    one = Interval(1.0)
+    head = Lanes.where(at0, -0.0, one / pow_int(Lanes.where(at0, 1.0, x), 2))
+    return lane_fold(head, (Fn / pow_int(d, 2), own), (dFn / d, own),
+                     Fn / pow_int(dm, 2), -(dFn / dm))
+
+
+def psi4_parts_two_chain(coeffs):
+    """(head, slope, tail) of `certify._psi4_parts`, one chain per sign of n."""
+    ctx = coeffs.ctx
+    alpha, N = ctx.alpha, coeffs.N
+    off = certify._offset_tail(ctx, N)
+    n, Fn, dFn = coeffs.rows()
+    signed = ((n, dFn), (-n, -dFn))
+
+    def head(x, _param):
+        X, FX = x[:, None], F_alpha(ctx, x)[:, None]
+        return lane_fold(F_deficit_over_x_sq(ctx, x, F_alpha(ctx, x)),
+                         *(certify._L_terms(ctx, X, FX, k, Fn, dFk) for k, dFk in signed))
+
+    def slope(x, _param):
+        F = F_alpha(ctx, x)
+        X, FX = x[:, None], F[:, None]
+        dFX = certify._first_derivative(ctx, x, F_alpha(ctx, x))[:, None]
+        at0 = -ctx.s_pow_alpha * pow_int(x, alpha - 3) * F * (alpha * F - 2.0)
+        return lane_fold(at0, *(certify._dL_terms(ctx, X, dFX, certify._L_terms(
+            ctx, X, FX, k, Fn, dFk), k, dFk) for k, dFk in signed))
+
+    def tail(x, _param):
+        return F_alpha(ctx, x) * inv_sq_tail_two_chain(x, N) + Interval(-off, off)
+
+    return head, slope, tail
+
+
+def eta_ge2_slope_two_chain(coeffs):
+    """The slope of `certify._eta_ge2_parts`, one chain per sign of n."""
+    n, Fn, dFn = coeffs.rows()
+
+    def slope(x, eta):
+        own, d, dm = _offsets_two_chain(x, eta, n)
+
+        def term(d, dF):
+            return -2.0 * Fn / pow_int(d, 3) - dF / pow_int(d, 2)
+
+        return -lane_fold(-2.0 / pow_int(x, 3), (term(d, dFn), own), term(dm, -dFn))
+
+    return slope
+
+
+def inv_sq_tail_two_chain(t, N):
+    one = Interval(1.0)
+    return Lanes((one / (N + 1 - t) + one / (N + 1 + t)).lo, (one / (N - t) + one / (N + t)).hi)
+
+
+def inv_sq_offset_sum_two_chain(t, N):
+    n = np.arange(1.0, N + 1.0)
+    T = t[:, None]
+    one = Interval(1.0)
+    acc = lane_fold(Lanes(np.zeros_like(t.lo)), one / pow_int(n - T, 2), one / pow_int(T + n, 2))
+    return acc + inv_sq_tail_two_chain(t, N)
 
 
 def _tables_float(coeffs):

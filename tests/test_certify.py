@@ -47,8 +47,13 @@ from _oracles import (
     bnb_level_by_level,
     F_alpha_second,
     eta1_scalar,
+    eta_ge2_slope_two_chain,
+    inv_sq_offset_sum_two_chain,
+    inv_sq_tail_two_chain,
     offset_sum,
+    offset_sum_two_chain,
     per_lane,
+    psi4_parts_two_chain,
     psi_float,
     sum_inv_sq_offset,
 )
@@ -419,6 +424,48 @@ def test_L_tail_contains_the_terms_beyond_the_head(alpha, ctx_by_alpha):
             assert tail.lo <= total - rest and total + rest <= tail.hi, (alpha, s)
 
 
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_3n2F_n3dF_tail_contains_the_terms_beyond_the_head(alpha):
+    # _sum_3n2F_n3dF bounds its rows |n| > N = 16 by [-2b, 0],
+    # b = (3 + alpha) t2 with t2 >= sum_{n > N} n^2 F(n).  Those rows add
+    # 2 sum_{n > N} (3 n^2 F(n) + n^3 F'(n)), here summed at 40 digits over
+    # N < n <= M = 2000 at both ends of the s_alpha enclosure (c = s^alpha).
+    # Beyond M, n |F'(n)| = alpha c n^alpha F(n)^2 <= alpha F(n) and
+    # F(n) <= n^-alpha/c, so a row adds at most 2 (alpha + 3) n^(2-alpha)/c in
+    # size and all of them at most 2 (alpha + 3) M^(3-alpha)/((alpha - 3) c),
+    # `rest`; 1e-35 of the sum more covers its rounding.  The library's tail
+    # is _sum_3n2F_n3dF on the table with its head rows set to 0.
+    import mpmath
+
+    ctx = solve_s_alpha(alpha)
+    coeffs = build_coefficients(ctx, cert._N)
+    N, M = coeffs.N, 2000
+    bare = dataclasses.replace(coeffs, Fn=(ONE,) + (ZERO,) * N, dFn=(ZERO,) * (N + 1))
+    tail = cert._sum_3n2F_n3dF(bare)
+    assert tail.hi == 0.0
+    with mpmath.workdps(40):
+        for s in (ctx.s_alpha.lo, ctx.s_alpha.hi):
+            c = mpmath.mpf(s) ** alpha
+            total = mpmath.mpf(0)
+            for k in range(N + 1, M + 1):
+                Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
+                k_dFk = -alpha * c * mpmath.mpf(k) ** alpha * Fk ** 2
+                total += 2 * (3 * k * k * Fk + k * k * k_dFk)
+            rest = 2 * (alpha + 3) * mpmath.mpf(M) ** (3 - alpha) / ((alpha - 3) * c) \
+                + mpmath.mpf(1e-35) * abs(total)
+            assert total < 0
+            assert tail.lo <= total - rest and total + rest <= tail.hi, (alpha, s)
+
+
+def test_3n2F_n3dF_needs_F_below_a_quarter_beyond_the_head():
+    # a solved s_alpha is >= 1, so F(N) <= F(8) < 1/4; at the spacing 1/8,
+    # F(8) = 1/2 and the terms beyond the head need not be negative
+    coeffs = build_coefficients(PotentialContext.from_spacing(4, Interval(0.125)), 8)
+    assert coeffs.Fn[8] == Interval(0.5)
+    with pytest.raises(ValueError, match="F\\(N\\) < 1/4"):
+        cert._sum_3n2F_n3dF(coeffs)
+
+
 def test_L_large_examples():
     assert certify_L_large(12).status == "verified"
     assert certify_L_large(40).status == "verified"
@@ -543,7 +590,7 @@ def _L_term(ctx, x, n):
     """L(x, n) = (F(x) - F(n) - F'(n)(x - n))/(x - n)^2 for one box x: the
     closed form (F(x) - 1)/x^2 at n = 0, else one lane of certify._L_terms."""
     if n == 0:
-        return F_deficit_over_x_sq(ctx, x)
+        return F_deficit_over_x_sq(ctx, x, F_alpha(ctx, x))
     Fn = F_alpha(ctx, Interval(float(n)))
     dFn = -ctx.alpha * Fn * (1.0 - Fn) / float(n)
     xl = Lanes([[x.lo]], [[x.hi]])
@@ -693,7 +740,7 @@ def test_eta1_lanes_match_scalar_reference(alpha, ctx_by_alpha):
     boxes = _eta1_boxes(random.Random(20260 + alpha), 40)
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
-    got = cert._eta1_integrand(ctx, cert._N)(Lanes(lo, hi), None)
+    got = cert._eta1_integrand(build_coefficients(ctx, cert._N))(Lanes(lo, hi), None)
     ref = eta1_scalar(ctx, cert._N)
     for i, (a, b) in enumerate(boxes):
         want = ref(Interval(a, b))
@@ -759,7 +806,7 @@ def test_offset_tail_integrands_reject_a_short_head(ctx6):
     for N in (8, 9):  # build_coefficients takes N >= 8
         short = build_coefficients(ctx6, N)
         for make in (lambda: cert._eta_ge2_parts(short), lambda: cert._psi4_parts(short),
-                     lambda: cert._eta1_integrand(ctx6, N), lambda: cert._offset_tail(ctx6, N)):
+                     lambda: cert._eta1_integrand(short), lambda: cert._offset_tail(ctx6, N)):
             with pytest.raises(ValueError, match="N >= 10"):
                 make()
     assert cert._offset_tail(ctx6, 10) > cert._offset_tail(ctx6, 16) > cert._offset_tail(ctx6, 64)
@@ -854,6 +901,66 @@ def test_offset_sum_matches_scalar_reference(alpha, ctx_by_alpha):
         assert (got.lo[i].hex(), got.hi[i].hex()) == (want.lo.hex(), want.hi.hex()), (a, b, e)
 
 
+def _assert_same_bits(got, want, what):
+    for end in ("lo", "hi"):
+        g, w = getattr(got, end), getattr(want, end)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), (what, end)
+
+
+def _offset_boxes(rng, etas, lo_end=0.0):
+    """(lo, hi, eta) boxes within [eta - 1/2, eta + 1/2] and >= lo_end: the
+    ends, the integer eta, the whole segment, boxes within 0.25 of eta (the
+    near lanes of `_removable`) and seeded boxes and points."""
+    boxes = []
+    for eta in etas:
+        lo, hi = max(eta - 0.5, lo_end), eta + 0.5
+        boxes += [(lo, lo, eta), (hi, hi, eta), (eta, eta, eta), (lo, hi, eta),
+                  (max(eta - 0.1, lo), eta + 0.05, eta), (eta + 0.1, eta + 0.2, eta),
+                  (max(eta - 0.3, lo), max(eta - 0.2, lo), eta)]
+        for _ in range(4):
+            w = (hi - lo) * 10.0 ** rng.uniform(-6.0, 0.0)
+            a = rng.uniform(lo, hi - w)
+            boxes += [(a, a + w, eta), (a, a, eta)]
+    return boxes
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
+def test_block_integrands_match_the_two_chain_forms(alpha):
+    # one block of the rows n and -n (and of the four tail quotients) against
+    # a chain per sign, bit for bit: eta = 0 with the point 0, the left-out
+    # own row, the near lanes of _removable and -(F'(n)/(x + n)) now formed
+    # as (-F'(n))/(x + n), which at alpha 1000 meets F'(n) rounded to 0
+    coeffs = build_coefficients(solve_s_alpha(alpha), cert._N)
+    rng = random.Random(2900 + alpha)
+    boxes = _offset_boxes(rng, range(0, 11))
+    lo, hi, eta = (np.array(c) for c in zip(*boxes))
+    x = Lanes(lo, hi)
+    _assert_same_bits(auxfn._offset_sum(x, eta, coeffs.rows()),
+                      offset_sum_two_chain(x, eta, coeffs.rows()), "offset")
+
+    psi4 = x[hi <= 9.0]
+    got, want = cert._psi4_parts(coeffs), psi4_parts_two_chain(coeffs)
+    for name, g, w in zip(("head", "slope", "tail"), got, want):
+        _assert_same_bits(g(psi4, None), w(psi4, None), name)
+    param = np.zeros(psi4.lo.size, dtype=np.int64)
+    _assert_same_bits(cert._mean_value(*got)(psi4, param),
+                      cert._mean_value(*want)(psi4, param), "psi4 mean value")
+
+    ge2 = _offset_boxes(rng, range(2, 11), lo_end=1.5)
+    lo, hi, eta = (np.array(c) for c in zip(*ge2))
+    x = Lanes(lo, hi)
+    _, slope, _ = cert._eta_ge2_parts(coeffs)
+    _assert_same_bits(slope(x, eta), eta_ge2_slope_two_chain(coeffs)(x, eta), "eta_ge2 slope")
+
+    ts = [(-0.5, -0.5), (0.5, 0.5), (0.0, 0.0), (-0.5, 0.5)] + \
+        [tuple(sorted(rng.uniform(-0.5, 0.5) for _ in range(2))) for _ in range(30)]
+    t = Lanes(*(np.array(c) for c in zip(*ts)))
+    for N in (cert._N, 64):
+        _assert_same_bits(cert._inv_sq_tail(t, N), inv_sq_tail_two_chain(t, N), "tail")
+        _assert_same_bits(cert._inv_sq_offset_sum(t, N), inv_sq_offset_sum_two_chain(t, N),
+                          "inverse squares")
+
+
 @pytest.mark.parametrize("alpha", [6, 12, 1000])
 def test_eta1_lanes_contain_mpmath(alpha, ctx_by_alpha):
     # the eta1 integrand at point boxes t, against
@@ -867,7 +974,7 @@ def test_eta1_lanes_contain_mpmath(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
     rng = random.Random(6100 + alpha)
     ts = [0.0, 0.5, -0.5, 1e-12, -1e-12] + [rng.uniform(-0.5, 0.5) for _ in range(41)]
-    got = cert._eta1_integrand(ctx, 64)(Lanes(ts, ts), None)
+    got = cert._eta1_integrand(build_coefficients(ctx, 64))(Lanes(ts, ts), None)
     M = 200
     with mpmath.workdps(40):
         c = mpmath.mpf(ctx.s_pow_alpha.mid)
@@ -908,8 +1015,8 @@ def test_eta1_windows_cut_calls_and_keep_the_certificate(ctx6, monkeypatch):
     integrand = cert._eta1_integrand
     calls = []
 
-    def counted(ctx, N):
-        f = integrand(ctx, N)
+    def counted(coeffs):
+        f = integrand(coeffs)
         calls.append(0)
 
         def g(t, param):
@@ -953,7 +1060,8 @@ def test_derivative_lanes_contain_mpmath(alpha):
         a = rng.uniform(0.0, 12.0)
         boxes.append((a, a + rng.uniform(0.0, 1.0) * 10.0 ** rng.uniform(-6.0, 0.0)))
     x = Lanes(points + [b[0] for b in boxes], points + [b[1] for b in boxes])
-    lanes = {1: cert._first_derivative(ctx, x), 3: cert._third_derivative(ctx, x)}
+    lanes = {1: cert._first_derivative(ctx, x, F_alpha(ctx, x)),
+             3: cert._third_derivative(ctx, x)}
     with mpmath.workdps(50):
         c = mpmath.mpf(s) ** alpha
 

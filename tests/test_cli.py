@@ -433,3 +433,135 @@ def test_oversized_arguments_exit_2_at_once(capsys, argv):
     assert main(argv.split()) == 2
     assert time.perf_counter() - start < 1.0
     capsys.readouterr()
+
+
+# The text of `repulse --help`, of each `repulse <command> --help`, of an
+# unknown command and of missing or invalid arguments, at 80 columns: argv ->
+# (exit code, stdout, stderr).  A run builds the parser of the command it
+# names only; none of these may change by that.  The wording is argparse's
+# of Python 3.10 and 3.11.
+_USAGE = "usage: repulse [-h] {salpha,energy,psi,psihat,certify,simulate} ...\n"
+_CERTIFY_USAGE = """\
+usage: repulse certify [-h] --alpha ALPHA --inequality NAME
+                       [--max-depth MAX_DEPTH] [--budget BUDGET] [--tol TOL]
+                       [--out OUT]
+"""
+_SIMULATE_USAGE = """\
+usage: repulse simulate [-h] --alpha ALPHA --rho RHO --length LENGTH
+                        [--seed SEED] [--iters ITERS] [--gtol GTOL]
+                        [--gap-threshold GAP_THRESHOLD] [--csv CSV]
+                        [--svg SVG]
+"""
+_SALPHA_USAGE = "usage: repulse salpha [-h] --alpha ALPHA [--tol TOL] [--trunc TRUNC]\n"
+_CLI_TEXT = {
+    ("--help",): (0, _USAGE + """
+certified spacing, positivity certificates and clustered ground-state
+simulation for 1/(1+x^alpha) potentials
+
+positional arguments:
+  {salpha,energy,psi,psihat,certify,simulate}
+    salpha              certified enclosure of the optimal spacing
+    energy              lattice energy enclosure at spacing t
+    psi                 auxiliary function enclosure at x
+    psihat              transform enclosure at xi
+    certify             run inequality certificates
+    simulate            relax a random configuration and report clusters
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("salpha", "--help"): (0, _SALPHA_USAGE + """
+options:
+  -h, --help     show this help message and exit
+  --alpha ALPHA
+  --tol TOL
+  --trunc TRUNC
+""", ""),
+    ("energy", "--help"): (0, """\
+usage: repulse energy [-h] --alpha ALPHA --t T [--trunc TRUNC]
+
+options:
+  -h, --help     show this help message and exit
+  --alpha ALPHA
+  --t T
+  --trunc TRUNC
+""", ""),
+    ("psi", "--help"): (0, """\
+usage: repulse psi [-h] --alpha ALPHA --x X [--coeffs COEFFS] [--tol TOL]
+
+options:
+  -h, --help       show this help message and exit
+  --alpha ALPHA
+  --x X
+  --coeffs COEFFS
+  --tol TOL
+""", ""),
+    ("psihat", "--help"): (0, """\
+usage: repulse psihat [-h] --alpha ALPHA --xi XI [--coeffs COEFFS] [--tol TOL]
+
+options:
+  -h, --help       show this help message and exit
+  --alpha ALPHA
+  --xi XI
+  --coeffs COEFFS
+  --tol TOL
+""", ""),
+    ("certify", "--help"): (0, _CERTIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA
+  --inequality NAME     route name: T, L, w, psi4, eta0, eta1, eta2, all
+  --max-depth MAX_DEPTH
+  --budget BUDGET
+  --tol TOL             width of the s_alpha enclosure; checked on every
+                        route, but rows without a spacing solve do not read it
+  --out OUT
+""", ""),
+    ("simulate", "--help"): (0, _SIMULATE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA
+  --rho RHO
+  --length LENGTH
+  --seed SEED
+  --iters ITERS
+  --gtol GTOL
+  --gap-threshold GAP_THRESHOLD
+  --csv CSV
+  --svg SVG
+""", ""),
+    (): (2, "", _USAGE + "repulse: error: the following arguments are required: command\n"),
+    ("bogus",): (2, "", _USAGE + "repulse: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'salpha', 'energy', 'psi', 'psihat', 'certify', 'simulate')\n"),
+    ("certify", "--alpha", "4"): (2, "", _CERTIFY_USAGE + "repulse certify: error: the "
+                                  "following arguments are required: --inequality\n"),
+    ("simulate",): (2, "", _SIMULATE_USAGE + "repulse simulate: error: the following "
+                    "arguments are required: --alpha, --rho, --length\n"),
+    ("salpha", "--alpha", "3"): (2, "", _SALPHA_USAGE + "repulse salpha: error: argument "
+                                 "--alpha: alpha must be an even integer >= 4\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_CLI_TEXT), ids=" ".join)
+def test_help_usage_and_errors_keep_their_text(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == _CLI_TEXT[argv]
+
+
+def test_a_run_builds_the_parser_of_its_command_only(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def recorded(command=None):
+        parser = build(command)
+        built.append(sorted(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    main(["energy", "--alpha", "4", "--t", "1.5"])
+    main(["--help"])
+    main(["bogus"])
+    every = sorted(cli._COMMANDS)
+    assert built == [["energy"], every, every]
