@@ -543,15 +543,22 @@ def _first_derivative(ctx: PotentialContext, x: Lanes, F: Lanes) -> Lanes:
 
 
 def _second_derivative_any(ctx: PotentialContext, x: Lanes) -> Lanes:
-    """F'' enclosure valid on any x >= 0 (free form on lanes that hold 0)."""
+    """F'' enclosure valid on any x >= 0: the quotient form on lanes with
+    x > 0, the free form on lanes that hold 0.  A form no lane takes is not
+    evaluated."""
     F = F_alpha(ctx, x)
     bracket = ctx.alpha * (_ONE - 2.0 * F) + 1.0
-    free = ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 2) * pow_int(F, 2) * bracket
     inner = x.lo > 0.0
+
+    def quotient(y: Lanes) -> Lanes:
+        return ctx.alpha * F * (_ONE - F) * bracket / pow_int(y, 2)
+
+    if inner.all():
+        return quotient(x)
+    free = ctx.alpha * ctx.s_pow_alpha * pow_int(x, ctx.alpha - 2) * pow_int(F, 2) * bracket
     if not inner.any():
         return free
-    quotient = ctx.alpha * F * (_ONE - F) * bracket / pow_int(Lanes.where(inner, x, 1.0), 2)
-    return Lanes.where(inner, quotient, free)
+    return Lanes.where(inner, quotient(Lanes.where(inner, x, 1.0)), free)
 
 
 def _third_derivative(ctx: PotentialContext, x: Lanes) -> Lanes:
@@ -564,7 +571,7 @@ def _third_derivative(ctx: PotentialContext, x: Lanes) -> Lanes:
     return ctx.s_pow_alpha * pow_int(x, a - 3) * F2 * bracket
 
 
-def _mean_value(head, slope, tail):
+def _mean_value(terms):
     """The f handed to _bnb for an integrand head + tail, in mean-value form.
 
     On a box X with midpoint m, f(X) = (head(m) + slope(X)(X - m)) + tail(X),
@@ -572,20 +579,30 @@ def _mean_value(head, slope, tail):
     not differentiated; on a point box, such as a midpoint that _bnb reads,
     f is the direct head(X) + tail(X).  A direct enclosure of a sum of many
     terms is O(width) too wide, this one O(width^2) (Moore, Kearfott and
-    Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 6).  head,
-    slope and tail map Lanes of boxes and their params to Lanes; tail may
-    give one Interval for every box.
+    Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 6).
+
+    terms(y, B, param) evaluates all three on one block y of lanes, each
+    with its param: the midpoints m in the first B lanes (for a point box,
+    the point), then the boxes wider than a point.  It gives the head on
+    y[:B], the slope on y[B:] (None when B is all of y) and the tail on
+    every lane of y, or one Interval for every lane.
     """
     def f(x: Lanes, param) -> Lanes:
         wide = np.flatnonzero(x.lo < x.hi)
         m = x.lo.copy()
         m[wide] = 0.5 * (x.lo[wide] + x.hi[wide])
-        v = head(Lanes(m), param)
+        box = x[wide]
+        B = m.size
+        y = Lanes(np.concatenate((m, box.lo)), np.concatenate((m, box.hi)))
+        v, slope, tail = terms(y, B, np.concatenate((param, param[wide])))
         if wide.size:
-            box = x[wide]
-            mv = v[wide] + slope(box, param[wide]) * (box - m[wide])
+            mv = v[wide] + slope * (box - m[wide])
             v.lo[wide], v.hi[wide] = mv.lo, mv.hi
-        return v + tail(x, param)
+        if isinstance(tail, Lanes):  # each box's tail: its point, or its box in y
+            at = np.arange(B)
+            at[wide] = np.arange(B, y.lo.size)
+            tail = tail[at]
+        return v + tail
     return f
 
 
@@ -607,16 +624,18 @@ def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
 
 
 def _psi4_parts(coeffs: AuxCoefficients):
-    """(head, slope, tail) of the integrand sum_{n in Z} L(x, n) on x >= 0, at any
-    alpha: `psi4_le_F4` at alpha = 4 and `eta0` on [0, 1/2].
+    """The `_mean_value` terms of the integrand sum_{n in Z} L(x, n) on x >= 0,
+    at any alpha: `psi4_le_F4` at alpha = 4 and `eta0` on [0, 1/2].
 
     head sums |n| <= N (N >= 10) as ((L(x, 0) + L(x, 1)) + L(x, -1)) + ...,
     with L(x, 0) = (F(x) - 1)/x^2 = -c x^(alpha-2) F(x), c = s^alpha;
     slope sums the derivatives in the same order, starting from
     d/dx L(x, 0) = -c x^(alpha-3) F(x) (alpha F(x) - 2); tail, the terms
     |n| > N, is F(x) `_inv_sq_tail` minus offset terms (`_offset_tail`).
-    head and slope evaluate F(x) once, and one block holds the rows n and
-    -n, with F'(-n) = -F'(n); the fold reads its halves in the order above.
+    F(x) and the terms L(x, n) are evaluated once on the whole block, points
+    and boxes, and head, slope and tail read them.  One block holds the rows
+    n and -n, with F'(-n) = -F'(n); the fold reads its halves in the order
+    above.
     """
     ctx = coeffs.ctx
     alpha, N = ctx.alpha, coeffs.N
@@ -625,22 +644,19 @@ def _psi4_parts(coeffs: AuxCoefficients):
     k = n.size
     ns, Fs, dFs = np.concatenate((n, -n)), _beside(Fn, Fn), _beside(dFn, -dFn)
 
-    def head(x: Lanes, _param) -> Lanes:
-        F = F_alpha(ctx, x)
-        L = _L_terms(ctx, x[:, None], F[:, None], ns, Fs, dFs)
-        return lane_fold(F_deficit_over_x_sq(ctx, x, F), L[:, :k], L[:, k:])
+    def terms(y: Lanes, B: int, _param):
+        F = F_alpha(ctx, y)
+        L = _L_terms(ctx, y[:, None], F[:, None], ns, Fs, dFs)
+        head = lane_fold(F_deficit_over_x_sq(ctx, y[:B], F[:B]), L[:B, :k], L[:B, k:])
+        tail = F * _inv_sq_tail(y, N) + Interval(-off, off)
+        if B == y.lo.size:
+            return head, None, tail
+        x, Fx = y[B:], F[B:]
+        dL = _dL_terms(ctx, x[:, None], _first_derivative(ctx, x, Fx)[:, None], L[B:], ns, dFs)
+        at0 = -ctx.s_pow_alpha * pow_int(x, alpha - 3) * Fx * (alpha * Fx - 2.0)
+        return head, lane_fold(at0, dL[:, :k], dL[:, k:]), tail
 
-    def slope(x: Lanes, _param) -> Lanes:
-        F = F_alpha(ctx, x)
-        X, dFX = x[:, None], _first_derivative(ctx, x, F)[:, None]
-        at0 = -ctx.s_pow_alpha * pow_int(x, alpha - 3) * F * (alpha * F - 2.0)
-        dL = _dL_terms(ctx, X, dFX, _L_terms(ctx, X, F[:, None], ns, Fs, dFs), ns, dFs)
-        return lane_fold(at0, dL[:, :k], dL[:, k:])
-
-    def tail(x: Lanes, _param) -> Lanes:
-        return F_alpha(ctx, x) * _inv_sq_tail(x, N) + Interval(-off, off)
-
-    return head, slope, tail
+    return terms
 
 
 def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None,
@@ -658,7 +674,7 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None,
     coeffs = _table(ctx, coeffs)
     far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
-    _bnb(run, _mean_value(*_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
+    _bnb(run, _mean_value(_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
     return route.certificate(
         run, alpha, f"[0, 9] branch-and-bound + displayed constant for x >= 9 (assumption "
         f"recorded), head N={_N}", policy)
@@ -680,8 +696,13 @@ def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None,
     """
     route = _route("eta0", True, ctx.alpha)
     run = _Run()
-    head, _, tail = _psi4_parts(_table(ctx, coeffs))
-    _bnb(run, lambda x, param: head(x, param) + tail(x, param), [(0.0, 0.5)], policy)
+    terms = _psi4_parts(_table(ctx, coeffs))
+
+    def direct(x: Lanes, param) -> Lanes:
+        head, _, tail = terms(x, x.lo.size, param)
+        return head + tail
+
+    _bnb(run, direct, [(0.0, 0.5)], policy)
     return route.certificate(run, ctx.alpha, "[0, 1/2] branch-and-bound of sum_n L(x, n), "
                              f"so psi <= F, head N={_N}", policy)
 
@@ -768,27 +789,31 @@ def _offset_tail(ctx: PotentialContext, N: int) -> float:
 
 
 def _eta_ge2_parts(coeffs: AuxCoefficients):
-    """(head, slope, tail) of -offset(x, eta) on boxes x >= 1, each with its
-    segment's eta as param.
+    """The `_mean_value` terms of -offset(x, eta) on boxes x >= 1, each with
+    its segment's eta as param.
 
     head is -`_offset_sum` (N >= 10); slope sums d/dx F(n)/(x-n)^2 =
     -2F(n)/(x-n)^3 and d/dx F'(n)/(x-n) = -F'(n)/(x-n)^2 in the same order
     (x - n never holds 0, since n != eta), on one block of the rows n and -n
     as the head does; tail is `_offset_tail`.
     """
-    tail = _offset_tail(coeffs.ctx, coeffs.N)
+    b = _offset_tail(coeffs.ctx, coeffs.N)
+    tail = Interval(-b, b)
     rows = coeffs.rows()
     n, Fn, dFn = rows
     k = n.size
     minus_2F, dFs = -2.0 * _beside(Fn, Fn), _beside(dFn, -dFn)
 
-    def slope(x: Lanes, eta: np.ndarray) -> Lanes:
-        own, d = _offsets(x, eta, n)
+    def terms(y: Lanes, B: int, eta: np.ndarray):
+        head = -_offset_sum(y[:B], eta[:B], rows)
+        if B == y.lo.size:
+            return head, None, tail
+        x = y[B:]
+        own, d = _offsets(x, eta[B:], n)
         term = minus_2F / pow_int(d, 3) - dFs / pow_int(d, 2)
-        return -lane_fold(-2.0 / pow_int(x, 3), (term[:, :k], own), term[:, k:])
+        return head, -lane_fold(-2.0 / pow_int(x, 3), (term[:, :k], own), term[:, k:]), tail
 
-    return lambda x, eta: -_offset_sum(x, eta, rows), slope, \
-        lambda x, eta: Interval(-tail, tail)
+    return terms
 
 
 def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None,
@@ -808,7 +833,7 @@ def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None,
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
-    _bnb(run, _mean_value(*_eta_ge2_parts(coeffs)), [sg for sg in segments if sg[0] < sg[1]],
+    _bnb(run, _mean_value(_eta_ge2_parts(coeffs)), [sg for sg in segments if sg[0] < sg[1]],
          policy)
     return route.certificate(
         run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10, "

@@ -21,13 +21,15 @@ by `pairwise_sum` with -0.0 in place of the left-out terms, as `lane_fold`
 sums them.  `eta1_scalar` is the eta1 integrand built from these two and
 `sum_inv_sq_offset`.  The lane forms must equal them bit for bit.
 
-`offset_sum_two_chain`, `psi4_parts_two_chain`, `eta_ge2_slope_two_chain`,
+`offset_sum_two_chain`, `psi4_parts_two_chain`, `eta_ge2_parts_two_chain`,
 `inv_sq_offset_sum_two_chain` and `inv_sq_tail_two_chain` are the lane
 integrands as the library computed them before one block held the rows n
 and -n (and the four tail quotients): one chain of lane operations for the
 rows n, another for -n, with -(F'(n)/(x + n)) negated after the quotient,
-and F(x) evaluated by each helper that reads it.  The block forms must
-equal them bit for bit.
+and F(x) evaluated by each helper that reads it.  `mean_value_two_chain`
+is `certify._mean_value` as it was then: head on the midpoints, slope on
+the boxes and tail on the boxes, each evaluated on its own.  The block
+forms must equal them bit for bit.
 
 `derivative_mp` and `second_derivative_mp` are E'(t) and E''(t) of the
 lattice energy E(t) = sum_n t f_alpha(tn), summed in mpmath at 40 digits
@@ -236,9 +238,11 @@ def psi4_parts_two_chain(coeffs):
     return head, slope, tail
 
 
-def eta_ge2_slope_two_chain(coeffs):
-    """The slope of `certify._eta_ge2_parts`, one chain per sign of n."""
-    n, Fn, dFn = coeffs.rows()
+def eta_ge2_parts_two_chain(coeffs):
+    """(head, slope, tail) of `certify._eta_ge2_parts`, one chain per sign of n."""
+    b = certify._offset_tail(coeffs.ctx, coeffs.N)
+    rows = coeffs.rows()
+    n, Fn, dFn = rows
 
     def slope(x, eta):
         own, d, dm = _offsets_two_chain(x, eta, n)
@@ -248,7 +252,22 @@ def eta_ge2_slope_two_chain(coeffs):
 
         return -lane_fold(-2.0 / pow_int(x, 3), (term(d, dFn), own), term(dm, -dFn))
 
-    return slope
+    return lambda x, eta: -offset_sum_two_chain(x, eta, rows), slope, \
+        lambda x, eta: Interval(-b, b)
+
+
+def mean_value_two_chain(head, slope, tail):
+    def f(x, param):
+        wide = np.flatnonzero(x.lo < x.hi)
+        m = x.lo.copy()
+        m[wide] = 0.5 * (x.lo[wide] + x.hi[wide])
+        v = head(Lanes(m), param)
+        if wide.size:
+            box = x[wide]
+            mv = v[wide] + slope(box, param[wide]) * (box - m[wide])
+            v.lo[wide], v.hi[wide] = mv.lo, mv.hi
+        return v + tail(x, param)
+    return f
 
 
 def inv_sq_tail_two_chain(t, N):

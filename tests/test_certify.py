@@ -47,9 +47,10 @@ from _oracles import (
     bnb_level_by_level,
     F_alpha_second,
     eta1_scalar,
-    eta_ge2_slope_two_chain,
+    eta_ge2_parts_two_chain,
     inv_sq_offset_sum_two_chain,
     inv_sq_tail_two_chain,
+    mean_value_two_chain,
     offset_sum,
     offset_sum_two_chain,
     per_lane,
@@ -676,7 +677,7 @@ def test_eta0_integrand_is_pi_sq_times_F_minus_psi_over_sin_sq(alpha, ctx_by_alp
 
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
     coeffs = build_coefficients(ctx, 64)
-    head, _, tail = cert._psi4_parts(coeffs)
+    head, _, tail = _split(cert._psi4_parts(coeffs))
     M = 2000
     with mpmath.workdps(40):
         pi = mpmath.pi
@@ -823,7 +824,7 @@ def test_offset_tail_integrands_reject_a_short_head(ctx6):
             want = [-mpmath.fsum(Fk / (x - k) ** 2 + dFk / (x - k) for k, Fk, dFk in rows if k != 10)
                     for x in map(mpmath.mpf, xs)]
             for N in (10, 16):
-                head, _, tail = cert._eta_ge2_parts(build_coefficients(ctx6, N))
+                head, _, tail = _split(cert._eta_ge2_parts(build_coefficients(ctx6, N)))
                 got = head(at, eta) + tail(at, eta)
                 for i, w in enumerate(want):
                     assert got.lo[i] <= w - rest and w + rest <= got.hi[i], (N, xs[i])
@@ -926,10 +927,11 @@ def _offset_boxes(rng, etas, lo_end=0.0):
 
 @pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
 def test_block_integrands_match_the_two_chain_forms(alpha):
-    # one block of the rows n and -n (and of the four tail quotients) against
-    # a chain per sign, bit for bit: eta = 0 with the point 0, the left-out
-    # own row, the near lanes of _removable and -(F'(n)/(x + n)) now formed
-    # as (-F'(n))/(x + n), which at alpha 1000 meets F'(n) rounded to 0
+    # one block of the rows n and -n (and of the four tail quotients), and
+    # one block of the midpoints and boxes of a mean-value batch, against a
+    # chain per sign and per part, bit for bit: eta = 0 with the point 0, the
+    # left-out own row, the near lanes of _removable and -(F'(n)/(x + n)) now
+    # formed as (-F'(n))/(x + n), which at alpha 1000 meets F'(n) rounded to 0
     coeffs = build_coefficients(solve_s_alpha(alpha), cert._N)
     rng = random.Random(2900 + alpha)
     boxes = _offset_boxes(rng, range(0, 11))
@@ -939,18 +941,20 @@ def test_block_integrands_match_the_two_chain_forms(alpha):
                       offset_sum_two_chain(x, eta, coeffs.rows()), "offset")
 
     psi4 = x[hi <= 9.0]
-    got, want = cert._psi4_parts(coeffs), psi4_parts_two_chain(coeffs)
-    for name, g, w in zip(("head", "slope", "tail"), got, want):
-        _assert_same_bits(g(psi4, None), w(psi4, None), name)
-    param = np.zeros(psi4.lo.size, dtype=np.int64)
-    _assert_same_bits(cert._mean_value(*got)(psi4, param),
-                      cert._mean_value(*want)(psi4, param), "psi4 mean value")
-
     ge2 = _offset_boxes(rng, range(2, 11), lo_end=1.5)
     lo, hi, eta = (np.array(c) for c in zip(*ge2))
-    x = Lanes(lo, hi)
-    _, slope, _ = cert._eta_ge2_parts(coeffs)
-    _assert_same_bits(slope(x, eta), eta_ge2_slope_two_chain(coeffs)(x, eta), "eta_ge2 slope")
+    for terms, want, x, param in (
+            (cert._psi4_parts(coeffs), psi4_parts_two_chain(coeffs), psi4,
+             np.zeros(psi4.lo.size, dtype=np.int64)),
+            (cert._eta_ge2_parts(coeffs), eta_ge2_parts_two_chain(coeffs), Lanes(lo, hi), eta)):
+        for name, g, w in zip(("head", "slope", "tail"), _split(terms), want):
+            got, ref = g(x, param), w(x, param)
+            if isinstance(ref, Interval):
+                assert got == ref, name
+            else:
+                _assert_same_bits(got, ref, name)
+        _assert_same_bits(cert._mean_value(terms)(x, param),
+                          mean_value_two_chain(*want)(x, param), "mean value")
 
     ts = [(-0.5, -0.5), (0.5, 0.5), (0.0, 0.0), (-0.5, 0.5)] + \
         [tuple(sorted(rng.uniform(-0.5, 0.5) for _ in range(2))) for _ in range(30)]
@@ -1096,15 +1100,32 @@ def _seeded_boxes(rng, alpha, count):
     return boxes
 
 
-def _parts(alpha, ctx):
+def _split(terms):
+    """(head, slope, tail) of the `_mean_value` terms of an integrand, each
+    callable on its own lanes: head and tail with every lane a point of the
+    block, slope with every lane a box."""
+    def head(x, param):
+        return terms(x, x.lo.size, param)[0]
+
+    def slope(x, param):
+        return terms(x, 0, param)[1]
+
+    def tail(x, param):
+        return terms(x, x.lo.size, param)[2]
+
+    return head, slope, tail
+
+
+def _terms(alpha, ctx):
     coeffs = build_coefficients(ctx, 64)
     return cert._psi4_parts(coeffs) if alpha == 4 else cert._eta_ge2_parts(coeffs)
 
 
 @pytest.mark.parametrize("alpha", [4, 6, 8, 10, 12])
 def test_mean_value_form_contains_direct_point_enclosures(alpha, ctx_by_alpha):
-    head, slope, tail = _parts(alpha, ctx_by_alpha[alpha])
-    f = cert._mean_value(head, slope, tail)
+    terms = _terms(alpha, ctx_by_alpha[alpha])
+    head, _, tail = _split(terms)
+    f = cert._mean_value(terms)
     rng = random.Random(4242 + alpha)
     boxes = _seeded_boxes(rng, alpha, 60)
     lo, hi, param = (np.array(c) for c in zip(*boxes))
@@ -1157,7 +1178,7 @@ def test_slope_contains_mpmath_derivative_of_the_head(alpha, ctx_by_alpha):
     import mpmath
 
     coeffs = build_coefficients(ctx_by_alpha[alpha], 64)
-    _, slope, _ = _parts(alpha, ctx_by_alpha[alpha])
+    _, slope, _ = _split(_terms(alpha, ctx_by_alpha[alpha]))
     rng = random.Random(77 + alpha)
     boxes = _seeded_boxes(rng, alpha, 12)
     lo, hi, param = (np.array(c) for c in zip(*boxes))
@@ -1175,13 +1196,18 @@ def test_slope_contains_mpmath_derivative_of_the_head(alpha, ctx_by_alpha):
 @pytest.mark.parametrize("alpha", [4, 6])
 def test_mean_value_route_fails_with_a_witness_when_shifted_below_zero(alpha, ctx_by_alpha):
     # both integrands fall to about 6e-5 at the right end of their domain
-    head, slope, tail = _parts(alpha, ctx_by_alpha[alpha])
+    terms = _terms(alpha, ctx_by_alpha[alpha])
+    head, _, tail = _split(terms)
 
     def shifted(x, param):
         return head(x, param) - 1e-4
 
+    def shifted_terms(y, B, param):
+        v, slope, t = terms(y, B, param)
+        return v - 1e-4, slope, t
+
     roots = _roots(alpha)
-    run = _run_engine(cert._mean_value(shifted, slope, tail), roots)
+    run = _run_engine(cert._mean_value(shifted_terms), roots)
     assert run.status == "failed"
     w = np.array([run.witness])
     at = np.array([next(p for lo, hi, p in roots if lo <= run.witness <= hi)])
