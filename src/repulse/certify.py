@@ -14,6 +14,7 @@ certify_psihat_nonneg, the alpha check of every certify_* function and the
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -308,11 +309,12 @@ def _certificate(run: _Run, alpha: int, domain: str, policy: BnbPolicy | None,
 # The transform-positivity constants T(alpha) and L(alpha).
 # ---------------------------------------------------------------------------
 
-def _table(ctx: PotentialContext, coeffs: AuxCoefficients | None) -> AuxCoefficients:
-    """The coefficient table of ctx at the head _N: coeffs when it is that
-    table (as `certify_all` hands one to every piece), else built here."""
-    if coeffs is not None and coeffs.ctx is ctx and coeffs.N == _N:
-        return coeffs
+@functools.lru_cache(maxsize=1)
+def _table(ctx: PotentialContext) -> AuxCoefficients:
+    """The coefficient table of ctx at the head _N, built once for the last
+    context asked for, so every piece of one `certify_all` run reads one
+    table.  A context hashes by its enclosures, not its diagnostics, and the
+    table is immutable, so a context equal to the last one shares it."""
     return build_coefficients(ctx, _N)
 
 
@@ -330,13 +332,11 @@ def _T_value(coeffs: AuxCoefficients) -> Interval:
     return 0.5 * (_ONE - 2.0 * SF) - SdF / PI
 
 
-def certify_T(ctx: PotentialContext, policy: BnbPolicy | None = None,
-              coeffs: AuxCoefficients | None = None) -> Certificate:
-    """Single-constant proof of the transform's positivity on [0, 1/2]; coeffs
-    as `_table` reads it."""
+def certify_T(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+    """Single-constant proof of the transform's positivity on [0, 1/2]."""
     route = _route("T_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_T_value(_table(ctx, coeffs)), policy)
+    run.check(_T_value(_table(ctx)), policy)
     return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
@@ -365,14 +365,12 @@ def _L_value(coeffs: AuxCoefficients) -> Interval:
     return total + Interval(-4.0 * t2, (4.0 * coeffs.ctx.alpha / 3.0) * t2)
 
 
-def certify_L(ctx: PotentialContext, policy: BnbPolicy | None = None,
-              coeffs: AuxCoefficients | None = None) -> Certificate:
+def certify_L(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """Single-constant proof of the transform's positivity on [1/2, 1]: the
-    kernel-weighted sum, evaluated directly on its row's alpha; coeffs as
-    `_table` reads it."""
+    kernel-weighted sum, evaluated directly on its row's alpha."""
     route = _route("L_alpha", True, ctx.alpha)
     run = _Run()
-    run.check(_L_value(_table(ctx, coeffs)), policy)
+    run.check(_L_value(_table(ctx)), policy)
     return route.certificate(run, ctx.alpha, f"constant check, head N={_N}", policy)
 
 
@@ -468,10 +466,9 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
     enclosure and the coefficient monotonicity F(n) <= F(1), n >= 2, that
     the reduction relies on checked first rather than assumed); |xi| >= 1
     is the support condition.  The other pieces are the `part` rows of
-    ROUTES at this alpha, each a certificate of its own, handed coeffs as
-    `_table` reads it.  `computed` maps an inequality_id to its certificate
-    already made with the same context and policy, which is merged instead
-    of recomputed.
+    ROUTES at this alpha, each a certificate of its own on `_table(ctx)`.
+    `computed` maps an inequality_id to its certificate already made with
+    the same context and policy, which is merged instead of recomputed.
     """
     ctx = coeffs.ctx
     computed = computed or {}
@@ -481,7 +478,7 @@ def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = No
         run.check(_monotone_coefficient_check(coeffs), policy)
     for route in parts:
         run.absorb(computed.get(route.inequality_id)
-                   or route.call(ctx.alpha, ctx, policy, coeffs))
+                   or route.call(ctx.alpha, ctx, policy))
     return _certificate(run, ctx.alpha,
                         "[0,1/2] via T, [1/2,1] via L or the w route, 0 beyond support",
                         policy, "psihat_nonneg", "transform of psi nonnegative on the whole line")
@@ -612,14 +609,14 @@ def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
     By n F'(n) = -alpha F(n)(1 - F(n)), each term is
     n^2 F(n)(3 - alpha + alpha F(n)).  Beyond the head, F(n) <= F(N) < 1/4
     (N >= 8 and s_alpha >= 1), so for alpha >= 4 each term lies in
-    [-(3 + alpha) n^2 F(n), 0) and the rows |n| > N in [-2b, 0],
-    b = (3 + alpha) tail_n2F.  ValueError if the table's F(N) is not < 1/4.
+    [-(alpha - 3) n^2 F(n), 0) and the rows |n| > N in [-2b, 0],
+    b = (alpha - 3) tail_n2F.  ValueError if the table's F(N) is not < 1/4.
     """
     if not coeffs.Fn[coeffs.N].hi < 0.25:
         raise ValueError("the one-sided tail needs F(N) < 1/4")
     n, F, dF = coeffs.rows()
     acc = lane_sum(_ZERO, (3.0 * n * n) * F, dF * _n_pow(n, 3))
-    b = ((3.0 + coeffs.ctx.alpha) * coeffs.tail_n2F).hi
+    b = ((coeffs.ctx.alpha - 3.0) * coeffs.tail_n2F).hi
     return 2.0 * acc + Interval(-2.0 * b, 0.0)
 
 
@@ -659,19 +656,17 @@ def _psi4_parts(coeffs: AuxCoefficients):
     return terms
 
 
-def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None,
-                       coeffs: AuxCoefficients | None = None) -> Certificate:
+def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """sum_{n in Z} L4(x, n) >= 0 on [0, 9] by branch-and-bound, in mean-value form.
 
     The x >= 9 range is discharged by the displayed constant inequality
     -sum(3n^2 F + n^3 F') >= 10/81 + 1/81 + (5/2) F(9), evaluated in
     interval arithmetic (the surrounding hand derivation is trusted).
-    coeffs as `_table` reads it.
     """
     alpha = ctx.alpha
     route = _route("psi4_le_F4", True, alpha)
     run = _Run()
-    coeffs = _table(ctx, coeffs)
+    coeffs = _table(ctx)
     far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
     run.check(far, policy, at=9.0)
     _bnb(run, _mean_value(_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
@@ -684,19 +679,17 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None,
 # The three nearest-integer cases of psi <= F away from alpha = 4.
 # ---------------------------------------------------------------------------
 
-def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None,
-                 coeffs: AuxCoefficients | None = None) -> Certificate:
+def certify_eta0(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """sum_{n in Z} L(x, n) >= 0 on [0, 1/2] by branch-and-bound, which is psi <= F there.
 
     The sum is the `_psi4_parts` integrand at this alpha, and it equals
     pi^2 (F(x) - psi(x))/sin^2(pi x) (Cohn and Kumar, JAMS 2007).  It is
     enclosed in direct form, head(X) + tail(X), which discharges the root
-    in one box where the mean-value form splits it.  coeffs as `_table`
-    reads it.
+    in one box where the mean-value form splits it.
     """
     route = _route("eta0", True, ctx.alpha)
     run = _Run()
-    terms = _psi4_parts(_table(ctx, coeffs))
+    terms = _psi4_parts(_table(ctx))
 
     def direct(x: Lanes, param) -> Lanes:
         head, _, tail = terms(x, x.lo.size, param)
@@ -759,13 +752,11 @@ def _eta1_integrand(coeffs: AuxCoefficients):
     return integrand
 
 
-def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None,
-                 coeffs: AuxCoefficients | None = None) -> Certificate:
-    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2; coeffs
-    as `_table` reads it."""
+def certify_eta1(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
+    """Branch-and-bound in t over [-1/2, 1/2] covering 1/2 <= x <= 3/2."""
     route = _route("eta1", True, ctx.alpha)
     run = _Run()
-    _bnb(run, _eta1_integrand(_table(ctx, coeffs)), [(-0.5, 0.5)], policy)
+    _bnb(run, _eta1_integrand(_table(ctx)), [(-0.5, 0.5)], policy)
     return route.certificate(run, ctx.alpha, f"t in [-1/2, 1/2] (x = 1 + t), head N={_N}", policy)
 
 
@@ -816,20 +807,18 @@ def _eta_ge2_parts(coeffs: AuxCoefficients):
     return terms
 
 
-def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None,
-                    coeffs: AuxCoefficients | None = None) -> Certificate:
+def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None) -> Certificate:
     """x in [1.5, 10] by branch-and-bound, in mean-value form, plus the
     displayed x >= 10 constant.
 
     Certifies sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0 on segments
     of constant nearest integer, plus the reduction's side condition
-    F(3/2) <= 1/2 (which makes the pulled-out diagonal nonnegative).  coeffs
-    as `_table` reads it.
+    F(3/2) <= 1/2 (which makes the pulled-out diagonal nonnegative).
     """
     alpha = ctx.alpha
     route = _route("eta_ge2", True, alpha)
     run = _Run()
-    coeffs = _table(ctx, coeffs)
+    coeffs = _table(ctx)
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
@@ -881,18 +870,17 @@ def certify_all(alpha: int, policy: BnbPolicy | None = None,
     table order; a listed row that is also a piece of psihat_nonneg (the w
     route with a context) is computed once.  alpha outside the `all` row is a
     ValueError, so every alpha accepted gets a route for every piece of
-    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  One coefficient
-    table at the head _N serves every piece.  The interpolation, support and
-    decay conditions hold by construction and are exercised by the property
-    tests rather than certified here.
+    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  Every piece,
+    psihat_nonneg included, reads the one table `_table(ctx)`.  The
+    interpolation, support and decay conditions hold by construction and are
+    exercised by the property tests rather than certified here.
     """
     _route("all", True, alpha)
     if ctx is None:
         ctx = solve_s_alpha(alpha)
-    coeffs = build_coefficients(ctx, _N)
-    listed = {r.inequality_id: r.call(alpha, ctx, policy, coeffs)
+    listed = {r.inequality_id: r.call(alpha, ctx, policy)
               for r in ROUTES if r.listed and alpha in r.alphas}
-    psihat = certify_psihat_nonneg(coeffs, policy, listed)
+    psihat = certify_psihat_nonneg(_table(ctx), policy, listed)
     return [psihat, *listed.values()]
 
 
@@ -917,15 +905,13 @@ class Route:
     """One row of the route table: one way to prove one inequality.
 
     `cli` is the `repulse certify --inequality` name (None: reached only
-    through `all`).  `call(alpha, ctx, policy, coeffs=None)` runs the route;
-    ctx is None unless `needs_ctx`, i.e. unless the route reads the solved
-    s_alpha, and coeffs, a coefficient table of ctx if given, goes to the
-    routes that sum one (see `_table`).  The call names its certify_*
-    function inside a plain def, so that function is looked up in this
-    module when the route runs and a rebinding of the module attribute (a
-    tracer's span) is seen.  `part`
-    marks the pieces of psihat_nonneg; `listed` the certificates that
-    certify_all returns on their own.
+    through `all`).  `call(alpha, ctx, policy)` runs the route; ctx is None
+    unless `needs_ctx`, i.e. unless the route reads the solved s_alpha.  The
+    call names its certify_* function inside a lambda, so that function
+    is looked up in this module when the route runs and a rebinding of the
+    module attribute (a tracer's span) is seen.  `part` marks the pieces of
+    psihat_nonneg; `listed` the certificates that certify_all returns on
+    their own.
     """
 
     cli: str | None
@@ -947,45 +933,45 @@ class Route:
 ROUTES = (
     Route("T", "T_alpha", _evens(4, 10), True,
           "T(alpha) = (1/2)(1 - 2*sum F(n)) - (1/pi)*sum_{n>=2}|F'(n)| >= 0",
-          lambda a, ctx, p, c=None: certify_T(ctx, p, c), part=True),
+          lambda a, ctx, p: certify_T(ctx, p), part=True),
     Route("T", "T_alpha", _evens(12), False,
           "(1/2)(1 - 1/(a-2) - (2/a)(a+1)/(2^a(a-1))) - (1/pi)(a+2)/(a 2^(a+1)) >= 0",
-          lambda a, ctx, p, c=None: certify_T_large(a, p), part=True),
+          lambda a, ctx, p: certify_T_large(a, p), part=True),
     Route("L", "L_alpha", _evens(6, 10), True,
           "L(alpha) = sum n^3 F'(n)(-2/3+4R(pi n)) - sum 2 n^2 F(n) >= 0",
-          lambda a, ctx, p, c=None: certify_L(ctx, p, c), part=True),
+          lambda a, ctx, p: certify_L(ctx, p), part=True),
     Route("L", "L_alpha", _evens(12), False,
           "(1-1/(2a-4))(2/3-4R(pi)) - 4(a-1)/(2^(a-2)(2a-5)(a-3)) - 2/(a-2) >= 0",
-          lambda a, ctx, p, c=None: certify_L_large(a, p), part=True),
+          lambda a, ctx, p: certify_L_large(a, p), part=True),
     Route("w", "w_inequality", _evens(4, 4), True,
           "4(1-F4(1)) S3-form of the half-angle inequality",
-          lambda a, ctx, p, c=None: certify_w_inequality(ctx, p), part=True, listed=True),
+          lambda a, ctx, p: certify_w_inequality(ctx, p), part=True, listed=True),
     # the displayed inequality, with the constant 5 in place of 4(1 - F4(1))
     Route("w", "w_inequality", _evens(6), False,
           "8w - 4 sin(2w) - 5 w sin(w)^2 >= 0, via 32 S3(2w) - 5 sinc(w)^2 >= 0",
-          lambda a, ctx, p, c=None: certify_w_inequality(None, p, alpha=a)),
+          lambda a, ctx, p: certify_w_inequality(None, p, alpha=a)),
     Route("psi4", "psi4_le_F4", _evens(4, 4), True,
           "sum_n (F4(x) - F4(n) - F4'(n)(x-n))/(x-n)^2 >= 0",
-          lambda a, ctx, p, c=None: certify_psi4_le_F4(ctx, p, c), listed=True),
+          lambda a, ctx, p: certify_psi4_le_F4(ctx, p), listed=True),
     Route("eta0", "eta0", _evens(6, 1000), True,
           "sum_n (F(x) - F(n) - F'(n)(x-n))/(x-n)^2 = pi^2 (F(x) - psi(x))/sin^2(pi x) >= 0 "
           "on [0, 1/2]",
-          lambda a, ctx, p, c=None: certify_eta0(ctx, p, c), listed=True),
+          lambda a, ctx, p: certify_eta0(ctx, p), listed=True),
     Route("eta1", "eta1", _evens(6, 1000), True,
           "(F(1+t)-F(1)-tF'(1))/t^2 + F(1+t) sum 1/(n-t)^2 >= "
           "1/(1+t)^2 + F(1)/(2+t)^2 - F'(1)/(2+t) + B(alpha,t)",
-          lambda a, ctx, p, c=None: certify_eta1(ctx, p, c), listed=True),
+          lambda a, ctx, p: certify_eta1(ctx, p), listed=True),
     Route("eta2", "eta_ge2", _evens(6, 14), True,
           "sum_{n != eta(x)} (F(n)/(x-n)^2 + F'(n)/(x-n)) <= 0",
-          lambda a, ctx, p, c=None: certify_eta_ge2(ctx, p, c), listed=True),
+          lambda a, ctx, p: certify_eta_ge2(ctx, p), listed=True),
     Route(None, "allthestars_const", _evens(16), False,
           "-1 + 7/(2a-4) + 2^(4-a) + (11/(2a-4)-1)/1.25 + "
           "16/(2.25(2a-5)) + 4/(1.5 2^(a-4)) <= -(8a+2)/2^(a-2)",
-          lambda a, ctx, p, c=None: certify_allthestars_large(a, p), listed=True),
+          lambda a, ctx, p: certify_allthestars_large(a, p), listed=True),
     # every piece of the proof; eta0 and eta1 are the pieces with the lowest upper limit
     Route("all", "all", _evens(4, 1000), True,
           "psihat_nonneg and every listed route at alpha",
-          lambda a, ctx, p, c=None: certify_all(a, policy=p, ctx=ctx)),
+          lambda a, ctx, p: certify_all(a, policy=p, ctx=ctx)),
 )
 
 

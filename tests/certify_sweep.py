@@ -4,13 +4,18 @@ Every certificate must be verified.  The script writes one JSON line per
 certificate to certify-sweep.out (alpha, inequality_id, status,
 boxes_processed, max_depth and the bits of min_lower_bound), so that two
 checkouts can be compared line by line; it prints the total boxes and the
-wall time, solves included, and exits 1 if any certificate is not
-verified.  It is too slow for Tier-1 (about 30 s); CI runs it as its own
-step:
+wall time, solves included.  It exits 1 if any certificate is not verified,
+or if the box tree moved: the SHA-256 of the lines without min_lower_bound
+(a change that only tightens an enclosure may move that), each the JSON of
+the other fields and a newline, differs from BOX_TREE, recorded for 1995
+certificates in 17838 boxes.  A change that
+moves the tree on purpose records the new digest here.  It is too slow for
+Tier-1 (about 30 s); CI runs it as its own step:
 
     PYTHONPATH=src python tests/certify_sweep.py
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -19,27 +24,32 @@ from repulse.certify import VERIFIED, certify_all
 
 ALPHAS = range(4, 1001, 2)
 OUT = "certify-sweep.out"
+BOX_TREE = "fcf8bdab8e92b0ffa50212e787d3e07a0c2363062353b127547be6e8a68a08b1"
 
 
 def main() -> int:
     t0 = time.perf_counter()
     boxes = 0
     failures = []
+    tree = hashlib.sha256()
     with open(OUT, "w") as out:
         for a in ALPHAS:
             for c in certify_all(a):
                 boxes += c.boxes_processed
                 if c.status != VERIFIED:
                     failures.append(f"alpha {a}, {c.inequality_id}: {c.status}")
-                out.write(json.dumps({
-                    "alpha": a, "inequality_id": c.inequality_id, "status": c.status,
-                    "boxes_processed": c.boxes_processed, "max_depth": c.max_depth,
-                    "min_lower_bound": c.min_lower_bound.hex()}) + "\n")
+                line = {"alpha": a, "inequality_id": c.inequality_id, "status": c.status,
+                        "boxes_processed": c.boxes_processed, "max_depth": c.max_depth}
+                tree.update((json.dumps(line) + "\n").encode())
+                out.write(json.dumps({**line, "min_lower_bound": c.min_lower_bound.hex()}) + "\n")
     for line in failures:
         print("FAIL", line)
+    moved = tree.hexdigest() != BOX_TREE
+    if moved:
+        print(f"FAIL box tree {tree.hexdigest()}, recorded {BOX_TREE}")
     print(f"{len(ALPHAS)} alphas, {boxes} boxes, {time.perf_counter() - t0:.1f} s, "
           f"{len(failures)} not verified")
-    return 1 if failures else 0
+    return 1 if failures or moved else 0
 
 
 if __name__ == "__main__":

@@ -428,13 +428,13 @@ def test_L_tail_contains_the_terms_beyond_the_head(alpha, ctx_by_alpha):
 @pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
 def test_3n2F_n3dF_tail_contains_the_terms_beyond_the_head(alpha):
     # _sum_3n2F_n3dF bounds its rows |n| > N = 16 by [-2b, 0],
-    # b = (3 + alpha) t2 with t2 >= sum_{n > N} n^2 F(n).  Those rows add
+    # b = (alpha - 3) t2 with t2 >= sum_{n > N} n^2 F(n).  Those rows add
     # 2 sum_{n > N} (3 n^2 F(n) + n^3 F'(n)), here summed at 40 digits over
     # N < n <= M = 2000 at both ends of the s_alpha enclosure (c = s^alpha).
-    # Beyond M, n |F'(n)| = alpha c n^alpha F(n)^2 <= alpha F(n) and
-    # F(n) <= n^-alpha/c, so a row adds at most 2 (alpha + 3) n^(2-alpha)/c in
-    # size and all of them at most 2 (alpha + 3) M^(3-alpha)/((alpha - 3) c),
-    # `rest`; 1e-35 of the sum more covers its rounding.  The library's tail
+    # Beyond M, each row is 2 n^2 F(n)(3 - alpha + alpha F(n)), at most
+    # 2 (alpha - 3) n^(2-alpha)/c in size by F(n) <= n^-alpha/c, and all of
+    # them at most 2 M^(3-alpha)/c, `rest`; 1e-35 of the sum more covers its
+    # rounding.  The library's tail
     # is _sum_3n2F_n3dF on the table with its head rows set to 0.
     import mpmath
 
@@ -452,8 +452,7 @@ def test_3n2F_n3dF_tail_contains_the_terms_beyond_the_head(alpha):
                 Fk = 1 / (1 + c * mpmath.mpf(k) ** alpha)
                 k_dFk = -alpha * c * mpmath.mpf(k) ** alpha * Fk ** 2
                 total += 2 * (3 * k * k * Fk + k * k * k_dFk)
-            rest = 2 * (alpha + 3) * mpmath.mpf(M) ** (3 - alpha) / ((alpha - 3) * c) \
-                + mpmath.mpf(1e-35) * abs(total)
+            rest = 2 * mpmath.mpf(M) ** (3 - alpha) / c + mpmath.mpf(1e-35) * abs(total)
             assert total < 0
             assert tail.lo <= total - rest and total + rest <= tail.hi, (alpha, s)
 
@@ -1305,6 +1304,26 @@ def test_route_rows_of_one_name_are_disjoint():
         for s in cert.ROUTES[i + 1:]:
             if r.cli is not None and r.cli == s.cli:
                 assert not set(r.alphas[:600]) & set(s.alphas[:600]), (r, s)
+
+
+def test_one_coefficient_table_per_context(monkeypatch, ctx6, ctx8):
+    # certify_all builds the head table once for every piece, psihat_nonneg
+    # included; a later piece on the same context reuses it, a new context
+    # gets its own
+    built = []
+
+    def counting(ctx, N):
+        built.append((ctx.alpha, N))
+        return build_coefficients(ctx, N)
+
+    monkeypatch.setattr(cert, "build_coefficients", counting)
+    cert._table.cache_clear()
+    cert.certify_all(6, ctx=ctx6)
+    assert built == [(6, cert._N)]
+    assert cert.certify_eta1(ctx6).status == "verified"
+    assert built == [(6, cert._N)]
+    assert cert.certify_T(ctx8).status == "verified"
+    assert built == [(6, cert._N), (8, cert._N)]
 
 
 def test_dispatch_looks_functions_up_at_call_time(monkeypatch, ctx4):

@@ -16,7 +16,12 @@ re-pinned when L's kernel -2/3 + 4R(pi n) was taken in its closed form
 that sum the certificates' coefficient rows (T_alpha, L_alpha, the
 psi4_le_F4 constant for x >= 9, the eta_ge2 constant for x >= 10 and the
 T and L pieces of psihat_nonneg) were re-pinned when that head went from
-|n| <= 64 to |n| <= 16: each new enclosure holds its old value.
+|n| <= 64 to |n| <= 16: each new enclosure holds its old value.  The
+upper ends of the psi4_le_F4 constant for x >= 9 and the eta_ge2 constant
+for x >= 10 were re-pinned when the one-sided tail of
+sum_n (3 n^2 F(n) + n^3 F'(n)) took the factor alpha - 3 in place of
+3 + alpha: each new enclosure lies inside its old value, with the same
+lower end.
 """
 
 import hashlib
@@ -37,7 +42,7 @@ CHECKS = {
         ('0x1.23cb661473b34p-2', '0x1.23cb661473b38p-2'),
     ),
     ('psi4_le_F4', 4): (
-        ('0x1.ce40f8409369fp-3', '0x1.c65a100e95695p-2'),
+        ('0x1.ce40f8409369fp-3', '0x1.0704238b7ba92p-2'),
     ),
     ('psihat_nonneg', 4): (
         ('0x1.7a17a17a17808p-3', '0x1.7a17a17a17bf8p-3'),
@@ -57,7 +62,7 @@ CHECKS = {
     ),
     ('eta_ge2', 6): (
         ('0x1.f4a7e2a43e5b9p-2', '0x1.f4a7e2a43e5dfp-2'),
-        ('0x1.fea9f56210f60p-2', '0x1.1154811b47bc5p-1'),
+        ('0x1.fea9f56210f60p-2', '0x1.11447bf9a1546p-1'),
     ),
     ('psihat_nonneg', 6): (
         ('0x1.87c895bd580aep-2', '0x1.87c8977411949p-2'),
@@ -75,7 +80,7 @@ CHECKS = {
     ),
     ('eta_ge2', 8): (
         ('0x1.fca0ff7e0500cp-2', '0x1.fca0ff7e05011p-2'),
-        ('0x1.5bdc3a53d7c1fp-1', '0x1.5be0e0ae9a124p-1'),
+        ('0x1.5bdc3a53d7c1fp-1', '0x1.5be0da77fd5d7p-1'),
     ),
     ('psihat_nonneg', 8): (
         ('0x1.af4928c60838fp-2', '0x1.af4928c6d836ep-2'),
@@ -93,7 +98,7 @@ CHECKS = {
     ),
     ('eta_ge2', 10): (
         ('0x1.fee1270ee11b1p-2', '0x1.fee1270ee11b2p-2'),
-        ('0x1.83fee06614f06p-1', '0x1.83fee2be7ca90p-1'),
+        ('0x1.83fee06614f06p-1', '0x1.83fee2bb49617p-1'),
     ),
     ('psihat_nonneg', 10): (
         ('0x1.c2fe2a36c918dp-2', '0x1.c2fe2a36c9925p-2'),
@@ -111,7 +116,7 @@ CHECKS = {
     ),
     ('eta_ge2', 12): (
         ('0x1.ff9a478456b04p-2', '0x1.ff9a478456b09p-2'),
-        ('0x1.9ce2bad8f8c84p-1', '0x1.9ce2bada717b7p-1'),
+        ('0x1.9ce2bad8f8c84p-1', '0x1.9ce2bada6f93ep-1'),
     ),
     ('psihat_nonneg', 12): (
         ('0x1.ccba9d07d2932p-2', '0x1.ccba9d07d2935p-2'),
@@ -129,7 +134,7 @@ CHECKS = {
     ),
     ('eta_ge2', 14): (
         ('0x1.ffda654fa8bfdp-2', '0x1.ffda654fa8bfep-2'),
-        ('0x1.adc1141892ba9p-1', '0x1.adc1141893ca2p-1'),
+        ('0x1.adc1141892ba9p-1', '0x1.adc1141893c8ep-1'),
     ),
     ('psihat_nonneg', 14): (
         ('0x1.d5511ab950e6dp-2', '0x1.d5511ab950e70p-2'),
