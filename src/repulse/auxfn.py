@@ -70,12 +70,6 @@ def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     return AuxCoefficients(ctx, N, Fn, dFn, tail_F, tail_dF, tail_n2F)
 
 
-def _beside(a: Lanes, b: Lanes) -> Lanes:
-    """The lanes a and b side by side on the last axis, as one block (such as
-    the rows n and -n of a sum over n)."""
-    return Lanes(np.concatenate((a.lo, b.lo), axis=-1), np.concatenate((a.hi, b.hi), axis=-1))
-
-
 def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
     """(n == eta, D) for boxes x, each with its eta, and the row n: D is the
     block x - [n, -n], the columns x - n and then x + n; 1.0 stands in for
@@ -100,8 +94,8 @@ def _offset_sum(x: Lanes, eta: np.ndarray, rows) -> Lanes:
     own, d = _offsets(x, eta, n)
     at0 = eta == 0
     head = Lanes.where(at0, -0.0, _ONE / pow_int(Lanes.where(at0, 1.0, x), 2))
-    sq = _beside(Fn, Fn) / pow_int(d, 2)
-    lin = _beside(dFn, -dFn) / d
+    sq = Lanes.concat((Fn, Fn)) / pow_int(d, 2)
+    lin = Lanes.concat((dFn, -dFn)) / d
     N = n.size
     return lane_fold(head, (sq[:, :N], own), (lin[:, :N], own), sq[:, N:], lin[:, N:])
 

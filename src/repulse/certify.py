@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import json_text
-from .auxfn import AuxCoefficients, _beside, _offset_sum, _offsets, build_coefficients
+from .auxfn import AuxCoefficients, _offset_sum, _offsets, build_coefficients
 from .interval import (
     ONE as _ONE,
     ZERO as _ZERO,
@@ -135,9 +135,7 @@ class _Run:
 
     def check(self, value: Interval, policy: BnbPolicy | None, at: float = 0.0) -> None:
         """The constant piece value >= 0, as one box: the point `at`, the witness if it fails."""
-        def f(x: Lanes, _param) -> Lanes:
-            return Lanes(np.full(x.lo.shape, value.lo), np.full(x.lo.shape, value.hi))
-        _bnb(self, f, [(at, at)], policy)
+        _bnb(self, lambda x, _param: Lanes.of([value] * x.lo.size), [(at, at)], policy)
 
     def absorb(self, c: Certificate) -> None:
         """Merge a finished certificate as a piece evaluated on its own."""
@@ -159,11 +157,9 @@ _CHUNK = 64
 
 def _evaluate(f, lo: np.ndarray, hi: np.ndarray, param: np.ndarray) -> Lanes:
     """f on the boxes [lo, hi], _CHUNK lanes at a time."""
-    parts = [f(Lanes(lo[i:i + _CHUNK], hi[i:i + _CHUNK]), param[i:i + _CHUNK])
-             for i in range(0, lo.size, _CHUNK)]
-    if not parts:
-        return Lanes(lo, hi)
-    return Lanes(np.concatenate([p.lo for p in parts]), np.concatenate([p.hi for p in parts]))
+    x = Lanes(lo, hi)
+    parts = [f(x[i:i + _CHUNK], param[i:i + _CHUNK]) for i in range(0, lo.size, _CHUNK)]
+    return Lanes.concat(parts) if parts else x
 
 
 def _halves(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, param: np.ndarray):
@@ -503,10 +499,8 @@ def _removable(x: Lanes, n: np.ndarray, quotient, near) -> Lanes:
     out = quotient(Lanes.where(apart, x - n, 1.0))  # 1.0 stands in where n is in the box
     rows, cols = np.nonzero(dist < 0.25)
     if rows.size:
-        v = near(Lanes(x.lo[rows, 0], x.hi[rows, 0]).hull(n[cols]))
-        v = v.intersect(Lanes.where(apart[rows, cols], out[rows, cols], v))
-        out.lo[rows, cols] = v.lo
-        out.hi[rows, cols] = v.hi
+        v = near(x[rows, 0].hull(n[cols]))
+        out[rows, cols] = v.intersect(Lanes.where(apart[rows, cols], out[rows, cols], v))
     return out
 
 
@@ -586,15 +580,12 @@ def _mean_value(terms):
     """
     def f(x: Lanes, param) -> Lanes:
         wide = np.flatnonzero(x.lo < x.hi)
-        m = x.lo.copy()
-        m[wide] = 0.5 * (x.lo[wide] + x.hi[wide])
-        box = x[wide]
-        B = m.size
-        y = Lanes(np.concatenate((m, box.lo)), np.concatenate((m, box.hi)))
+        box, m, B = x[wide], x.lo.copy(), x.lo.size
+        m[wide] = 0.5 * (box.lo + box.hi)
+        y = Lanes.concat((Lanes(m), box))
         v, slope, tail = terms(y, B, np.concatenate((param, param[wide])))
         if wide.size:
-            mv = v[wide] + slope * (box - m[wide])
-            v.lo[wide], v.hi[wide] = mv.lo, mv.hi
+            v[wide] = v[wide] + slope * (box - m[wide])
         if isinstance(tail, Lanes):  # each box's tail: its point, or its box in y
             at = np.arange(B)
             at[wide] = np.arange(B, y.lo.size)
@@ -639,7 +630,7 @@ def _psi4_parts(coeffs: AuxCoefficients):
     off = _offset_tail(ctx, N)
     n, Fn, dFn = coeffs.rows()
     k = n.size
-    ns, Fs, dFs = np.concatenate((n, -n)), _beside(Fn, Fn), _beside(dFn, -dFn)
+    ns, Fs, dFs = np.concatenate((n, -n)), Lanes.concat((Fn, Fn)), Lanes.concat((dFn, -dFn))
 
     def terms(y: Lanes, B: int, _param):
         F = F_alpha(ctx, y)
@@ -707,8 +698,7 @@ def _inv_sq_tail(t: Lanes, N: int) -> Lanes:
     The four quotients are one block of columns, each lower bound's pair
     added in the order written."""
     T = t[:, None]
-    pm = _beside(-T, T)
-    q = _ONE / (_beside(pm, pm) + np.array([N + 1.0, N + 1.0, N, N]))
+    q = _ONE / (Lanes.concat((-T, T, -T, T)) + np.array([N + 1.0, N + 1.0, N, N]))
     s = q[:, 0::2] + q[:, 1::2]
     return Lanes(s.lo[:, 0], s.hi[:, 1])
 
@@ -793,7 +783,7 @@ def _eta_ge2_parts(coeffs: AuxCoefficients):
     rows = coeffs.rows()
     n, Fn, dFn = rows
     k = n.size
-    minus_2F, dFs = -2.0 * _beside(Fn, Fn), _beside(dFn, -dFn)
+    minus_2F, dFs = -2.0 * Lanes.concat((Fn, Fn)), Lanes.concat((dFn, -dFn))
 
     def terms(y: Lanes, B: int, eta: np.ndarray):
         head = -_offset_sum(y[:B], eta[:B], rows)

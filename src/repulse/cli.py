@@ -12,7 +12,10 @@ import dataclasses
 import datetime
 import math
 import os
+import platform
 import sys
+
+import numpy
 
 from . import __version__, json_text
 from .interval import Interval
@@ -47,7 +50,8 @@ class _Manifest:
         self.data = {
             "command": command,
             "parameters": clean,
-            "versions": {"repulse": __version__},
+            "versions": {"repulse": __version__, "python": platform.python_version(),
+                         "numpy": numpy.__version__},
             "outputs": [],
             "started": _utc_now(),
             "finished": None,

@@ -150,11 +150,11 @@ def _div_err(a: float, b: float, q: float):
     if e is None:
         return None
     # a - p is exact by Sterbenz when p/2 <= a <= 2p (same sign); q is the
-    # correctly rounded quotient so p is within a couple ulp of a.
+    # correctly rounded quotient so p is within a couple ulp of a.  e is exact,
+    # and a nonzero float sum never rounds to 0, so r has the exact sign.
     if a != p and ((a > 0.0) != (p > 0.0) or not 0.5 * abs(p) <= abs(a) <= 2.0 * abs(p)):
         return None
-    s, t = _two_sum(0.0 if a == p else a - p, -e)
-    r = s if s != 0.0 else t
+    r = (a - p) - e
     return r if b > 0.0 else -r
 
 
@@ -400,12 +400,12 @@ def pow_int(a, k: int):
     if k < 0:
         raise DomainError("pow_int requires a nonnegative exponent")
     if k == 0:
-        return Lanes(np.ones_like(a.lo)) if isinstance(a, Lanes) else ONE
+        return Lanes._raw(np.ones_like(a.ends)) if isinstance(a, Lanes) else ONE
     if k == 1:
         return a
     if isinstance(a, Lanes):
         with np.errstate(all="ignore"):
-            return Lanes(*_vpow(a.lo, a.hi, k))
+            return Lanes._raw(_vpow(a.ends, k))
     if k % 2 == 0:
         return Interval._raw(_pow_dir(a.mig, k, _mul_down), _pow_dir(a.mag, k, _mul_up))
     if a.lo >= 0.0:
@@ -418,8 +418,8 @@ def pow_int(a, k: int):
 # ---------------------------------------------------------------------------
 # Interval lanes: the rational core on numpy endpoint arrays.
 #
-# Each operand's endpoints are the rows of one (2, ...) stack, and an
-# operation runs its error-free transformation once on the stacks: row 0
+# A Lanes value is one (2, ...) stack of its endpoints, and an operation
+# runs its error-free transformation once on the stacks: row 0
 # rounds down and row 1 up, by one np.nextafter (_vround).  Each row repeats
 # its scalar twin above operation for operation, so a lane's endpoints equal
 # the scalar result bit for bit.  Branches become masks; every branch is
@@ -436,14 +436,6 @@ def pow_int(a, k: int):
 # error e points outward, and the direction of the outward step.
 _ROUND_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * n) for n in range(8)]
 _ROUND_TOWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * n) for n in range(8)]
-
-
-def _stack(lo, hi, ndim: int = 0):
-    """lo and hi as rows 0 and 1 of one array with at least ndim lane axes."""
-    if lo.shape != hi.shape:
-        lo, hi = np.broadcast_arrays(lo, hi)
-    x = np.array((lo, hi))
-    return x.reshape((2,) + (1,) * (ndim - lo.ndim) + lo.shape) if ndim > lo.ndim else x
 
 
 def _vround(x, e, unknown=None):
@@ -498,11 +490,9 @@ def _vdiv_rows(x, y):
     residual of _div_err."""
     q = x / y
     p, e, known = _vtwo_prod(q, y)
-    same = x == p
     ax, ap = np.abs(x), np.abs(p)
-    known &= same | (((x > 0.0) == (p > 0.0)) & (0.5 * ap <= ax) & (ax <= 2.0 * ap))
-    s, t = _two_sum(np.where(same, 0.0, x - p), -e)
-    r = np.where(s != 0.0, s, t)
+    known &= (x == p) | (((x > 0.0) == (p > 0.0)) & (0.5 * ap <= ax) & (ax <= 2.0 * ap))
+    r = (x - p) - e
     r = np.where(y > 0.0, r, -r)
     zero = q == 0.0
     if zero.any():
@@ -550,50 +540,63 @@ def _vdiv(x, y):
                   np.where(c_pos, np.where(b_neg, d, c), np.where(a_pos, c, d)))))
 
 
-def _vpow(lo, hi, k: int):
+def _vpow(x, k: int):
     """[lo, hi]**k for k >= 2 by the parity cases of pow_int, per lane."""
+    lo, hi = x
     if k % 2 == 0:
         mag = np.where(hi > -lo, hi, -lo)
         mig = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
-        return _pow_dir(_stack(mig, mag), k, _vmul_rows)
+        return _pow_dir(np.array((mig, mag)), k, _vmul_rows)
     nonneg = lo >= 0.0
-    up = _pow_dir(_stack(lo, hi), k, _vmul_rows)  # [lo^k down, hi^k up]
+    up = _pow_dir(x, k, _vmul_rows)  # [lo^k down, hi^k up]
     if nonneg.all():
         return up
-    down = _pow_dir(_stack(-hi, -lo), k, _vmul_rows)  # [(-hi)^k down, (-lo)^k up]
+    down = _pow_dir(-x[::-1], k, _vmul_rows)  # [(-hi)^k down, (-lo)^k up]
     neg = ~nonneg & (hi <= 0.0)
     return np.array((np.where(nonneg, up[0], -down[1]), np.where(neg, -down[0], up[1])))
 
 
-def _lane_endpoints(x):
-    """(lo, hi) of a lane operand: Lanes, Interval, number or point array."""
+def _lift(x, ndim: int):
+    """The endpoint array x with unit lane axes in front, to ndim axes in all."""
+    return x if x.ndim >= ndim else x.reshape((2,) + (1,) * (ndim - x.ndim) + x.shape[1:])
+
+
+def _ends(x, ndim: int = 1):
+    """The endpoints of a Lanes, Interval, number or point array, lifted to ndim axes."""
     if isinstance(x, Lanes):
-        return x.lo, x.hi
+        return _lift(x.ends, ndim)
     if isinstance(x, Interval):
-        return np.float64(x.lo), np.float64(x.hi)
+        return _lift(np.array((x.lo, x.hi)), ndim)
     if isinstance(x, (int, float, np.ndarray)):
-        x = np.asarray(x, dtype=float)
-        return x, x
+        return _lift(np.array((x, x), dtype=float), ndim)
     return None
 
 
 class Lanes:
-    """Intervals held in lanes: numpy arrays of lower and upper endpoints.
+    """Intervals held in lanes: one (2, ...) endpoint array `ends`, the stack
+    the kernel computes on; `lo` and `hi` are views of its rows.
 
-    `+ - * /`, unary minus, `abs` and `pow_int` act lane by lane, and every lane
-    equals the Interval operation on the same endpoints bit for bit.
-    Operands may be Lanes, Interval, int/float or a float array (point
-    lanes); shapes broadcast as in numpy.  Operands keep the scalar code's
+    `+ - * /`, unary minus, `abs` and `pow_int` act lane by lane into a new
+    array, and every lane equals the Interval operation on the same endpoints
+    bit for bit.  Operands may be Lanes, Interval, int/float or a float array
+    (point lanes); shapes broadcast as in numpy.  Operands keep the scalar
     order: `Interval * Lanes` multiplies with the Interval on the left, while
-    `float * Lanes`, like `float * Interval`, puts the lanes on the left.
-    """
+    `float * Lanes`, like `float * Interval`, puts the lanes on the left."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("ends",)
     __array_ufunc__ = None  # numpy operands defer to the reflected methods
 
     def __init__(self, lo, hi=None):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = self.lo if hi is None else np.asarray(hi, dtype=float)
+        self.ends = np.array((lo, lo if hi is None else hi), dtype=float)
+
+    @classmethod
+    def _raw(cls, ends) -> "Lanes":
+        lanes = object.__new__(cls)
+        lanes.ends = ends
+        return lanes
+
+    lo = property(lambda self: self.ends[0])
+    hi = property(lambda self: self.ends[1])
 
     @classmethod
     def of(cls, intervals) -> "Lanes":
@@ -601,37 +604,47 @@ class Lanes:
         return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
 
     @staticmethod
+    def concat(parts) -> "Lanes":
+        """The Lanes of `parts` side by side on the last axis, as one block."""
+        return Lanes._raw(np.concatenate([p.ends for p in parts], axis=-1))
+
+    @staticmethod
     def where(cond, a, b) -> "Lanes":
         """Lane-wise choice: a where cond, else b."""
-        alo, ahi = _lane_endpoints(a)
-        blo, bhi = _lane_endpoints(b)
-        return Lanes(np.where(cond, alo, blo), np.where(cond, ahi, bhi))
+        a = _ends(a, np.ndim(cond) + 1)
+        b = _ends(b, a.ndim)
+        return Lanes._raw(np.where(cond, _lift(a, b.ndim), b))
 
     def __getitem__(self, key) -> "Lanes":
-        return Lanes(self.lo[key], self.hi[key])
+        return Lanes._raw(self.ends[(slice(None), *np.index_exp[key])])
+
+    def __setitem__(self, key, value: "Lanes") -> None:
+        self.ends[(slice(None), *np.index_exp[key])] = value.ends
 
     def intersect(self, other) -> "Lanes":
-        olo, ohi = _lane_endpoints(other)
-        lo = np.where(olo > self.lo, olo, self.lo)
-        hi = np.where(ohi < self.hi, ohi, self.hi)
-        if np.any(lo > hi):
+        y = _ends(other, self.ends.ndim)
+        x = _lift(self.ends, y.ndim)
+        r = _ROUND_SIGN[x.ndim - 1]  # flips row 0: one test for max lo and min hi
+        out = np.where(y * r < x * r, y, x)
+        if np.any(out[0] > out[1]):
             raise DomainError("empty intersection")
-        return Lanes(lo, hi)
+        return Lanes._raw(out)
 
     def hull(self, other) -> "Lanes":
-        olo, ohi = _lane_endpoints(other)
-        return Lanes(np.where(olo < self.lo, olo, self.lo), np.where(ohi > self.hi, ohi, self.hi))
+        y = _ends(other, self.ends.ndim)
+        x = _lift(self.ends, y.ndim)
+        r = _ROUND_SIGN[x.ndim - 1]  # min lo and max hi
+        return Lanes._raw(np.where(y * r > x * r, y, x))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _apply(self, kernel, other, reflected: bool = False):
-        o = _lane_endpoints(other)
-        if o is None:
+        y = _ends(other, self.ends.ndim)
+        if y is None:
             return NotImplemented
-        n = max(self.lo.ndim, self.hi.ndim, o[0].ndim, o[1].ndim)
-        x, y = _stack(self.lo, self.hi, n), _stack(*o, n)
+        x = _lift(self.ends, y.ndim)
         with np.errstate(all="ignore"):
-            return Lanes(*(kernel(y, x) if reflected else kernel(x, y)))
+            return Lanes._raw(kernel(y, x) if reflected else kernel(x, y))
 
     def __add__(self, other):
         return self._apply(_vadd, other)
@@ -658,7 +671,7 @@ class Lanes:
         return self._apply(_vdiv, other, reflected=True)
 
     def __neg__(self):
-        return Lanes(-self.hi, -self.lo)
+        return Lanes._raw(-self.ends[::-1])
 
     def __abs__(self):
         """Lanes of Interval.__abs__."""
@@ -682,13 +695,11 @@ def lane_fold(acc: Lanes, *terms) -> Lanes:
     """
     parts = [(t, None) if isinstance(t, Lanes) else t for t in terms]
     m = len(parts)
-    *lanes, cols = np.broadcast_shapes(acc.lo.shape + (1,), acc.hi.shape + (1,),
-                                       *(e.shape for t, _ in parts for e in (t.lo, t.hi)))
+    *lanes, cols = np.broadcast_shapes(acc.lo.shape + (1,), *(t.lo.shape for t, _ in parts))
     s = np.empty((2, *lanes, 1 + m * cols))
-    s[0, ..., 0], s[1, ..., 0] = acc.lo, acc.hi
+    s[..., 0] = _lift(acc.ends, s.ndim - 1)
     for i, (t, skip) in enumerate(parts):
-        e = _stack(t.lo, t.hi)
-        s[..., 1 + i::m] = e if skip is None else np.where(skip, -0.0, e)
+        s[..., 1 + i::m] = t.ends if skip is None else np.where(skip, -0.0, t.ends)
     k = s.shape[-1]
     with np.errstate(all="ignore"):
         while k > 1:
@@ -697,7 +708,7 @@ def lane_fold(acc: Lanes, *terms) -> Lanes:
             if k % 2:
                 s[..., h] = s[..., k - 1]
             k = h + k % 2
-    return Lanes(s[0, ..., 0], s[1, ..., 0])
+    return Lanes._raw(s[..., 0])
 
 
 def lane_sum(acc: Interval, *terms: Lanes) -> Interval:

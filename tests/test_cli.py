@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import repulse
 from repulse import certify, cli
 from repulse.certify import ROUTES
 from repulse.cli import main
@@ -126,6 +129,9 @@ def test_certify_file_output_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "certs.json.manifest.json").read_text())
     assert manifest["command"] == "certify"
     assert manifest["outputs"] == [str(out_path)]
+    assert manifest["versions"] == {"repulse": repulse.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__}
     assert manifest["finished"] is not None
 
 

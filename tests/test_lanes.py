@@ -22,6 +22,7 @@ from repulse.interval import (
     _add_up,
     Interval,
     Lanes,
+    hull,
     lane_fold,
     lane_sum,
     pow_int,
@@ -334,3 +335,60 @@ def test_kernel_sets_no_global_error_state():
     Lanes.of([Interval(1e308)]) * Lanes.of([Interval(1e308)])
     Lanes.of([Interval(1.0)]) / Lanes.of([Interval(1.0, math.inf)])
     assert np.geterr() == before
+
+
+def test_hull_and_intersect_match_scalar_with_signed_zeros():
+    rng = random.Random(41)
+    zeros = [Interval._raw(lo, hi) for lo, hi in ((-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, 1.0),
+                                                   (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0))]
+    xs = zeros * len(zeros) + _acceptance9_intervals(rng, 300)
+    ys = [y for y in zeros for _ in zeros] + _acceptance9_intervals(rng, 300)
+    want = [hull(x, y) for x, y in zip(xs, ys)]
+    _assert_same(Lanes.of(xs).hull(Lanes.of(ys)), [v.lo for v in want], [v.hi for v in want],
+                 "hull")
+    pairs = [(x, y) for x, y in zip(xs, ys) if x.overlaps(y)]
+    want = [x.intersect(y) for x, y in pairs]
+    got = Lanes.of([x for x, _ in pairs]).intersect(Lanes.of([y for _, y in pairs]))
+    _assert_same(got, [v.lo for v in want], [v.hi for v in want], "intersect")
+
+
+def test_lane_results_share_no_memory_with_their_operands():
+    """Every lane operation writes a new endpoint array, so a write into a
+    result (as certify's `_removable` and `_mean_value` make) moves no operand."""
+    x = Lanes([-2.0, 0.5, 1.0], [-1.0, 2.0, 3.0])
+    y = Lanes([[1.0], [2.0]], [[1.5], [4.0]])
+    pts = np.array([1.0, 2.0, 3.0])
+    iv = Interval(0.5, 0.75)
+    acc = Lanes([0.0, 1.0], [0.5, 1.5])
+    cols = Lanes([[1.0, 2.0], [3.0, 4.0]], [[1.5, 2.5], [3.5, 4.5]])
+    results = [
+        x + y, x - y, x * y, x / y, y - x, iv * x, x * iv, 2.0 * x, pts - x, x / pts, pts / y,
+        -x, abs(x), pow_int(x, 0), pow_int(x, 2), pow_int(x, 3), Lanes.where(x.lo > 0.0, x, y),
+        Lanes.where(x.lo > 0.0, 1.0, x), x.hull(y), x.intersect(Interval(-5.0, 5.0)),
+        Lanes.concat((x, x)), lane_fold(acc, cols), lane_fold(acc, cols, (cols, cols.lo > 2.0)),
+    ]
+    for r in results:
+        for operand in (x.ends, y.ends, pts, acc.ends, cols.ends):
+            assert not np.shares_memory(r.ends, operand)
+
+
+def test_writes_through_lo_and_hi_reach_the_next_operation():
+    r = Lanes([1.0, 2.0, 3.0], [1.5, 2.5, 3.5]) + 1.0
+    r.lo[0] = -4.0
+    r.hi[1] = 8.0
+    r[2] = Lanes([0.25], [0.5])[0]
+    s = r + 0.0
+    assert s.lo.tolist() == [-4.0, 3.0, 0.25] and s.hi.tolist() == [2.5, 8.0, 0.5]
+    block = Lanes([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]) * 1.0
+    block[np.array([0, 1]), np.array([1, 0])] = Lanes([-1.0, -2.0], [5.0, 6.0])
+    assert (block - 0.0).lo.tolist() == [[1.0, -1.0], [-2.0, 4.0]]
+    assert (block - 0.0).hi.tolist() == [[1.0, 5.0], [6.0, 4.0]]
+
+
+def test_point_lanes_have_independent_rows():
+    pts = np.array([1.0, 2.0])
+    x = Lanes(pts)
+    x.hi[0] = 3.0
+    x.lo[1] = 0.5
+    assert x.lo.tolist() == [1.0, 0.5] and x.hi.tolist() == [3.0, 2.0]
+    assert pts.tolist() == [1.0, 2.0]
