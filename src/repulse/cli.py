@@ -203,8 +203,6 @@ def _cmd_simulate(args) -> int:
     if abs(target - count) > 1e-9:
         print(f"warning: rho*length = {target!r} rounded to {count} particles",
               file=sys.stderr)
-    if abs(target - count) > 0.5:
-        raise ValueError("rho*length is not within 0.5 of an integer")
     cfg = sim.relax(args.alpha, count / args.length, args.length,
                     seed=seed, iters=args.iters, gtol=args.gtol)
     gap = args.gap_threshold

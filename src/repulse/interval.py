@@ -402,7 +402,7 @@ def pow_int(a, k: int):
     if k == 0:
         return Lanes._raw(np.ones_like(a.ends)) if isinstance(a, Lanes) else ONE
     if k == 1:
-        return a
+        return Lanes._raw(a.ends.copy()) if isinstance(a, Lanes) else a
     if isinstance(a, Lanes):
         with np.errstate(all="ignore"):
             return Lanes._raw(_vpow(a.ends, k))

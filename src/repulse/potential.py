@@ -61,11 +61,11 @@ def _check_alpha(alpha: int) -> None:
 _MAX_TRUNCATION = 10 ** 6
 
 
-def _check_truncation(N: int) -> None:
+def _check_truncation(N: int, what: str = "lattice_energy requires N") -> None:
     if N < 2:
-        raise ValueError("lattice_energy requires N >= 2")
+        raise ValueError(f"{what} >= 2")
     if N > _MAX_TRUNCATION:
-        raise ValueError(f"lattice_energy requires N <= {_MAX_TRUNCATION}")
+        raise ValueError(f"{what} <= {_MAX_TRUNCATION}")
 
 
 def _check_tol(tol: float) -> None:
@@ -169,60 +169,63 @@ def _integral_f_tail(alpha: int, A: Interval) -> Interval:
     return acc + Interval(-term.hi, term.hi)
 
 
-def _sum_f_beyond(alpha: int, t: Interval, M: int) -> Interval:
-    """Enclosure of sum_{n > M} f_alpha(t n) via the midpoint rule.
+def _midpoint_error(alpha: int, t: Interval, Mh: float, c_point, c_int, d: int) -> float:
+    """Midpoint-rule error of sum_{n > M} h(tn), Mh = M + 1/2, A = t Mh, where |d^2/dx^2 h(tx)|
+    <= c_point t^2 (tx)^-(alpha+2): the first cell's bound plus the integral of the
+    rest, (c_point t^2 A^-(alpha+2) + (c_int/d) t A^-(alpha+1))/24, c_int/d = c_point/(alpha+1)."""
+    def err(b_point, b_int):  # x / 1 would step outward where x is below 1e-290
+        return ((b_point + (b_int if d == 1 else b_int / d)) / 24.0).hi
 
-    The midpoint integral equals (1/t) * int_{t(M+1/2)}^inf f, and the rule's
-    error is controlled through |d^2/dx^2 f(tx)| <= alpha(alpha+1) t^2 (tx)^-(alpha+2).
-    """
+    A = t * Mh
+    e = err(c_point * pow_int(t, 2) * (_ONE / pow_int(A, alpha + 2)),
+            c_int * t * (_ONE / pow_int(A, alpha + 1)))
+    if math.isfinite(e):
+        return e
+    # t^2 overflowed before it was scaled: the same bounds as c/(t^alpha Mh^(alpha+2))
+    # and c/(t^alpha Mh^(alpha+1)), where a t^alpha of inf gives 0
+    t_pow = pow_int(t, alpha)
+    return err(c_point / (t_pow * pow_int(Interval(Mh), alpha + 2)),
+               c_int / (t_pow * pow_int(Interval(Mh), alpha + 1)))
+
+
+def _coarse_bound(alpha: int, t: Interval, M: int) -> float:
+    """Upper bound on sum_{n > M} f_alpha(tn): the power-sum bound or, where t^alpha
+    underflows or that bound is larger, the integral bound of a decreasing f,
+    sum_{n>0} f(tn) <= (1/t) int_0^inf f <= (1/t)(1 + 1/(alpha - 1))."""
+    bound = (alpha / ((alpha - 1) * t)).hi
+    t_pow = pow_int(t, alpha)
+    if t_pow.lo > 0.0:
+        bound = min(bound, (power_sum_tail(alpha, M + 1) / t_pow).hi)
+    return bound
+
+
+def _sum_f_beyond(alpha: int, t: Interval, M: int) -> Interval:
+    """Enclosure of sum_{n > M} f_alpha(t n) via the midpoint rule: its integral is
+    (1/t) int_{t(M+1/2)}^inf f, and |d^2/dx^2 f(tx)| <= alpha(alpha+1) t^2 (tx)^-(alpha+2)."""
     Mh = M + 0.5
     A = t * Mh
     if A.lo <= 1.5:
-        # fall back to the coarse power-sum bound or, where t^alpha underflows
-        # or that bound is larger, to the integral bound of a decreasing f:
-        # sum_{n>0} f(tn) <= (1/t) int_0^inf f <= (1/t)(1 + 1/(alpha - 1))
-        bound = (alpha / ((alpha - 1) * t)).hi
-        t_pow = pow_int(t, alpha)
-        if t_pow.lo > 0.0:
-            bound = min(bound, (power_sum_tail(alpha, M + 1) / t_pow).hi)
-        return Interval(0.0, bound)
-    main = _integral_f_tail(alpha, A) / t
-    inv_p2 = _ONE / pow_int(A, alpha + 2)
-    inv_p1 = _ONE / pow_int(A, alpha + 1)
-    b_point = alpha * (alpha + 1) * pow_int(t, 2) * inv_p2
-    b_int = alpha * t * inv_p1
-    err = ((b_point + b_int) / 24.0).hi
-    if not np.isfinite(err):
-        # t^2 overflowed before it was scaled: the same bounds as
-        # alpha(alpha+1)/(t^alpha Mh^(alpha+2)) and alpha/(t^alpha Mh^(alpha+1)),
-        # where a t^alpha of inf gives 0
-        t_pow = pow_int(t, alpha)
-        b_point = alpha * (alpha + 1) / (t_pow * pow_int(Interval(Mh), alpha + 2))
-        b_int = alpha / (t_pow * pow_int(Interval(Mh), alpha + 1))
-        err = ((b_point + b_int) / 24.0).hi
-    out = main + Interval(-err, err)
+        return Interval(0.0, _coarse_bound(alpha, t, M))
+    err = _midpoint_error(alpha, t, Mh, alpha * (alpha + 1), alpha, 1)
+    out = _integral_f_tail(alpha, A) / t + Interval(-err, err)
     return Interval(max(out.lo, 0.0), out.hi)
 
 
 def _sum_g_beyond(alpha: int, t: Interval, M: int) -> Interval:
     """Enclosure of sum_{n > M} (f(tn) + tn f'(tn)).
 
-    The antiderivative of g(x) = f(tx) + tx f'(tx) is x f(tx), so the
-    midpoint integral is exactly -(M+1/2) f(t(M+1/2)).
+    The antiderivative of g(x) = f(tx) + tx f'(tx) is x f(tx), so the midpoint
+    integral is exactly -(M+1/2) f(t(M+1/2)); |d^2/dx^2 g(tx)| <= c t^2 (tx)^-(alpha+2)
+    with c = alpha(1.5 alpha^2 + 6 alpha + 5).  Where t(M+1/2) <= 1.5, |g| <= (alpha + 1) f.
     """
     Mh = M + 0.5
     A = t * Mh
     if A.lo <= 1.5:
-        bound = (alpha + 1) * power_sum_tail(alpha, M + 1) / pow_int(t, alpha)
-        return Interval(-bound.hi, bound.hi)
-    main = -Mh * f_alpha(alpha, A)
-    c2 = 1.5 * alpha * alpha + 6.0 * alpha + 5.0
-    inv_p2 = _ONE / pow_int(A, alpha + 2)
-    inv_p1 = _ONE / pow_int(A, alpha + 1)
-    b_point = alpha * c2 * pow_int(t, 2) * inv_p2
-    b_int = alpha * c2 * t * inv_p1 / (alpha + 1)
-    err = ((b_point + b_int) / 24.0).hi
-    return main + Interval(-err, err)
+        bound = ((alpha + 1) * Interval(_coarse_bound(alpha, t, M))).hi
+        return Interval(-bound, bound)
+    c = alpha * (1.5 * alpha * alpha + 6.0 * alpha + 5.0)
+    err = _midpoint_error(alpha, t, Mh, c, c, alpha + 1)
+    return -Mh * f_alpha(alpha, A) + Interval(-err, err)
 
 
 # Terms of one lane batch (rows x terms in the spacing solve).  Larger
@@ -345,19 +348,13 @@ def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
     _check_alpha(alpha)
     if not t.lo > 0.5:
         raise ValueError("energy_derivative requires t > 1/2")
-    if ext < 2:
-        raise ValueError("energy_derivative requires ext >= 2")
-    if ext > _MAX_TRUNCATION:
-        raise ValueError(f"energy_derivative requires ext <= {_MAX_TRUNCATION}")
+    _check_truncation(ext, "energy_derivative requires ext")
     return _DerivativeRows(alpha, [t], ext).row(0)
 
 
 def first_order_residual(ctx: PotentialContext, N: int = 128) -> Interval:
     """Enclosure of sum_{n in Z} (F(n) + n F'(n)); contains 0 at s_alpha."""
-    if N < 2:
-        raise ValueError("first_order_residual requires N >= 2")
-    if N > _MAX_TRUNCATION:
-        raise ValueError(f"first_order_residual requires N <= {_MAX_TRUNCATION}")
+    _check_truncation(N, "first_order_residual requires N")
     alpha = ctx.alpha
     S = _series(lambda n: _g_terms(alpha, F_alpha(ctx, Lanes(n))), 1, N)
     bound = (2.0 * (alpha + 1) * power_sum_tail(alpha, N + 1) / ctx.s_pow_alpha).hi

@@ -363,7 +363,7 @@ def test_lane_results_share_no_memory_with_their_operands():
     cols = Lanes([[1.0, 2.0], [3.0, 4.0]], [[1.5, 2.5], [3.5, 4.5]])
     results = [
         x + y, x - y, x * y, x / y, y - x, iv * x, x * iv, 2.0 * x, pts - x, x / pts, pts / y,
-        -x, abs(x), pow_int(x, 0), pow_int(x, 2), pow_int(x, 3), Lanes.where(x.lo > 0.0, x, y),
+        -x, abs(x), pow_int(x, 0), pow_int(x, 1), pow_int(x, 2), pow_int(x, 3), Lanes.where(x.lo > 0.0, x, y),
         Lanes.where(x.lo > 0.0, 1.0, x), x.hull(y), x.intersect(Interval(-5.0, 5.0)),
         Lanes.concat((x, x)), lane_fold(acc, cols), lane_fold(acc, cols, (cols, cols.lo > 2.0)),
     ]

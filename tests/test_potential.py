@@ -218,6 +218,27 @@ def test_lattice_energy_at_vanishing_spacing():
     assert total.lo <= limit.lo and limit.hi <= total.hi
 
 
+@pytest.mark.parametrize("t", [1e160, 1e300])
+def test_energy_derivative_where_t_squared_overflows(t):
+    # every term of E'(t) - 1 underflows, and the midpoint tail's error
+    # bound must scale by t^-alpha instead of overflowing through t^2
+    d = energy_derivative(4, Interval(t))
+    assert math.isfinite(d.lo) and math.isfinite(d.hi)
+    assert abs(d.lo - 1.0) <= 1e-15 and abs(d.hi - 1.0) <= 1e-15
+
+
+def test_energy_derivative_coarse_tail_where_t_pow_alpha_underflows():
+    # t(ext + 1/2) = 1.5 takes the coarse tail, and 0.6^2000 underflows,
+    # so the tail falls back to the integral bound instead of dividing by 0
+    import mpmath
+
+    d = energy_derivative(2000, Interval(0.6), ext=2)
+    with mpmath.workprec(140):
+        exact = 1 + 2 * mpmath.fsum(_g_exact(2000, mpmath.mpf(0.6) * n) for n in range(1, 51))
+    assert d.lo <= exact <= d.hi and abs(exact - 3) < 1e-12
+    assert d.overlaps(energy_derivative(2000, Interval(0.6), ext=128))
+
+
 def test_energy_derivative_zero_at_minimum(ctx_by_alpha):
     for a in (4, 6, 8):
         ctx = ctx_by_alpha[a]
