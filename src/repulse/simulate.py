@@ -99,9 +99,9 @@ def _power(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
 # buffers add little to a relaxation's peak memory.
 _BLOCK_ELEMENTS = 1 << 14
 
-# Elements of `_PairKernel`'s (K + 1, n, n) stack of 1 + r^alpha at most
-# (512 MB of floats).  The largest cell of the acceptance runs (n = 300,
-# K = 3) holds 360,000.
+# Elements of `_PairKernel`'s (K + 1, n, n) stack of f at most (512 MB of
+# floats).  The largest cell of the acceptance runs (n = 300, K = 3) holds
+# 360,000.
 _STACK_ELEMENTS = 1 << 26
 
 
@@ -110,39 +110,39 @@ class _PairKernel:
     of length L, over the images |k| <= K, on buffers reused from call to
     call.
 
-    Only images k = 0..K are evaluated: with d = x_i - x_j, image -k is
-    exactly the negated transpose of image k (negation commutes with
-    round-to-nearest), so f_{-k} = f_k^T and w_{-k} = -w_k^T.
+    Only images k = 0..K are evaluated.  With d = x_i - x_j, image -k is
+    the negated transpose of image k, so f_{-k} = f_k^T holds f_k's values
+    and the gradient terms w_{-k} = -w_k^T; image -k's total is image k's
+    total, and its row sums are minus image k's column sums.
 
     Blocks.  The images are evaluated in blocks of b = K + 1 images or as
     many as fit in `_BLOCK_ELEMENTS` (at least one), each numpy call acting
-    on a whole (b, n, n) block.  Every element gets the operations of a
-    direct per-image loop in the same order, so each element is the same.
-    Each image total is a sum along the contiguous last axes of a block (the
-    whole image for f, each of its rows for w), read for the -k images from
-    a contiguous transposed copy; each adds in the order of the per-image
-    `sum()` or `sum(axis=1)`.  The image totals are then accumulated over
-    k = -K..K one at a time, as that loop does (the gradient's in one
-    sequential np.add.accumulate, adding the negated -k totals: x - y is
-    x + (-y) in IEEE arithmetic): the results equal it bit for bit.
+    on a whole (b, n, n) block.  The energy is (T_0 + 2 T_1 + ... + 2 T_K)/n,
+    added left to right, with T_k the sum of f_k in the order of its
+    `sum()`.  The gradient is (2/n)(R_0 + (R_1 - C_1) + ... + (R_K - C_K)),
+    added left to right, with R_k and C_k the row and column sums of
+    w_k = (((r^(alpha-2) f_k) f_k) a) (-alpha), a = d + k L, in the order
+    of its `sum(axis=1)` and `sum(axis=0)`.
 
-    Reuse.  `_fill` computes the (K + 1, n, n) stack of 1 + r^alpha at the
-    given positions, and `_energy` and `_gradient` both read it.  Every call
-    of the kernel fills it afresh.  `relax` calls `_fill`, `_energy` and
-    `_gradient` itself, inside one `_errstate()`, and takes the gradient at
-    an accepted trial from the stack that trial's energy filled.
+    Reuse.  `_fill` computes the (K + 1, n, n) stack of f = 1/(1 + r^alpha)
+    at the given positions, with image 0's diagonal (each particle with
+    itself) set to 0, and `_energy` and `_gradient` both read it.  Every
+    call of the kernel fills it afresh.  `relax` calls `_fill`, `_energy`
+    and `_gradient` itself, inside one `_errstate()`, and takes the gradient
+    at an accepted trial from the stack that trial's energy filled.
 
     Powers.  r^alpha and r^(alpha-2) are chains of IEEE products (`_power`),
     so the results do not depend on the SIMD loops numpy dispatches to.
 
-    Overflow.  Where both alpha r^(alpha-1) and (1 + r^alpha)^2 overflow
-    (at large alpha), the gradient term alpha r^(alpha-1)/(1 + r^alpha)^2
-    evaluates to inf/inf, while it is below alpha/r^(alpha+1) <=
-    alpha^2/(r^2 DBL_MAX); such lanes take their limit, 0.  Every other lane
-    is unchanged.
+    Overflow.  Where r^(alpha-2) overflows (at large alpha), r^alpha does
+    too and f is 0, so r^(alpha-2) f is inf 0 = NaN, while the term is below
+    alpha/r^(alpha+1) < alpha/(r^3 DBL_MAX): a NaN from inf 0 is 0.
+    Positions are finite, so w has no other NaN.
     """
 
     def __init__(self, n: int, L: float, alpha: int, K: int):
+        if not (isinstance(alpha, (int, np.integer)) and alpha >= 4 and alpha % 2 == 0):
+            raise ValueError("alpha must be an even integer >= 4")
         if (K + 1) * n * n > _STACK_ELEMENTS:
             raise ValueError(f"the pair kernel of n = {n} particles on a cell of length {L!r} "
                              f"needs more than {_STACK_ELEMENTS} elements")
@@ -151,12 +151,9 @@ class _PairKernel:
         self._blocks = [(k, min(k + b, K + 1)) for k in range(0, K + 1, b)]
         self._kL = (np.arange(K + 1) * L)[:, None, None]
         self._d = np.empty((n, n))
-        self._den = np.empty((K + 1, n, n))     # 1 + r^alpha, image k at [k]
+        self._f = np.empty((K + 1, n, n))       # f = 1/(1 + r^alpha), image k at [k]
         self._a, self._b = np.empty((b, n, n)), np.empty((b, n, n))
-        self._diag = self._a.reshape(-1)[:n * n:n + 1]  # the diagonal of image 0
-        # The gradient's terms in the order they are added to 0 (row 0):
-        # minus the row sums of w_k^T for k = K..1, then those of w_k, k = 0..K.
-        self._terms = np.zeros((2 * K + 2, n))
+        self._rows, self._cols = np.empty((K + 1, n)), np.zeros((K + 1, n))  # cols[0] stays 0
 
     def __call__(self, x: np.ndarray, want_energy: bool, want_grad: bool):
         """(energy or None, gradient or None) at positions x."""
@@ -174,49 +171,37 @@ class _PairKernel:
         for k0, k1 in self._blocks:
             r2 = self._images(k0, k1, self._a)
             np.multiply(r2, r2, out=r2)
-            den = self._den[k0:k1]
-            np.add(_power(r2, self.alpha // 2, den), 1.0, out=den)
+            f = self._f[k0:k1]
+            np.add(_power(r2, self.alpha // 2, f), 1.0, out=f)
+            np.divide(1.0, f, out=f)
+        np.fill_diagonal(self._f[0], 0.0)
 
     def _energy(self) -> float:
-        n = len(self._d)
-        pos, neg = [], []       # image totals for k >= 0 and for -k, k >= 1
-        for k0, k1 in self._blocks:
-            b, j = k1 - k0, int(k0 == 0)     # image 0 is its own mirror
-            f = np.divide(1.0, self._den[k0:k1], out=self._a[:b])
-            if j:
-                self._diag[...] = 0.0
-            pos += np.add.reduce(f.reshape(b, n * n), axis=1).tolist()
-            ft = self._b[:b - j]
-            np.copyto(ft, f[j:].transpose(0, 2, 1))
-            neg += np.add.reduce(ft.reshape(b - j, n * n), axis=1).tolist()
-        energy = 0.0
-        for e in neg[::-1] + pos:   # not sum(): from Python 3.12 it compensates
-            energy += e
+        K, n = self.K, len(self._d)
+        totals = np.add.reduce(self._f.reshape(K + 1, n * n), axis=1).tolist()
+        energy = totals[0]
+        for t in totals[1:]:    # not sum(): from Python 3.12 it compensates
+            energy += 2.0 * t
         return energy / n
 
     def _gradient(self) -> np.ndarray:
-        alpha, K, n = self.alpha, self.K, len(self._d)
-        m = (alpha - 2) // 2                    # r^(alpha-2) = (r^2)^m
-        terms = self._terms     # rows[k], cols[k] (k >= 1): row sums of w_k, w_k^T
-        rows, cols = terms[K + 1:], terms[K + 1:0:-1]
+        m, n = (self.alpha - 2) // 2, len(self._d)     # r^(alpha-2) = (r^2)^m
+        rows, cols = self._rows, self._cols
         for k0, k1 in self._blocks:
-            b, j = k1 - k0, int(k0 == 0)
             a = self._images(k0, k1, self._a)
-            w = np.multiply(a, -alpha, out=self._b[:b])
-            _power(np.multiply(a, a, out=a), m, w)
-            if m & (m - 1):     # the power took w's buffer as its spare
-                np.multiply(self._images(k0, k1, w), -alpha, out=w)
-            np.multiply(w, a, out=w)
-            den = self._den[k0:k1]
-            np.divide(w, np.multiply(den, den, out=a), out=w)
+            w = _power(np.multiply(a, a, out=self._b[:k1 - k0]), m, a)
+            if m & (m - 1):     # the power took a's buffer as its spare
+                self._images(k0, k1, a)
+            f = self._f[k0:k1]
+            for factor in (f, f, a, -self.alpha):
+                np.multiply(w, factor, out=w)
             if np.isnan(np.add.reduce(w, axis=2, out=rows[k0:k1])).any():
-                w[np.isnan(w) & np.isinf(a)] = 0.0      # inf/inf: see Overflow
+                w[np.isnan(w)] = 0.0        # inf 0: see Overflow
                 np.add.reduce(w, axis=2, out=rows[k0:k1])
-            wt = a[:b - j]
-            np.copyto(wt, w[j:].transpose(0, 2, 1))
-            np.add.reduce(wt, axis=2, out=cols[k0 + j:k1])
-        np.negative(terms[1:K + 1], out=terms[1:K + 1])
-        return np.multiply(np.add.accumulate(terms, axis=0)[-1], 2.0 / n)
+            j = int(k0 == 0)    # image 0 is its own mirror
+            np.add.reduce(w[j:], axis=1, out=cols[k0 + j:k1])
+        np.subtract(rows, cols, out=rows)
+        return np.multiply(np.add.accumulate(rows, axis=0)[-1], 2.0 / n)
 
 
 def _errstate():
@@ -338,8 +323,6 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
     energy; sets `converged = False` when the gradient max-norm still
     exceeds gtol (finite, >= 0) after `iters` accepted steps.
     """
-    if alpha % 2 or alpha < 4:
-        raise ValueError("alpha must be an even integer >= 4")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if not (math.isfinite(gtol) and gtol >= 0.0):
@@ -393,7 +376,7 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
 
 def detect_clusters(cfg: Configuration, gap_threshold: float) -> ClusterReport:
     """Single-linkage split at circular gaps exceeding the threshold."""
-    if gap_threshold <= 0.0:
+    if not gap_threshold > 0.0:
         raise ValueError("gap_threshold must be positive")
     x = cfg.positions
     n = len(x)
@@ -444,12 +427,15 @@ def theorem_configuration(alpha: int, n_per_cluster: int, m_clusters: int,
                           s_alpha: float | None = None,
                           image_cutoff: int | None = None) -> Configuration:
     """n particles at each point of the optimal-spacing lattice, m sites."""
-    if n_per_cluster < 1 or m_clusters < 2:
-        raise ValueError("need n_per_cluster >= 1 and m_clusters >= 2")
+    if not (isinstance(n_per_cluster, (int, np.integer)) and n_per_cluster >= 1
+            and isinstance(m_clusters, (int, np.integer)) and m_clusters >= 2):
+        raise ValueError("need integers n_per_cluster >= 1 and m_clusters >= 2")
     if s_alpha is None:
         from .potential import solve_s_alpha
 
         s_alpha = solve_s_alpha(alpha).s_alpha.mid
+    elif not (math.isfinite(s_alpha) and s_alpha > 0.0):
+        raise ValueError("s_alpha must be finite and positive")
     L = m_clusters * s_alpha
     pos = np.repeat(np.arange(m_clusters) * s_alpha, n_per_cluster)
     K = _image_cutoff(image_cutoff, L)

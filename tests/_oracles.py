@@ -45,14 +45,19 @@ the terms n differently; that must not move a bit of the enclosure or a
 count of the steps.
 
 `pair_terms_loop` is the periodic pair energy and gradient of
-`repulse.simulate` written as the direct loop over every image
-k = -K..K, as the library computed it before the kernel evaluated only
-k = 0..K in blocks of images on reused buffers.  Its powers of r^2 are
-`power_chain`: the squarings x^(2^j) for the set bits j of the exponent,
-multiplied lowest first, each one IEEE product.  The kernel must equal it
-bit for bit.  It is an oracle only below the overflow of the gradient
-term: where alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow (large
-alpha), its w is inf/inf = NaN, while the kernel gives the term its limit 0.
+`repulse.simulate` written as a direct loop over the images k = 0..K, one
+image at a time, each image -k read from image k: the energy adds
+2 f_k.sum() (f_{-k} = f_k^T holds f_k's values) and the gradient
+w_k.sum(axis=1) - w_k.sum(axis=0) (w_{-k} = -w_k^T), in the kernel's
+documented order, with a NaN of w (inf * 0 where r^(alpha-2) overflows)
+taken as 0.  Its powers of r^2 are `power_chain`: the squarings x^(2^j)
+for the set bits j of the exponent, multiplied lowest first, each one IEEE
+product.  The kernel, which evaluates the images in blocks on reused
+buffers, must equal it bit for bit.  `pair_terms_all_images` is the direct
+loop over every image k = -K..K, with the gradient term divided by
+(1 + r^alpha)^2: it reads no image from its mirror, holds below the
+overflow of that term (where it is inf/inf), and the kernel must stay
+within a few roundings of it.
 
 `bnb_level_by_level` is the branch-and-bound engine as the library ran it
 before it evaluated the levels below a small frontier in the same batch:
@@ -361,10 +366,30 @@ def power_chain(x, m):
 
 
 def pair_terms_loop(x, L, alpha, K):
-    """(energy per particle, gradient) over images |k| <= K, one image at a time.
+    """(energy per particle, gradient) over images |k| <= K, one image
+    k = 0..K at a time, image -k read from image k."""
+    n = len(x)
+    d = x[:, None] - x[None, :]
+    for k in range(K + 1):
+        a = d + k * L
+        r2 = a * a
+        f = 1.0 / (1.0 + power_chain(r2, alpha // 2))
+        if k == 0:
+            np.fill_diagonal(f, 0.0)
+        w = power_chain(r2, (alpha - 2) // 2) * f * f * a * (-alpha)
+        w[np.isnan(w)] = 0.0    # inf * 0 where r^(alpha-2) overflows
+        if k == 0:
+            energy, grad = float(f.sum()), w.sum(axis=1)
+        else:
+            energy += 2.0 * float(f.sum())
+            grad = grad + (w.sum(axis=1) - w.sum(axis=0))
+    return energy / n, grad * (2.0 / n)
 
-    Valid only while no w is inf/inf, i.e. below the overflow of
-    alpha r^(alpha-1) and (1 + r^alpha)^2 (the kernel's limit 0 there)."""
+
+def pair_terms_all_images(x, L, alpha, K):
+    """(energy per particle, gradient) over images |k| <= K: the direct loop
+    over every image k = -K..K.  Valid only while no w is inf/inf, i.e.
+    below the overflow of alpha r^(alpha-1) and (1 + r^alpha)^2."""
     n = len(x)
     d = x[:, None] - x[None, :]
     energy = 0.0

@@ -5,13 +5,15 @@ from 0..199 (alpha 4 and 6, n = 2, 3, 4 particles per site on 12 sites)
 and counts a run that fails to converge, or that ends more than 1e-9
 below the theorem configuration's energy, as a failed job.  This script
 relaxes all 1,200 of them as that benchmark does, then the two
-acceptance-8 figure cells, and exits 1 if any run fails its check.
-It is too slow for Tier-1 (about 12 s); CI runs it as its own step:
+acceptance-8 figure cells, prints the wall time, and exits 1 if any
+run fails its check.  It is too slow for Tier-1 (about 7 s); CI runs it
+as its own step, with a RuntimeWarning from the pair kernel as an error:
 
-    PYTHONPATH=src python tests/acceptance7_sweep.py
+    PYTHONPATH=src python -W error::RuntimeWarning tests/acceptance7_sweep.py
 """
 
 import sys
+import time
 
 from repulse import simulate as sim
 from repulse.potential import solve_s_alpha
@@ -22,6 +24,7 @@ ENERGY_SLACK = 1e-9
 
 
 def main() -> int:
+    t0 = time.perf_counter()
     spacing = {a: solve_s_alpha(a, 1e-12).s_alpha.mid for a in (4, 6)}
     failures = []
     runs = 0
@@ -46,7 +49,7 @@ def main() -> int:
                             f"mean spacing {rep.mean_spacing!r} vs {s!r}")
     for line in failures:
         print("FAIL", line)
-    print(f"{runs - len(failures)}/{runs} runs passed")
+    print(f"{runs - len(failures)}/{runs} runs passed, {time.perf_counter() - t0:.1f} s")
     return 1 if failures else 0
 
 

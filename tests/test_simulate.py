@@ -17,7 +17,7 @@ from repulse import simulate as sim
 from repulse.interval import Interval
 from repulse.potential import lattice_energy
 
-from _oracles import pair_terms_loop, power_chain
+from _oracles import pair_terms_all_images, pair_terms_loop, power_chain
 
 
 def _config(positions, L, alpha):
@@ -242,10 +242,10 @@ def _bits(energy, grad):
 
 
 def test_pair_kernel_matches_image_loop():
-    # images k = 0..K with -k by exact transposition, on reused buffers,
-    # against the direct loop over k = -K..K, bit for bit: alpha 4..12 runs
-    # the product chains of r^2 to the powers 1..6, as alpha/2 and (alpha-2)/2,
-    # with and without the spare buffer
+    # blocks of images k = 0..K on reused buffers against the loop over
+    # k = 0..K, bit for bit, and against the direct loop over k = -K..K
+    # within a few roundings: alpha 4..12 runs the product chains of r^2 to
+    # the powers 1..6, as alpha/2 and (alpha-2)/2, with and without the spare
     rng = np.random.default_rng(20261018)
     sizes = (1, 2, 3, 5, 8, 13, 24, 36, 48, 61, 97, 128, 160, 199, 240, 300, 320)
     for i, n in enumerate(sizes):
@@ -263,6 +263,10 @@ def test_pair_kernel_matches_image_loop():
             no_energy, grad = kernel(x, False, True)
             assert no_grad is None and no_energy is None
             assert _bits(energy, grad) == want, (n, alpha, K, L)
+            e_all, g_all = pair_terms_all_images(x, L, alpha, K)
+            assert abs(energy - e_all) <= 1e-14 * abs(e_all), (n, alpha, K, L)
+            assert np.max(np.abs(grad - g_all)) <= 1e-12 * (1.0 + np.max(np.abs(g_all))), \
+                (n, alpha, K, L)
 
 
 def _block_edge_cases():
@@ -373,6 +377,85 @@ def test_relax_bits_do_not_depend_on_simd_dispatch():
         assert got[str(seed)] == want, (alpha, seed)
 
 
+def test_pair_kernel_matches_image_loop_where_the_gradient_overflows():
+    # r^(alpha-2) overflows where f is 0: the loop over k = 0..K takes each
+    # such term inf 0 as 0, and the kernel equals it bit for bit
+    rng = np.random.default_rng(150)
+    for alpha in (150, 1000):
+        for n, L, K in ((24, 40.0, 3), (90, 45.0, 2)):
+            x = rng.uniform(0.0, L, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = pair_terms_loop(x, L, alpha, K)
+            assert np.all(np.isfinite(want[1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sim._PairKernel(n, L, alpha, K)(x, True, True)
+            assert _bits(*got) == _bits(*want), (alpha, n, K)
+
+
+def test_periodic_gradient_is_the_energy_slope():
+    # shares no formula with the kernel: a central difference of
+    # periodic_energy in each position, on random cells and on cells whose
+    # particles coincide in pairs (the theorem lattice's case), within
+    # 1e-8 (1 + max |g|); the worst case reads 2.5e-10.  Every position
+    # stays 0.1 inside the cell, so no step wraps a particle onto another
+    # image window, and `_config` sorts the stepped positions
+    rng = np.random.default_rng(61)
+    h = 1e-5
+    for alpha in (4, 6, 8):
+        for n, L, K in ((7, 6.0, 3), (12, 16.97, 2), (10, 3.0, 5)):
+            x = rng.uniform(0.1, L - 0.1, n)
+            for pos in (x, np.repeat(x[: n // 2], 2)):
+                cfg = _config(pos, L, alpha)
+                g = sim.periodic_gradient(cfg, K)
+                slope = np.empty(len(g))
+                for i in range(len(g)):
+                    up, down = cfg.positions.copy(), cfg.positions.copy()
+                    up[i] += h
+                    down[i] -= h
+                    slope[i] = (sim.periodic_energy(_config(up, L, alpha), K)
+                                - sim.periodic_energy(_config(down, L, alpha), K)) / (2.0 * h)
+                err = np.max(np.abs(g - slope))
+                assert err <= 1e-8 * (1.0 + np.max(np.abs(g))), (alpha, n, L, K, err)
+
+
+def test_pair_kernel_entry_points_check_alpha():
+    # every entry point reaches the kernel's one check, with one message;
+    # numpy integers are integers
+    cfg = _config([1.0, 4.0, 7.5], 10.0, 4)
+    entry_points = (
+        lambda a: sim.relax(a, 1.0, 10.0, iters=5),
+        lambda a: sim.theorem_configuration(a, 2, 8, s_alpha=1.5),
+        lambda a: sim.periodic_energy(_config(cfg.positions, 10.0, a)),
+        lambda a: sim.periodic_gradient(_config(cfg.positions, 10.0, a)),
+    )
+    for entry in entry_points:
+        for alpha in (5, 3, 2, 0, -4, 4.0, 6.0, True):
+            with pytest.raises(ValueError, match="alpha must be an even integer >= 4"):
+                entry(alpha)
+        for alpha in (np.int64(4), np.int32(6)):
+            entry(alpha)
+    assert (sim.theorem_configuration(np.int64(4), 2, 8, s_alpha=1.5).energy_per_particle
+            == sim.theorem_configuration(4, 2, 8, s_alpha=1.5).energy_per_particle)
+
+
+def test_theorem_configuration_rejects_bad_arguments():
+    for n, m in ((0, 8), (2, 1), (2, 2.5), (2.0, 8), (1.5, 8), (2, 8.0)):
+        with pytest.raises(ValueError, match="need integers n_per_cluster >= 1"):
+            sim.theorem_configuration(4, n, m, s_alpha=1.5)
+    for s in (0.0, -1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="s_alpha must be finite and positive"):
+            sim.theorem_configuration(4, 2, 8, s_alpha=s)
+    assert sim.theorem_configuration(4, np.int64(2), np.int64(8), s_alpha=1.5).count == 16
+
+
+def test_detect_clusters_rejects_a_threshold_that_is_not_positive():
+    cfg = _config([1.0, 1.1, 5.0], 10.0, 4)
+    for gap in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="gap_threshold must be positive"):
+            sim.detect_clusters(cfg, gap)
+
+
 @pytest.mark.parametrize("alpha", [150, 200, 1000])
 def test_relax_converges_where_the_gradient_overflows(alpha):
     # alpha r^(alpha-1) and (1 + r^alpha)^2 both overflow at these alpha;
@@ -385,22 +468,22 @@ def test_relax_converges_where_the_gradient_overflows(alpha):
     assert np.all(np.isfinite(grad))
 
 
-# relax outputs recorded from the per-image loop before the kernel was
-# rewritten: alpha, rho, L, seed, iters, gtol, count, SHA-256 of the final
-# positions' bytes, energy per particle, converged, gradient max-norm.
+# relax outputs: alpha, rho, L, seed, iters, gtol, count, SHA-256 of the
+# final positions' bytes, energy per particle, converged, gradient max-norm.
 # Acceptance-7 inputs (n per site on 12 sites), both acceptance-8 figure
 # inputs, an alpha-8 case and the two-particle antipodal case.  Recorded on
-# x86-64 with numpy 2.4; the alpha >= 6 rows again after the powers became
+# x86-64 with numpy 2.4 from the kernel on f = 1/(1 + r^alpha), which sums
+# each image -k from image k (`pair_terms_loop`'s order); its powers are
 # chains of IEEE products (`simulate._power`), which no SIMD dispatch changes.
 _RELAX_RECORD = [
-    (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "80dcbbd0b46c02471689cff7769fbb45af09e00dbe92cb6c13540911678a014c", "0x1.185d999c84f7bp+1", True, "0x1.8fe687ad10f2ap-28"),
-    (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "65abc3b5f85de539b9972950a8eb542921e6c43efcc17677f8b4e61f5269d33d", "0x1.38738d0f71e69p+2", True, "0x1.2d1e4d9b80f3dp-27"),
-    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "4e1f22d6b33b5c7390ce6f42eae8d432172dd56e4b490938d32019c28327e4c8", "0x1.90f3692424447p+1", True, "0x1.4c09b2aa7e0c3p-27"),
-    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "4c3bbc7680efe983f8f6a92a486fd89929f4739825bc5544769976759dceda7b", "0x1.2d6271ca76cf1p+2", True, "0x1.18d9a9a86c62ep-27"),
-    (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "b661c05f89503b0b578aabbadc9b08c8b0ba86de9a2019d418c44ab3b07dfbe3", "0x1.f6d76d74ce7eap+3", True, "0x1.4ea70d0cb14c2p-27"),
-    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "1b633ca51d8439eb7cd6add145817356d470ef33465638fb9492ba1db42e4f77", "0x1.0ecfb94ab60b8p+4", True, "0x1.5421d929a993dp-27"),
-    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "54d5e85ddb5db53033632200cc22ff445a84c7bc3373133f1fd5538ffd5dbe8d", "0x1.2c9954349d4edp+1", True, "0x1.02553be304652p-27"),
-    (4, 0.02, 100.0, 1, 10000, 1e-12, 2, "4c062145aee1866ed231f7d7527971635406ac0a551b751b18ba750e0c39b26f", "0x1.738aef64b6fbep-22", True, "0x1.ba2dbe65a0000p-55"),
+    (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "be667872029e153691b354beb0d07c939842391cfc458224d1937c291a955d68", "0x1.185d999c84f7bp+1", True, "0x1.8fe6857a15d55p-28"),
+    (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "d8d7bd45fff0a69211db09a1ee325045dd623d3ce6c717831e209ef03f70585e", "0x1.38738d0f71e6bp+2", True, "0x1.2d1e50c7e98fap-27"),
+    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "8544883fbb7896da42e73bba0125d8495c1eca4f96df4c56e2a26e92656c9685", "0x1.90f3692424447p+1", True, "0x1.4c09b8f8f2500p-27"),
+    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "ded469b89b44ca13f0bdba484450b3f1057bffd70a37c98ea93d1667a47801b3", "0x1.2d6271ca76cf1p+2", True, "0x1.18dc1c92e8bc0p-27"),
+    (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "8bd33cef0e89a25b44dfbcc39099dc9412f190633caa372303b8966e36bb552e", "0x1.f6d76d74ce7fep+3", True, "0x1.39bf7df466c0ep-27"),
+    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "633f3bb75f7275c7b2b00ed21209a4fed39ea798519ea678efb8a28ad2d113d9", "0x1.0ecfb94ab6037p+4", True, "0x1.1f87d9b24f456p-27"),
+    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "1f8b8a8d5b592b80fff816a85de6c949c0653717464e37956ad914a8c147b30a", "0x1.2c9954349d4edp+1", True, "0x1.02553b4b02116p-27"),
+    (4, 0.02, 100.0, 1, 10000, 1e-12, 2, "897c0fac6fa34ceb44dfa9856e28f4a38b9992e0f534dce401752df8c4d5a42c", "0x1.738aef64b6fbdp-22", True, "0x1.ba2dc7fe00000p-55"),
 ]
 
 
