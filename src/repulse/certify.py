@@ -424,7 +424,7 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
     """
     run = _Run()
     if ctx is None:
-        _check_alpha(alpha)
+        alpha = _check_alpha(alpha)
         route = _route("w_inequality", False)
         c1 = Interval.from_fraction(Fraction(16, 5))
     else:

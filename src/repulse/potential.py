@@ -2,7 +2,9 @@
 
 Everything here is certified interval arithmetic: lattice sums carry
 rigorous tail enclosures, and the spacing solver proves its zero unique and
-narrows its enclosure by interval Newton steps and certified signs.
+certifies the signs of E' either side of a float root (or, failing that,
+narrows its enclosure by interval Newton steps).  The float root is only a
+guess that those certified signs check.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ class AmbiguousSignChangeError(RuntimeError):
     """The spacing solve could not certify the zero of E' on [1, 2] to its tol."""
 
 
-def _check_alpha(alpha: int) -> None:
-    if not isinstance(alpha, int) or alpha < 4 or alpha % 2:
+def _check_alpha(alpha: int) -> int:
+    """alpha, a Python or numpy integer that is even and >= 4, as an int."""
+    if not isinstance(alpha, (int, np.integer)) or alpha < 4 or alpha % 2:
         raise ValueError(f"alpha must be an even integer >= 4, got {alpha!r}")
+    return int(alpha)
 
 
 # The largest truncation lattice_energy, energy_derivative's ext,
@@ -86,7 +90,7 @@ def power_sum_tail(beta: int, k: int) -> Interval:
 
 def f_alpha(alpha: int, x: Interval) -> Interval:
     """Enclosure of 1/(1 + x^alpha) for even alpha."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return (_ONE / (_ONE + pow_int(x, alpha))).intersect(_UNIT_BOX)
 
 
@@ -104,7 +108,7 @@ class SolveDiagnostics:
     lane_batches: int = 0  # lane evaluations of many spacing points at once
     rows_evaluated: int = 0  # spacing points put on lanes
     coarse_terms: int = 0  # terms per row in the cover and above width 1e-6
-    fine_terms: int = 0  # terms per row of the steps below width 1e-6
+    fine_terms: int = 0  # terms per row of the bracket and the steps below width 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,19 @@ def x_dF_alpha(alpha: int, F):
 
 
 def _g_terms(alpha: int, f):
-    """g = f + x f'(x) = f(1 - alpha) + alpha f^2 from f (an Interval or Lanes)."""
+    """g = f + x f'(x) = f(1 - alpha) + alpha f^2 from f (an Interval, Lanes or float array)."""
     return f * (1.0 - alpha) + alpha * f * f
+
+
+def _d2_terms(alpha: int, f):
+    """f(1 - f)(alpha - 1 - 2 alpha f), the terms of t E''(t)/(2 alpha), from
+    f (an Interval, Lanes or float array)."""
+    return f * (1.0 - f) * ((alpha - 1.0) - 2.0 * alpha * f)
+
+
+def _g_integral(Mh: float, f):
+    """int_Mh^inf g(tx) dx = -Mh f(t Mh): the antiderivative of g(tx) is x f(tx)."""
+    return -Mh * f
 
 
 def F_deficit_over_x_sq(ctx: PotentialContext, x: Interval, F: Interval) -> Interval:
@@ -214,8 +229,7 @@ def _sum_f_beyond(alpha: int, t: Interval, M: int) -> Interval:
 def _sum_g_beyond(alpha: int, t: Interval, M: int) -> Interval:
     """Enclosure of sum_{n > M} (f(tn) + tn f'(tn)).
 
-    The antiderivative of g(x) = f(tx) + tx f'(tx) is x f(tx), so the midpoint
-    integral is exactly -(M+1/2) f(t(M+1/2)); |d^2/dx^2 g(tx)| <= c t^2 (tx)^-(alpha+2)
+    The midpoint integral is _g_integral; |d^2/dx^2 g(tx)| <= c t^2 (tx)^-(alpha+2)
     with c = alpha(1.5 alpha^2 + 6 alpha + 5).  Where t(M+1/2) <= 1.5, |g| <= (alpha + 1) f.
     """
     Mh = M + 0.5
@@ -225,7 +239,7 @@ def _sum_g_beyond(alpha: int, t: Interval, M: int) -> Interval:
         return Interval(-bound, bound)
     c = alpha * (1.5 * alpha * alpha + 6.0 * alpha + 5.0)
     err = _midpoint_error(alpha, t, Mh, c, c, alpha + 1)
-    return -Mh * f_alpha(alpha, A) + Interval(-err, err)
+    return _g_integral(Mh, f_alpha(alpha, A)) + Interval(-err, err)
 
 
 # Terms of one lane batch (rows x terms in the spacing solve).  Larger
@@ -264,7 +278,7 @@ def lattice_energy(alpha: int, t: Interval, N: int = 64) -> LatticeEnergyTerms:
     applying the midpoint-rule tail, which keeps the enclosure width near
     the head's rounding noise even at alpha = 4.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if not t.lo > 0.0:
         raise ValueError("lattice_energy requires t > 0")
     _check_truncation(N)
@@ -332,8 +346,7 @@ class _DerivativeRows:
         a, t = self.alpha, self.ts[i]
         S = _ZERO
         for f in self.batches:
-            fi = f[i]
-            S = lane_sum(S, fi * (1.0 - fi) * ((a - 1.0) - 2.0 * a * fi))
+            S = lane_sum(S, _d2_terms(a, f[i]))
         tail = (a - 1) * power_sum_tail(a, self.ext + 1) / pow_int(t, a)
         return 2.0 * a * (S + Interval(0.0, tail.hi)) / t
 
@@ -345,7 +358,7 @@ def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
     over; tighter tails let the spacing solver certify signs close to the
     minimiser.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if not t.lo > 0.5:
         raise ValueError("energy_derivative requires t > 1/2")
     _check_truncation(ext, "energy_derivative requires ext")
@@ -406,6 +419,39 @@ def _term_count(alpha: int, fine: bool) -> int:
     return ladder[-1]
 
 
+_MAX_FLOAT_STEPS = 100  # bisection alone halves [t_c, 2] to one ulp in 53
+
+
+def _float_root(alpha: int, lo: float, hi: float, M: int) -> float:
+    """A float zero of E' on [lo, hi], where E' is increasing and changes sign.
+
+    E' and E'' are summed in float64 over n <= M, E' with the midpoint
+    integral _g_integral beyond M.  A Newton step that leaves the bracket
+    is replaced by the solve's cut m = 1 + sqrt((lo - 1)(hi - 1)); the walk
+    stops where a step leaves t unmoved, or where m, too, lies outside.
+    Nothing here is certified: the solve proves the signs around the result.
+    """
+    x = np.append(np.arange(1.0, M + 1.0), M + 0.5)
+    t = lo
+    for _ in range(_MAX_FLOAT_STEPS):
+        with np.errstate(over="ignore"):  # (tx)^alpha = inf gives f = 0
+            f = 1.0 / (1.0 + (t * x) ** alpha)
+        d1 = 1.0 + 2.0 * float(_g_terms(alpha, f[:-1]).sum() + _g_integral(M + 0.5, f[-1]))
+        if d1 == 0.0:
+            return t
+        lo, hi = (t, hi) if d1 < 0.0 else (lo, t)
+        d2 = 2.0 * alpha * float(_d2_terms(alpha, f[:-1]).sum()) / t
+        step = t - d1 / d2 if d2 > 0.0 else math.nan
+        if step == t:
+            return t
+        if not lo < step < hi:
+            step = 1.0 + math.sqrt((lo - 1.0) * (hi - 1.0))
+            if not lo < step < hi:
+                return t
+        t = step
+    return t
+
+
 def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
     """Certified enclosure, at most tol wide, of the optimal spacing s_alpha:
     the unique zero of E'(t) = d/dt sum_n t f_alpha(tn) on [1, 2].
@@ -416,18 +462,27 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
        strictly increasing there.
     2. The cover certifies E'(2) > 0 and E' < 0 on cells of [1, t_c]
        (undecided cells are halved): E' has exactly one zero on [1, 2].
-    3. Each step reads E'(m) and E''(X) from one lane batch.  Where
-       E''(X) > 0 the interval Newton step X <- X & (m - E'(m)/E''(X))
-       keeps the zero by the mean value theorem (Moore, Kearfott and Cloud
-       2009, ch. 8); elsewhere (at large alpha f(2n) underflows and E''(X)
-       reaches 0) X is cut at m on the certified sign of E'(m).
+    3. The bracket: around a float zero s of E' (_float_root), one lane
+       batch evaluates E' at a = max(t_c, s - tol/4) and b = min(2, s + tol/4).
+       Where it certifies E'(a) < 0 < E'(b), [a, b] holds the zero (the
+       standard verification of an approximate root: Rump, "Verification
+       methods", Acta Numerica 19, 2010), and it is about tol/2 wide.
+    4. Otherwise, or while the enclosure is wider than tol, interval Newton
+       steps narrow it from [t_c, 2].  Each step reads E'(m) and E''(X)
+       from one lane batch.  Where E''(X) > 0 the step
+       X <- X & (m - E'(m)/E''(X)) keeps the zero by the mean value theorem
+       (Moore, Kearfott and Cloud 2009, ch. 8); elsewhere (at large alpha
+       f(2n) underflows and E''(X) reaches 0) X is cut at m on the
+       certified sign of E'(m).
     m = 1 + sqrt((lo - 1)(hi - 1)): near 1, E' varies on the scale
     t - 1 ~ 1/alpha, so at large alpha this reaches a box where Newton
     contracts in a few steps; on a narrow X it is the midpoint.  An
     uncertified sign, or an X that stops shrinking above tol, raises
-    AmbiguousSignChangeError.
+    AmbiguousSignChangeError.  A tol below the bracket's resolution (about
+    1.2e-13 at alpha 4, 5.7e-14 at 6, 1.8e-14 at 8, a few ulps from 10 on)
+    leaves the bracket uncertified, and the steps run from [t_c, 2].
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_tol(tol)
     diag = SolveDiagnostics(coarse_terms=_term_count(alpha, False),
                             fine_terms=_term_count(alpha, True))
@@ -440,6 +495,11 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
         rows = _DerivativeRows(alpha, [c for c, _ in cells], diag.coarse_terms, diag)
         cells = [(half, want) for i, (c, want) in enumerate(cells) if _sign(rows.row(i)) != want
                  for half in (Interval(c.lo, c.mid), Interval(c.mid, c.hi))]
+    s = _float_root(alpha, lo, hi, diag.fine_terms)
+    a, b = max(lo, s - tol / 4), min(hi, s + tol / 4)
+    rows = _DerivativeRows(alpha, [Interval(a), Interval(b)], diag.fine_terms, diag)
+    if _sign(rows.row(0)) < 0 < _sign(rows.row(1)):
+        lo, hi = a, b
     while hi - lo > tol:
         X, m = Interval(lo, hi), min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
         ext = diag.coarse_terms if hi - lo > _FINE_WIDTH else diag.fine_terms
@@ -462,7 +522,7 @@ def asymptotic_s_pow_alpha(alpha: int) -> tuple[Interval, Interval]:
     """Main term alpha-2+sqrt((alpha-2)^2-3) of s_alpha^alpha and the
     rigorous bound (2 alpha/0.99^2)(alpha+1)^2/(2^(alpha-1)(alpha-1)) on the
     correction, valid for alpha >= 12."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if alpha < 12:
         raise ValueError("asymptotic form requires alpha >= 12")
     main = (alpha - 2) + sqrt(pow_int(Interval(float(alpha - 2)), 2) - 3.0)

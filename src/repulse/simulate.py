@@ -436,7 +436,9 @@ def theorem_configuration(alpha: int, n_per_cluster: int, m_clusters: int,
         s_alpha = solve_s_alpha(alpha).s_alpha.mid
     elif not (math.isfinite(s_alpha) and s_alpha > 0.0):
         raise ValueError("s_alpha must be finite and positive")
-    L = m_clusters * s_alpha
+    L = float(m_clusters) * float(s_alpha)
+    if not math.isfinite(L):
+        raise ValueError("the cell m_clusters * s_alpha must be finite")
     pos = np.repeat(np.arange(m_clusters) * s_alpha, n_per_cluster)
     K = _image_cutoff(image_cutoff, L)
     e, _ = _PairKernel(len(pos), L, alpha, K)(pos, True, False)

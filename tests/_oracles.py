@@ -34,15 +34,17 @@ forms must equal them bit for bit.
 `derivative_mp` and `second_derivative_mp` are E'(t) and E''(t) of the
 lattice energy E(t) = sum_n t f_alpha(tn), summed in mpmath at 40 digits
 over n <= 2000 from f = 1/(1 + x^alpha), with a bound on the terms beyond
-(see each docstring).  They share no code with the library: they stand in
+(see each docstring; E' at alpha 4 from the closed form of E).  They share no code with the library: they stand in
 for the spacing solve's own E' and E'' evaluations.
 
 `solve_s_alpha_sequential` is the spacing solve evaluated one spacing
-point at a time: each cover cell, each Newton box and each step's point
-on a lane batch of its own, E' by `energy_derivative`.  The solve puts a
-level of the cover, or a step's box and point, on one batch, which splits
-the terms n differently; that must not move a bit of the enclosure or a
-count of the steps.
+point at a time: each cover cell, each end of the bracket around the float
+root, each Newton box and each step's point on a lane batch of its own, E'
+by `energy_derivative`.  The solve puts a level of the cover, the two
+bracket ends, or a step's box and point, on one batch, which splits the
+terms n differently; that must not move a bit of the enclosure or a count
+of the steps.  The float root itself is the library's (`_float_root`): it
+is only the guess whose bracket the certified signs check.
 
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as a direct loop over the images k = 0..K, one
@@ -89,6 +91,7 @@ from repulse.potential import (
     F_alpha,
     F_deficit_over_x_sq,
     _DerivativeRows,
+    _float_root,
     _sign,
     _t_crit,
     _term_count,
@@ -422,12 +425,21 @@ def derivative_mp(alpha, t):
 
     f <= 1/2, so |g| <= (alpha - 1) f <= (alpha - 1) x^-alpha, and the terms
     beyond N sum to at most (alpha - 1) t^-alpha int_N^inf x^-alpha dx =
-    t^-alpha N^(1 - alpha) in modulus.
+    t^-alpha N^(1 - alpha) in modulus.  At alpha 4 that bound (6e-11 near
+    t = sqrt 2) is too wide for the solve's ends, so E' is the derivative of
+    the closed form E(t) = (pi/sqrt2)(sinh x + sin x)/(cosh x - cos x),
+    x = pi sqrt2/t: E'(t) = (pi/sqrt2) 2x sinh x sin x/(t (cosh x - cos x)^2),
+    exact but for the rounding of 40 digits.
     """
     import mpmath
 
     with mpmath.workdps(_MP_DPS):
         t = mpmath.mpf(t)
+        if alpha == 4:
+            x = mpmath.pi * mpmath.sqrt(2) / t
+            value = (mpmath.pi / mpmath.sqrt(2)) * 2 * x * mpmath.sinh(x) * mpmath.sin(x) \
+                / (t * (mpmath.cosh(x) - mpmath.cos(x)) ** 2)
+            return value, mpmath.mpf(10) ** (10 - _MP_DPS)
         head = mpmath.fsum((1 - alpha) * f + alpha * f * f
                            for f in (_mp_f(alpha, t * n) for n in range(1, _MP_TERMS + 1)))
         rest = 2 * t ** -alpha * mpmath.mpf(_MP_TERMS) ** (1 - alpha)
@@ -454,27 +466,35 @@ def second_derivative_mp(alpha, t):
 
 def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
     """[(s_alpha enclosure, counts)] by the one-point-at-a-time solve, one
-    per tolerance of the decreasing sequence `tols`.
+    per tolerance of `tols`.
 
-    The steps do not depend on the tolerance, which only says when to stop,
-    so one walk serves every tolerance: its result at tol is the first
-    enclosure of width <= tol, with the counts made up to there.
+    The cover does not depend on the tolerance, so it runs once.  The
+    bracket around the float root is about tol/2 wide, so every tolerance
+    takes a walk of its own from there: the bracket's ends, each on a batch
+    of its own, and where they do not certify, the steps from [t_c, 2].
     """
     coarse, fine = _term_count(alpha, False), _term_count(alpha, True)
-    counts = {"cover_cells": 0, "newton_steps": 0, "bisection_steps": 0}
-    lo, hi = _t_crit(alpha), 2.0
-    cells = [(Interval(2.0), 1), (Interval(1.0, lo), -1)]
+    t_c = _t_crit(alpha)
+    cover_cells = 0
+    cells = [(Interval(2.0), 1), (Interval(1.0, t_c), -1)]
     while cells:
-        counts["cover_cells"] += len(cells)
-        if counts["cover_cells"] > _MAX_COVER_CELLS:
+        cover_cells += len(cells)
+        if cover_cells > _MAX_COVER_CELLS:
             raise AmbiguousSignChangeError("cannot certify E'(2) > 0 and E' < 0 on [1, t_c]")
         undecided = []
         for c, want in cells:
             if _sign(energy_derivative(alpha, c, ext=coarse)) != want:
                 undecided += [(Interval(c.lo, c.mid), want), (Interval(c.mid, c.hi), want)]
         cells = undecided
+    s = _float_root(alpha, t_c, 2.0, fine)
     out = []
     for tol in tols:
+        counts = {"cover_cells": cover_cells, "newton_steps": 0, "bisection_steps": 0}
+        lo, hi = t_c, 2.0
+        a, b = max(lo, s - tol / 4), min(hi, s + tol / 4)
+        if (_sign(energy_derivative(alpha, Interval(a), ext=fine)) < 0
+                < _sign(energy_derivative(alpha, Interval(b), ext=fine))):
+            lo, hi = a, b
         while hi - lo > tol:
             m = min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
             ext = coarse if hi - lo > _FINE_WIDTH else fine
@@ -491,7 +511,7 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
                 raise AmbiguousSignChangeError(
                     f"cannot narrow [{lo!r}, {hi!r}] around the zero of E'")
             lo, hi = new
-        out.append((Interval(lo, hi), dict(counts)))
+        out.append((Interval(lo, hi), counts))
     return out
 
 

@@ -540,7 +540,7 @@ def test_w_integrand_in_kernel_form_still_verifies(route, ctx4):
     run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, None, at=math.pi / 2.0)
     cert._bnb(run, per_lane(lambda w: 4.0 * c1 * s3_kernel(2.0 * w) - 2.0 * pow_int(sinc(w), 2)),
               [(0.0, (PI / 2.0).hi)], None)
-    bits = ("0x1.ea6e43b11ca00p-9", "0x1.ea6e43b10c800p-9")[route]
+    bits = ("0x1.ea6e43b11ca00p-9", "0x1.ea6e43b084c00p-9")[route]
     assert (run.status, run.boxes, run.max_depth, run.min_lb.hex()) == ("verified", 39, 6, bits)
 
 

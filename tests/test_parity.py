@@ -48,6 +48,12 @@ eta_ge2 moved (down, by 4e-14 to 3% relative, and eta1 at alpha 6 by
 sums).  The margins these tails take are small next to the margins of
 the boxes, so no status, box count or depth moved, here or in
 certify_all at any even alpha from 4 to 1000.
+The spacing solve's bracket around a float root moved every s_alpha pin
+again: at tol 1e-12 each enclosure is now 5.0e-13 wide (tol/2), where the
+Newton steps left it 4.4e-16 to 6.1e-14 wide, and each holds its old one.
+Through the wider s_alpha, F(1) and F'(1), every min_lower_bound of a
+certificate that reads the context fell, by 2.4e-13 to 3.2e-8 relative
+(28 pins); no status, box count or depth moved.
 """
 
 import pytest
@@ -59,75 +65,75 @@ TOL = 1e-12
 
 # s_alpha enclosure (lo, hi) at tol 1e-12
 S_ALPHA = {
-    4: ('0x1.6a09e667f3b55p+0', '0x1.6a09e667f3c52p+0'),
-    6: ('0x1.68cc2180b0f55p+0', '0x1.68cc2180b101cp+0'),
-    8: ('0x1.5c91098bb515ep+0', '0x1.5c91098bb5193p+0'),
-    10: ('0x1.516f5870bd361p+0', '0x1.516f5870bd36ep+0'),
-    12: ('0x1.4864ee90ccdb4p+0', '0x1.4864ee90ccec8p+0'),
-    14: ('0x1.411e719706048p+0', '0x1.411e71970604cp+0'),
-    16: ('0x1.3b32ab87eb1cep+0', '0x1.3b32ab87eb1d1p+0'),
-    18: ('0x1.364e085bb333dp+0', '0x1.364e085bb3340p+0'),
-    20: ('0x1.32331b7580043p+0', '0x1.32331b7580046p+0'),
-    22: ('0x1.2eb5393235b6ap+0', '0x1.2eb5393235b6cp+0'),
-    24: ('0x1.2bb39bc64dec7p+0', '0x1.2bb39bc64dec9p+0'),
-    26: ('0x1.2915dc442061ap+0', '0x1.2915dc442061dp+0'),
-    28: ('0x1.26c98344488e7p+0', '0x1.26c98344488ecp+0'),
-    30: ('0x1.24c05df94de62p+0', '0x1.24c05df94de68p+0'),
-    32: ('0x1.22ef57a56257bp+0', '0x1.22ef57a562583p+0'),
-    34: ('0x1.214dabb8b1208p+0', '0x1.214dabb8b1210p+0'),
-    36: ('0x1.1fd453b9b95d3p+0', '0x1.1fd453b9b95dap+0'),
-    38: ('0x1.1e7d9dffe80f1p+0', '0x1.1e7d9dffe80f5p+0'),
-    40: ('0x1.1d44e0b476d99p+0', '0x1.1d44e0b476e5fp+0'),
+    4: ('0x1.6a09e667f376ap+0', '0x1.6a09e667f4036p+0'),
+    6: ('0x1.68cc2180b0b3dp+0', '0x1.68cc2180b1409p+0'),
+    8: ('0x1.5c91098bb4d05p+0', '0x1.5c91098bb55d1p+0'),
+    10: ('0x1.516f5870bceffp+0', '0x1.516f5870bd7cbp+0'),
+    12: ('0x1.4864ee90cc9d9p+0', '0x1.4864ee90cd2a5p+0'),
+    14: ('0x1.411e719705be3p+0', '0x1.411e7197064afp+0'),
+    16: ('0x1.3b32ab87ead69p+0', '0x1.3b32ab87eb635p+0'),
+    18: ('0x1.364e085bb2ed8p+0', '0x1.364e085bb37a4p+0'),
+    20: ('0x1.32331b757fbdep+0', '0x1.32331b75804aap+0'),
+    22: ('0x1.2eb5393235705p+0', '0x1.2eb5393235fd1p+0'),
+    24: ('0x1.2bb39bc64da62p+0', '0x1.2bb39bc64e32ep+0'),
+    26: ('0x1.2915dc44201b6p+0', '0x1.2915dc4420a82p+0'),
+    28: ('0x1.26c9834448483p+0', '0x1.26c9834448d4fp+0'),
+    30: ('0x1.24c05df94d9ffp+0', '0x1.24c05df94e2cbp+0'),
+    32: ('0x1.22ef57a562119p+0', '0x1.22ef57a5629e5p+0'),
+    34: ('0x1.214dabb8b0da6p+0', '0x1.214dabb8b1672p+0'),
+    36: ('0x1.1fd453b9b9171p+0', '0x1.1fd453b9b9a3dp+0'),
+    38: ('0x1.1e7d9dffe7c8dp+0', '0x1.1e7d9dffe8559p+0'),
+    40: ('0x1.1d44e0b47699ap+0', '0x1.1d44e0b477266p+0'),
 }
 
 # certify_all(alpha): inequality_id -> (boxes_processed, max_depth, min_lower_bound)
 CERTIFY_ALL = {
     4: {
-        'psihat_nonneg': (5, 0, '0x1.1111111110c80p-3'),
-        'w_inequality': (3, 0, '0x1.1111111110c80p-3'),
-        'psi4_le_F4': (258, 8, '0x1.032eb8bef9e98p-15'),
+        'psihat_nonneg': (5, 0, '0x1.111111110e6b0p-3'),
+        'w_inequality': (3, 0, '0x1.111111110e6b0p-3'),
+        'psi4_le_F4': (258, 8, '0x1.032eb8add7b85p-15'),
     },
     6: {
-        'psihat_nonneg': (2, 0, '0x1.12d4f703b9a8bp-8'),
-        'eta0': (1, 0, '0x1.1fe0c22b22f98p-1'),
-        'eta1': (85, 8, '0x1.56fbe3df43f91p-10'),
-        'eta_ge2': (73, 4, '0x1.087892fe405dfp-18'),
+        'psihat_nonneg': (2, 0, '0x1.12d4f702b8083p-8'),
+        'eta0': (1, 0, '0x1.1fe0c22b1d99ep-1'),
+        'eta1': (85, 8, '0x1.56fbe3d7c3791p-10'),
+        'eta_ge2': (73, 4, '0x1.087892721c305p-18'),
     },
     8: {
-        'psihat_nonneg': (2, 0, '0x1.34c9ae54c7aeap-3'),
-        'eta0': (1, 0, '0x1.34621c169e9bbp+0'),
-        'eta1': (55, 7, '0x1.978ae71a2ba44p-5'),
-        'eta_ge2': (65, 3, '0x1.388289060ac73p-16'),
+        'psihat_nonneg': (2, 0, '0x1.34c9ae54be13bp-3'),
+        'eta0': (1, 0, '0x1.34621c169c745p+0'),
+        'eta1': (55, 7, '0x1.978ae719d4fa4p-5'),
+        'eta_ge2': (65, 3, '0x1.388288d526627p-16'),
     },
     10: {
-        'psihat_nonneg': (2, 0, '0x1.b7ebb2f4f00f6p-3'),
-        'eta0': (1, 0, '0x1.752c11448fa35p+0'),
-        'eta1': (39, 6, '0x1.a707f90d7ca54p-8'),
-        'eta_ge2': (63, 3, '0x1.c6f6925367c1cp-16'),
+        'psihat_nonneg': (2, 0, '0x1.b7ebb2f4e4d21p-3'),
+        'eta0': (1, 0, '0x1.752c11448d53bp+0'),
+        'eta1': (39, 6, '0x1.a707f8ef7a954p-8'),
+        'eta_ge2': (63, 3, '0x1.c6f692153ff66p-16'),
     },
     12: {
         'psihat_nonneg': (2, 0, '0x1.7a6848b9981cap-3'),
-        'eta0': (1, 0, '0x1.8fe803d2a12fep+0'),
-        'eta1': (35, 6, '0x1.70d3cc9eb9e1bp-5'),
-        'eta_ge2': (63, 3, '0x1.11b886a585a01p-15'),
+        'eta0': (1, 0, '0x1.8fe803d29ee87p+0'),
+        'eta1': (35, 6, '0x1.70d3cc9e1e9fbp-5'),
+        'eta_ge2': (63, 3, '0x1.11b886846d629p-15'),
     },
     14: {
         'psihat_nonneg': (2, 0, '0x1.c600b37f6431ap-3'),
-        'eta0': (1, 0, '0x1.9bbe369627cefp+0'),
-        'eta1': (31, 6, '0x1.8da76626dee7fp-5'),
-        'eta_ge2': (63, 3, '0x1.31b076ac0f383p-15'),
+        'eta0': (1, 0, '0x1.9bbe369624d96p+0'),
+        'eta1': (31, 6, '0x1.8da76625e71ffp-5'),
+        'eta_ge2': (63, 3, '0x1.31b0767fd538dp-15'),
     },
 }
 
 # acceptance 4 beyond certify_all: (function, alpha) -> (status, boxes, max_depth, min_lower_bound)
 ACCEPTANCE_4 = {
-    ('certify_T', 4): ('verified', 1, 0, '0x1.12aa04e6721e6p-2'),
-    ('certify_T', 6): ('verified', 1, 0, '0x1.87c895bd580aep-2'),
-    ('certify_T', 8): ('verified', 1, 0, '0x1.af4928c60838fp-2'),
-    ('certify_T', 10): ('verified', 1, 0, '0x1.c2fe2a36c918dp-2'),
-    ('certify_L', 6): ('verified', 1, 0, '0x1.12d4f703b9a8bp-8'),
-    ('certify_L', 8): ('verified', 1, 0, '0x1.34c9ae54c7aeap-3'),
-    ('certify_L', 10): ('verified', 1, 0, '0x1.b7ebb2f4f00f6p-3'),
+    ('certify_T', 4): ('verified', 1, 0, '0x1.12aa04e671968p-2'),
+    ('certify_T', 6): ('verified', 1, 0, '0x1.87c895bd57964p-2'),
+    ('certify_T', 8): ('verified', 1, 0, '0x1.af4928c607c21p-2'),
+    ('certify_T', 10): ('verified', 1, 0, '0x1.c2fe2a36c8a19p-2'),
+    ('certify_L', 6): ('verified', 1, 0, '0x1.12d4f702b8083p-8'),
+    ('certify_L', 8): ('verified', 1, 0, '0x1.34c9ae54be13bp-3'),
+    ('certify_L', 10): ('verified', 1, 0, '0x1.b7ebb2f4e4d21p-3'),
     ('certify_w_inequality', None): ('verified', 3, 0, '0x1.1111111111100p-3'),
     ('certify_T_large', 12): ('verified', 1, 0, '0x1.ccba9d07d2932p-2'),
     ('certify_L_large', 12): ('verified', 1, 0, '0x1.7a6848b9981cap-3'),

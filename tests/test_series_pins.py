@@ -21,7 +21,13 @@ upper ends of the psi4_le_F4 constant for x >= 9 and the eta_ge2 constant
 for x >= 10 were re-pinned when the one-sided tail of
 sum_n (3 n^2 F(n) + n^3 F'(n)) took the factor alpha - 3 in place of
 3 + alpha: each new enclosure lies inside its old value, with the same
-lower end.
+lower end.  The values that read a solved context were re-pinned again
+when the spacing solve took the bracket around a float root, whose
+enclosures at tol 1e-12 are 5.0e-13 wide where the Newton steps left them
+4.4e-16 to 6.1e-14 wide: each new enclosure holds its old value, except
+w_inequality's c1 - 2 and its scaled form at alpha 4, points taken from a
+lower bound, which now lie below their old values (by about 4e-13).  No
+status, box count or depth moved.
 """
 
 import hashlib
@@ -35,74 +41,74 @@ from repulse.potential import first_order_residual, lattice_energy, solve_s_alph
 # (inequality_id, alpha) -> (lo, hi) of each value passed to a constant check, in order
 CHECKS = {
     ('T_alpha', 4): (
-        ('0x1.12aa04e6721e6p-2', '0x1.12af8f0bf3920p-2'),
+        ('0x1.12aa04e671968p-2', '0x1.12af8f0bf4191p-2'),
     ),
     ('w_inequality', 4): (
-        ('0x1.333333333325ap+0', '0x1.333333333325ap+0'),
-        ('0x1.23cb661473b34p-2', '0x1.23cb661473b38p-2'),
+        ('0x1.3333333332b42p+0', '0x1.3333333332b42p+0'),
+        ('0x1.23cb661471cd4p-2', '0x1.23cb661471cd8p-2'),
     ),
     ('psi4_le_F4', 4): (
-        ('0x1.ce40f8409369fp-3', '0x1.0704238b7ba92p-2'),
+        ('0x1.ce40f8407be8fp-3', '0x1.0704238b877fcp-2'),
     ),
     ('psihat_nonneg', 4): (
-        ('0x1.7a17a17a17808p-3', '0x1.7a17a17a17bf8p-3'),
-        ('0x1.12aa04e6721e6p-2', '0x1.12af8f0bf3920p-2'),
-        ('0x1.333333333325ap+0', '0x1.333333333325ap+0'),
-        ('0x1.23cb661473b34p-2', '0x1.23cb661473b38p-2'),
+        ('0x1.7a17a17a1689ap-3', '0x1.7a17a17a18b7dp-3'),
+        ('0x1.12aa04e671968p-2', '0x1.12af8f0bf4191p-2'),
+        ('0x1.3333333332b42p+0', '0x1.3333333332b42p+0'),
+        ('0x1.23cb661471cd4p-2', '0x1.23cb661471cd8p-2'),
     ),
     ('T_alpha', 6): (
-        ('0x1.87c895bd580aep-2', '0x1.87c8977411949p-2'),
+        ('0x1.87c895bd57964p-2', '0x1.87c8977412048p-2'),
     ),
     ('L_alpha', 6): (
-        ('0x1.12d4f703b9a8bp-8', '0x1.1ad787d71fe65p-8'),
+        ('0x1.12d4f702b8083p-8', '0x1.1ad787d820e73p-8'),
     ),
     ('w_inequality', 6): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 6): (
-        ('0x1.f4a7e2a43e5b9p-2', '0x1.f4a7e2a43e5dfp-2'),
-        ('0x1.fea9f56210f60p-2', '0x1.11447bf9a1546p-1'),
+        ('0x1.f4a7e2a43e4f5p-2', '0x1.f4a7e2a43e69bp-2'),
+        ('0x1.fea9f56206bf2p-2', '0x1.11447bf9a6640p-1'),
     ),
     ('psihat_nonneg', 6): (
-        ('0x1.87c895bd580aep-2', '0x1.87c8977411949p-2'),
-        ('0x1.12d4f703b9a8bp-8', '0x1.1ad787d71fe65p-8'),
+        ('0x1.87c895bd57964p-2', '0x1.87c8977412048p-2'),
+        ('0x1.12d4f702b8083p-8', '0x1.1ad787d820e73p-8'),
     ),
     ('T_alpha', 8): (
-        ('0x1.af4928c60838fp-2', '0x1.af4928c6d836ep-2'),
+        ('0x1.af4928c607c21p-2', '0x1.af4928c6d8aaep-2'),
     ),
     ('L_alpha', 8): (
-        ('0x1.34c9ae54c7aeap-3', '0x1.34c9ccb51b9ecp-3'),
+        ('0x1.34c9ae54be13bp-3', '0x1.34c9ccb52541dp-3'),
     ),
     ('w_inequality', 8): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 8): (
-        ('0x1.fca0ff7e0500cp-2', '0x1.fca0ff7e05011p-2'),
-        ('0x1.5bdc3a53d7c1fp-1', '0x1.5be0da77fd5d7p-1'),
+        ('0x1.fca0ff7e04fb6p-2', '0x1.fca0ff7e05064p-2'),
+        ('0x1.5bdc3a53d277ap-1', '0x1.5be0da7802b28p-1'),
     ),
     ('psihat_nonneg', 8): (
-        ('0x1.af4928c60838fp-2', '0x1.af4928c6d836ep-2'),
-        ('0x1.34c9ae54c7aeap-3', '0x1.34c9ccb51b9ecp-3'),
+        ('0x1.af4928c607c21p-2', '0x1.af4928c6d8aaep-2'),
+        ('0x1.34c9ae54be13bp-3', '0x1.34c9ccb52541dp-3'),
     ),
     ('T_alpha', 10): (
-        ('0x1.c2fe2a36c918dp-2', '0x1.c2fe2a36c9925p-2'),
+        ('0x1.c2fe2a36c8a19p-2', '0x1.c2fe2a36ca090p-2'),
     ),
     ('L_alpha', 10): (
-        ('0x1.b7ebb2f4f00f6p-3', '0x1.b7ebb3076dd40p-3'),
+        ('0x1.b7ebb2f4e4d21p-3', '0x1.b7ebb30779146p-3'),
     ),
     ('w_inequality', 10): (
         ('0x1.3333333333332p+0', '0x1.3333333333334p+0'),
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 10): (
-        ('0x1.fee1270ee11b1p-2', '0x1.fee1270ee11b2p-2'),
-        ('0x1.83fee06614f06p-1', '0x1.83fee2bb49617p-1'),
+        ('0x1.fee1270ee118bp-2', '0x1.fee1270ee11d7p-2'),
+        ('0x1.83fee0660ec0dp-1', '0x1.83fee2bb4f941p-1'),
     ),
     ('psihat_nonneg', 10): (
-        ('0x1.c2fe2a36c918dp-2', '0x1.c2fe2a36c9925p-2'),
-        ('0x1.b7ebb2f4f00f6p-3', '0x1.b7ebb3076dd40p-3'),
+        ('0x1.c2fe2a36c8a19p-2', '0x1.c2fe2a36ca090p-2'),
+        ('0x1.b7ebb2f4e4d21p-3', '0x1.b7ebb30779146p-3'),
     ),
     ('T_alpha', 12): (
         ('0x1.ccba9d07d2932p-2', '0x1.ccba9d07d2935p-2'),
@@ -115,8 +121,8 @@ CHECKS = {
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 12): (
-        ('0x1.ff9a478456b04p-2', '0x1.ff9a478456b09p-2'),
-        ('0x1.9ce2bad8f8c84p-1', '0x1.9ce2bada6f93ep-1'),
+        ('0x1.ff9a478456af6p-2', '0x1.ff9a478456b18p-2'),
+        ('0x1.9ce2bad8f27a2p-1', '0x1.9ce2bada75e03p-1'),
     ),
     ('psihat_nonneg', 12): (
         ('0x1.ccba9d07d2932p-2', '0x1.ccba9d07d2935p-2'),
@@ -133,8 +139,8 @@ CHECKS = {
         ('0x1.23cb661473ed0p-2', '0x1.23cb661473ee4p-2'),
     ),
     ('eta_ge2', 14): (
-        ('0x1.ffda654fa8bfdp-2', '0x1.ffda654fa8bfep-2'),
-        ('0x1.adc1141892ba9p-1', '0x1.adc1141893c8ep-1'),
+        ('0x1.ffda654fa8bf5p-2', '0x1.ffda654fa8c05p-2'),
+        ('0x1.adc114188a8f5p-1', '0x1.adc114189bf5ap-1'),
     ),
     ('psihat_nonneg', 14): (
         ('0x1.d5511ab950e6dp-2', '0x1.d5511ab950e70p-2'),
@@ -176,42 +182,42 @@ LATTICE = {
 
 # alpha -> first_order_residual(ctx) (N = 128); (alpha, N) -> at that N
 RESIDUAL = {
-    4: ('-0x1.5aff741d37aacp-23', '0x1.53c3dd274deabp-21'),
-    6: ('-0x1.c5441093ec910p-39', '0x1.397302127d922p-36'),
-    8: ('-0x1.5f7a24716aeb5p-45', '0x1.243d1238b575bp-44'),
-    10: ('-0x1.280009db4fd76p-45', '0x1.5e0013b69faecp-46'),
-    12: ('-0x1.8680000003cb9p-42', '0x1.6640000003cb9p-42'),
-    (4, 2): ('-0x1.074fe8f5d34c8p-5', '0x1.7605df45e5304p-4'),
+    4: ('-0x1.5b00015d39f9ap-23', '0x1.53c400634e7e7p-21'),
+    6: ('-0x1.3c5e0849f964cp-38', '0x1.4f5702127e593p-36'),
+    8: ('-0x1.f0bbd1238b579p-40', '0x1.ef53d1238b579p-40'),
+    10: ('-0x1.33b000276d3f6p-39', '0x1.30b800276d3f6p-39'),
+    12: ('-0x1.7118000000798p-39', '0x1.6d9c000000798p-39'),
+    (4, 2): ('-0x1.074fe8f5f750cp-5', '0x1.7605df45f7286p-4'),
 }
 
 # (alpha, N) -> SHA-256 of the hex endpoints of Fn, dFn and the three tails
 COEFFS = {
-    (4, 8): 'c154e7e9c0466b5ba83fc7df09c8fda0b7bc254a9fcc1d263d2a0c2a0789a80f',
-    (4, 64): 'f93dc793b9980c9995ddf18a746909db28789e974900fa98a9775b8b1797311f',
-    (4, 256): 'b3dc9fd6371662a6d68d0096639a3dfff523efd4ad3e796539ddd57f129cd819',
-    (6, 8): '612e899465a1b518246aeaae3a037b1793b80f69923fb9a4947756b3283647c1',
-    (6, 64): '7fe9e019fd8949cea69029a776258102ba9bb81c86ad0aa22481d9bfd4953774',
-    (6, 256): 'b0006d6ac9ae2fed63d6d40cbdf45b6923ed195ef08e736b42984b8998e09461',
-    (8, 8): 'd5631316f61a08f710b634e6697f49238bd4e0d352b685a57c86b92c38d5f0e8',
-    (8, 64): '4f9231429ee84f0ccc6e615cf7ed6593e69d663ffc8d68a6ffdef3d5ffcec8f8',
-    (8, 256): 'f2650e5bf0d263edba4e9b7a765015b706e09040b7e1820cbc2fc61a4804deec',
-    (10, 8): '49e722459937e6cebf123546861d4575869fa4933b8ca1e49846841cf6c39141',
-    (10, 64): '46e17d4922500bc535b54d743c302ef6072e42858dc7332f4da32a0ccc802bdf',
-    (10, 256): '554abb0d228f72dbdfd336d60ff1d80dd9a17dfe6c6d19554dbc09170cbb9b4e',
-    (12, 8): '4afebce3f32494ef22ac606ea577ff974e4affcbac5a46b9f634e4bf2d9fc346',
-    (12, 64): '659a137032bc0ce654512213a3380ced1f4b3e71ebafb668183f85061c861480',
-    (12, 256): 'c5ae01f6ab3f14a94b5b6ae0c10285e127df8efd8b42c81a689e453458650513',
-    (14, 8): '09d539ac6640781bff93cb856c6ed72c4d18602a0afa7ff2d4d1f211f5b2812d',
-    (14, 64): '1a3326469c9b507ed16f87566b84b9c5e2a1c7fde1f4dbfac29386d7ad412be2',
-    (14, 256): 'fe3c6c439b0834520a031b9f6e64a4b0bee1bf2df7f436669e670c7b9f3d04d7',
+    (4, 8): '8e05c85c10df6feecb868d1a107acd59562cdf626cd5544ee430402875ebf7ef',
+    (4, 64): '2be2e29524cfd7a7adfdd5ec8de2b4dd512f4fb7360e2847941d61bfc53a42fd',
+    (4, 256): '0396ecdf9c6ddaf30725ff2e4824beb60e536475a7eb1c986d21d80386a35775',
+    (6, 8): 'ecf62ad46336f0d73fdd45df19f370d387c7afc91e51718c733d7e45a5800fe9',
+    (6, 64): '61c60005898fc2a5cdcaafeb7715c1c4b725d8e11b1c24e24fd747fa78776243',
+    (6, 256): '6f71721dceb160601fd7de15b01191b6fad369815d7b042926db11f4ac3af61a',
+    (8, 8): '93010e3ddbf8e4be38857df50bb29e8a2426951690321b53bfd686207ca7f686',
+    (8, 64): '47ba7387a4a2ee2f9ff438e8e21ecf1f5a9b10810fc765a43d464e4c2b1bbc37',
+    (8, 256): 'dd36dd212846ff3cc0fc9281c0c70ebbed238d798ff3d8223a67fed09192ec55',
+    (10, 8): '5b80e285b1cab4fd0d220795ef6fadd03ee2105f668f9a2db67a63ef74c777f3',
+    (10, 64): '0153f76158dcb8dc20b78c41c29ff6330fc41554c0adcbfdefa18c5be9de66e5',
+    (10, 256): 'bb6d8a5b22ba90c72f39c51167745e621484d4334f45080ce5efac8e2e2b7b2b',
+    (12, 8): '7c6e512587703a58db643ce33c755cb1a4ef4034c3afab660b57f62014ae0a40',
+    (12, 64): 'bbd65e04c79a93d6021a5a60e2c1909aef1feaf55e60cda81ded7dcb140aa773',
+    (12, 256): '41e268b484829ea0c8c4bf74477e33723aa3321fb9f6590bc290ff12f11ff45d',
+    (14, 8): '141d02175580af477c06a92086a2a659fc4d1d4c56376e989098d7a17e5db141',
+    (14, 64): '5507c20537b41dc10a87a64b9cd16e3620a6cbed56be91474c1e684f951a44af',
+    (14, 256): '95c61ec284f60bc3ebefde4833e53c647cfddc6f2af554dbfeb79875e5518c66',
 }
 
 # alpha -> decay_constant(build_coefficients(ctx, 256))
 DECAY = {
-    4: ('0x0.0p+0', '0x1.b16c270eefe6ep+2'),
-    6: ('0x0.0p+0', '0x1.1c0bb4a23c619p+2'),
-    8: ('0x0.0p+0', '0x1.fdb242b853e6ap+1'),
-    10: ('0x0.0p+0', '0x1.e42e69e2d347ap+1'),
+    4: ('0x0.0p+0', '0x1.b16c270ef0d7fp+2'),
+    6: ('0x0.0p+0', '0x1.1c0bb4a23d447p+2'),
+    8: ('0x0.0p+0', '0x1.fdb242b8562bap+1'),
+    10: ('0x0.0p+0', '0x1.e42e69e2d60b5p+1'),
 }
 
 

@@ -426,6 +426,7 @@ def test_pair_kernel_entry_points_check_alpha():
     entry_points = (
         lambda a: sim.relax(a, 1.0, 10.0, iters=5),
         lambda a: sim.theorem_configuration(a, 2, 8, s_alpha=1.5),
+        lambda a: sim.theorem_configuration(a, 2, 8),   # the solve checks alpha
         lambda a: sim.periodic_energy(_config(cfg.positions, 10.0, a)),
         lambda a: sim.periodic_gradient(_config(cfg.positions, 10.0, a)),
     )
@@ -446,6 +447,11 @@ def test_theorem_configuration_rejects_bad_arguments():
     for s in (0.0, -1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="s_alpha must be finite and positive"):
             sim.theorem_configuration(4, 2, 8, s_alpha=s)
+    with warnings.catch_warnings():
+        # the cell 8e308 overflows: rejected before any position is built
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the cell m_clusters \* s_alpha must be finite"):
+            sim.theorem_configuration(4, 1, 8, s_alpha=1e308)
     assert sim.theorem_configuration(4, np.int64(2), np.int64(8), s_alpha=1.5).count == 16
 
 

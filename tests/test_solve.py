@@ -8,7 +8,10 @@ rationals or an mpmath sum that shares no code with the library.
 
 The solve puts many spacing points on one lane batch; the one-point-at-a-time
 solve of _oracles must give the same enclosure bit for bit and the same
-counts.
+counts.  At tol 1e-12 the bracket around the float root certifies at every
+alpha tested, so no Newton step runs; a tol below the bracket's resolution
+(alpha 4 at 1e-13) falls back to the steps, whose ends must carry the signs
+too.
 """
 
 import random
@@ -57,15 +60,36 @@ def test_batched_solve_equals_sequential(alpha):
         ctx = solve_s_alpha(alpha, tol)
         assert _bits(ctx.s_alpha) == _bits(s_alpha), tol
         assert {k: getattr(ctx.diagnostics, k) for k in COUNTS} == counts, tol
+        assert ctx.s_alpha.hi - ctx.s_alpha.lo <= tol, tol
+    assert counts["newton_steps"] == counts["bisection_steps"] == 0
 
 
-@pytest.mark.parametrize("alpha", [6, 8, 14, 20, 40, 100, 1000])
+def test_numpy_integer_alpha_solves_as_int():
+    for alpha in (4, 6, 40):
+        ctx = solve_s_alpha(np.int64(alpha))
+        assert ctx == solve_s_alpha(alpha) and type(ctx.alpha) is int
+
+
+def _ends_carry_the_signs(alpha, s_alpha):
+    value, rest = derivative_mp(alpha, s_alpha.lo)
+    assert value + rest < 0, alpha
+    value, rest = derivative_mp(alpha, s_alpha.hi)
+    assert value - rest > 0, alpha
+
+
+@pytest.mark.parametrize("alpha", [4, 6, 8, 14, 20, 40, 100, 1000, 4000])
 def test_solved_ends_carry_the_signs_of_the_exact_derivative(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
-    value, rest = derivative_mp(alpha, ctx.s_alpha.lo)
-    assert value + rest < 0, alpha
-    value, rest = derivative_mp(alpha, ctx.s_alpha.hi)
-    assert value - rest > 0, alpha
+    assert ctx.diagnostics.newton_steps == 0
+    _ends_carry_the_signs(alpha, ctx.s_alpha)
+
+
+def test_ends_after_the_newton_fallback_carry_the_signs():
+    # at alpha 4 the bracket needs a half-width near 2.9e-14: tol 1e-13
+    # (half-width 2.5e-14) is below it, and the Newton steps take over
+    ctx = solve_s_alpha(4, 1e-13)
+    assert ctx.diagnostics.newton_steps > 0
+    _ends_carry_the_signs(4, ctx.s_alpha)
 
 
 @pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
@@ -95,11 +119,11 @@ def test_diagnostics_count_the_sequential_work(alpha, ctx_by_alpha):
     (_, counts), = solve_s_alpha_sequential(alpha)
     d = ctx.diagnostics
     assert {k: getattr(d, k) for k in COUNTS} == counts
-    steps = d.newton_steps + d.bisection_steps
-    # the cover's rows (the point 2 and the cells of [1, t_c]), then one
-    # box and one point per step
-    assert d.rows_evaluated == d.cover_cells + 2 * steps
-    assert d.lane_batches > steps >= d.newton_steps > 0 and d.cover_cells >= 2
+    # the cover's rows (the point 2 and the cells of [1, t_c]), then the
+    # bracket's two ends on one batch, and no step
+    assert d.newton_steps == d.bisection_steps == 0
+    assert d.rows_evaluated == d.cover_cells + 2
+    assert d.lane_batches >= 2 and d.cover_cells >= 2
     # terms per row above and below width 1e-6
     assert (d.coarse_terms, d.fine_terms) == {4: (128, 704), 12: (16, 32), 40: (8, 8)}[alpha]
     # the counts are not part of the context's value
