@@ -2,9 +2,8 @@
 
 Everything here is certified interval arithmetic: lattice sums carry
 rigorous tail enclosures, and the spacing solver proves its zero unique and
-certifies the signs of E' either side of a float root (or, failing that,
-narrows its enclosure by interval Newton steps).  The float root is only a
-guess that those certified signs check.
+certifies the signs of E' either side of a float root.  The float root is
+only a guess that those certified signs check.
 """
 
 from __future__ import annotations
@@ -103,12 +102,10 @@ class SolveDiagnostics:
     """What one solve_s_alpha run evaluated; not part of the context's value."""
 
     cover_cells: int = 0  # cells certifying E'(2) > 0 and E' < 0 on [1, t_c]
-    newton_steps: int = 0  # interval Newton steps on [t_c, 2]
-    bisection_steps: int = 0  # cuts at m where E'' is not certified > 0
     lane_batches: int = 0  # lane evaluations of many spacing points at once
     rows_evaluated: int = 0  # spacing points put on lanes
-    coarse_terms: int = 0  # terms per row in the cover and above width 1e-6
-    fine_terms: int = 0  # terms per row of the bracket and the steps below width 1e-6
+    coarse_terms: int = 0  # terms per row of the cover
+    fine_terms: int = 0  # terms per row of the bracket
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ def _g_terms(alpha: int, f):
 
 def _d2_terms(alpha: int, f):
     """f(1 - f)(alpha - 1 - 2 alpha f), the terms of t E''(t)/(2 alpha), from
-    f (an Interval, Lanes or float array)."""
+    a float array f (the float root's Newton steps)."""
     return f * (1.0 - f) * ((alpha - 1.0) - 2.0 * alpha * f)
 
 
@@ -314,9 +311,9 @@ def closed_form_energy_alpha4(t: Interval) -> Interval:
 
 
 class _DerivativeRows:
-    """E' (row) and E'' (second) at the spacings ts[i] from one lane batch of
-    f_alpha(t n), rows x terms; row i is summed, in the term order of the
-    one-row case, only when it is read."""
+    """E' at the spacings ts[i] from one lane batch of f_alpha(t n), rows x
+    terms; row i is summed, in the term order of the one-row case, only when
+    it is read."""
 
     def __init__(self, alpha: int, ts: list[Interval], ext: int,
                  diag: SolveDiagnostics | None = None):
@@ -335,20 +332,6 @@ class _DerivativeRows:
         for f in self.batches:
             S = lane_sum(S, _g_terms(self.alpha, f[i]))
         return 1.0 + 2.0 * (S + _sum_g_beyond(self.alpha, self.ts[i], self.ext))
-
-    def second(self, i: int) -> Interval:
-        """E''(t) = (2 alpha/t) sum_{n>=1} f_n(1 - f_n)(alpha - 1 - 2 alpha f_n), t >= 1.
-
-        A term is >= 0 where (tn)^alpha >= (alpha + 1)/(alpha - 1), so at
-        every n >= 2, and at most (alpha - 1) (tn)^-alpha: the terms n > ext
-        sum to [0, (alpha - 1) t^-alpha power_sum_tail(alpha, ext + 1)].
-        """
-        a, t = self.alpha, self.ts[i]
-        S = _ZERO
-        for f in self.batches:
-            S = lane_sum(S, _d2_terms(a, f[i]))
-        tail = (a - 1) * power_sum_tail(a, self.ext + 1) / pow_int(t, a)
-        return 2.0 * a * (S + Interval(0.0, tail.hi)) / t
 
 
 def energy_derivative(alpha: int, t: Interval, *, ext: int = 128) -> Interval:
@@ -395,17 +378,17 @@ def _t_crit(alpha: int) -> float:
 
 
 # The solve's term-count ladders and the tail widths they aim for: the
-# cover of [1, t_c] and the steps down to width 1e-6 (coarse), then the
-# steps below it (fine).  The last rung of each is the cap.
+# cover of [1, t_c] (coarse) and the bracket around the float root (fine).
+# The last rung of each is the cap.
 _COARSE_TERMS = (8, 16, 32, 64, 128)
 _FINE_TERMS = _COARSE_TERMS + (256, 704)
-_FINE_WIDTH = 1e-6
 
 
 def _term_count(alpha: int, fine: bool) -> int:
-    """Terms n <= M the spacing solve sums explicitly in one phase.
+    """Terms n <= M the spacing solve sums explicitly in the cover (coarse)
+    or the bracket (fine).
 
-    The fewest M on the phase's ladder whose midpoint tail
+    The fewest M on the ladder whose midpoint tail
     _sum_g_beyond(alpha, 1, M) is at most 1e-12 (coarse) or 1e-18 (fine)
     wide, else the ladder's last.  Any M >= 2 gives a rigorous enclosure; M
     only sets how tight it is.  Both error terms of the tail scale like
@@ -457,30 +440,21 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
     the unique zero of E'(t) = d/dt sum_n t f_alpha(tn) on [1, 2].
 
     What is proved, and where:
-    1. Every term of t E''(t) is >= 0 on [t_c, 2] (_t_crit,
-       _DerivativeRows.second), and those with n >= 2 are > 0: E' is
+    1. Every term of t E''(t) = 2 alpha sum_n f_n(1 - f_n)(alpha - 1 - 2 alpha f_n)
+       is >= 0 on [t_c, 2] (_t_crit), and those with n >= 2 are > 0: E' is
        strictly increasing there.
     2. The cover certifies E'(2) > 0 and E' < 0 on cells of [1, t_c]
        (undecided cells are halved): E' has exactly one zero on [1, 2].
     3. The bracket: around a float zero s of E' (_float_root), one lane
-       batch evaluates E' at a = max(t_c, s - tol/4) and b = min(2, s + tol/4).
-       Where it certifies E'(a) < 0 < E'(b), [a, b] holds the zero (the
-       standard verification of an approximate root: Rump, "Verification
-       methods", Acta Numerica 19, 2010), and it is about tol/2 wide.
-    4. Otherwise, or while the enclosure is wider than tol, interval Newton
-       steps narrow it from [t_c, 2].  Each step reads E'(m) and E''(X)
-       from one lane batch.  Where E''(X) > 0 the step
-       X <- X & (m - E'(m)/E''(X)) keeps the zero by the mean value theorem
-       (Moore, Kearfott and Cloud 2009, ch. 8); elsewhere (at large alpha
-       f(2n) underflows and E''(X) reaches 0) X is cut at m on the
-       certified sign of E'(m).
-    m = 1 + sqrt((lo - 1)(hi - 1)): near 1, E' varies on the scale
-    t - 1 ~ 1/alpha, so at large alpha this reaches a box where Newton
-    contracts in a few steps; on a narrow X it is the midpoint.  An
-    uncertified sign, or an X that stops shrinking above tol, raises
-    AmbiguousSignChangeError.  A tol below the bracket's resolution (about
-    1.2e-13 at alpha 4, 5.7e-14 at 6, 1.8e-14 at 8, a few ulps from 10 on)
-    leaves the bracket uncertified, and the steps run from [t_c, 2].
+       batch evaluates E' at a = max(t_c, s - h) and b = min(2, s + h), for
+       h = tol/4 and then, if that does not certify, h = (tol - ulp(s))/2.
+       Where it certifies E'(a) < 0 < E'(b) and 0 < b - a <= tol, [a, b]
+       holds the zero (the standard verification of an approximate root:
+       Rump, "Verification methods", Acta Numerica 19, 2010).
+    If neither width certifies, the solve raises AmbiguousSignChangeError:
+    a tol below the bracket's resolution (about 5.8e-14 at alpha 4, 2.9e-14
+    at 6, 9.4e-15 at 8, 2.2e-15 at 10, and 2 to 6 ulps of s from 12 on)
+    exits there.
     """
     alpha = _check_alpha(alpha)
     _check_tol(tol)
@@ -496,26 +470,15 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
         cells = [(half, want) for i, (c, want) in enumerate(cells) if _sign(rows.row(i)) != want
                  for half in (Interval(c.lo, c.mid), Interval(c.mid, c.hi))]
     s = _float_root(alpha, lo, hi, diag.fine_terms)
-    a, b = max(lo, s - tol / 4), min(hi, s + tol / 4)
-    rows = _DerivativeRows(alpha, [Interval(a), Interval(b)], diag.fine_terms, diag)
-    if _sign(rows.row(0)) < 0 < _sign(rows.row(1)):
-        lo, hi = a, b
-    while hi - lo > tol:
-        X, m = Interval(lo, hi), min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
-        ext = diag.coarse_terms if hi - lo > _FINE_WIDTH else diag.fine_terms
-        rows = _DerivativeRows(alpha, [X, Interval(m)], ext, diag)
-        d2, d1 = rows.second(0), rows.row(1)
-        if d2.lo > 0.0:
-            diag.newton_steps += 1
-            step = m - d1 / d2
-            new = max(lo, step.lo), min(hi, step.hi)
-        else:
-            diag.bisection_steps += 1
-            new = {-1: (m, hi), 0: (lo, hi), 1: (lo, m)}[_sign(d1)]
-        if new == (lo, hi) or new[0] > new[1]:
-            raise AmbiguousSignChangeError(f"cannot narrow [{lo!r}, {hi!r}] around the zero of E'")
-        lo, hi = new
-    return PotentialContext.from_spacing(alpha, Interval(lo, hi), diag)
+    # h = tol/4, then just under tol/2: rounding a and b adds up to an ulp of s to b - a
+    for h in (tol / 4, (tol - math.ulp(s)) / 2):
+        a, b = max(lo, s - h), min(hi, s + h)
+        if not 0.0 < b - a <= tol:
+            continue
+        rows = _DerivativeRows(alpha, [Interval(a), Interval(b)], diag.fine_terms, diag)
+        if _sign(rows.row(0)) < 0 < _sign(rows.row(1)):
+            return PotentialContext.from_spacing(alpha, Interval(a, b), diag)
+    raise AmbiguousSignChangeError(f"cannot narrow the zero of E' near {s!r} to tol {tol!r}")
 
 
 def asymptotic_s_pow_alpha(alpha: int) -> tuple[Interval, Interval]:

@@ -149,7 +149,8 @@ class _PairKernel:
         self.L, self.alpha, self.K = L, alpha, K
         b = min(K + 1, max(1, _BLOCK_ELEMENTS // (n * n)))
         self._blocks = [(k, min(k + b, K + 1)) for k in range(0, K + 1, b)]
-        self._kL = (np.arange(K + 1) * L)[:, None, None]
+        with _errstate():   # offsets past DBL_MAX are inf: see Overflow
+            self._kL = (np.arange(K + 1) * L)[:, None, None]
         self._d = np.empty((n, n))
         self._f = np.empty((K + 1, n, n))       # f = 1/(1 + r^alpha), image k at [k]
         self._a, self._b = np.empty((b, n, n)), np.empty((b, n, n))

@@ -31,20 +31,20 @@ is `certify._mean_value` as it was then: head on the midpoints, slope on
 the boxes and tail on the boxes, each evaluated on its own.  The block
 forms must equal them bit for bit.
 
-`derivative_mp` and `second_derivative_mp` are E'(t) and E''(t) of the
-lattice energy E(t) = sum_n t f_alpha(tn), summed in mpmath at 40 digits
-over n <= 2000 from f = 1/(1 + x^alpha), with a bound on the terms beyond
-(see each docstring; E' at alpha 4 from the closed form of E).  They share no code with the library: they stand in
-for the spacing solve's own E' and E'' evaluations.
+`derivative_mp` is E'(t) of the lattice energy E(t) = sum_n t f_alpha(tn),
+summed in mpmath at 40 digits over n <= 2000 from f = 1/(1 + x^alpha), with
+a bound on the terms beyond (see its docstring; at alpha 4 from the closed
+form of E).  It shares no code with the library: it stands in for the
+spacing solve's own E' evaluations.
 
 `solve_s_alpha_sequential` is the spacing solve evaluated one spacing
-point at a time: each cover cell, each end of the bracket around the float
-root, each Newton box and each step's point on a lane batch of its own, E'
-by `energy_derivative`.  The solve puts a level of the cover, the two
-bracket ends, or a step's box and point, on one batch, which splits the
-terms n differently; that must not move a bit of the enclosure or a count
-of the steps.  The float root itself is the library's (`_float_root`): it
-is only the guess whose bracket the certified signs check.
+point at a time: each cover cell and each end of the bracket around the
+float root on a lane batch of its own, E' by `energy_derivative`.  The
+solve puts a level of the cover, or the two ends of one bracket, on one
+batch, which splits the terms n differently; that must not move a bit of
+the enclosure or a count of the rows.  The float root itself is the
+library's (`_float_root`): it is only the guess whose bracket the certified
+signs check.
 
 `pair_terms_loop` is the periodic pair energy and gradient of
 `repulse.simulate` written as a direct loop over the images k = 0..K, one
@@ -85,12 +85,10 @@ from repulse import certify
 from repulse.auxfn import build_coefficients
 from repulse.interval import Interval, Lanes, hull, lane_fold, pow_int
 from repulse.potential import (
-    _FINE_WIDTH,
     _MAX_COVER_CELLS,
     AmbiguousSignChangeError,
     F_alpha,
     F_deficit_over_x_sq,
-    _DerivativeRows,
     _float_root,
     _sign,
     _t_crit,
@@ -446,32 +444,13 @@ def derivative_mp(alpha, t):
         return 1 + 2 * head, rest
 
 
-def second_derivative_mp(alpha, t):
-    """(value, rest): E''(t) = (2 alpha/t) sum_{n>=1} f_n (1 - f_n)(alpha - 1 - 2 alpha f_n)
-    summed over n <= 2000, and rest >= E''(t) - value >= 0, for t >= 1.
-
-    For tn >= 2 a term lies in [0, (alpha - 1) f_n] and f_n <= (tn)^-alpha,
-    so the terms beyond N sum to [0, t^-alpha N^(1 - alpha)] before the
-    factor 2 alpha/t.
-    """
-    import mpmath
-
-    with mpmath.workdps(_MP_DPS):
-        t = mpmath.mpf(t)
-        head = mpmath.fsum(f * (1 - f) * (alpha - 1 - 2 * alpha * f)
-                           for f in (_mp_f(alpha, t * n) for n in range(1, _MP_TERMS + 1)))
-        rest = t ** -alpha * mpmath.mpf(_MP_TERMS) ** (1 - alpha)
-        return 2 * alpha * head / t, 2 * alpha * rest / t
-
-
 def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
     """[(s_alpha enclosure, counts)] by the one-point-at-a-time solve, one
     per tolerance of `tols`.
 
     The cover does not depend on the tolerance, so it runs once.  The
-    bracket around the float root is about tol/2 wide, so every tolerance
-    takes a walk of its own from there: the bracket's ends, each on a batch
-    of its own, and where they do not certify, the steps from [t_c, 2].
+    bracket's half-widths tol/4 and (tol - ulp(s))/2 do, so every tolerance walks
+    them on its own, each end on a batch of its own, and counts the rows.
     """
     coarse, fine = _term_count(alpha, False), _term_count(alpha, True)
     t_c = _t_crit(alpha)
@@ -489,29 +468,18 @@ def solve_s_alpha_sequential(alpha, tols=(1e-12,)):
     s = _float_root(alpha, t_c, 2.0, fine)
     out = []
     for tol in tols:
-        counts = {"cover_cells": cover_cells, "newton_steps": 0, "bisection_steps": 0}
-        lo, hi = t_c, 2.0
-        a, b = max(lo, s - tol / 4), min(hi, s + tol / 4)
-        if (_sign(energy_derivative(alpha, Interval(a), ext=fine)) < 0
-                < _sign(energy_derivative(alpha, Interval(b), ext=fine))):
-            lo, hi = a, b
-        while hi - lo > tol:
-            m = min(max(1.0 + math.sqrt((lo - 1.0) * (hi - 1.0)), lo), hi)
-            ext = coarse if hi - lo > _FINE_WIDTH else fine
-            d2 = _DerivativeRows(alpha, [Interval(lo, hi)], ext).second(0)
-            d1 = energy_derivative(alpha, Interval(m), ext=ext)
-            if d2.lo > 0.0:
-                counts["newton_steps"] += 1
-                step = m - d1 / d2
-                new = max(lo, step.lo), min(hi, step.hi)
-            else:
-                counts["bisection_steps"] += 1
-                new = {-1: (m, hi), 0: (lo, hi), 1: (lo, m)}[_sign(d1)]
-            if new == (lo, hi) or new[0] > new[1]:
-                raise AmbiguousSignChangeError(
-                    f"cannot narrow [{lo!r}, {hi!r}] around the zero of E'")
-            lo, hi = new
-        out.append((Interval(lo, hi), counts))
+        rows = cover_cells
+        for h in (tol / 4, (tol - math.ulp(s)) / 2):
+            a, b = max(t_c, s - h), min(2.0, s + h)
+            if not 0.0 < b - a <= tol:
+                continue
+            rows += 2
+            if (_sign(energy_derivative(alpha, Interval(a), ext=fine)) < 0
+                    < _sign(energy_derivative(alpha, Interval(b), ext=fine))):
+                break
+        else:
+            raise AmbiguousSignChangeError(f"cannot narrow the zero of E' near {s!r} to tol {tol!r}")
+        out.append((Interval(a, b), {"cover_cells": cover_cells, "rows_evaluated": rows}))
     return out
 
 

@@ -452,6 +452,8 @@ def test_theorem_configuration_rejects_bad_arguments():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"the cell m_clusters \* s_alpha must be finite"):
             sim.theorem_configuration(4, 1, 8, s_alpha=1e308)
+        # a finite cell 1.6e308 whose image offsets k L overflow: no warning
+        assert sim.theorem_configuration(4, 1, 2, s_alpha=8e307).energy_per_particle == 0.0
     assert sim.theorem_configuration(4, np.int64(2), np.int64(8), s_alpha=1.5).count == 16
 
 

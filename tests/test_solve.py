@@ -1,20 +1,20 @@
 """The spacing solve: its proof steps against independent sums.
 
-The solve rests on three facts: t_c from _t_crit satisfies
+The solve rests on two facts: t_c from _t_crit satisfies
 (alpha - 1) t_c^alpha >= alpha + 1, so every term of t E''(t) is >= 0 on
-[t_c, 2]; _DerivativeRows.second encloses E''; and the returned enclosure's
-ends carry opposite signs of E'.  Each is checked here against exact
-rationals or an mpmath sum that shares no code with the library.
+[t_c, 2]; and the returned enclosure's ends carry opposite signs of E'.
+Each is checked here against exact rationals or an mpmath sum that shares
+no code with the library.
 
 The solve puts many spacing points on one lane batch; the one-point-at-a-time
 solve of _oracles must give the same enclosure bit for bit and the same
-counts.  At tol 1e-12 the bracket around the float root certifies at every
-alpha tested, so no Newton step runs; a tol below the bracket's resolution
-(alpha 4 at 1e-13) falls back to the steps, whose ends must carry the signs
-too.
+counts.  From tol 1e-1 down to 1e-12 the first bracket around the float root
+(half-width tol/4) certifies at every alpha tested, so the rows evaluated
+are the cover's and its two ends; a tol below its resolution (alpha 4 at
+1e-13) takes the second (half-width just under tol/2), whose ends must
+carry the signs too.
 """
 
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +31,10 @@ from repulse.potential import (
     solve_s_alpha,
 )
 
-from _oracles import derivative_mp, second_derivative_mp, solve_s_alpha_sequential
+from _oracles import derivative_mp, solve_s_alpha_sequential
 
-TOLS = (1e-6, 1e-9, 1e-12)
-COUNTS = ("cover_cells", "newton_steps", "bisection_steps")
+TOLS = (1e-1, 1e-3, 1e-6, 1e-9, 1e-12)
+COUNTS = ("cover_cells", "rows_evaluated")
 
 
 def _bits(iv):
@@ -54,14 +54,15 @@ def test_t_crit_meets_its_inequality_within_two_ulps(alphas):
         assert _meets_t_crit(alpha, t) and not _meets_t_crit(alpha, below), alpha
 
 
-@pytest.mark.parametrize("alpha", range(4, 201, 2))
+@pytest.mark.parametrize("alpha", [*range(4, 201, 2), 1000, 100000])
 def test_batched_solve_equals_sequential(alpha):
     for tol, (s_alpha, counts) in zip(TOLS, solve_s_alpha_sequential(alpha, TOLS)):
         ctx = solve_s_alpha(alpha, tol)
         assert _bits(ctx.s_alpha) == _bits(s_alpha), tol
         assert {k: getattr(ctx.diagnostics, k) for k in COUNTS} == counts, tol
         assert ctx.s_alpha.hi - ctx.s_alpha.lo <= tol, tol
-    assert counts["newton_steps"] == counts["bisection_steps"] == 0
+        # the first bracket certified: a poor float root would need the second
+        assert counts["rows_evaluated"] == counts["cover_cells"] + 2, tol
 
 
 def test_numpy_integer_alpha_solves_as_int():
@@ -80,37 +81,19 @@ def _ends_carry_the_signs(alpha, s_alpha):
 @pytest.mark.parametrize("alpha", [4, 6, 8, 14, 20, 40, 100, 1000, 4000])
 def test_solved_ends_carry_the_signs_of_the_exact_derivative(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha.get(alpha) or solve_s_alpha(alpha, 1e-12)
-    assert ctx.diagnostics.newton_steps == 0
+    assert ctx.diagnostics.rows_evaluated == ctx.diagnostics.cover_cells + 2
     _ends_carry_the_signs(alpha, ctx.s_alpha)
 
 
-def test_ends_after_the_newton_fallback_carry_the_signs():
-    # at alpha 4 the bracket needs a half-width near 2.9e-14: tol 1e-13
-    # (half-width 2.5e-14) is below it, and the Newton steps take over
-    ctx = solve_s_alpha(4, 1e-13)
-    assert ctx.diagnostics.newton_steps > 0
-    _ends_carry_the_signs(4, ctx.s_alpha)
-
-
-@pytest.mark.parametrize("alpha", [4, 6, 14, 1000])
-def test_second_derivative_contains_mpmath(alpha):
-    # points and seeded boxes in [t_c, 2]; at alpha 4 the bound on the
-    # terms beyond ext is most of the width of E'' (8.5e-3 of E'' at 8
-    # terms), so a dropped or halved bound misses the exact value
-    rng = random.Random(alpha)
-    t_c = _t_crit(alpha)
-    points = [t_c, 2.0] + [rng.uniform(t_c, 2.0) for _ in range(3)]
-    boxes = [Interval(t_c, 2.0)] + [Interval(*sorted(rng.uniform(t_c, 2.0) for _ in range(2)))
-                                    for _ in range(3)]
-    exact = {p: second_derivative_mp(alpha, p)
-             for p in points + [p for box in boxes for p in (box.lo, box.mid, box.hi)]}
-    for ext in (8, _term_count(alpha, False), _term_count(alpha, True)):
-        rows = _DerivativeRows(alpha, [Interval(p) for p in points] + boxes, ext)
-        for i, t in enumerate([Interval(p) for p in points] + boxes):
-            d2 = rows.second(i)
-            for p in {t.lo, t.mid, t.hi}:
-                value, rest = exact[p]
-                assert d2.lo <= value and value + rest <= d2.hi, (alpha, ext, t, p)
+@pytest.mark.parametrize("alpha, tol", [(4, 1e-13), (4, 5.9e-14), (6, 3.3e-14), (8, 9.6e-15)])
+def test_ends_of_the_second_bracket_carry_the_signs(alpha, tol):
+    # the first bracket needs a half-width near 2.9e-14 at alpha 4: at tol
+    # 1e-13 (half-width 2.5e-14) only the second, just under tol/2, certifies
+    ctx = solve_s_alpha(alpha, tol)
+    d = ctx.diagnostics
+    assert d.rows_evaluated == d.cover_cells + 4
+    assert ctx.s_alpha.hi - ctx.s_alpha.lo <= tol
+    _ends_carry_the_signs(alpha, ctx.s_alpha)
 
 
 @pytest.mark.parametrize("alpha", [4, 12, 40])
@@ -120,11 +103,10 @@ def test_diagnostics_count_the_sequential_work(alpha, ctx_by_alpha):
     d = ctx.diagnostics
     assert {k: getattr(d, k) for k in COUNTS} == counts
     # the cover's rows (the point 2 and the cells of [1, t_c]), then the
-    # bracket's two ends on one batch, and no step
-    assert d.newton_steps == d.bisection_steps == 0
+    # first bracket's two ends on one batch
     assert d.rows_evaluated == d.cover_cells + 2
     assert d.lane_batches >= 2 and d.cover_cells >= 2
-    # terms per row above and below width 1e-6
+    # terms per row of the cover and of the bracket
     assert (d.coarse_terms, d.fine_terms) == {4: (128, 704), 12: (16, 32), 40: (8, 8)}[alpha]
     # the counts are not part of the context's value
     assert ctx == PotentialContext.from_spacing(alpha, ctx.s_alpha)
