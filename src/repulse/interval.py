@@ -1,9 +1,12 @@
 """Self-contained interval arithmetic with outward rounding.
 
 Endpoints are binary64.  Every operation returns an interval that contains
-the exact image of its inputs: results of +,-,*,/ and sqrt are widened by
-one ulp in each direction unless an error-free transformation proves the
-float result exact (or proves the direction of its rounding error).
+the exact image of its inputs.  A sum or difference is widened by one ulp
+on the side where an error-free transformation shows its rounding error
+points outward.  A product, quotient or square root is widened by one ulp
+in each direction (IEEE 1788's "valid" mode), since round-to-nearest leaves
+it within half an ulp of the exact value; only a zero result is kept, where
+it is exact, or on the side of an underflow that the exact sign rules out.
 Elementary functions are evaluated by argument reduction plus a truncated
 series whose remainder is bounded explicitly, so no correctly-rounded libm
 is assumed anywhere.
@@ -40,7 +43,7 @@ def _up(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Directed rounding via error-free transformations (no fma on this platform).
+# Directed rounding.
 # ---------------------------------------------------------------------------
 
 def _two_sum(a, b):
@@ -49,40 +52,6 @@ def _two_sum(a, b):
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
     return s, err
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-_NO_SPLIT = 6.69692879491417e299  # overflow guard for Veltkamp splitting
-_PROD_MAX = 1e300  # |a*b| above this: the split products may overflow
-_PROD_MIN = 1e-290  # |a*b| below this: the error term may underflow
-
-
-def _two_prod(a: float, b: float):
-    """Dekker product: returns (p, e) with a*b == p + e exactly, or (p, None)
-    when the splitting could overflow/underflow and e is unknown.
-
-    A zero factor makes the product an exact 0, 0 * inf included (IEEE 1788).
-    When nonzero factors underflow to p == 0 the error is a*b itself, too
-    small to hold; e is then +-1.0 with its sign, the only part callers use.
-    """
-    p = a * b
-    if a == 0.0 or b == 0.0:
-        return (p if p == p else 0.0), 0.0
-    if not math.isfinite(p):
-        return p, None
-    ap = abs(p)
-    if ap > _PROD_MAX or (ap != 0.0 and ap < _PROD_MIN) or abs(a) > _NO_SPLIT or abs(b) > _NO_SPLIT:
-        return p, None
-    if ap == 0.0:
-        return p, math.copysign(1.0, a) * math.copysign(1.0, b)
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
 
 
 # A sum that overflows from finite operands has e = NaN: its error is
@@ -106,14 +75,31 @@ def _sub_up(a: float, b: float) -> float:
     return _add_up(a, -b)
 
 
+# A zero or NaN result p of a product or quotient: p is exact where a factor
+# (the numerator) is 0, with the NaN of 0 * inf taken as 0 (IEEE 1788).
+# Otherwise the exact result underflowed and has the sign of p's zero, so p
+# steps outward only on the side away from it.
+
+def _zero_down(p: float, exact: bool) -> float:
+    if exact:
+        return p if p == p else 0.0
+    return _down(p) if math.copysign(1.0, p) < 0.0 else p
+
+
+def _zero_up(p: float, exact: bool) -> float:
+    if exact:
+        return p if p == p else 0.0
+    return _up(p) if math.copysign(1.0, p) > 0.0 else p
+
+
 def _mul_down(a: float, b: float) -> float:
-    p, e = _two_prod(a, b)
-    return _down(p) if e is None or e < 0.0 else p
+    p = a * b
+    return _down(p) if p and p == p else _zero_down(p, not (a and b))
 
 
 def _mul_up(a: float, b: float) -> float:
-    p, e = _two_prod(a, b)
-    return _up(p) if e is None or e > 0.0 else p
+    p = a * b
+    return _up(p) if p and p == p else _zero_up(p, not (a and b))
 
 
 def _mul_raw(a: float, b: float, c: float, d: float):
@@ -137,51 +123,24 @@ def _mul_raw(a: float, b: float, c: float, d: float):
     return min(_mul_down(a, d), _mul_down(b, c)), max(_mul_up(a, c), _mul_up(b, d))
 
 
-def _div_err(a: float, b: float, q: float):
-    """The residual r = a - q*b of the division, signed as r/b: the side of q
-    on which the true quotient q + r/b lies; None if unknown.
-
-    When a nonzero a gives q == 0 the residual is a itself, and r/b has the
-    sign of a/b, as `_two_prod` signs a product that underflows.
-    """
-    if q == 0.0 and a != 0.0:
-        return math.copysign(1.0, a) * math.copysign(1.0, b)
-    p, e = _two_prod(q, b)
-    if e is None:
-        return None
-    # a - p is exact by Sterbenz when p/2 <= a <= 2p (same sign); q is the
-    # correctly rounded quotient so p is within a couple ulp of a.  e is exact,
-    # and a nonzero float sum never rounds to 0, so r has the exact sign.
-    if a != p and ((a > 0.0) != (p > 0.0) or not 0.5 * abs(p) <= abs(a) <= 2.0 * abs(p)):
-        return None
-    r = (a - p) - e
-    return r if b > 0.0 else -r
-
-
 def _div_down(a: float, b: float) -> float:
     q = a / b
-    r = _div_err(a, b, q)
-    return _down(q) if r is None or r < 0.0 else q
+    return _down(q) if q and q == q else _zero_down(q, not a)
 
 
 def _div_up(a: float, b: float) -> float:
     q = a / b
-    r = _div_err(a, b, q)
-    return _up(q) if r is None or r > 0.0 else q
+    return _up(q) if q and q == q else _zero_up(q, not a)
 
 
 def _sqrt_down(x: float) -> float:
     s = math.sqrt(x)
-    if Fraction(s) * Fraction(s) <= Fraction(x):
-        return s
-    return _down(s)
+    return _down(s) if s else s
 
 
 def _sqrt_up(x: float) -> float:
     s = math.sqrt(x)
-    if Fraction(s) * Fraction(s) >= Fraction(x):
-        return s
-    return _up(s)
+    return _up(s) if s else s
 
 
 def _float_down(fr: Fraction) -> float:
@@ -419,54 +378,47 @@ def pow_int(a, k: int):
 # Interval lanes: the rational core on numpy endpoint arrays.
 #
 # A Lanes value is one (2, ...) stack of its endpoints, and an operation
-# runs its error-free transformation once on the stacks: row 0
-# rounds down and row 1 up, by one np.nextafter (_vround).  Each row repeats
-# its scalar twin above operation for operation, so a lane's endpoints equal
-# the scalar result bit for bit.  Branches become masks; every branch is
-# computed on every lane and np.where picks.  If every lane of both factors
-# is >= 0 (numerator >= 0, divisor > 0), the sign selection would pick
-# [lo * lo, hi * hi] ([lo / hi, hi / lo]) on every lane, -0.0 included, so
-# it is skipped.  np.where(b < a, b, a) keeps Python's min(a, b) tie rule on
-# signed zeros (np.minimum does not).  Kernels may overflow or divide by zero
-# on lanes whose result is discarded, so callers run them inside
-# np.errstate(all="ignore").
+# runs once on the stacks: row 0 rounds down and row 1 up, by one
+# np.nextafter.  Each row repeats its scalar twin above operation for
+# operation, so a lane's endpoints equal the scalar result bit for bit.
+# Branches become masks; every branch is computed on every lane and np.where
+# picks.  If every lane of both factors is >= 0 (numerator >= 0, divisor >
+# 0), the sign selection would pick [lo * lo, hi * hi] ([lo / hi, hi / lo])
+# on every lane, -0.0 included, so it is skipped.  np.where(b < a, b, a)
+# keeps Python's min(a, b) tie rule on signed zeros (np.minimum does not).
+# Kernels may overflow or divide by zero on lanes whose result is discarded,
+# so callers run them inside np.errstate(all="ignore").
 # ---------------------------------------------------------------------------
 
 # At index n, for a stack of n + 1 axes: e * sign > 0 where the rounding
-# error e points outward, and the direction of the outward step.
+# error e points outward, the direction of the outward step, and the rows
+# that step up.
 _ROUND_SIGN = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * n) for n in range(8)]
 _ROUND_TOWARD = [np.array([-_INF, _INF]).reshape((2,) + (1,) * n) for n in range(8)]
+_ROW_UP = [np.array([False, True]).reshape((2,) + (1,) * n) for n in range(8)]
 
 
-def _vround(x, e, unknown=None):
+def _vround(x, e):
     """The rows of the new array x, stepped in place one ulp outward (row 0
-    down, row 1 up) where the rounding error e points outward, is NaN (as
-    `_add_down` and `_add_up` read it) or `unknown`."""
+    down, row 1 up) where the rounding error e points outward or is NaN (as
+    `_add_down` and `_add_up` read it)."""
     n = x.ndim - 1
-    move = ~(e * _ROUND_SIGN[n] <= 0.0)
-    if unknown is not None:
-        move |= unknown
-    return np.nextafter(x, _ROUND_TOWARD[n], out=x, where=move)
+    return np.nextafter(x, _ROUND_TOWARD[n], out=x, where=~(e * _ROUND_SIGN[n] <= 0.0))
 
 
-def _vtwo_prod(a, b):
-    """Lanes of _two_prod: (p, e, known), with e meaningful where known."""
-    p = a * b
-    ap = np.abs(p)
-    zero = ~(ap > 0.0)  # p == 0, or NaN from 0 * inf
-    known = zero | ((ap <= _PROD_MAX) & (ap >= _PROD_MIN)
-                    & (np.abs(a) <= _NO_SPLIT) & (np.abs(b) <= _NO_SPLIT))
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    if zero.any():  # a zero factor: p = 0 exactly, e = 0; an underflow: e its sign
-        p = np.where(p == p, p, 0.0)
-        e = np.where(zero, np.sign(a) * np.sign(b), e)
-    return p, e, known
+def _voutward(p, *factors):
+    """Lanes of _down/_up, or of _zero_down/_zero_up where p is 0 or NaN, on
+    the new array p of products or quotients: stepped in place one ulp
+    outward, row 0 down and row 1 up.  A zero of p is exact where one of
+    `factors` (both factors, or the numerator) is 0."""
+    n = p.ndim - 1
+    if np.abs(p).min(initial=_INF) > 0.0:
+        return np.nextafter(p, _ROUND_TOWARD[n], out=p)
+    zero = ~(np.abs(p) > 0.0)
+    exact = zero & reduce(np.logical_or, [f == 0.0 for f in factors])
+    p = np.where(exact & (p != p), 0.0, p)
+    move = ~zero | (~exact & (np.signbit(p) != _ROW_UP[n]))
+    return np.nextafter(p, _ROUND_TOWARD[n], out=p, where=move)
 
 
 def _vadd(x, y):
@@ -481,25 +433,12 @@ def _vsub(x, y):
 
 def _vmul_rows(x, y):
     """Stacked _mul_down/_mul_up: [x0 * y0 down, x1 * y1 up]."""
-    p, e, known = _vtwo_prod(x, y)
-    return _vround(p, e, ~known)
+    return _voutward(x * y, x, y)
 
 
 def _vdiv_rows(x, y):
-    """Stacked _div_down/_div_up: [x0 / y0 down, x1 / y1 up], by the
-    residual of _div_err."""
-    q = x / y
-    p, e, known = _vtwo_prod(q, y)
-    ax, ap = np.abs(x), np.abs(p)
-    known &= (x == p) | (((x > 0.0) == (p > 0.0)) & (0.5 * ap <= ax) & (ax <= 2.0 * ap))
-    r = (x - p) - e
-    r = np.where(y > 0.0, r, -r)
-    zero = q == 0.0
-    if zero.any():
-        under = zero & (x != 0.0)
-        r = np.where(under, np.sign(x) * np.sign(y), r)
-        known |= under
-    return _vround(q, r, ~known)
+    """Stacked _div_down/_div_up: [x0 / y0 down, x1 / y1 up]."""
+    return _voutward(x / y, x)
 
 
 def _vmul(x, y):

@@ -185,7 +185,7 @@ def _midpoint_error(alpha: int, t: Interval, Mh: float, c_point, c_int, d: int) 
     """Midpoint-rule error of sum_{n > M} h(tn), Mh = M + 1/2, A = t Mh, where |d^2/dx^2 h(tx)|
     <= c_point t^2 (tx)^-(alpha+2): the first cell's bound plus the integral of the
     rest, (c_point t^2 A^-(alpha+2) + (c_int/d) t A^-(alpha+1))/24, c_int/d = c_point/(alpha+1)."""
-    def err(b_point, b_int):  # x / 1 would step outward where x is below 1e-290
+    def err(b_point, b_int):  # x / 1 would step one ulp outward, as every quotient does
         return ((b_point + (b_int if d == 1 else b_int / d)) / 24.0).hi
 
     A = t * Mh

@@ -461,7 +461,7 @@ def test_3n2F_n3dF_needs_F_below_a_quarter_beyond_the_head():
     # a solved s_alpha is >= 1, so F(N) <= F(8) < 1/4; at the spacing 1/8,
     # F(8) = 1/2 and the terms beyond the head need not be negative
     coeffs = build_coefficients(PotentialContext.from_spacing(4, Interval(0.125)), 8)
-    assert coeffs.Fn[8] == Interval(0.5)
+    assert coeffs.Fn[8].contains(0.5) and coeffs.Fn[8].width < 1e-15
     with pytest.raises(ValueError, match="F\\(N\\) < 1/4"):
         cert._sum_3n2F_n3dF(coeffs)
 
@@ -540,7 +540,7 @@ def test_w_integrand_in_kernel_form_still_verifies(route, ctx4):
     run.check((c1 - 2.0) * Interval(PI.lo / 2.0) - 0.5 * c1, None, at=math.pi / 2.0)
     cert._bnb(run, per_lane(lambda w: 4.0 * c1 * s3_kernel(2.0 * w) - 2.0 * pow_int(sinc(w), 2)),
               [(0.0, (PI / 2.0).hi)], None)
-    bits = ("0x1.ea6e43b11ca00p-9", "0x1.ea6e43b084c00p-9")[route]
+    bits = ("0x1.ea6e43b11bc00p-9", "0x1.ea6e43b083c00p-9")[route]
     assert (run.status, run.boxes, run.max_depth, run.min_lb.hex()) == ("verified", 39, 6, bits)
 
 

@@ -14,9 +14,6 @@ import numpy as np
 import pytest
 
 from repulse.interval import (
-    _NO_SPLIT,
-    _PROD_MAX,
-    _PROD_MIN,
     DomainError,
     _add_down,
     _add_up,
@@ -76,10 +73,12 @@ def _acceptance9_intervals(rng, count):
 
 
 def _edge_values():
-    """Endpoints at and around every _two_prod guard, plus inf, zeros and subnormals."""
+    """Endpoints at and around magnitudes whose products underflow or
+    overflow (1e-290, 1e300, 6.69692879491417e299 and their square roots),
+    plus inf, zeros and subnormals."""
     base = [
-        0.0, TINY, 2 * TINY, 2.2250738585072014e-308, 1e-300, _PROD_MIN,
-        math.sqrt(_PROD_MIN), math.sqrt(_PROD_MAX), _PROD_MAX, _NO_SPLIT,
+        0.0, TINY, 2 * TINY, 2.2250738585072014e-308, 1e-300, 1e-290,
+        math.sqrt(1e-290), math.sqrt(1e300), 1e300, 6.69692879491417e299,
         1e-160, 1e-145, 1e150, 1.0, 3.0, 0.1, 1e308, math.inf,
     ]
     vals = set()
@@ -379,7 +378,7 @@ def test_writes_through_lo_and_hi_reach_the_next_operation():
     r[2] = Lanes([0.25], [0.5])[0]
     s = r + 0.0
     assert s.lo.tolist() == [-4.0, 3.0, 0.25] and s.hi.tolist() == [2.5, 8.0, 0.5]
-    block = Lanes([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]) * 1.0
+    block = Lanes([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]) + 0.0
     block[np.array([0, 1]), np.array([1, 0])] = Lanes([-1.0, -2.0], [5.0, 6.0])
     assert (block - 0.0).lo.tolist() == [[1.0, -1.0], [-2.0, 4.0]]
     assert (block - 0.0).hi.tolist() == [[1.0, 5.0], [6.0, 4.0]]

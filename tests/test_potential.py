@@ -37,7 +37,7 @@ from _oracles import (
 
 
 def test_f_alpha_values():
-    assert f_alpha(4, Interval(0)) == Interval(1.0)
+    assert f_alpha(4, Interval(0)) == Interval(math.nextafter(1.0, 0.0), 1.0)  # 1/1 steps down
     assert f_alpha(4, Interval(1)).contains(Fraction(1, 2))
     assert f_alpha(6, Interval(2)).contains(Fraction(1, 65))
 
@@ -67,7 +67,7 @@ def test_power_sum_tail_bounds_brute_force():
 
 
 def test_rescaled_values(ctx4):
-    assert F_alpha(ctx4, Interval(0)) == Interval(1.0)
+    assert F_alpha(ctx4, Interval(0)) == Interval(math.nextafter(1.0, 0.0), 1.0)
     assert F_alpha(ctx4, Interval(1)).contains(Fraction(1, 5))
     # convex beyond the shoulder: F''(9) >= 0
     assert F_alpha_second(ctx4, Interval(9)).lo >= 0.0
