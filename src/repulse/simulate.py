@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lbfgs import Memory
+
 __all__ = [
     "Configuration",
     "ClusterReport",
@@ -316,13 +318,21 @@ def _uniform_start(seed: int, L: float, count: int) -> np.ndarray:
 
 def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
           gtol: float = 1e-8, image_cutoff: int | None = None) -> Configuration:
-    """Gradient descent with Barzilai-Borwein steps and Armijo backtracking.
+    """Limited-memory BFGS descent (`_lbfgs.Memory`) with Armijo backtracking.
 
     Starts from the uniform positions numpy's default_rng(seed).uniform(0,
     L, count) draws, reproduced bit for bit by `_uniform_start` so that a
-    run does not load numpy.random; accepted steps never increase the
-    energy; sets `converged = False` when the gradient max-norm still
-    exceeds gtol (finite, >= 0) after `iters` accepted steps.
+    run does not load numpy.random.  Each step goes along the L-BFGS
+    direction d of the last `_lbfgs.MEMORY` steps (-g at the start): the
+    first trial of the first step is t = 0.05 L / count and of every later
+    step t = 1, capped so that no particle moves more than a quarter cell,
+    and t is halved, at most 60 times, until the energy falls by at least
+    1e-4 t |g.d|.  Accepted steps never increase the energy.  The descent
+    stops at the energy's resolution floor: when no trial is accepted, or
+    when an accepted step leaves the gradient as it was, so that the next
+    step would repeat it.  Sets `converged = False` when the gradient
+    max-norm still exceeds gtol (finite, >= 0) after `iters` accepted steps
+    or at that floor.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -339,36 +349,27 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
     with _errstate():
         pair_terms._fill(x)
         E, g = pair_terms._energy(), pair_terms._gradient()
-        step = 0.05 * L / count
         gnorm = float(np.abs(g).max()) if count > 1 else 0.0
         converged = gnorm <= gtol
-        for _ in range(iters):
-            if converged or count == 1:
-                converged = True
-                break
-            gg = float(g @ g)
-            t = step
-            accepted = False
+        memory, t0 = Memory(count), 0.05 * L / count
+        for _ in range(0 if converged else iters):
+            d, gd = memory.direction(g)
+            t = min(t0, 0.25 * L / float(np.abs(d).max()))
+            t0 = 1.0
             for _ in range(60):
-                xn = np.mod(x - t * g, L)
+                xn = np.mod(x + t * d, L)
                 pair_terms._fill(xn)
                 En = pair_terms._energy()
-                if En <= E - 1e-4 * t * gg:
-                    accepted = True
+                if En <= E + 1e-4 * t * gd:
                     break
                 t *= 0.5
-            if not accepted:
+            else:
                 break  # at the resolution floor; energy can no longer decrease
             gn = pair_terms._gradient()     # at xn, from the stack its energy filled
-            s = -t * g
-            y = gn - g
-            sy = float(s @ y)
-            step = float(s @ s) / sy if sy > 1e-300 else t * 2.0
+            if not memory.push(t, d, gn, g) and np.array_equal(gn, g):
+                break  # the next step would repeat this one
             x, E, g = xn, En, gn
             gnorm = float(np.abs(g).max())
-            # cap the next trial so no particle moves more than a quarter cell
-            if gnorm > 0.0:
-                step = min(max(step, 1e-14), 0.25 * L / gnorm)
             if gnorm <= gtol:
                 converged = True
                 break
@@ -408,7 +409,9 @@ def detect_clusters(cfg: Configuration, gap_threshold: float) -> ClusterReport:
         cgaps[:-1] = np.diff(centers)
         cgaps[-1] = centers[0] + L - centers[-1]
         mean_spacing = float(np.mean(cgaps))
-        cv = float(np.std(cgaps) / mean_spacing) if mean_spacing > 0 else None
+        # the spread of the gaps in units of their mean: the squares of gaps
+        # near 1e299 overflow
+        cv = float(np.std(cgaps / mean_spacing)) if mean_spacing > 0 else None
     else:
         mean_spacing = None
         cv = None
@@ -480,7 +483,13 @@ def _render_svg(cfg: Configuration, report: ClusterReport) -> str:
         f'<line x1="{-half:.6g}" y1="0" x2="{half:.6g}" y2="0" '
         f'stroke="black" stroke-width="{tick / 4.0:.6g}"/>',
     ]
-    t = 5 * math.ceil(-half / 5.0)
+    # a tick every 5, or where that would put more than 21 in the frame, at
+    # the least of 1, 2 or 5 times a power of ten that keeps them to 21
+    step = 5
+    if L > 100.0:
+        e = 10 ** math.floor(math.log10(L / 20.0))
+        step = next(m * e for m in (1, 2, 5, 10) if 20 * m * e >= L)
+    t = step * math.ceil(-half / step)
     while t <= half:
         parts.append(
             f'<line x1="{t:.6g}" y1="{-tick:.6g}" x2="{t:.6g}" y2="{tick:.6g}" '
@@ -488,9 +497,9 @@ def _render_svg(cfg: Configuration, report: ClusterReport) -> str:
         )
         parts.append(
             f'<text x="{t:.6g}" y="{3.2 * tick:.6g}" font-size="{2.2 * tick:.6g}" '
-            f'text-anchor="middle">{t}</text>'
+            f'text-anchor="middle">{t:.6g}</text>'
         )
-        t += 5
+        t += step
     for center, cnt in report.clusters:
         cx = (center + half) % L - half
         r = 0.1 * math.sqrt(cnt)

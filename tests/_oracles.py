@@ -61,6 +61,13 @@ loop over every image k = -K..K, with the gradient term divided by
 overflow of that term (where it is inf/inf), and the kernel must stay
 within a few roundings of it.
 
+`lbfgs_two_loop` is the L-BFGS direction -H g written as the textbook
+two-loop recursion (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+Algorithm 7.4) over a list of (s, y) pairs, one vector operation at a
+time: no Gram matrix, no triangular inverse.  `relax`'s memory, which
+computes the same direction from the compact form, must stay within a
+few roundings of it.
+
 `bnb_level_by_level` is the branch-and-bound engine as the library ran it
 before it evaluated the levels below a small frontier in the same batch:
 one level per batch (boxes and midpoints together when they fit in one
@@ -407,6 +414,25 @@ def pair_terms_all_images(x, L, alpha, K):
         grad += w.sum(axis=1)
     grad *= 2.0 / n
     return energy / n, grad
+
+
+def lbfgs_two_loop(pairs, g):
+    """-H g for the (s, y) pairs, oldest first: H from H_0 = gamma I with
+    gamma = s.y / y.y of the newest pair (H_0 = I with no pair), each pair's
+    update applied by the two-loop recursion."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(y @ s)
+        q = q - a * y
+        alphas.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        q = (float(s @ y) / float(y @ y)) * q
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = float(y @ q) / float(y @ s)
+        q = q + (a - b) * s
+    return -q
 
 
 _MP_DPS = 40

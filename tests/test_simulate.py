@@ -7,17 +7,19 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repulse import _lbfgs as lbfgs
 from repulse import simulate as sim
 from repulse.interval import Interval
 from repulse.potential import lattice_energy
 
-from _oracles import pair_terms_all_images, pair_terms_loop, power_chain
+from _oracles import lbfgs_two_loop, pair_terms_all_images, pair_terms_loop, power_chain
 
 
 def _config(positions, L, alpha):
@@ -125,6 +127,26 @@ def test_detect_clusters_lattice(ctx4):
     assert rep.count_histogram == {3: 8}
 
 
+@pytest.mark.parametrize("L", [1e6, 1e300])
+def test_large_cells_report_and_draw_in_a_small_file(tmp_path, L):
+    # ten particles from one seed on a cell of 1e6 and of 1e300: the spread
+    # of the cluster gaps is taken in units of their mean, so no square
+    # overflows and it reads the same on both cells; the SVG ticks step
+    # along 1, 2, 5 times a power of ten, at most 21 in the frame (a tick
+    # every 5 gave 200,001 ticks at 1e6 and never ended at 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = sim.relax(4, 10.0 / L, L, seed=0, iters=10)
+        rep = sim.detect_clusters(cfg, 1.0)
+        t0 = time.perf_counter()
+        sim.export(cfg, rep, tmp_path / "x.csv", tmp_path / "x.svg")
+        elapsed = time.perf_counter() - t0
+    assert len(rep.clusters) == 10 and math.isfinite(rep.spacing_cv)
+    assert abs(rep.spacing_cv - 0.808959561038283) <= 1e-12
+    body = (tmp_path / "x.svg").read_text()
+    assert elapsed < 1.0 and len(body) < 10_000 and 5 <= body.count("<text") <= 21
+
+
 def test_detect_clusters_threshold_splits_everything():
     cfg = _config(np.arange(10) * 1.0, 10.0, 4)
     rep = sim.detect_clusters(cfg, 0.5)
@@ -195,6 +217,56 @@ def test_configuration_rejects_non_finite_positions_and_bad_L():
             with pytest.raises(ValueError, match="L must be finite and positive"):
                 sim.Configuration(np.array(positions), L, 4, 1.0, None, 0.0, True, 0.0)
     assert np.isfinite(sim.periodic_energy(_config([1.0], 10.0, 4)))
+
+
+def test_lbfgs_direction_matches_the_two_loop_recursion():
+    # the memory's compact form against the textbook two-loop recursion over
+    # the pairs it should hold (the last MEMORY with s.y > 1e-300): seeded
+    # histories on random quadratics up to twice the memory long, steps over
+    # six decades, and about one pair in seven of negative curvature, which
+    # is skipped; within 64 roundings of the largest entry, and -g exactly
+    # while no pair is stored
+    m = lbfgs.MEMORY
+    worst = 0.0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50))
+        b = rng.standard_normal((n, n))
+        a = b @ b.T / n + np.diag(rng.uniform(0.1, 10.0, n))
+        memory, pairs = lbfgs.Memory(n), []
+        h = rng.standard_normal(n)
+        assert memory.direction(h)[0].tobytes() == (-h).tobytes()
+        for _ in range(int(rng.integers(1, 2 * m + 2))):
+            t, d = float(rng.uniform(0.1, 2.0)), rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            g = rng.standard_normal(n)
+            g_new = g + (-1.0 if rng.uniform() < 0.15 else 1.0) * (a @ (t * d))
+            s, y = d * t, g_new - g
+            stored = memory.push(t, d, g_new, g)
+            assert stored == (float(s @ y) > 1e-300), seed
+            if stored:
+                pairs.append((s, y))
+            h = rng.standard_normal(n)
+            got, gd = memory.direction(h)
+            want = lbfgs_two_loop(pairs[-m:], h)
+            assert gd == float(got @ h) < 0.0
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 64 * 2.0**-52, worst
+
+
+def test_lbfgs_falls_back_to_minus_g_without_a_descent_direction():
+    # one pair with s.y = 1 and y.y = 1e-300 scales H_0 by gamma = 1e300, so
+    # at g = (1e10, -3, 2) the recursion gives no finite direction; and at
+    # g = 0 with no pair stored, g.d = 0 is not negative: both step along -g
+    memory = lbfgs.Memory(3)
+    s, y = np.array([1e150, 0.0, 0.0]), np.array([1e-150, 0.0, 0.0])
+    assert memory.push(1.0, s, y, np.zeros(3))
+    g = np.array([1e10, -3.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(lbfgs_two_loop([(s, y)], g)))
+        d, gd = memory.direction(g)
+    assert d.tobytes() == (-g).tobytes() and gd == -1e20
+    d, gd = lbfgs.Memory(3).direction(np.zeros(3))
+    assert np.array_equal(d, np.zeros(3)) and gd == 0.0
 
 
 def test_relax_rejects_bad_arguments():
@@ -480,17 +552,18 @@ def test_relax_converges_where_the_gradient_overflows(alpha):
 # final positions' bytes, energy per particle, converged, gradient max-norm.
 # Acceptance-7 inputs (n per site on 12 sites), both acceptance-8 figure
 # inputs, an alpha-8 case and the two-particle antipodal case.  Recorded on
-# x86-64 with numpy 2.4 from the kernel on f = 1/(1 + r^alpha), which sums
+# x86-64 with numpy 2.4, along L-BFGS directions of 16 pairs
+# (`_lbfgs.Memory`), from the kernel on f = 1/(1 + r^alpha), which sums
 # each image -k from image k (`pair_terms_loop`'s order); its powers are
 # chains of IEEE products (`simulate._power`), which no SIMD dispatch changes.
 _RELAX_RECORD = [
-    (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "be667872029e153691b354beb0d07c939842391cfc458224d1937c291a955d68", "0x1.185d999c84f7bp+1", True, "0x1.8fe6857a15d55p-28"),
-    (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "d8d7bd45fff0a69211db09a1ee325045dd623d3ce6c717831e209ef03f70585e", "0x1.38738d0f71e6bp+2", True, "0x1.2d1e50c7e98fap-27"),
-    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "8544883fbb7896da42e73bba0125d8495c1eca4f96df4c56e2a26e92656c9685", "0x1.90f3692424447p+1", True, "0x1.4c09b8f8f2500p-27"),
-    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "ded469b89b44ca13f0bdba484450b3f1057bffd70a37c98ea93d1667a47801b3", "0x1.2d6271ca76cf1p+2", True, "0x1.18dc1c92e8bc0p-27"),
-    (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "8bd33cef0e89a25b44dfbcc39099dc9412f190633caa372303b8966e36bb552e", "0x1.f6d76d74ce7fep+3", True, "0x1.39bf7df466c0ep-27"),
-    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "633f3bb75f7275c7b2b00ed21209a4fed39ea798519ea678efb8a28ad2d113d9", "0x1.0ecfb94ab6037p+4", True, "0x1.1f87d9b24f456p-27"),
-    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "1f8b8a8d5b592b80fff816a85de6c949c0653717464e37956ad914a8c147b30a", "0x1.2c9954349d4edp+1", True, "0x1.02553b4b02116p-27"),
+    (4, 1.41421356237297, 16.970562748478642, 0, 30000, 1e-08, 24, "aecc92ffdf586e7ac602f3e199ff56fb9481e542b0d6d82f54b66849766cdfe3", "0x1.ee0db1615e139p+0", True, "0x1.4b71c2f10b700p-28"),
+    (4, 2.82842712474594, 16.970562748478642, 7, 30000, 1e-08, 48, "f06ffca314b3c7d2932d6f139e913092764a7cfe2d2caaa37bd092b41f45c1a6", "0x1.3cfc728a6b657p+2", True, "0x1.a51d003f17eeap-28"),
+    (6, 2.1286185248356144, 16.91237747861851, 11, 30000, 1e-08, 36, "351f7c62b08196ba20142d68dd2e0f051511adf7404d96cc715cde2f66643b63", "0x1.750ba46b08c51p+1", True, "0x1.a9aaf27bbe9bep-28"),
+    (6, 2.8381580331141527, 16.91237747861851, 19, 30000, 1e-08, 48, "de4bd9fd81265a684e1348ca2315dea325b43ecaed2f7406e20c027374daebf3", "0x1.2d6271ca76cf1p+2", True, "0x1.0f2a556ef60e9p-27"),
+    (4, 8.0, 30.0, 0, 20000, 1e-08, 240, "904292ab1909e07518ebdac78ea5c9f9adae0128c61e5711eba05f0fcb7f88b5", "0x1.f6a9da684d5b0p+3", True, "0x1.9364e5c1a3866p-28"),
+    (6, 10.0, 30.0, 1, 20000, 1e-08, 300, "4305673f0363d14d4d7de68ca73b9add01d75f351039366446b1f218d73f8dbe", "0x1.0cb2d87167c9ap+4", True, "0x1.05e791164aa45p-27"),
+    (8, 2.0, 12.0, 3, 5000, 1e-08, 24, "7515f052d5035823d34f10ce592c3037c1481afa84887a6ba4604bb57e07107f", "0x1.2c9954349d4ebp+1", True, "0x1.3c63384adeb57p-28"),
     (4, 0.02, 100.0, 1, 10000, 1e-12, 2, "897c0fac6fa34ceb44dfa9856e28f4a38b9992e0f534dce401752df8c4d5a42c", "0x1.738aef64b6fbdp-22", True, "0x1.ba2dc7fe00000p-55"),
 ]
 
