@@ -812,8 +812,7 @@ def certify_eta_ge2(ctx: PotentialContext, policy: BnbPolicy | None = None) -> C
     run.check(0.5 - F_alpha(ctx, Interval(1.5)), policy, at=1.5)
     run.check(_allthestars_small_value(coeffs), policy, at=10.0)
     segments = [(max(1.5, eta - 0.5), min(10.0, eta + 0.5), eta) for eta in range(2, 11)]
-    _bnb(run, _mean_value(_eta_ge2_parts(coeffs)), [sg for sg in segments if sg[0] < sg[1]],
-         policy)
+    _bnb(run, _mean_value(_eta_ge2_parts(coeffs)), segments, policy)
     return route.certificate(
         run, alpha, "x in [1.5, 10] segmented at half-integers + displayed constant for x >= 10, "
         f"head N={_N}", policy)

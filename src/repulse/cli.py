@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import math
 import os
 import platform
 import sys
@@ -21,6 +20,7 @@ from . import __version__, json_text
 from .interval import Interval
 from .potential import (
     AmbiguousSignChangeError,
+    _check_alpha,
     _check_tol,
     _check_truncation,
     lattice_energy,
@@ -70,10 +70,11 @@ class _Manifest:
 
 
 def _even_alpha(value: str) -> int:
-    alpha = int(value)
-    if alpha < 4 or alpha % 2:
-        raise argparse.ArgumentTypeError("alpha must be an even integer >= 4")
-    return alpha
+    alpha = int(value)      # argparse reports a non-integer itself
+    try:
+        return _check_alpha(alpha)
+    except ValueError:
+        raise argparse.ArgumentTypeError("alpha must be an even integer >= 4") from None
 
 
 class _Inequalities:
@@ -190,21 +191,14 @@ def _cmd_simulate(args) -> int:
     env_seed = os.environ.get("REPULSE_SEED")
     if env_seed is not None:
         seed = int(env_seed)
-    if not (math.isfinite(args.length) and args.length > 0.0):
-        raise ValueError("--length must be positive and finite")
-    if not math.isfinite(args.rho):
-        raise ValueError("--rho must be finite")
     if args.gap_threshold is not None and not args.gap_threshold > 0.0:
         raise ValueError("--gap-threshold must be positive")
-    target = args.rho * args.length
-    if not math.isfinite(target):
-        raise ValueError("rho*length must be finite")
-    count = int(round(target))
-    if abs(target - count) > 1e-9:
-        print(f"warning: rho*length = {target!r} rounded to {count} particles",
-              file=sys.stderr)
-    cfg = sim.relax(args.alpha, count / args.length, args.length,
+    cfg = sim.relax(args.alpha, args.rho, args.length,
                     seed=seed, iters=args.iters, gtol=args.gtol)
+    target = args.rho * args.length
+    if abs(target - cfg.count) > 1e-9:
+        print(f"warning: rho*length = {target!r} rounded to {cfg.count} particles",
+              file=sys.stderr)
     gap = args.gap_threshold
     if gap is None:
         gap = 0.5 * solve_s_alpha(args.alpha, 1e-9).s_alpha.mid

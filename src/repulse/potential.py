@@ -177,7 +177,7 @@ def _integral_f_tail(alpha: int, A: Interval) -> Interval:
             acc = acc - term
         sign = -sign
         if term.hi < 1e-40:
-            return acc + Interval(-term.hi, term.hi)
+            break
     return acc + Interval(-term.hi, term.hi)
 
 
@@ -452,8 +452,8 @@ def solve_s_alpha(alpha: int, tol: float = 1e-12) -> PotentialContext:
        holds the zero (the standard verification of an approximate root:
        Rump, "Verification methods", Acta Numerica 19, 2010).
     If neither width certifies, the solve raises AmbiguousSignChangeError:
-    a tol below the bracket's resolution (about 5.8e-14 at alpha 4, 2.9e-14
-    at 6, 9.4e-15 at 8, 2.2e-15 at 10, and 2 to 6 ulps of s from 12 on)
+    a tol below the bracket's resolution (about 6.0e-14 at alpha 4, 2.9e-14
+    at 6, 1.0e-14 at 8, 3.1e-15 at 10 and 6 to 10 ulps of s from 12 on)
     exits there.
     """
     alpha = _check_alpha(alpha)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lbfgs import Memory
+from .potential import _check_alpha, solve_s_alpha
 
 __all__ = [
     "Configuration",
@@ -143,8 +144,7 @@ class _PairKernel:
     """
 
     def __init__(self, n: int, L: float, alpha: int, K: int):
-        if not (isinstance(alpha, (int, np.integer)) and alpha >= 4 and alpha % 2 == 0):
-            raise ValueError("alpha must be an even integer >= 4")
+        alpha = _check_alpha(alpha)
         if (K + 1) * n * n > _STACK_ELEMENTS:
             raise ValueError(f"the pair kernel of n = {n} particles on a cell of length {L!r} "
                              f"needs more than {_STACK_ELEMENTS} elements")
@@ -317,13 +317,15 @@ def _uniform_start(seed: int, L: float, count: int) -> np.ndarray:
 
 
 def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
-          gtol: float = 1e-8, image_cutoff: int | None = None) -> Configuration:
+          gtol: float = 1e-8) -> Configuration:
     """Limited-memory BFGS descent (`_lbfgs.Memory`) with Armijo backtracking.
 
-    Starts from the uniform positions numpy's default_rng(seed).uniform(0,
-    L, count) draws, reproduced bit for bit by `_uniform_start` so that a
-    run does not load numpy.random.  Each step goes along the L-BFGS
-    direction d of the last `_lbfgs.MEMORY` steps (-g at the start): the
+    L must be finite and positive, and rho L, rounded to the count of
+    particles, finite; the pair sums run over `default_image_cutoff(L)`
+    images.  Starts from the uniform positions numpy's
+    default_rng(seed).uniform(0, L, count) draws, reproduced bit for bit by
+    `_uniform_start` so that a run does not load numpy.random.  Each step
+    goes along the L-BFGS direction d of the last `_lbfgs.MEMORY` steps (-g at the start): the
     first trial of the first step is t = 0.05 L / count and of every later
     step t = 1, capped so that no particle moves more than a quarter cell,
     and t is halved, at most 60 times, until the energy falls by at least
@@ -338,13 +340,12 @@ def relax(alpha: int, rho: float, L: float, seed: int = 0, iters: int = 20000,
         raise ValueError("iters must be >= 1")
     if not (math.isfinite(gtol) and gtol >= 0.0):
         raise ValueError("gtol must be finite and >= 0")
-    if not (math.isfinite(L) and math.isfinite(rho * L)):
-        raise ValueError("L and rho * L must be finite")
+    if not (math.isfinite(L) and L > 0.0 and math.isfinite(rho * L)):
+        raise ValueError("L must be finite and positive, and rho * L finite")
     count = int(round(rho * L))
     if count < 1:
         raise ValueError("density and cell length give no particles")
-    K = _image_cutoff(image_cutoff, L)
-    pair_terms = _PairKernel(count, L, alpha, K)
+    pair_terms = _PairKernel(count, L, alpha, default_image_cutoff(L))
     x = _uniform_start(seed, L, count)
     with _errstate():
         pair_terms._fill(x)
@@ -385,29 +386,20 @@ def detect_clusters(cfg: Configuration, gap_threshold: float) -> ClusterReport:
     L = cfg.L
     if n == 0:
         return ClusterReport([], None, None, {})
-    gaps = np.empty(n)
-    gaps[:-1] = np.diff(x)
-    gaps[-1] = x[0] + L - x[-1]
-    breaks = np.nonzero(gaps > gap_threshold)[0]
+    breaks = np.nonzero(_circular_gaps(x, L) > gap_threshold)[0]
     if len(breaks) == 0:
         center = _circular_mean(x, L)
         return ClusterReport([(center, n)], None, None, {n: 1})
     start = (breaks[0] + 1) % n
     y = np.concatenate([x[start:], x[:start] + L])  # ascending, break-first
-    ygaps = np.diff(y)
-    cuts = np.nonzero(ygaps > gap_threshold)[0]
-    bounds = [0, *(cuts + 1), n]
+    bounds = [0, *(breaks[1:] - breaks[0]), n]     # y[j] is x[(j + breaks[0] + 1) % n]
     clusters = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         pts = y[a:b]
         clusters.append((float(np.mean(pts)) % L, int(b - a)))
     clusters.sort()
-    k = len(clusters)
-    centers = np.array([c for c, _ in clusters])
-    cgaps = np.empty(k)
-    if k > 1:
-        cgaps[:-1] = np.diff(centers)
-        cgaps[-1] = centers[0] + L - centers[-1]
+    if len(clusters) > 1:
+        cgaps = _circular_gaps(np.array([c for c, _ in clusters]), L)
         mean_spacing = float(np.mean(cgaps))
         # the spread of the gaps in units of their mean: the squares of gaps
         # near 1e299 overflow
@@ -419,6 +411,14 @@ def detect_clusters(cfg: Configuration, gap_threshold: float) -> ClusterReport:
     for _, c in clusters:
         hist[c] = hist.get(c, 0) + 1
     return ClusterReport(clusters, mean_spacing, cv, hist)
+
+
+def _circular_gaps(x: np.ndarray, L: float) -> np.ndarray:
+    """x[i + 1] - x[i] for sorted x on the circle of length L, the last round the seam."""
+    gaps = np.empty(len(x))
+    gaps[:-1] = np.diff(x)
+    gaps[-1] = x[0] + L - x[-1]
+    return gaps
 
 
 def _circular_mean(x: np.ndarray, L: float) -> float:
@@ -435,8 +435,6 @@ def theorem_configuration(alpha: int, n_per_cluster: int, m_clusters: int,
             and isinstance(m_clusters, (int, np.integer)) and m_clusters >= 2):
         raise ValueError("need integers n_per_cluster >= 1 and m_clusters >= 2")
     if s_alpha is None:
-        from .potential import solve_s_alpha
-
         s_alpha = solve_s_alpha(alpha).s_alpha.mid
     elif not (math.isfinite(s_alpha) and s_alpha > 0.0):
         raise ValueError("s_alpha must be finite and positive")
@@ -473,7 +471,7 @@ def export(cfg: Configuration, report: ClusterReport, path_csv, path_svg) -> Non
 
 
 def _render_svg(cfg: Configuration, report: ClusterReport) -> str:
-    L = cfg.L if cfg.L > 0 else 1.0
+    L = cfg.L
     half = L / 2.0
     height = L / 7.5  # keeps the 900 x 120 frame isotropic
     tick = height / 16.0

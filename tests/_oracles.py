@@ -68,6 +68,14 @@ time: no Gram matrix, no triangular inverse.  `relax`'s memory, which
 computes the same direction from the compact form, must stay within a
 few roundings of it.
 
+`detect_clusters_two_pass` is `repulse.simulate.detect_clusters` as it
+was before it took the cluster bounds from the breaks of one array of
+circular gaps: it forms the gaps again over the positions rotated to start
+after the first break, (x[j + 1] + L) - (x[j] + L) for the wrapped points,
+and tests them against the threshold a second time.  The reports must be
+equal under repr unless a gap between wrapped points lies within the
+rounding of x + L of the threshold.
+
 `bnb_level_by_level` is the branch-and-bound engine as the library ran it
 before it evaluated the levels below a small frontier in the same batch:
 one level per batch (boxes and midpoints together when they fit in one
@@ -103,6 +111,7 @@ from repulse.potential import (
     energy_derivative,
     power_sum_tail,
 )
+from repulse.simulate import ClusterReport, _circular_mean
 
 # (pi/sqrt2)(sinh x + sin x)/(cosh x - cos x) at x = pi, 2pi, 3pi,
 # i.e. the alpha = 4 lattice energy at spacings sqrt2, sqrt2/2, sqrt2/3.
@@ -433,6 +442,42 @@ def lbfgs_two_loop(pairs, g):
         b = float(y @ q) / float(y @ s)
         q = q + (a - b) * s
     return -q
+
+
+def detect_clusters_two_pass(cfg, gap_threshold):
+    """Single-linkage split at circular gaps exceeding the threshold, the
+    gaps formed once over the positions and once over their rotation."""
+    if not gap_threshold > 0.0:
+        raise ValueError("gap_threshold must be positive")
+    x, L = cfg.positions, cfg.L
+    n = len(x)
+    if n == 0:
+        return ClusterReport([], None, None, {})
+    gaps = np.empty(n)
+    gaps[:-1] = np.diff(x)
+    gaps[-1] = x[0] + L - x[-1]
+    breaks = np.nonzero(gaps > gap_threshold)[0]
+    if len(breaks) == 0:
+        return ClusterReport([(_circular_mean(x, L), n)], None, None, {n: 1})
+    start = (breaks[0] + 1) % n
+    y = np.concatenate([x[start:], x[:start] + L])
+    cuts = np.nonzero(np.diff(y) > gap_threshold)[0]
+    bounds = [0, *(cuts + 1), n]
+    clusters = sorted((float(np.mean(y[a:b])) % L, int(b - a))
+                      for a, b in zip(bounds[:-1], bounds[1:]))
+    k = len(clusters)
+    mean_spacing = cv = None
+    if k > 1:
+        centers = np.array([c for c, _ in clusters])
+        cgaps = np.empty(k)
+        cgaps[:-1] = np.diff(centers)
+        cgaps[-1] = centers[0] + L - centers[-1]
+        mean_spacing = float(np.mean(cgaps))
+        cv = float(np.std(cgaps / mean_spacing)) if mean_spacing > 0 else None
+    hist = {}
+    for _, c in clusters:
+        hist[c] = hist.get(c, 0) + 1
+    return ClusterReport(clusters, mean_spacing, cv, hist)
 
 
 _MP_DPS = 40

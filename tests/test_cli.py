@@ -414,6 +414,7 @@ _OVERSIZED = (
     "certify --alpha 16 --inequality T --tol -5",
     "certify --alpha 16 --inequality T --tol nan",
     "simulate --alpha 4 --rho 1 --length 8 --iters 10 --csv {missing}/x.csv",
+    "simulate --alpha 4 --rho -1 --length -8 --iters 10",
     *_OVERSIZED,
 ])
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):

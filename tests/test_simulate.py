@@ -19,7 +19,13 @@ from repulse import simulate as sim
 from repulse.interval import Interval
 from repulse.potential import lattice_energy
 
-from _oracles import lbfgs_two_loop, pair_terms_all_images, pair_terms_loop, power_chain
+from _oracles import (
+    detect_clusters_two_pass,
+    lbfgs_two_loop,
+    pair_terms_all_images,
+    pair_terms_loop,
+    power_chain,
+)
 
 
 def _config(positions, L, alpha):
@@ -161,6 +167,41 @@ def test_detect_clusters_single_cluster():
     assert rep.mean_spacing is None and rep.spacing_cv is None
 
 
+def test_detect_clusters_matches_the_two_pass_reference():
+    # 2,000 seeded cells of 1 to 60 particles on L from 1e-3 to 1e6, half
+    # uniform and half a jittered lattice of 1 to n sites, each at a
+    # threshold over three decades around the mean spacing L/n, plus a
+    # threshold above every gap (one cluster) and one below every gap of
+    # distinct points (every gap a break)
+    rng = np.random.default_rng(20261022)
+    cells = []
+    for i in range(2000):
+        n, L = int(rng.integers(1, 61)), 10.0 ** rng.uniform(-3.0, 6.0)
+        if i % 2:
+            x = rng.uniform(0.0, L, n)
+        else:
+            m = int(rng.integers(1, n + 1))
+            sites = rng.uniform(0.0, L) + (L / m) * rng.integers(0, m, n)
+            x = sites + (L / m) * 10.0 ** rng.uniform(-9.0, -1.0) * rng.standard_normal(n)
+        x = np.mod(x, L)
+        x[x >= L] = 0.0
+        cells.append((_config(x, L, 4), (L / n) * 10.0 ** rng.uniform(-1.5, 1.5)))
+    lattice = _config(np.arange(12) * 0.75, 9.0, 4)
+    cells += [(lattice, 10.0), (lattice, 0.5)]
+    singles = breaks_everywhere = 0
+    for cfg, gap in cells:
+        want = detect_clusters_two_pass(cfg, gap)
+        assert repr(sim.detect_clusters(cfg, gap)) == repr(want), (cfg.positions, cfg.L, gap)
+        singles += len(want.clusters) == 1
+        breaks_everywhere += len(want.clusters) == cfg.count > 1
+    assert singles and breaks_everywhere
+    # two points 1e-12 apart wrapped past the seam: x + L rounds them 1.2e-10
+    # (an ulp of L) apart, which the reference's second test took for a break
+    x = 0.0018196267191192771
+    rep = sim.detect_clusters(_config([x, x + 1e-12, 5e5], 1e6, 4), 1e-11)
+    assert [c for _, c in rep.clusters] == [2, 1]
+
+
 def test_detect_clusters_wraparound():
     cfg = _config([0.05, 9.95, 5.0], 10.0, 4)
     rep = sim.detect_clusters(cfg, 1.0)
@@ -269,7 +310,7 @@ def test_lbfgs_falls_back_to_minus_g_without_a_descent_direction():
     assert np.array_equal(d, np.zeros(3)) and gd == 0.0
 
 
-def test_relax_rejects_bad_arguments():
+def test_relax_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError):
         sim.relax(5, 1.0, 10.0)
     with pytest.raises(ValueError):
@@ -277,9 +318,19 @@ def test_relax_rejects_bad_arguments():
     for gtol in (math.nan, -1.0, math.inf, -math.inf):
         with pytest.raises(ValueError, match="gtol must be finite and >= 0"):
             sim.relax(4, 1.0, 12.0, iters=50, gtol=gtol)
-    for rho, L in ((1e300, 1e300), (1.0, math.inf), (math.nan, 10.0)):
+    builds = []
+
+    class CountedKernel(sim._PairKernel):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "_PairKernel", CountedKernel)
+    # (-1.0, -8.0): eight particles on a negative cell, refused before a kernel
+    for rho, L in ((1e300, 1e300), (1.0, math.inf), (math.nan, 10.0), (-1.0, -8.0)):
         with pytest.raises(ValueError, match="must be finite"):
             sim.relax(4, rho, L)
+    assert builds == []
     with pytest.raises(ValueError, match="expected non-negative integer"):
         sim.relax(4, 1.0, 10.0, seed=-1)       # default_rng's seed errors
     for seed in (1.5, 2.0, None):
@@ -288,8 +339,6 @@ def test_relax_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sim.periodic_energy(_config([1.0], 10.0, 4), 0)
     for cutoff in (0, -1):
-        with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
-            sim.relax(4, 1.0, 10.0, image_cutoff=cutoff)
         with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
             sim.theorem_configuration(4, 1, 8, s_alpha=1.5, image_cutoff=cutoff)
         with pytest.raises(ValueError, match="image_cutoff must be >= 1"):
