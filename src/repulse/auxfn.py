@@ -25,27 +25,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxCoefficients:
     """Truncated interval tables of F(n), F'(n) with tail bounds.
 
-    Fn[n] encloses F(n) for n = 0..N; dFn[n] encloses F'(n) (dFn[0] = 0).
-    tail_F bounds sum_{n>N} F(n), tail_dF bounds sum_{n>N} |F'(n)|, and
-    tail_n2F bounds sum_{n>N} n^2 F(n).
+    F and dF are read-only Lanes whose lane n encloses F(n) and F'(n) for
+    n = 0..N (F(0) = 1, F'(0) = 0).  tail_F bounds sum_{n>N} F(n), tail_dF
+    bounds sum_{n>N} |F'(n)|, and tail_n2F bounds sum_{n>N} n^2 F(n).
     """
 
     ctx: PotentialContext
     N: int
-    Fn: tuple
-    dFn: tuple
+    F: Lanes
+    dF: Lanes
     tail_F: Interval
     tail_dF: Interval
     tail_n2F: Interval
 
     def rows(self, start: int = 1):
-        """(n, F(n), F'(n)) for n = start..N: a float array and two lane rows."""
-        return (np.arange(float(start), self.N + 1.0),
-                Lanes.of(self.Fn[start:]), Lanes.of(self.dFn[start:]))
+        """(n, F(n), F'(n)) for n = start..N: a float array and two views of the table."""
+        return np.arange(float(start), self.N + 1.0), self.F[start:], self.dF[start:]
 
 
 def _check_rows(N: int) -> None:
@@ -60,14 +59,13 @@ def build_coefficients(ctx: PotentialContext, N: int = 256) -> AuxCoefficients:
     alpha = ctx.alpha
     s_pow = ctx.s_pow_alpha
     n = np.arange(1.0, N + 1.0)
-    F = F_alpha(ctx, Lanes(n))
-    dF = x_dF_alpha(alpha, F) / n
-    Fn = (_ONE, *map(Interval, F.lo.tolist(), F.hi.tolist()))
-    dFn = (_ZERO, *map(Interval, dF.lo.tolist(), dF.hi.tolist()))
+    F = Lanes.concat((Lanes([1.0]), F_alpha(ctx, Lanes(n))))
+    dF = Lanes.concat((Lanes([0.0]), x_dF_alpha(alpha, F[1:]) / n))
+    F.ends.flags.writeable = dF.ends.flags.writeable = False
     tail_F = Interval(0.0, (power_sum_tail(alpha, N + 1) / s_pow).hi)
     tail_dF = Interval(0.0, (alpha * power_sum_tail(alpha + 1, N + 1) / s_pow).hi)
     tail_n2F = Interval(0.0, (power_sum_tail(alpha - 2, N + 1) / s_pow).hi)
-    return AuxCoefficients(ctx, N, Fn, dFn, tail_F, tail_dF, tail_n2F)
+    return AuxCoefficients(ctx, N, F, dF, tail_F, tail_dF, tail_n2F)
 
 
 def _offsets(x: Lanes, eta: np.ndarray, n: np.ndarray):
@@ -123,9 +121,9 @@ def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:
         raise ValueError("evaluation point too far out for the coefficient table")
     eta = round(x.mid)
     d = x - eta
-    near = pow_int(sinc(PI * d), 2) * (coeffs.Fn[eta] + coeffs.dFn[eta] * d)
+    near = pow_int(sinc(PI * d), 2) * (coeffs.F.interval(eta) + coeffs.dF.interval(eta) * d)
     off = _offset_sum(Lanes([x.lo], [x.hi]), np.array([eta]), coeffs.rows())
-    acc = near + pow_int(sin(PI * x) / PI, 2) * Interval(off.lo[0], off.hi[0])
+    acc = near + pow_int(sin(PI * x) / PI, 2) * off.interval(0)
     # the terms |n| > N: |sinc(pi(x +- n))| <= 1/(pi (n - |x|)) for n > |x|;
     # round the worst distance down so the bound stays an overestimate
     dist = Interval(_sub_down(N + 1.0, mag))
@@ -137,14 +135,13 @@ def psi(coeffs: AuxCoefficients, x: Interval) -> Interval:
 def _psi_hat_core(coeffs: AuxCoefficients, xi: Interval) -> Interval:
     """(1-xi) sum_n F(n) cos(2 pi n xi) - (1/2pi) sum_n F'(n) sin(2 pi n xi),
     symmetrised over +-n, for xi inside [0, 1]."""
-    Fn, dFn = coeffs.Fn, coeffs.dFn
     two_pi_xi = (2.0 * PI) * xi
     csum = _ZERO
     ssum = _ZERO
     for n in range(1, coeffs.N + 1):
         arg = two_pi_xi * n
-        csum = csum + Fn[n] * cos(arg)
-        ssum = ssum + dFn[n] * sin(arg)
+        csum = csum + coeffs.F.interval(n) * cos(arg)
+        ssum = ssum + coeffs.dF.interval(n) * sin(arg)
     tf = coeffs.tail_F.hi
     tdf = coeffs.tail_dF.hi
     cos_part = 1.0 + 2.0 * csum + Interval(-2.0 * tf, 2.0 * tf)
@@ -175,7 +172,7 @@ def decay_constant(coeffs: AuxCoefficients) -> Interval:
     inv_pi = _ONE / PI
     inv_pi2 = inv_pi * inv_pi
     ndF = abs(n * dF)
-    b0 = lane_sum(coeffs.Fn[0] + inv_pi2, 2.0 * (F + ndF))  # from the n = 0 rows of both bounds
+    b0 = lane_sum(coeffs.F.interval(0) + inv_pi2, 2.0 * (F + ndF))  # the n = 0 rows of both bounds
     b2 = lane_sum(_ZERO, 2.0 * (pow_int(inv_pi + Lanes(n), 2) * F + (inv_pi2 + Lanes(n * n)) * ndF))
     alpha = coeffs.ctx.alpha
     # n > N: (1/pi+n)^2 <= 4n^2, (1/pi^2+n^2)|nF'| <= 1.2 alpha n^2 F

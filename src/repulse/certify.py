@@ -448,9 +448,8 @@ def certify_w_inequality(ctx: PotentialContext | None = None,
 def _monotone_coefficient_check(coeffs: AuxCoefficients) -> Interval:
     """F(1) - F(n) with the least lower bound over n >= 2 (the first such n),
     which must be certifiably >= 0."""
-    d = coeffs.Fn[1] - coeffs.rows(2)[1]
-    i = int(np.argmin(d.lo))
-    return Interval(d.lo[i], d.hi[i])
+    d = coeffs.F.interval(1) - coeffs.rows(2)[1]
+    return d.interval(int(np.argmin(d.lo)))
 
 
 def certify_psihat_nonneg(coeffs: AuxCoefficients, policy: BnbPolicy | None = None,
@@ -603,7 +602,7 @@ def _sum_3n2F_n3dF(coeffs: AuxCoefficients) -> Interval:
     [-(alpha - 3) n^2 F(n), 0) and the rows |n| > N in [-2b, 0],
     b = (alpha - 3) tail_n2F.  ValueError if the table's F(N) is not < 1/4.
     """
-    if not coeffs.Fn[coeffs.N].hi < 0.25:
+    if not coeffs.F.hi[-1] < 0.25:
         raise ValueError("the one-sided tail needs F(N) < 1/4")
     n, F, dF = coeffs.rows()
     acc = lane_sum(_ZERO, (3.0 * n * n) * F, dF * _n_pow(n, 3))
@@ -658,7 +657,8 @@ def certify_psi4_le_F4(ctx: PotentialContext, policy: BnbPolicy | None = None) -
     route = _route("psi4_le_F4", True, alpha)
     run = _Run()
     coeffs = _table(ctx)
-    far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) - 2.5 * coeffs.Fn[9]
+    far = -_sum_3n2F_n3dF(coeffs) - Interval.from_fraction(Fraction(11, 81)) \
+        - 2.5 * coeffs.F.interval(9)
     run.check(far, policy, at=9.0)
     _bnb(run, _mean_value(_psi4_parts(coeffs)), [(0.0, 9.0)], policy)
     return route.certificate(
@@ -859,14 +859,16 @@ def certify_all(alpha: int, policy: BnbPolicy | None = None,
     table order; a listed row that is also a piece of psihat_nonneg (the w
     route with a context) is computed once.  alpha outside the `all` row is a
     ValueError, so every alpha accepted gets a route for every piece of
-    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12.  Every piece,
-    psihat_nonneg included, reads the one table `_table(ctx)`.  The
-    interpolation, support and decay conditions hold by construction and are
-    exercised by the property tests rather than certified here.
+    psi <= F.  With no ctx, s_alpha is solved at tol 1e-12; a ctx of another
+    alpha is a ValueError.  Every piece, psihat_nonneg included, reads the
+    one table `_table(ctx)`.  The interpolation, support and decay conditions
+    hold by construction and are exercised by the property tests rather than
+    certified here.
     """
     _route("all", True, alpha)
-    if ctx is None:
-        ctx = solve_s_alpha(alpha)
+    ctx = solve_s_alpha(alpha) if ctx is None else ctx
+    if ctx.alpha != alpha:
+        raise ValueError(f"certify_all at alpha = {alpha} got a context of alpha = {ctx.alpha}")
     listed = {r.inequality_id: r.call(alpha, ctx, policy)
               for r in ROUTES if r.listed and alpha in r.alphas}
     psihat = certify_psihat_nonneg(_table(ctx), policy, listed)

@@ -199,11 +199,7 @@ class Interval:
         m = 0.5 * (self.lo + self.hi)
         if not math.isfinite(m):
             m = 0.5 * self.lo + 0.5 * self.hi
-        if m < self.lo:
-            m = self.lo
-        if m > self.hi:
-            m = self.hi
-        return m
+        return min(max(m, self.lo), self.hi) if m == m else 0.0  # nan on the entire line only
 
     @property
     def mag(self) -> float:
@@ -553,6 +549,10 @@ class Lanes:
         a = _ends(a, np.ndim(cond) + 1)
         b = _ends(b, a.ndim)
         return Lanes._raw(np.where(cond, _lift(a, b.ndim), b))
+
+    def interval(self, i) -> Interval:
+        """Lane i as an Interval."""
+        return Interval(self.lo[i], self.hi[i])
 
     def __getitem__(self, key) -> "Lanes":
         return Lanes._raw(self.ends[(slice(None), *np.index_exp[key])])

@@ -209,7 +209,7 @@ def offset_sum(x, eta, coeffs):
     one, skip = Interval(1.0), Interval(-0.0)
     terms = [skip if eta == 0 else one / pow_int(x, 2)]
     for n in range(1, coeffs.N + 1):
-        Fn, dFn = coeffs.Fn[n], coeffs.dFn[n]
+        Fn, dFn = coeffs.F.interval(n), coeffs.dF.interval(n)
         d, dm = x - n, x + n
         own = n == eta
         terms += [skip if own else Fn / pow_int(d, 2), skip if own else dFn / d,
@@ -306,9 +306,8 @@ def inv_sq_offset_sum_two_chain(t, N):
 
 
 def _tables_float(coeffs):
-    F = np.array([iv.mid for iv in coeffs.Fn])
-    dF = np.array([iv.mid for iv in coeffs.dFn])
-    return F, dF
+    return tuple(np.array([lanes.interval(n).mid for n in range(coeffs.N + 1)])
+                 for lanes in (coeffs.F, coeffs.dF))
 
 
 def psi_float(coeffs, xs) -> np.ndarray:

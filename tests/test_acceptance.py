@@ -109,7 +109,7 @@ def test_criterion_5_structural_conditions(coeffs_by_alpha):
     for a, coeffs in coeffs_by_alpha.items():
         for n in range(0, 11):
             p = auxfn.psi(coeffs, Interval(float(n)))
-            F = coeffs.Fn[n]
+            F = coeffs.F.interval(n)
             assert p.overlaps(F), (a, n)
             assert p.lo <= F.mid <= p.hi, (a, n)
             worst_width = max(worst_width, p.width)

@@ -11,18 +11,28 @@ from _oracles import psi_float, psi_hat_float
 
 
 def test_tables(coeffs4):
-    assert coeffs4.Fn[0] == Interval(1.0)
+    F, dF = coeffs4.F, coeffs4.dF
+    assert F.interval(0) == Interval(1.0) and dF.interval(0) == Interval(0.0)
     for n in range(1, coeffs4.N):
-        assert coeffs4.Fn[n].lo >= coeffs4.Fn[n + 1].hi - 1e-15
-        assert coeffs4.dFn[n].hi <= 0.0
+        assert F.lo[n] >= F.hi[n + 1] - 1e-15
+        assert dF.hi[n] <= 0.0
     assert coeffs4.tail_F.lo == 0.0 and coeffs4.tail_F.hi > 0.0
+
+
+def test_rows_are_read_only_views_of_the_table(coeffs4):
+    n, F, dF = coeffs4.rows(2)
+    assert n[0] == 2.0 and n.size == coeffs4.N - 1
+    assert np.shares_memory(F.ends, coeffs4.F.ends) and np.shares_memory(dF.ends, coeffs4.dF.ends)
+    for ends in (coeffs4.F.ends, coeffs4.dF.ends, F.ends, dF.lo):
+        with pytest.raises(ValueError, match="read-only"):
+            ends[..., 0] = 0.5
 
 
 def test_interpolation_small_n(coeffs4, coeffs6):
     for coeffs in (coeffs4, coeffs6):
         for n in range(0, 11):
             p = psi(coeffs, Interval(float(n)))
-            F = coeffs.Fn[n]
+            F = coeffs.F.interval(n)
             assert p.lo <= F.lo and F.hi <= p.hi or p.overlaps(F)
             assert p.width <= 1e-9
 
@@ -96,7 +106,7 @@ def test_psi_hat_at_zero_is_coefficient_sum(coeffs4):
     v = psi_hat(coeffs4, Interval(0.0))
     s = Interval(1.0)
     for n in range(1, coeffs4.N + 1):
-        s = s + 2.0 * coeffs4.Fn[n]
+        s = s + 2.0 * coeffs4.F.interval(n)
     s = s + 2.0 * coeffs4.tail_F
     assert v.overlaps(s)
 

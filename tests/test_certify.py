@@ -303,16 +303,21 @@ def test_T_small_alphas(ctx_by_alpha):
         assert c.status == "verified" and c.min_lower_bound > 0.0
 
 
+def _with_F(coeffs, n, value):
+    """The table with lane n of F set to the Interval value."""
+    F = Lanes(coeffs.F.lo, coeffs.F.hi)
+    F.lo[n], F.hi[n] = value.lo, value.hi
+    return dataclasses.replace(coeffs, F=F)
+
+
 def test_T_detects_perturbation(ctx4):
     # inflating the first coefficient eats the margin: doubling F(1) costs
     # exactly 2 F(1) ~ 0.4 of slack and 4x pushes the constant negative
     coeffs = build_coefficients(ctx4, 64)
     base = cert._T_value(coeffs)
-    doubled = dataclasses.replace(
-        coeffs, Fn=(coeffs.Fn[0], 2.0 * coeffs.Fn[1], *coeffs.Fn[2:]))
+    doubled = _with_F(coeffs, 1, 2.0 * coeffs.F.interval(1))
     assert cert._T_value(doubled).hi < base.lo
-    quadrupled = dataclasses.replace(
-        coeffs, Fn=(coeffs.Fn[0], 4.0 * coeffs.Fn[1], *coeffs.Fn[2:]))
+    quadrupled = _with_F(coeffs, 1, 4.0 * coeffs.F.interval(1))
     assert cert._T_value(quadrupled).hi < 0.0
 
 
@@ -320,10 +325,9 @@ def test_monotone_check_reports_the_first_least_margin(ctx4):
     # a widened F(3) with the upper end of F(2) ties F(1) - F(n) in its
     # lower end at n = 2 and 3; the check reports the first, n = 2
     coeffs = build_coefficients(ctx4, 64)
-    F2 = coeffs.Fn[2]
-    tied = dataclasses.replace(
-        coeffs, Fn=(*coeffs.Fn[:3], Interval(F2.hi - 1e-3, F2.hi), *coeffs.Fn[4:]))
-    assert cert._monotone_coefficient_check(tied) == coeffs.Fn[1] - F2
+    F2 = coeffs.F.interval(2)
+    tied = _with_F(coeffs, 3, Interval(F2.hi - 1e-3, F2.hi))
+    assert cert._monotone_coefficient_check(tied) == coeffs.F.interval(1) - F2
 
 
 def test_T_large_examples():
@@ -363,8 +367,8 @@ def test_L_sensitive_to_remainder_kernel(ctx6):
     coeffs = build_coefficients(ctx6, 64)
     total = 0.0
     for n in range(1, 65):
-        total += 2.0 * (n ** 3 * coeffs.dFn[n].mid * (4.0 / 6.0 - 2.0 / 3.0)
-                        - 2.0 * n * n * coeffs.Fn[n].mid)
+        total += 2.0 * (n ** 3 * coeffs.dF.interval(n).mid * (4.0 / 6.0 - 2.0 / 3.0)
+                        - 2.0 * n * n * coeffs.F.interval(n).mid)
     assert total < 0.0
     assert cert._L_value(coeffs).lo > 0.0
 
@@ -409,7 +413,7 @@ def test_L_tail_contains_the_terms_beyond_the_head(alpha, ctx_by_alpha):
     ctx = ctx_by_alpha[alpha]
     coeffs = build_coefficients(ctx, 64)
     N, M = coeffs.N, 2000
-    bare = dataclasses.replace(coeffs, Fn=(ONE,) + (ZERO,) * N, dFn=(ZERO,) * (N + 1))
+    bare = dataclasses.replace(coeffs, F=Lanes(np.r_[1.0, np.zeros(N)]), dF=Lanes(np.zeros(N + 1)))
     tail = cert._L_value(bare)
     with mpmath.workdps(40):
         for s in (ctx.s_alpha.lo, ctx.s_alpha.hi):
@@ -441,7 +445,7 @@ def test_3n2F_n3dF_tail_contains_the_terms_beyond_the_head(alpha):
     ctx = solve_s_alpha(alpha)
     coeffs = build_coefficients(ctx, cert._N)
     N, M = coeffs.N, 2000
-    bare = dataclasses.replace(coeffs, Fn=(ONE,) + (ZERO,) * N, dFn=(ZERO,) * (N + 1))
+    bare = dataclasses.replace(coeffs, F=Lanes(np.r_[1.0, np.zeros(N)]), dF=Lanes(np.zeros(N + 1)))
     tail = cert._sum_3n2F_n3dF(bare)
     assert tail.hi == 0.0
     with mpmath.workdps(40):
@@ -461,7 +465,7 @@ def test_3n2F_n3dF_needs_F_below_a_quarter_beyond_the_head():
     # a solved s_alpha is >= 1, so F(N) <= F(8) < 1/4; at the spacing 1/8,
     # F(8) = 1/2 and the terms beyond the head need not be negative
     coeffs = build_coefficients(PotentialContext.from_spacing(4, Interval(0.125)), 8)
-    assert coeffs.Fn[8].contains(0.5) and coeffs.Fn[8].width < 1e-15
+    assert coeffs.F.interval(8).contains(0.5) and coeffs.F.interval(8).width < 1e-15
     with pytest.raises(ValueError, match="F\\(N\\) < 1/4"):
         cert._sum_3n2F_n3dF(coeffs)
 
@@ -875,8 +879,8 @@ def test_L_terms_match_scalar_reference(alpha, ctx_by_alpha):
         for i, (a, b) in enumerate(boxes):
             xi = Interval(a, b)
             for j in range(coeffs.N):
-                want = L_scalar(ctx, xi, sign * (j + 1), F_alpha(ctx, xi), coeffs.Fn[j + 1],
-                                sign * coeffs.dFn[j + 1])
+                want = L_scalar(ctx, xi, sign * (j + 1), F_alpha(ctx, xi), coeffs.F.interval(j + 1),
+                                sign * coeffs.dF.interval(j + 1))
                 assert (got.lo[i, j].hex(), got.hi[i, j].hex()) == \
                     (want.lo.hex(), want.hi.hex()), (a, b, sign * (j + 1))
 
@@ -1269,6 +1273,30 @@ def test_json_is_strict_for_unbounded_values():
 def test_certify_all_rejects_odd():
     with pytest.raises(ValueError):
         certify_all(5)
+
+
+def test_certify_all_rejects_a_context_of_another_alpha(monkeypatch):
+    # the routes are chosen by alpha and run on ctx: alpha 16 on the alpha-14
+    # context would mix certificates of both alphas and skip eta_ge2, which
+    # alpha 14 needs; no route runs
+    ran = []
+    for name in ("certify_psihat_nonneg", "certify_eta0", "certify_eta1",
+                 "certify_allthestars_large", "certify_eta_ge2"):
+        monkeypatch.setattr(cert, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+    with pytest.raises(ValueError, match="alpha = 16 got a context of alpha = 14"):
+        certify_all(16, ctx=solve_s_alpha(14))
+    assert ran == []
+
+
+@pytest.mark.parametrize("alpha", [4, 6])
+def test_certify_all_leaves_the_table_bit_identical(alpha, ctx_by_alpha):
+    ctx = ctx_by_alpha[alpha]
+    cert._table.cache_clear()
+    table = cert._table(ctx)
+    before = (table.F.ends.tobytes(), table.dF.ends.tobytes())
+    assert all(c.status == "verified" for c in certify_all(alpha, ctx=ctx))
+    assert cert._table(ctx) is table
+    assert (table.F.ends.tobytes(), table.dF.ends.tobytes()) == before
 
 
 def test_certify_all_alpha4(ctx4):

@@ -37,6 +37,18 @@ from repulse.interval import (
 from _oracles import EXP_ONE, R_AT_PI, S3_AT_PI, SINC_HALF, contains_bracket
 
 
+def test_mid_lies_in_the_interval():
+    # the entire line has no finite midpoint formula (both halves of the sum
+    # are infinite), so its mid is 0; half-lines and +-DBL_MAX stay inside
+    big, inf = sys.float_info.max, math.inf
+    assert Interval(-inf, inf).mid == 0.0
+    for lo, hi in [(-inf, 0.0), (0.0, inf), (-inf, -big), (big, inf), (-inf, big), (-big, inf),
+                   (-big, big), (big, big), (-big, -big), (0.0, big), (-big, 1.0)]:
+        assert lo <= Interval(lo, hi).mid <= hi, (lo, hi)
+    for x in (0.0, -0.0, 1.5, -3.25, 5e-324, big, -big):
+        assert Interval(x).mid == x
+
+
 def test_add_exact_integer_endpoints():
     v = Interval(1, 2) + Interval(3, 4)
     assert v.lo == 4.0 and v.hi == 6.0

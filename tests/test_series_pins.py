@@ -270,7 +270,8 @@ def test_first_order_residual_bits(ctxs):
 
 def _digest(coeffs):
     h = hashlib.sha256()
-    for iv in (*coeffs.Fn, *coeffs.dFn, coeffs.tail_F, coeffs.tail_dF, coeffs.tail_n2F):
+    rows = [lanes.interval(n) for lanes in (coeffs.F, coeffs.dF) for n in range(coeffs.N + 1)]
+    for iv in (*rows, coeffs.tail_F, coeffs.tail_dF, coeffs.tail_n2F):
         h.update(f"{iv.lo.hex()} {iv.hi.hex()}\n".encode())
     return h.hexdigest()
 
